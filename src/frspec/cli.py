@@ -13,10 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .fields import l2_norm
-from .forms import FormEngine
 from .harness import (
     ConfigError,
     SimConfig,
@@ -27,7 +24,7 @@ from .harness import (
     write_csv,
 )
 from .resonance import enumerate_kstar
-from .solvers import NumericalError, SimState, write_checkpoint
+from .solvers import NumericalError, write_checkpoint
 from . import dyadic
 
 EXIT_OK = 0
@@ -80,24 +77,16 @@ def cmd_simulate(cfg: SimConfig) -> int:
     if not cfg.eps_list:
         raise ConfigError("simulate requires one epsilon")
     eps = cfg.eps_list[0]
+    if math.isinf(eps):
+        raise ConfigError("simulate requires a finite epsilon; use `frspec limit` for eps = inf")
     cfg_one = replace(cfg, eps_list=(eps,)).validate()
     report = run_sweep(cfg_one)
     out = _outdir(cfg) / f"simulate_eps{format_float(eps)}.csv"
     write_csv(report, out)
     if _print_failures(report):
         return EXIT_NUMERICAL
-    # final state checkpoint
-    engine = FormEngine(cfg.geometry(), cfg.nu)
-    V0, _ = random_initial_data(cfg)
-    from .solvers import FilteredStepper
-
-    stepper = FilteredStepper(engine, eps, cfg.dt)
-    state = SimState(0.0, V0, cfg.nu, eps)
-    nsteps = int(round(cfg.T / cfg.dt))
-    for i in range(nsteps):
-        state = stepper.step(state, enforce_cfl=(i % 100 == 0))
     ck = _outdir(cfg) / f"state_eps{format_float(eps)}.frsp"
-    write_checkpoint(ck, state)
+    write_checkpoint(ck, report.final_states[format_float(eps)])
     print(f"wrote {out} and {ck}")
     return EXIT_OK
 

@@ -30,27 +30,24 @@ makes the forms bitwise symmetric in their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    SpectralField4,
-    leray_project,
-    transport,
-    zero_field,
-)
+from .fields import SpectralField4, transport, zero_field
 from .geometry import TorusGeometry
 from .resonance import exact_sqrt_sum_is_zero, omega_ratio_ints
 from .waves import (
     EigenBasis,
     apply_filter,
+    bar_part,
     coefficients,
     field_from_coefficients,
+    osc_part,
     underline_part,
 )
 
-__all__ = ["FormEngine", "project_tilde", "project_underline"]
+__all__ = ["FormEngine", "project_tilde"]
 
 _SIGN_ROW = {-1: 0, 0: 1, 1: 2}
 
@@ -60,16 +57,6 @@ def project_tilde(V: SpectralField4) -> SpectralField4:
     g = V.geometry
     out = V.copy()
     out.coeffs[g.N, g.N, :, :] = 0.0
-    return out
-
-
-def project_underline(V: SpectralField4) -> SpectralField4:
-    """Keep only the n_h = 0 modes (f-span: components 1, 2, 4)."""
-    g = V.geometry
-    out = zero_field(g)
-    out.coeffs[g.N, g.N, :, :] = V.coeffs[g.N, g.N, :, :]
-    out.coeffs[..., 2][g.mask_h_zero] = 0.0
-    out.pin_zero_mode()
     return out
 
 
@@ -284,20 +271,10 @@ class FormEngine:
         # underline-output class (a, -a): k + m on the vertical line
         L = g.L
         for i3 in range(L):
-            n3 = i3 - g.N
             fn_line = (g.N * L + g.N) * L + i3  # mode (0, 0, n3)
-            n = np.array([0, 0, n3])
-            m = n[None, :] - self._modes
-            ok = (
-                self._hnz
-                & (np.abs(m).max(axis=1) <= g.N)
-                & ((m[:, 0] != 0) | (m[:, 1] != 0))
-            )
-            kf = np.nonzero(ok)[0].astype(np.int64)
+            kf, mf = self._pair_arrays(fn_line)
             if len(kf) == 0:
                 continue
-            mm = m[ok]
-            mf = ((mm[:, 0] + g.N) * L + (mm[:, 1] + g.N)) * L + (mm[:, 2] + g.N)
             eqKM = H[kf] * S[mf] == H[mf] * S[kf]
             kk, mmf = kf[eqKM], mf[eqKM]
             if len(kk) == 0:
@@ -391,18 +368,6 @@ class FormEngine:
             },
         )
 
-    def _bar_field(self, V: SpectralField4) -> SpectralField4:
-        c = coefficients(V)
-        return field_from_coefficients(self.geometry, {0: c[0]})
-
-    def _project_e0(self, W: SpectralField4) -> SpectralField4:
-        c = coefficients(W)
-        return field_from_coefficients(self.geometry, {0: c[0]})
-
-    def _project_osc(self, W: SpectralField4) -> SpectralField4:
-        c = coefficients(W)
-        return field_from_coefficients(self.geometry, {1: c[1], -1: c[-1]})
-
     def q_tilde1(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Resonance-restricted symmetrized transport (tilde output).
 
@@ -410,9 +375,7 @@ class FormEngine:
         unrestricted convolution of the e_0 parts, all other classes are
         sparse exact-resonant sums.
         """
-        bar1 = self._bar_field(V1)
-        bar2 = self._bar_field(V2)
-        fft_part = self._project_e0(transport(bar1, bar2))
+        fft_part = bar_part(transport(bar_part(V1), bar_part(V2)))
         table_part = self._apply_t1_tables(
             self._coeff_matrix(V1), self._coeff_matrix(V2)
         )
@@ -459,19 +422,17 @@ class FormEngine:
 
     def b_form(self, Vund: SpectralField4, Vosc: SpectralField4) -> SpectralField4:
         """Limit coupling of the horizontal average into the wave part."""
-        und = project_underline(Vund)
-        osc = self._project_osc(Vosc)
-        return self._b_sector(und, osc).pin_zero_mode()
+        return self._b_sector(underline_part(Vund), osc_part(Vosc)).pin_zero_mode()
 
     def q_tilde2(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Limit underline x tilde transport (tilde output), both slots."""
-        und1 = project_underline(V1)
-        und2 = project_underline(V2)
+        und1 = underline_part(V1)
+        und2 = underline_part(V2)
         til1 = project_tilde(V1)
         til2 = project_tilde(V2)
-        bar1 = self._bar_field(til1)
-        bar2 = self._bar_field(til2)
-        fft_part = self._project_e0(transport(und1, bar2) + transport(bar1, und2))
+        bar1 = bar_part(til1)
+        bar2 = bar_part(til2)
+        fft_part = bar_part(transport(und1, bar2) + transport(bar1, und2))
         b_part = 0.5 * (self._b_sector(und1, til2) + self._b_sector(und2, til1))
         return (fft_part + b_part).pin_zero_mode()
 
@@ -480,9 +441,7 @@ class FormEngine:
         g = self.geometry
         til1 = project_tilde(V1)
         til2 = project_tilde(V2)
-        bar1 = self._bar_field(til1)
-        bar2 = self._bar_field(til2)
-        fft_part = project_underline(transport(bar1, bar2))
+        fft_part = underline_part(transport(bar_part(til1), bar_part(til2)))
 
         _, qu = self.tables
         out_line = np.zeros((g.L, 4), dtype=np.complex128)
@@ -532,21 +491,18 @@ class FormEngine:
         energy in the non-diffused fourth component.
         """
         g = self.geometry
-        basis = self.basis
+        vshare = self.basis.vshare
         c = coefficients(W)
         ksq = g.check_sq
-        vshare_p = np.einsum("xyzj,xyzj->xyz", basis.ep[..., :3], np.conj(basis.ep[..., :3])).real
-        vshare_m = np.einsum("xyzj,xyzj->xyz", basis.em[..., :3], np.conj(basis.em[..., :3])).real
         out = field_from_coefficients(
             g,
             {
                 0: -self.nu * ksq * c[0],
-                1: -self.nu * ksq * vshare_p * c[1],
-                -1: -self.nu * ksq * vshare_m * c[-1],
+                1: -self.nu * ksq * vshare * c[1],
+                -1: -self.nu * ksq * vshare * c[-1],
             },
         )
         # underline part: nu * d33 on components 1, 2; fourth untouched
-        _, _, k3 = g.check_grid
         line = W.coeffs[g.N, g.N, :, :]
         lam3 = -self.nu * (g.n_axis.astype(float) / g.a[2]) ** 2
         out.coeffs[g.N, g.N, :, 0] += lam3 * line[:, 0]
@@ -595,10 +551,10 @@ class FormEngine:
         resonant set with phase exactly one.
         """
         til = project_tilde(U)
-        und = project_underline(U)
+        und = underline_part(U)
         q_til_til = self.q_eps(t, eps, til, til)
         r1 = project_tilde(q_til_til) - self.q_tilde1(til, til)
         r2 = 2.0 * project_tilde(self.q_eps(t, eps, und, til)) - self.q_tilde2(U, U)
-        r3 = project_underline(q_til_til) - self.q_underline(til, til)
+        r3 = underline_part(q_til_til) - self.q_underline(til, til)
         s = -1.0 * (self.a2_eps(t, eps, U) - self.a2_limit(U))
         return r1, r2, r3, s

@@ -162,6 +162,8 @@ class RunReport:
     rows: list
     summary: dict
     timings: dict
+    # last SimState of each finite eps that reached T, keyed like summary["errors"]
+    final_states: dict = field(default_factory=dict)
 
 
 def format_float(x: float) -> str:
@@ -244,8 +246,11 @@ def run_sweep(config: SimConfig, progress=None) -> RunReport:
     ``format_float`` key ("inf" for eps = inf).  A failed limit solve
     leaves nothing to compare against, so it is recorded as
     "limit solve: <message>" for every epsilon and no rows are emitted.
+    The last state of each finite epsilon that reaches T is kept in
+    ``final_states`` under the same key.
     """
     timings = {}
+    final_states = {}
     g = config.geometry()
     engine = FormEngine(g, config.nu)
     V0, data_report = random_initial_data(config)
@@ -310,13 +315,14 @@ def run_sweep(config: SimConfig, progress=None) -> RunReport:
                     errs.append(err)
                     isnap += 1
             summary["errors"][format_float(eps)] = max(errs)
+            final_states[format_float(eps)] = state
         except NumericalError as exc:
             summary["errors"][format_float(eps)] = math.inf
             summary.setdefault("failures", {})[format_float(eps)] = str(exc)
         timings[f"eps={eps}"] = time.perf_counter() - t0
         if progress:
             progress(f"eps={eps} done in {timings[f'eps={eps}']:.1f}s")
-    return RunReport(SWEEP_HEADER, rows, summary, timings)
+    return RunReport(SWEEP_HEADER, rows, summary, timings, final_states)
 
 
 # -- cancellation audit --------------------------------------------------------------------

@@ -39,11 +39,10 @@ from .fields import (
     leray_project,
     sobolev_norm,
     to_physical,
-    zero_field,
 )
-from .forms import FormEngine, project_underline
+from .forms import FormEngine
 from .geometry import TorusGeometry
-from .waves import EigenBasis, apply_filter, decompose
+from .waves import EigenBasis, apply_filter, bar_part, decompose, osc_part, underline_part
 
 __all__ = [
     "SimState",
@@ -51,6 +50,8 @@ __all__ = [
     "EnergyBounds",
     "NumericalError",
     "CFLViolation",
+    "cfl_bound",
+    "lawson_rk4",
     "FilteredStepper",
     "solve_underline",
     "LimitStepper",
@@ -119,6 +120,38 @@ def grad_linf(U: SpectralField4) -> float:
     return float(np.sqrt(np.max(total)))
 
 
+def cfl_bound(V: SpectralField4) -> float:
+    """Advective step bound 0.5 / (N max|u|) of the velocity of V."""
+    phys = to_physical(V)
+    umax = float(np.max(np.sqrt(np.sum(phys.values[..., :3] ** 2, axis=-1))))
+    if umax == 0.0:
+        return math.inf
+    return 0.5 / (V.geometry.N * umax)
+
+
+def _require_cfl(dt: float, V: SpectralField4) -> None:
+    bound = cfl_bound(V)
+    if dt > bound:
+        raise CFLViolation(f"dt={dt} exceeds the advective bound {bound:.3e}")
+
+
+def lawson_rk4(x, rhs, half, full, dt: float):
+    """One Lawson (exponential) RK4 step of x' = L x + rhs(x).
+
+    `half` and `full` apply exp(dt L / 2) and exp(dt L); `rhs(y, tau)` is
+    the nonlinearity at the stage time offset tau in (0, dt/2, dt/2, dt).
+    The state only needs `+` and scalar `*`.  Returns the new state and
+    full(x), which the energy ledger reuses.
+    """
+    k1 = rhs(x, 0.0)
+    full_x = full(x)
+    ka = rhs(half(x + (0.5 * dt) * k1), 0.5 * dt)
+    kb = rhs(half(x) + (0.5 * dt) * ka, 0.5 * dt)
+    kc = rhs(full_x + dt * half(kb), dt)
+    x_new = full_x + (dt / 6.0) * (full(k1) + 2.0 * half(ka + kb) + kc)
+    return x_new, full_x
+
+
 class FilteredStepper:
     """Lawson-RK4 integrator of the filtered system at fixed (nu, eps, dt)."""
 
@@ -130,9 +163,13 @@ class FilteredStepper:
         self.nu = engine.nu
         self.eps = float(eps)
         self.dt = float(dt)
-        self._E_half, self._E_full = self._propagators()
+        mats = self._generator()
+        self._E_half = expm(0.5 * self.dt * mats)
+        self._E_full = expm(self.dt * mats)
+        self._E_full_inv = np.linalg.inv(self._E_full)
 
-    def _propagators(self):
+    def _generator(self) -> np.ndarray:
+        """(L^3, 4, 4) linear part per mode: dissipation - (1/eps) PA."""
         g = self.geometry
         nu = self.nu
         inv_eps = 0.0 if math.isinf(self.eps) else 1.0 / self.eps
@@ -154,12 +191,7 @@ class FilteredStepper:
         mats[:, 3, 2] = inv_eps
         zero = g.flat_index((0, 0, 0))
         mats[zero] = 0.0
-        E_half = np.empty((g.nmodes, 4, 4))
-        E_full = np.empty((g.nmodes, 4, 4))
-        for i in range(g.nmodes):
-            E_half[i] = expm(0.5 * self.dt * mats[i])
-            E_full[i] = expm(self.dt * mats[i])
-        return E_half, E_full
+        return mats
 
     def _apply(self, E: np.ndarray, V: SpectralField4) -> SpectralField4:
         g = self.geometry
@@ -175,13 +207,6 @@ class FilteredStepper:
         if not np.all(np.isfinite(V.coeffs)):
             raise NumericalError("non-finite coefficients in time step")
 
-    def cfl_bound(self, V: SpectralField4) -> float:
-        phys = to_physical(V)
-        umax = float(np.max(np.sqrt(np.sum(phys.values[..., :3] ** 2, axis=-1))))
-        if umax == 0.0:
-            return math.inf
-        return 0.5 / (self.geometry.N * umax)
-
     def step(
         self,
         state: SimState,
@@ -193,21 +218,15 @@ class FilteredStepper:
         dt = self.dt
         V = state.physical_V()
         self._check(V)
-        if enforce_cfl and dt > self.cfl_bound(V):
-            raise CFLViolation(
-                f"dt={dt} exceeds the advective bound {self.cfl_bound(V):.3e}"
-            )
+        if enforce_cfl:
+            _require_cfl(dt, V)
         Eh, Ef = self._E_half, self._E_full
-        k1 = self._nonlinear(V)
-        EfV = self._apply(Ef, V)
-        Va = self._apply(Eh, V + (0.5 * dt) * k1)
-        Na = self._nonlinear(Va)
-        Vb = self._apply(Eh, V) + (0.5 * dt) * Na
-        Nb = self._nonlinear(Vb)
-        Vc = EfV + dt * self._apply(Eh, Nb)
-        Nc = self._nonlinear(Vc)
-        V_new = EfV + (dt / 6.0) * (
-            self._apply(Ef, k1) + 2.0 * self._apply(Eh, Na + Nb) + Nc
+        V_new, EfV = lawson_rk4(
+            V,
+            lambda W, tau: self._nonlinear(W),  # autonomous: no stage times
+            lambda W: self._apply(Eh, W),
+            lambda W: self._apply(Ef, W),
+            dt,
         )
         V_new = leray_project(V_new, check_mean=False).pin_zero_mode()
         self._check(V_new)
@@ -215,7 +234,7 @@ class FilteredStepper:
         if ledger is not None:
             # exact linear dissipation by polarization, averaged over the
             # two endpoint placements of the nonlinear displacement
-            z = self._apply(self._E_full_inv(), V_new) - V
+            z = self._apply(self._E_full_inv, V_new) - V
             d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
             Vz = V + z
             d1 = 0.5 * l2_norm(Vz) ** 2 - 0.5 * l2_norm(self._apply(Ef, Vz)) ** 2
@@ -228,12 +247,6 @@ class FilteredStepper:
             else apply_filter(-t_new / self.eps, V_new)
         )
         return SimState(t_new, U_new, self.nu, self.eps)
-
-    def _E_full_inv(self) -> np.ndarray:
-        if not hasattr(self, "_Einv"):
-            g = self.geometry
-            self._Einv = np.array([np.linalg.inv(m) for m in self._E_full])
-        return self._Einv
 
 
 # -- horizontal-average (underline) subsystem: exact heat flow -------------------
@@ -254,17 +267,7 @@ def solve_underline(U0: SpectralField4, nu: float, t: float) -> SpectralField4:
     line = U0.coeffs[g.N, g.N, :, :]
     if np.max(np.abs(line[:, 2])) > 1e-12 * max(1.0, float(np.max(np.abs(line)))):
         raise ValueError("underline data must have zero third component")
-    out = project_underline(U0)
-    f = heat_factor_line(g, nu, t)
-    out.coeffs[g.N, g.N, :, 0] *= f
-    out.coeffs[g.N, g.N, :, 1] *= f
-    return out
-
-
-def underline_at(U0_line: SpectralField4, nu: float, t: float) -> SpectralField4:
-    """Underline solution at time t (no input validation; internal use)."""
-    g = U0_line.geometry
-    out = project_underline(U0_line)
+    out = underline_part(U0)
     f = heat_factor_line(g, nu, t)
     out.coeffs[g.N, g.N, :, 0] *= f
     out.coeffs[g.N, g.N, :, 1] *= f
@@ -291,10 +294,26 @@ class LimitTrajectory:
     oscs: list[SpectralField4]
 
     def underline(self, t: float) -> SpectralField4:
-        return underline_at(self.underline0, self.nu, t)
+        return solve_underline(self.underline0, self.nu, t)
 
     def total(self, i: int) -> SpectralField4:
         return self.underline(self.times[i]) + self.bars[i] + self.oscs[i]
+
+
+@dataclass
+class _BarOsc:
+    """The (bar, osc) pair the limit stepper advances, with + and scalar *."""
+
+    bar: SpectralField4
+    osc: SpectralField4
+
+    def __add__(self, other: "_BarOsc") -> "_BarOsc":
+        return _BarOsc(self.bar + other.bar, self.osc + other.osc)
+
+    def __mul__(self, s: float) -> "_BarOsc":
+        return _BarOsc(self.bar * s, self.osc * s)
+
+    __rmul__ = __mul__
 
 
 class LimitStepper:
@@ -309,13 +328,10 @@ class LimitStepper:
         self.geometry = engine.geometry
         self.nu = engine.nu
         self.dt = float(dt)
-        self.und0 = project_underline(und0)
+        self.und0 = underline_part(und0)
         g = self.geometry
-        basis = EigenBasis.of(g)
+        vshare = EigenBasis.of(g).vshare
         ksq = g.check_sq
-        vshare = np.einsum(
-            "xyzj,xyzj->xyz", basis.ep[..., :3], np.conj(basis.ep[..., :3])
-        ).real
         self._heat_bar_h = np.exp(-self.nu * ksq * 0.5 * self.dt)
         self._heat_bar_f = np.exp(-self.nu * ksq * self.dt)
         self._heat_osc_h = np.exp(-self.nu * ksq * vshare * 0.5 * self.dt)
@@ -323,62 +339,40 @@ class LimitStepper:
 
     def _rhs_bar(self, bar: SpectralField4, und: SpectralField4) -> SpectralField4:
         """- P_h [ (ubar + uund) . grad_h ubar ] restricted to the e_0 span."""
-        eng = self.engine
         adv = convolve_quadratic(bar + und, bar, stencil="horizontal")
-        return -1.0 * eng._project_e0(leray_project(adv, check_mean=False))
+        return -1.0 * bar_part(leray_project(adv, check_mean=False))
 
     def _rhs_osc(
         self, osc: SpectralField4, bar: SpectralField4, und: SpectralField4
     ) -> SpectralField4:
         eng = self.engine
         nl = eng.q_tilde1(osc, osc) + 2.0 * eng.q_tilde1(bar, osc)
-        nl = eng._project_osc(nl)
-        return -1.0 * (nl + eng.b_form(und, osc))
+        return -1.0 * (osc_part(nl) + eng.b_form(und, osc))
 
-    def _apply_heat(self, field: SpectralField4, fac: np.ndarray) -> SpectralField4:
-        return SpectralField4(field.geometry, fac[..., None] * field.coeffs)
+    def _heat(self, x: _BarOsc, fac_bar: np.ndarray, fac_osc: np.ndarray) -> _BarOsc:
+        g = self.geometry
+        return _BarOsc(
+            SpectralField4(g, fac_bar[..., None] * x.bar.coeffs),
+            SpectralField4(g, fac_osc[..., None] * x.osc.coeffs),
+        )
 
     def step(self, s: LimitState) -> LimitState:
         dt = self.dt
-        nu = self.nu
-        und_0 = underline_at(self.und0, nu, s.t)
-        und_h = underline_at(self.und0, nu, s.t + 0.5 * dt)
-        und_f = underline_at(self.und0, nu, s.t + dt)
-        Hb_h, Hb_f = self._heat_bar_h, self._heat_bar_f
-        Ho_h, Ho_f = self._heat_osc_h, self._heat_osc_f
+        _require_cfl(dt, solve_underline(self.und0, self.nu, s.t) + s.bar + s.osc)
 
-        b, o = s.bar, s.osc
-        kb1 = self._rhs_bar(b, und_0)
-        ko1 = self._rhs_osc(o, b, und_0)
+        def rhs(x: _BarOsc, tau: float) -> _BarOsc:
+            und = solve_underline(self.und0, self.nu, s.t + tau)
+            return _BarOsc(self._rhs_bar(x.bar, und), self._rhs_osc(x.osc, x.bar, und))
 
-        b_a = self._apply_heat(b + (0.5 * dt) * kb1, Hb_h)
-        o_a = self._apply_heat(o + (0.5 * dt) * ko1, Ho_h)
-        kb2 = self._rhs_bar(b_a, und_h)
-        ko2 = self._rhs_osc(o_a, b_a, und_h)
-
-        b_b = self._apply_heat(b, Hb_h) + (0.5 * dt) * kb2
-        o_b = self._apply_heat(o, Ho_h) + (0.5 * dt) * ko2
-        kb3 = self._rhs_bar(b_b, und_h)
-        ko3 = self._rhs_osc(o_b, b_b, und_h)
-
-        b_c = self._apply_heat(b, Hb_f) + dt * self._apply_heat(kb3, Hb_h)
-        o_c = self._apply_heat(o, Ho_f) + dt * self._apply_heat(ko3, Ho_h)
-        kb4 = self._rhs_bar(b_c, und_f)
-        ko4 = self._rhs_osc(o_c, b_c, und_f)
-
-        b_new = self._apply_heat(b, Hb_f) + (dt / 6.0) * (
-            self._apply_heat(kb1, Hb_f)
-            + 2.0 * self._apply_heat(kb2 + kb3, Hb_h)
-            + kb4
+        new, _ = lawson_rk4(
+            _BarOsc(s.bar, s.osc),
+            rhs,
+            lambda x: self._heat(x, self._heat_bar_h, self._heat_osc_h),
+            lambda x: self._heat(x, self._heat_bar_f, self._heat_osc_f),
+            dt,
         )
-        o_new = self._apply_heat(o, Ho_f) + (dt / 6.0) * (
-            self._apply_heat(ko1, Ho_f)
-            + 2.0 * self._apply_heat(ko2 + ko3, Ho_h)
-            + ko4
-        )
-        eng = self.engine
-        b_new = eng._project_e0(b_new)
-        o_new = eng._project_osc(o_new)
+        b_new = bar_part(new.bar)
+        o_new = osc_part(new.osc)
         if not (np.all(np.isfinite(b_new.coeffs)) and np.all(np.isfinite(o_new.coeffs))):
             raise NumericalError("non-finite coefficients in limit step")
         return LimitState(s.t + dt, b_new, o_new)

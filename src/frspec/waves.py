@@ -40,8 +40,9 @@ __all__ = [
     "apply_pa",
     "apply_filter",
     "decompose",
-    "recompose",
     "underline_part",
+    "bar_part",
+    "osc_part",
     "coefficients",
     "field_from_coefficients",
 ]
@@ -111,9 +112,9 @@ class EigenBasis:
         ep[..., 3] = np.where(osc, inv_sqrt2, 0.0)
         self.ep = ep
         self.em = np.conj(ep)
-
-        # velocity-part pairings used by the limit forms
         self.evec = {0: self.e0, 1: self.ep, -1: self.em}
+        # |e_pm^vel|^2, the same for both signs since e_- = conj(e_+)
+        self.vshare = np.einsum("xyzj,xyzj->xyz", ep[..., :3], np.conj(ep[..., :3])).real
 
     @classmethod
     def of(cls, geometry: TorusGeometry) -> "EigenBasis":
@@ -252,22 +253,25 @@ def underline_part(field: SpectralField4) -> SpectralField4:
     return out
 
 
+def bar_part(field: SpectralField4) -> SpectralField4:
+    """Kernel part on n_h != 0 modes: the e_0 component."""
+    c = coefficients(field)
+    return field_from_coefficients(field.geometry, {0: c[0]})
+
+
+def osc_part(field: SpectralField4) -> SpectralField4:
+    """Wave part: the e_+ and e_- components."""
+    c = coefficients(field)
+    return field_from_coefficients(field.geometry, {1: c[1], -1: c[-1]})
+
+
 def decompose(field: SpectralField4, div_tol: float = 1e-8) -> KernelDecomposition:
     """Split a zero-mean divergence-free field into underline + bar + osc."""
     dv = divergence_max(field)
     scale = max(1.0, float(np.max(np.abs(field.coeffs))))
     if dv > div_tol * scale:
         raise ValueError(f"decompose requires a divergence-free field (max div {dv:.3e})")
-    c = coefficients(field)
-    g = field.geometry
-    basis = EigenBasis.of(g)
-    bar = field_from_coefficients(g, {0: c[0]})
-    osc = field_from_coefficients(g, {1: c[1], -1: c[-1]})
-    return KernelDecomposition(underline_part(field), bar, osc)
-
-
-def recompose(dec: KernelDecomposition) -> SpectralField4:
-    return dec.total()
+    return KernelDecomposition(underline_part(field), bar_part(field), osc_part(field))
 
 
 # -- the filtering group ---------------------------------------------------------

@@ -15,7 +15,7 @@ from frspec.fields import (
     sobolev_norm,
     zero_field,
 )
-from frspec.forms import FormEngine, project_tilde, project_underline
+from frspec.forms import FormEngine, project_tilde
 from frspec.geometry import TorusGeometry
 from frspec.resonance import is_resonant
 from frspec.waves import (

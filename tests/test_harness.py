@@ -9,6 +9,7 @@ import pytest
 
 from frspec.cli import main as cli_main
 from frspec.fields import divergence_max, l2_norm
+from frspec.forms import FormEngine
 from frspec.harness import (
     ConfigError,
     SimConfig,
@@ -19,6 +20,7 @@ from frspec.harness import (
     run_sweep,
     write_csv,
 )
+from frspec.solvers import FilteredStepper, SimState, read_checkpoint
 from frspec.waves import decompose
 
 
@@ -146,9 +148,9 @@ class TestSweep:
             assert row[0] == 0.1 and row[2] >= 0.0
 
     def test_solver_failure_recorded_and_sweep_continues(self):
-        # At amplitude 500 the filtered stepper's advective bound is
-        # 1.69e-4 < dt = 1e-3, but the limit solve blows up first
-        # ("non-finite coefficients in limit step").
+        # At amplitude 500 the advective bound of the data is 1.69e-4, below
+        # dt = 1e-3 and dt_limit = 5e-3; the limit solve runs first and
+        # stops on its CFL check.
         over = dict(SMALL, amplitude=500.0)
         cfg = replace(SimConfig(), **over).validate()
         rep = run_sweep(cfg)
@@ -249,9 +251,31 @@ class TestCli:
         assert cli_main(["--config", cfgf, command]) == 3
         eps = "inf" if command == "limit" else format_float(0.1)
         assert capsys.readouterr().err.splitlines() == [
-            f"  eps={eps}: FAILED: limit solve: non-finite coefficients in limit step"
+            f"  eps={eps}: FAILED: limit solve: dt=0.005 exceeds the advective bound 1.692e-04"
         ]
         assert not list((tmp_path / "out").glob("*.frsp"))
+
+    def test_simulate_infinite_eps_is_config_error(self, tmp_path, capsys):
+        cfgf = self._cfg_file(tmp_path)
+        assert cli_main(["--config", cfgf, "--epsilon", "inf", "simulate"]) == 2
+        assert "frspec limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any solve
+
+    def test_simulate_checkpoint_is_final_state(self, tmp_path):
+        # the checkpoint equals a separate FilteredStepper integration of the
+        # same initial data, coefficient for coefficient
+        cfgf = self._cfg_file(tmp_path)
+        assert cli_main(["--config", cfgf, "simulate"]) == 0
+        ck = read_checkpoint(tmp_path / "out" / f"state_eps{format_float(0.1)}.frsp")
+
+        cfg = SimConfig.from_file(cfgf)
+        stepper = FilteredStepper(FormEngine(cfg.geometry(), cfg.nu), 0.1, cfg.dt)
+        V0, _ = random_initial_data(cfg)
+        state = SimState(0.0, V0, cfg.nu, 0.1)
+        for i in range(int(round(cfg.T / cfg.dt))):
+            state = stepper.step(state, enforce_cfl=(i % 100 == 0))
+        assert np.array_equal(ck.U.coeffs, state.U.coeffs)
+        assert (ck.t, ck.nu, ck.eps) == (state.t, state.nu, state.eps)
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"

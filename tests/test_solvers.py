@@ -14,7 +14,7 @@ from frspec.fields import (
     sobolev_norm,
     zero_field,
 )
-from frspec.forms import FormEngine, project_tilde, project_underline
+from frspec.forms import FormEngine, project_tilde
 from frspec.geometry import TorusGeometry
 from frspec.solvers import (
     CFLViolation,
@@ -32,7 +32,7 @@ from frspec.solvers import (
     solve_underline,
     write_checkpoint,
 )
-from frspec.waves import apply_filter, coefficients, decompose, eigenbasis
+from frspec.waves import apply_filter, bar_part, coefficients, decompose, eigenbasis
 
 from conftest import random_field
 
@@ -95,6 +95,20 @@ class TestFilteredStepper:
         st = FilteredStepper(engine4, eps=0.1, dt=0.05)
         with pytest.raises(CFLViolation):
             st.step(SimState(0.0, V0, 1.0, 0.1))
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
+    def test_stacked_propagators_match_per_mode_loop(self, engine4, eps):
+        # one stacked expm / inv call gives the per-mode results bit for bit
+        from scipy.linalg import expm
+
+        dt = 1e-3
+        st = FilteredStepper(engine4, eps=eps, dt=dt)
+        mats = st._generator()
+        E_half = np.array([expm(0.5 * dt * m) for m in mats])
+        E_full = np.array([expm(dt * m) for m in mats])
+        assert np.array_equal(st._E_half, E_half)
+        assert np.array_equal(st._E_full, E_full)
+        assert np.array_equal(st._E_full_inv, np.array([np.linalg.inv(m) for m in E_full]))
 
     def test_nan_raises(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=64)
@@ -177,6 +191,18 @@ class TestLimitSteppers:
         s = st.step(s)
         assert l2_norm(s.bar) == l2_norm(s.osc) == 0.0
 
+    def test_cfl_violation_raises(self, engine4, unit_torus_4):
+        # the guard bounds the total limit velocity, underline included
+        g = unit_torus_4
+        und = single_mode_field(g, (0, 0, 1), [200.0, 0, 0, 0])
+        st = LimitStepper(engine4, 1e-2, und)
+        with pytest.raises(CFLViolation):
+            st.step(LimitState(0.0, zero_field(g), zero_field(g)))
+        dec = decompose(random_field(g, seed=63, amplitude=200.0))
+        st = LimitStepper(engine4, 1e-2, zero_field(g))
+        with pytest.raises(CFLViolation):
+            st.step(LimitState(0.0, dec.bar, dec.osc))
+
     def test_bar_2d_navier_stokes_energy(self, unit_torus_4):
         # x3-independent bar data, no underline: 2D NS energy balance
         g = unit_torus_4
@@ -191,7 +217,7 @@ class TestLimitSteppers:
                 amp = rng.standard_normal() * (1.0 + n1 * n1 + n2 * n2) ** -1.5
                 f.coeffs[n1 + g.N, n2 + g.N, g.N] += amp * t.e0
         f.make_hermitian()
-        bar0 = eng._project_e0(f)
+        bar0 = bar_part(f)
         dt = 2e-3
         st = LimitStepper(eng, dt, zero_field(g))
         s = LimitState(0.0, bar0.copy(), zero_field(g))
