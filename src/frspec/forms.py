@@ -346,18 +346,28 @@ class FormEngine:
 
     # -- limit forms ---------------------------------------------------------------
 
-    def _apply_t1_tables(self, C1: np.ndarray, C2: np.ndarray) -> SpectralField4:
+    def _row_products(
+        self, V1: SpectralField4, V2: SpectralField4, tab: TriadTable | UnderTable
+    ) -> np.ndarray:
+        """(i/2) times the symmetrized coefficient product of each table row:
+        c1_a(k) c2_b(m) averaged with its (V1 <-> V2) swap, so the sum is
+        bitwise symmetric in its arguments."""
+        C1 = self._coeff_matrix(V1)
+        C2 = self._coeff_matrix(V2)
+        x1 = C1[tab.ia + 1, tab.kf]
+        y2 = C2[tab.ib + 1, tab.mf]
+        x2 = C2[tab.ia + 1, tab.kf]
+        y1 = C1[tab.ib + 1, tab.mf]
+        return 0.5j * (0.5 * (x1 * y2 + x2 * y1))
+
+    def q_resonant(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
+        """The sparse exact-resonant classes of q_tilde1 (every sign class
+        but (0,0,0)), summed over the triad table."""
         tab, _ = self.tables
         g = self.geometry
         out = np.zeros((3, g.nmodes), dtype=np.complex128)
         if tab.rows:
-            x1 = C1[tab.ia + 1, tab.kf]
-            y2 = C2[tab.ib + 1, tab.mf]
-            x2 = C2[tab.ia + 1, tab.kf]
-            y1 = C1[tab.ib + 1, tab.mf]
-            prod = 0.5 * (x1 * y2 + x2 * y1)
-            contrib = 0.5j * prod * tab.G
-            np.add.at(out, (tab.ic + 1, tab.nf), contrib)
+            np.add.at(out, (tab.ic + 1, tab.nf), self._row_products(V1, V2, tab) * tab.G)
         self.last_interactions = tab.rows
         return field_from_coefficients(
             g,
@@ -373,13 +383,10 @@ class FormEngine:
 
         Inputs are taken through their tilde parts; the (0,0,0) class is an
         unrestricted convolution of the e_0 parts, all other classes are
-        sparse exact-resonant sums.
+        the sparse exact-resonant sums of `q_resonant`.
         """
         fft_part = bar_part(transport(bar_part(V1), bar_part(V2)))
-        table_part = self._apply_t1_tables(
-            self._coeff_matrix(V1), self._coeff_matrix(V2)
-        )
-        return (fft_part + table_part).pin_zero_mode()
+        return (fft_part + self.q_resonant(V1, V2)).pin_zero_mode()
 
     def _b_sector(
         self, Vund: SpectralField4, Vtil: SpectralField4
@@ -410,14 +417,11 @@ class FormEngine:
             eb = (basis.ep if b == 1 else basis.em)[:, :, flip, :]
             ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
             ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
-            for c in (1, -1):
-                if c != b:
-                    continue  # resonance forces c = b
-                ec = basis.ep if c == 1 else basis.em
-                pair_bc = np.einsum("xyzj,xyzj->xyz", eb, np.conj(ec))
-                pair_uc = np.einsum("zj,xyzj->xyz", u_at.astype(np.complex128), np.conj(ec))
-                contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
-                out[c] += np.where(osc, contrib, 0.0)
+            ec = basis.ep if b == 1 else basis.em  # resonance forces c = b
+            pair_bc = np.einsum("xyzj,xyzj->xyz", eb, np.conj(ec))
+            pair_uc = np.einsum("zj,xyzj->xyz", u_at.astype(np.complex128), np.conj(ec))
+            contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
+            out[b] += np.where(osc, contrib, 0.0)
         return field_from_coefficients(g, out)
 
     def b_form(self, Vund: SpectralField4, Vosc: SpectralField4) -> SpectralField4:
@@ -446,14 +450,7 @@ class FormEngine:
         _, qu = self.tables
         out_line = np.zeros((g.L, 4), dtype=np.complex128)
         if len(qu.kf):
-            C1 = self._coeff_matrix(til1)
-            C2 = self._coeff_matrix(til2)
-            x1 = C1[qu.ia + 1, qu.kf]
-            y2 = C2[qu.ib + 1, qu.mf]
-            x2 = C2[qu.ia + 1, qu.kf]
-            y1 = C1[qu.ib + 1, qu.mf]
-            prod = 0.5 * (x1 * y2 + x2 * y1)
-            contrib = (0.5j * prod)[:, None] * qu.G4
+            contrib = self._row_products(til1, til2, qu)[:, None] * qu.G4
             np.add.at(out_line, qu.n3i, contrib)
         out = zero_field(g)
         out.coeffs[g.N, g.N, :, :] = out_line

@@ -195,13 +195,6 @@ class TorusGeometry:
         N, L = self.N, self.L
         return ((int(n[0]) + N) * L + (int(n[1]) + N)) * L + (int(n[2]) + N)
 
-    def mode_of_flat(self, idx: int) -> tuple[int, int, int]:
-        L, N = self.L, self.N
-        i3 = idx % L
-        i2 = (idx // L) % L
-        i1 = idx // (L * L)
-        return (i1 - N, i2 - N, i3 - N)
-
 
 def check_frequency(geometry: TorusGeometry, n) -> np.ndarray:
     """Check-frequency vector (n1/a1, n2/a2, n3/a3) of an integer mode."""

@@ -86,8 +86,6 @@ class SimState:
 
     def physical_V(self) -> SpectralField4:
         """Recover V(t) = L(t/eps) U(t)."""
-        if math.isinf(self.eps):
-            return self.U.copy()
         return apply_filter(self.t / self.eps, self.U)
 
 
@@ -172,7 +170,7 @@ class FilteredStepper:
         """(L^3, 4, 4) linear part per mode: dissipation - (1/eps) PA."""
         g = self.geometry
         nu = self.nu
-        inv_eps = 0.0 if math.isinf(self.eps) else 1.0 / self.eps
+        inv_eps = 1.0 / self.eps
         k1, k2, k3 = g.check_grid
         L = g.L
         ks = g.check_sq
@@ -241,11 +239,7 @@ class FilteredStepper:
             ledger.dissipated += 0.5 * (d0 + d1)
 
         t_new = state.t + dt
-        U_new = (
-            V_new.copy()
-            if math.isinf(self.eps)
-            else apply_filter(-t_new / self.eps, V_new)
-        )
+        U_new = apply_filter(-t_new / self.eps, V_new)
         return SimState(t_new, U_new, self.nu, self.eps)
 
 
@@ -345,8 +339,12 @@ class LimitStepper:
     def _rhs_osc(
         self, osc: SpectralField4, bar: SpectralField4, und: SpectralField4
     ) -> SpectralField4:
+        """Resonant transport of the wave part by itself and by the bar part
+        in one table sum: the sum is bilinear and symmetric, so
+        q(o, o) + 2 q(b, o) = q(o, o + 2b).  The FFT (0,0,0) class is left
+        out, since its output lies on e_0 and osc_part drops it."""
         eng = self.engine
-        nl = eng.q_tilde1(osc, osc) + 2.0 * eng.q_tilde1(bar, osc)
+        nl = eng.q_resonant(osc, osc + 2.0 * bar)
         return -1.0 * (osc_part(nl) + eng.b_form(und, osc))
 
     def _heat(self, x: _BarOsc, fac_bar: np.ndarray, fac_osc: np.ndarray) -> _BarOsc:

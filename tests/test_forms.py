@@ -13,6 +13,7 @@ from frspec.fields import (
     leray_project,
     single_mode_field,
     sobolev_norm,
+    transport,
     zero_field,
 )
 from frspec.forms import FormEngine, project_tilde
@@ -20,10 +21,12 @@ from frspec.geometry import TorusGeometry
 from frspec.resonance import is_resonant
 from frspec.waves import (
     EigenBasis,
+    bar_part,
     coefficients,
     decompose,
     eigenbasis,
     field_from_coefficients,
+    osc_part,
 )
 
 from conftest import random_field
@@ -149,6 +152,36 @@ class TestQtilde1:
         ab = engine4.q_tilde1(A, B)
         ba = engine4.q_tilde1(B, A)
         assert np.array_equal(ab.coeffs, ba.coeffs)
+
+    def test_fft_class_plus_resonant_classes(self, engine4, unit_torus_4):
+        A = random_field(unit_torus_4, seed=41)
+        B = random_field(unit_torus_4, seed=42)
+        fft_class = bar_part(transport(bar_part(A), bar_part(B)))
+        want = (fft_class + engine4.q_resonant(A, B)).pin_zero_mode()
+        assert np.array_equal(engine4.q_tilde1(A, B).coeffs, want.coeffs)
+
+    def test_resonant_exact_symmetry(self, engine4, unit_torus_4):
+        A = random_field(unit_torus_4, seed=41)
+        B = random_field(unit_torus_4, seed=42)
+        ab = engine4.q_resonant(A, B)
+        ba = engine4.q_resonant(B, A)
+        assert np.array_equal(ab.coeffs, ba.coeffs)
+
+    @pytest.mark.parametrize(
+        "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0)]
+    )
+    def test_one_resonant_sum_drives_the_waves(self, a_sq, N, radical_rows):
+        # the wave forcing of the limit stepper, osc_part(q(o, o) + 2 q(b, o))
+        # with both q_tilde1 calls, is one sum q_resonant(o, o + 2b)
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        tab, _ = eng.tables
+        assert np.sum((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)) == radical_rows
+        dec = decompose(random_field(g, seed=5, amplitude=1.0, spectrum_r=3.0))
+        o, b = dec.osc, dec.bar
+        want = osc_part(eng.q_tilde1(o, o) + 2.0 * eng.q_tilde1(b, o))
+        got = osc_part(eng.q_resonant(o, o + 2.0 * b))
+        assert l2_norm(got - want) < 1e-13 * l2_norm(want)
 
     def test_energy_neutral(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=43)

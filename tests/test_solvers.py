@@ -32,7 +32,7 @@ from frspec.solvers import (
     solve_underline,
     write_checkpoint,
 )
-from frspec.waves import apply_filter, bar_part, coefficients, decompose, eigenbasis
+from frspec.waves import apply_filter, bar_part, coefficients, decompose, eigenbasis, osc_part
 
 from conftest import random_field
 
@@ -352,6 +352,25 @@ class TestSolveLimit:
             rhs = engine4.q_limit(U, U) - engine4.a2_limit(U)
             worst = max(worst, l2_norm(dU + rhs))
         assert worst < 1e-4
+
+    def test_matches_two_call_wave_forcing(self, monkeypatch):
+        # oracle: the wave forcing as two full q_tilde1 evaluations per stage
+        class TwoCallStepper(LimitStepper):
+            def _rhs_osc(self, osc, bar, und):
+                eng = self.engine
+                nl = eng.q_tilde1(osc, osc) + 2.0 * eng.q_tilde1(bar, osc)
+                return -1.0 * (osc_part(nl) + eng.b_form(und, osc))
+
+        g = TorusGeometry((1, 2, 3), 3)
+        eng = FormEngine(g, nu=1.0)
+        V0 = random_field(g, seed=73, amplitude=1.0, spectrum_r=3.0)
+        got = solve_limit(eng, V0, T=0.05, dt=5e-3)
+        monkeypatch.setattr("frspec.solvers.LimitStepper", TwoCallStepper)
+        want = solve_limit(eng, V0, T=0.05, dt=5e-3)
+        assert len(got.times) == len(want.times) == 11
+        for parts_got, parts_want in ((got.bars, want.bars), (got.oscs, want.oscs)):
+            for x, y in zip(parts_got, parts_want):
+                assert l2_norm(x - y) <= 1e-12 * l2_norm(y)
 
 
 class TestEnergyBounds:
