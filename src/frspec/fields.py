@@ -10,6 +10,17 @@ fields, i.e. V_hat(-n) = conj(V_hat(n)).
 Quadratic products are evaluated pseudo-spectrally on a padded collocation
 grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
 modes of a product of two fields are alias-free.
+
+All transforms are scipy.fft real transforms (irfftn / rfftn) on the half
+spectrum n3 >= 0, component axis first, one batched call for all
+components.  Transport is computed in divergence form, a . grad B =
+div(a (x) B), with div_h for the horizontal stencil; this holds when the
+velocity a is divergence-free (a_h horizontally divergence-free), which
+every caller guarantees: Leray-projected fields, the limit system's bar
+and underline parts.  One evaluation makes one inverse transform of a and
+B (3 + 4 components, 2 + 4 horizontal, 4 when A is B; 4 + 4 for the
+symmetric `transport`) and one forward transform of the products a_j B_c
+(12 components, 8 horizontal).
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .geometry import TorusGeometry
 
@@ -119,25 +130,42 @@ def single_mode_field(geometry: TorusGeometry, n, vec, hermitian: bool = True) -
 
 # -- transforms ---------------------------------------------------------------
 
+_AXES = (1, 2, 3)
+
 
 def _pad_size(N: int) -> int:
     return next_fast_len(3 * N + 1)
 
 
-def _embed(geometry: TorusGeometry, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Place lattice coefficients into an M^3 FFT array (wrap-around order)."""
-    L, N = geometry.L, geometry.N
-    out = np.zeros((M, M, M) + coeffs.shape[3:], dtype=np.complex128)
-    idx = (np.arange(L) - N) % M
-    out[np.ix_(idx, idx, idx)] = coeffs
-    return out
+def _wrap(geometry: TorusGeometry, M: int) -> np.ndarray:
+    """Grid index of each mode -N..N along one axis (wrap-around order)."""
+    return (np.arange(geometry.L) - geometry.N) % M
 
 
-def _extract(geometry: TorusGeometry, arr: np.ndarray) -> np.ndarray:
+def _to_grid(geometry: TorusGeometry, coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Samples (C, M, M, M) of the real fields with coefficients (L, L, L, C)."""
+    N = geometry.N
+    idx = _wrap(geometry, M)
+    half = np.zeros((coeffs.shape[-1], M, M, M // 2 + 1), dtype=np.complex128)
+    half[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(coeffs[:, :, N:, :], -1, 0)
+    return irfftn(half, s=(M, M, M), axes=_AXES, norm="forward")
+
+
+def _from_grid(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
+    """Retained half-lattice coefficients (C, L, L, N + 1) of samples (C, M, M, M)."""
+    idx = _wrap(geometry, values.shape[1])
+    hat = rfftn(values, axes=_AXES, norm="forward")
+    return hat[:, idx[:, None], idx[None, :], : geometry.N + 1]
+
+
+def _lattice(geometry: TorusGeometry, half: np.ndarray) -> SpectralField4:
+    """Real field from its half-lattice coefficients (C, L, L, N + 1)."""
     L, N = geometry.L, geometry.N
-    M = arr.shape[0]
-    idx = (np.arange(L) - N) % M
-    return arr[np.ix_(idx, idx, idx)]
+    h = np.moveaxis(half, 0, -1)
+    out = np.empty((L, L, L, h.shape[-1]), dtype=np.complex128)
+    out[:, :, N:] = h
+    out[:, :, :N] = np.conj(h[::-1, ::-1, N:0:-1])
+    return SpectralField4(geometry, out)
 
 
 def to_physical(field: SpectralField4, grid_points: int | None = None) -> PhysicalField4:
@@ -146,17 +174,14 @@ def to_physical(field: SpectralField4, grid_points: int | None = None) -> Physic
     M = grid_points or _pad_size(g.N)
     if M < 2 * g.N + 1:
         raise ValueError(f"grid of {M} points cannot hold modes up to N={g.N}")
-    big = _embed(g, field.coeffs, M)
-    vals = np.fft.ifftn(big, axes=(0, 1, 2)) * (M**3)
-    return PhysicalField4(g, np.ascontiguousarray(vals.real), M)
+    vals = _to_grid(g, field.coeffs, M)
+    return PhysicalField4(g, np.moveaxis(vals, 0, -1), M)
 
 
 def to_spectral(phys: PhysicalField4) -> SpectralField4:
     """Inverse of to_physical on the retained modes."""
     g = phys.geometry
-    M = phys.grid_points
-    hat = np.fft.fftn(phys.values, axes=(0, 1, 2)) / (M**3)
-    return SpectralField4(g, _extract(g, hat))
+    return _lattice(g, _from_grid(g, np.moveaxis(phys.values, -1, 0)))
 
 
 # -- differential / projection operators --------------------------------------
@@ -193,19 +218,35 @@ def divergence_max(field: SpectralField4) -> float:
     return float(np.max(np.abs(div)))
 
 
-def _gradient_spectral(field: SpectralField4, horizontal_only: bool = False) -> np.ndarray:
-    """i * ncheck_j * V_hat, shape (L, L, L, 4, 3)."""
-    g = field.geometry
+def _samples(A: SpectralField4, B: SpectralField4, ncomp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of the first `ncomp` components of A and of all four of B.
+
+    One batched inverse transform; A and B share it when A is B.
+    """
+    if A.geometry is not B.geometry and A.geometry != B.geometry:
+        raise ValueError("fields live on different geometries")
+    g = A.geometry
+    M = _pad_size(g.N)
+    if A is B:
+        grid = _to_grid(g, B.coeffs, M)
+        return grid[:ncomp], grid
+    grid = _to_grid(g, np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1), M)
+    return grid[:ncomp], grid[ncomp:]
+
+
+def _divergence(geometry: TorusGeometry, prod: np.ndarray) -> SpectralField4:
+    """Dealiased coefficients of sum_j d_j P_jc from the samples P (J, 4, M, M, M).
+
+    One batched forward transform of the 4 J products, then i ncheck_j P_hat_jc
+    summed over j = 1..J on the half lattice (J = 2 is the horizontal div_h).
+    """
+    g = geometry
+    J = prod.shape[0]
+    hat = _from_grid(g, prod.reshape((4 * J,) + prod.shape[2:]))
+    hat = hat.reshape(J, 4, g.L, g.L, g.N + 1)
     k1, k2, k3 = g.check_grid
-    v = field.coeffs
-    out = np.empty(v.shape + (3,), dtype=np.complex128)
-    out[..., 0] = 1j * k1[..., None] * v
-    out[..., 1] = 1j * k2[..., None] * v
-    if horizontal_only:
-        out[..., 2] = 0.0
-    else:
-        out[..., 2] = 1j * k3[..., None] * v
-    return out
+    ks = (k1, k2, k3[..., g.N :])
+    return _lattice(g, 1j * sum(ks[j] * hat[j] for j in range(J))).pin_zero_mode()
 
 
 def convolve_quadratic(
@@ -217,29 +258,24 @@ def convolve_quadratic(
 
     `a` is the velocity (first three components) of A; all four components
     of B are advected.  stencil = "full" uses the 3D gradient, "horizontal"
-    only grad_h (used by the 2.5D limit system).
+    only grad_h (used by the 2.5D limit system).  Computed as div(a (x) B)
+    (div_h(a_h (x) B)), which equals the transport when a is divergence-free
+    (a_h horizontally divergence-free).
     """
-    if A.geometry is not B.geometry and A.geometry != B.geometry:
-        raise ValueError("fields live on different geometries")
-    g = A.geometry
-    M = _pad_size(g.N)
-
-    grad = _gradient_spectral(B, horizontal_only=(stencil == "horizontal"))
-    big_a = np.fft.ifftn(_embed(g, A.coeffs[..., :3], M), axes=(0, 1, 2)) * (M**3)
-    big_g = np.fft.ifftn(
-        _embed(g, grad.reshape(g.L, g.L, g.L, 12), M), axes=(0, 1, 2)
-    ) * (M**3)
-    big_g = big_g.reshape(M, M, M, 4, 3)
-    prod = np.einsum("xyzj,xyzcj->xyzc", big_a, big_g)
-    hat = np.fft.fftn(prod, axes=(0, 1, 2)) / (M**3)
-    out = SpectralField4(g, _extract(g, hat))
-    out.pin_zero_mode()
-    return out
+    J = 2 if stencil == "horizontal" else 3
+    a, b = _samples(A, B, J)
+    return _divergence(A.geometry, a[:, None] * b[None])
 
 
 def transport(A: SpectralField4, B: SpectralField4, stencil: str = "full") -> SpectralField4:
-    """Symmetrized projected transport 1/2 P [a.grad B + b.grad A]."""
-    raw = convolve_quadratic(A, B, stencil) + convolve_quadratic(B, A, stencil)
+    """Symmetrized projected transport 1/2 P [a.grad B + b.grad A].
+
+    One symmetric product 1/2 P div(a (x) B + b (x) A) for divergence-free
+    velocities; bitwise symmetric in (A, B).
+    """
+    J = 2 if stencil == "horizontal" else 3
+    a, b = _samples(A, B, 4)
+    raw = _divergence(A.geometry, a[:J, None] * b[None] + b[:J, None] * a[None])
     return leray_project(0.5 * raw, check_mean=False)
 
 

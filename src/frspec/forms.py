@@ -452,6 +452,7 @@ class FormEngine:
         if len(qu.kf):
             contrib = self._row_products(til1, til2, qu)[:, None] * qu.G4
             np.add.at(out_line, qu.n3i, contrib)
+        self.last_interactions = len(qu.kf)
         out = zero_field(g)
         out.coeffs[g.N, g.N, :, :] = out_line
         return (fft_part + out).pin_zero_mode()
@@ -461,6 +462,8 @@ class FormEngine:
         t1 = self.q_tilde1(project_tilde(V1), project_tilde(V2))
         t2 = self.q_tilde2(V1, V2)
         qu = self.q_underline(V1, V2)
+        tab, under = self.tables
+        self.last_interactions = tab.rows + len(under.kf)
         return t1 + t2 + qu
 
     def evaluate(self, form: str, V1: SpectralField4, V2: SpectralField4) -> FormEvaluation:

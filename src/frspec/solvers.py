@@ -194,7 +194,7 @@ class FilteredStepper:
     def _apply(self, E: np.ndarray, V: SpectralField4) -> SpectralField4:
         g = self.geometry
         c = V.coeffs.reshape(g.nmodes, 4)
-        out = np.einsum("mij,mj->mi", E, c)
+        out = np.matmul(E, c[..., None])
         return SpectralField4(g, out.reshape(g.L, g.L, g.L, 4))
 
     def _nonlinear(self, V: SpectralField4) -> SpectralField4:

@@ -445,6 +445,19 @@ class TestEvaluate:
         assert divergence_max(ev.output) < 1e-10
         assert ev.output.zero_mean()
 
+    @pytest.mark.parametrize("form", ["q_tilde1", "q_tilde2", "q_underline", "q_limit"])
+    def test_interactions_are_the_rows_summed(self, engine3, unit_torus_3, form):
+        tab, under = engine3.tables
+        rows = {
+            "q_tilde1": tab.rows,
+            "q_tilde2": 0,
+            "q_underline": len(under.kf),
+            "q_limit": tab.rows + len(under.kf),
+        }
+        assert (tab.rows, len(under.kf)) == (14640, 864)
+        V = random_field(unit_torus_3, seed=60)
+        assert engine3.evaluate(form, V, V).interactions == rows[form]
+
 
 class TestStructure:
     def test_tilde_forms_have_no_underline_output(self, engine4, unit_torus_4):

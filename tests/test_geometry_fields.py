@@ -1,10 +1,13 @@
 """Lattice geometry, transforms, projection and transport kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frspec.fields as fields
 from frspec.fields import (
     SpectralField4,
     convolve_quadratic,
@@ -15,9 +18,11 @@ from frspec.fields import (
     sobolev_norm,
     to_physical,
     to_spectral,
+    transport,
     zero_field,
 )
 from frspec.geometry import TorusGeometry, check_frequency
+from frspec.waves import bar_part, underline_part
 
 from conftest import random_field
 
@@ -119,19 +124,24 @@ class TestConvolution:
         assert l2_norm(out) == 0.0
 
     def test_two_mode_hand_convolution(self, unit_torus_4):
+        # real fields: A at +-k, B at +-m; the four product modes +-k +-m
+        # carry (a . i mcheck) b with the conjugates of the -k / -m slots
         g = unit_torus_4
-        k, m = (1, 0, 0), (0, 1, 1)
+        k, m = np.array((1, 0, 0)), np.array((0, 1, 1))
         a_vec = np.array([0, 1, 1, 0])
         b_vec = np.array([1, 0, 0, 2])
-        A = single_mode_field(g, k, a_vec, hermitian=False)
-        B = single_mode_field(g, m, b_vec, hermitian=False)
+        A = single_mode_field(g, k, a_vec)
+        B = single_mode_field(g, m, b_vec)
         out = convolve_quadratic(A, B)
-        mc = np.asarray(m, dtype=float) / g.a
-        expect = 1j * (a_vec[:3] @ mc) * b_vec
-        got = out.coeffs[tuple(np.add(k, m) + g.N)]
-        assert np.max(np.abs(got - expect)) < 1e-13
+        mc = m / g.a
+        for sk, sm in itertools.product((1, -1), (1, -1)):
+            a = a_vec if sk == 1 else np.conj(a_vec)
+            b = b_vec if sm == 1 else np.conj(b_vec)
+            expect = 1j * sm * (a[:3] @ mc) * b
+            mode = tuple(sk * k + sm * m + g.N)
+            assert np.max(np.abs(out.coeffs[mode] - expect)) < 1e-13
+            out.coeffs[mode] = 0.0
         # nothing anywhere else
-        out.coeffs[tuple(np.add(k, m) + g.N)] = 0.0
         assert l2_norm(out) < 1e-13
 
     def test_skew_cancellation(self, unit_torus_4):
@@ -150,6 +160,109 @@ class TestConvolution:
         B = single_mode_field(g, (N, N, N), [0, 0, 1, 0], hermitian=False)
         out = convolve_quadratic(A, B)
         assert l2_norm(out) < 1e-14
+
+
+def _advective_oracle(A, B, stencil="full"):
+    """The advective kernel a . grad B with numpy complex transforms, kept as
+    the oracle of the divergence-form kernel: 3 + 12 inverse transforms of a
+    and grad B, one per component, and 4 forward."""
+    g = A.geometry
+    L, N = g.L, g.N
+    M = fields._pad_size(N)
+    idx = (np.arange(L) - N) % M
+
+    def embed(c):
+        out = np.zeros((M, M, M) + c.shape[3:], dtype=np.complex128)
+        out[np.ix_(idx, idx, idx)] = c
+        return out
+
+    k1, k2, k3 = g.check_grid
+    v = B.coeffs
+    grad = np.empty(v.shape + (3,), dtype=np.complex128)
+    grad[..., 0] = 1j * k1[..., None] * v
+    grad[..., 1] = 1j * k2[..., None] * v
+    grad[..., 2] = 0.0 if stencil == "horizontal" else 1j * k3[..., None] * v
+    big_a = np.fft.ifftn(embed(A.coeffs[..., :3]), axes=(0, 1, 2)) * (M**3)
+    big_g = np.fft.ifftn(embed(grad.reshape(L, L, L, 12)), axes=(0, 1, 2)) * (M**3)
+    prod = np.einsum("xyzj,xyzcj->xyzc", big_a, big_g.reshape(M, M, M, 4, 3))
+    hat = np.fft.fftn(prod, axes=(0, 1, 2)) / (M**3)
+    out = SpectralField4(g, hat[np.ix_(idx, idx, idx)])
+    return out.pin_zero_mode()
+
+
+class TestDivergenceFormKernel:
+    @pytest.fixture(scope="class", params=[((1, 1, 1), 4), ((1, 2, 3), 5)], ids=["unit-4", "a123-5"])
+    def geometry(self, request):
+        return TorusGeometry(*request.param)
+
+    @staticmethod
+    def _inputs(g, stencil, seed):
+        # the precondition of each stencil: div a = 0, or div_h a_h = 0
+        # (the limit system's bar + underline fields)
+        V = random_field(g, seed=seed)
+        return V if stencil == "full" else bar_part(V) + underline_part(V)
+
+    @pytest.mark.parametrize("stencil", ["full", "horizontal"])
+    @pytest.mark.parametrize("same", [True, False], ids=["A-is-B", "distinct"])
+    def test_matches_advective_oracle(self, geometry, stencil, same):
+        A = self._inputs(geometry, stencil, 11)
+        B = A if same else self._inputs(geometry, stencil, 12)
+        want = _advective_oracle(A, B, stencil).coeffs
+        got = convolve_quadratic(A, B, stencil).coeffs
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("stencil", ["full", "horizontal"])
+    def test_transport_matches_oracle_and_is_symmetric(self, geometry, stencil):
+        A = self._inputs(geometry, stencil, 13)
+        B = self._inputs(geometry, stencil, 14)
+        raw = _advective_oracle(A, B, stencil) + _advective_oracle(B, A, stencil)
+        want = leray_project(0.5 * raw, check_mean=False).coeffs
+        got = transport(A, B, stencil).coeffs
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, transport(B, A, stencil).coeffs)
+
+
+class TestTransformCount:
+    """One batched inverse and one batched forward real transform per call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+
+        def counting(name, fn):
+            def wrapper(x, *args, **kwargs):
+                log.append((name, np.shape(x)[0]))
+                return fn(x, *args, **kwargs)
+
+            return wrapper
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fields called numpy.fft")
+
+        monkeypatch.setattr(fields, "irfftn", counting("inverse", fields.irfftn))
+        monkeypatch.setattr(fields, "rfftn", counting("forward", fields.rfftn))
+        for name in np.fft.__all__:
+            if callable(getattr(np.fft, name)) and "freq" not in name and "shift" not in name:
+                monkeypatch.setattr(np.fft, name, forbidden)
+        return log
+
+    @pytest.mark.parametrize(
+        "call, batches",
+        [
+            (lambda A, B: convolve_quadratic(A, A), [("inverse", 4), ("forward", 12)]),
+            (lambda A, B: convolve_quadratic(A, B), [("inverse", 7), ("forward", 12)]),
+            (lambda A, B: convolve_quadratic(A, B, "horizontal"), [("inverse", 6), ("forward", 8)]),
+            (lambda A, B: transport(A, B), [("inverse", 8), ("forward", 12)]),
+            (lambda A, B: transport(A, B, "horizontal"), [("inverse", 8), ("forward", 8)]),
+            (lambda A, B: to_spectral(to_physical(A)), [("inverse", 4), ("forward", 4)]),
+        ],
+        ids=["self", "pair", "horizontal", "transport", "transport-horizontal", "round-trip"],
+    )
+    def test_one_batched_call_each_way(self, unit_torus_4, calls, call, batches):
+        A = random_field(unit_torus_4, seed=15)
+        B = random_field(unit_torus_4, seed=16)
+        call(A, B)
+        assert calls == batches
 
 
 class TestFieldStructure:
