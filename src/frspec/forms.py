@@ -49,7 +49,33 @@ from .waves import (
 
 __all__ = ["FormEngine", "project_tilde"]
 
-_SIGN_ROW = {-1: 0, 0: 1, 1: 2}
+# Sign classes (a, b, c) of the tilde-output table, in their row order
+# within one output mode.  The radical classes (all signs nonzero) run
+# a, b, c over (+1, -1); class i and class 19 - i are mirrors (-a, -b, -c).
+_CLASSES = (
+    (0, 1, 1), (0, -1, -1), (1, 0, 1), (-1, 0, -1), (1, -1, 0), (-1, 1, 0),
+    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+    (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
+)
+_CLASS_SIGNS = np.array(_CLASSES, dtype=np.int8)
+_RADICAL_SCREEN = 1e-11
+# (k, m) pairs per enumeration chunk and table rows per G chunk: they bound
+# the memory of the table build, not its result.
+_PAIR_CHUNK = 1 << 16
+_G_CHUNK = 1 << 15
+
+
+def _axis_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 3N^2 + 3N + 1 pairs (k_i, m_i) with |k_i|, |m_i|, |k_i + m_i| <= N."""
+    r = np.arange(-N, N + 1, dtype=np.int64)
+    k, m = np.meshgrid(r, r, indexing="ij")
+    ok = np.abs(k + m) <= N
+    return k[ok], m[ok]
+
+
+def _flat(signs: np.ndarray, modes: np.ndarray, nmodes: int) -> np.ndarray:
+    """Flat index of (sign row, mode) in a raveled (3, L^3) coefficient matrix."""
+    return (signs.astype(np.int64) + 1) * nmodes + modes
 
 
 def project_tilde(V: SpectralField4) -> SpectralField4:
@@ -71,10 +97,24 @@ class TriadTable:
     ib: np.ndarray
     ic: np.ndarray
     G: np.ndarray  # complex coupling weight
+    ka: np.ndarray  # flat (ia, kf), (ib, mf), (ic, nf): see _flat
+    mb: np.ndarray
+    nc: np.ndarray
 
     @property
     def rows(self) -> int:
         return len(self.kf)
+
+    def class_rows(self) -> dict[str, int]:
+        """Rows per sign class (a, b, c), keyed like "0pp" or "pmm", in the
+        order of _CLASSES."""
+        def code(a, b, c):
+            return (a + 1) * 9 + (b + 1) * 3 + (c + 1)
+
+        counts = np.bincount(code(self.ia.astype(np.int64), self.ib, self.ic), minlength=27)
+        return {
+            "".join("m0p"[x + 1] for x in cls): int(counts[code(*cls)]) for cls in _CLASSES
+        }
 
 
 @dataclass
@@ -87,6 +127,9 @@ class UnderTable:
     ia: np.ndarray
     ib: np.ndarray
     G4: np.ndarray  # (rows, 4) f-projected coupling vector
+    ka: np.ndarray  # flat (ia, kf), (ib, mf): see _flat
+    mb: np.ndarray
+    out: np.ndarray  # (rows * 4) flat index of (n3i, component) on the line
 
 
 @dataclass
@@ -116,10 +159,16 @@ class FormEngine:
         self._modes = np.stack(
             np.meshgrid(g.n_axis, g.n_axis, g.n_axis, indexing="ij"), axis=-1
         ).reshape(-1, 3)
-        self._H, self._S = omega_ratio_ints(g)
-        Sf = np.where(self._S > 0, self._S, 1).astype(float)
-        self._omega_flat = np.sqrt(self._H / Sf)
-        self._hnz = (self._modes[:, 0] != 0) | (self._modes[:, 1] != 0)
+        H, S = omega_ratio_ints(g)
+        Sf = np.where(S > 0, S, 1).astype(float)
+        self._omega_flat = np.sqrt(H / Sf)
+        # exact frequency classes: equal ids <=> H_x S_y == H_y S_x, from
+        # H / S in lowest terms
+        d = np.gcd(H, S)
+        d[d == 0] = 1
+        self._freq_id = np.unique(
+            np.stack([H // d, S // d], axis=1), axis=0, return_inverse=True
+        )[1].reshape(-1)
         k1, k2, k3 = g.check_grid
         self._ncheck_flat = np.stack(
             [
@@ -151,21 +200,28 @@ class FormEngine:
 
     # -- table construction -------------------------------------------------------
 
-    def _pair_arrays(self, fn: int):
-        """Valid interaction partners k (and m = n - k) for output mode n."""
+    def _pair_chunks(self, underline: bool):
+        """Flat (kf, mf, nf = kf + mf - centre) of every in-box pair with
+        k_h, m_h != 0 and n_h != 0 (n_h == 0 if `underline`), in chunks of
+        about _PAIR_CHUNK pairs: the product of the horizontal axes,
+        broadcast against the vertical axis."""
         g = self.geometry
-        n = self._modes[fn]
-        m = n[None, :] - self._modes
-        ok = (
-            self._hnz
-            & (np.abs(m).max(axis=1) <= g.N)
-            & ((m[:, 0] != 0) | (m[:, 1] != 0))
-        )
-        kf = np.nonzero(ok)[0]
-        mm = m[ok]
-        L = g.L
-        mf = ((mm[:, 0] + g.N) * L + (mm[:, 1] + g.N)) * L + (mm[:, 2] + g.N)
-        return kf.astype(np.int64), mf.astype(np.int64)
+        N, L = g.N, g.L
+        k, m = _axis_pairs(N)
+        k1, k2 = np.repeat(k, len(k)), np.tile(k, len(k))
+        m1, m2 = np.repeat(m, len(m)), np.tile(m, len(m))
+        ok = ((k1 != 0) | (k2 != 0)) & ((m1 != 0) | (m2 != 0))
+        nh0 = (k1 + m1 == 0) & (k2 + m2 == 0)
+        ok &= nh0 if underline else ~nh0
+        kh = ((k1[ok] + N) * L + (k2[ok] + N)) * L
+        mh = ((m1[ok] + N) * L + (m2[ok] + N)) * L
+        k3, m3 = k + N, m + N
+        centre = g.nmodes // 2
+        step = max(1, _PAIR_CHUNK // len(k3))
+        for s in range(0, len(kh), step):
+            kf = (kh[s : s + step, None] + k3).reshape(-1)
+            mf = (mh[s : s + step, None] + m3).reshape(-1)
+            yield kf, mf, kf + mf - centre
 
     def _G_rows(self, kf, ia, mf, ib, nf, ic) -> np.ndarray:
         ev = self._evec
@@ -189,129 +245,94 @@ class FormEngine:
             ]
         )
 
-    def _build_tables(self):
+    def _build_triad_table(self) -> TriadTable:
+        """Rows sorted by (nf, class in _CLASSES order, kf).
+
+        Zero-sign classes are equalities of exact frequency ids.  A radical
+        class keeps the pairs with |a wk + b wm - c wn| < _RADICAL_SCREEN
+        that pass exact confirmation; the screen value of the mirror class
+        is the exact negation, so one screen serves both."""
+        fid, om, modes = self._freq_id, self._omega_flat, self._modes
+        found = {"kf": [], "mf": [], "nf": [], "cls": []}
+
+        def push(sel, kf, mf, nf, cls):
+            found["kf"].append(kf[sel])
+            found["mf"].append(mf[sel])
+            found["nf"].append(nf[sel])
+            found["cls"].append(np.full(len(sel), cls, dtype=np.int8))
+
+        for kf, mf, nf in self._pair_chunks(underline=False):
+            ik, im, i_n = fid[kf], fid[mf], fid[nf]
+            for cls, eq in ((0, im == i_n), (2, ik == i_n), (4, ik == im)):
+                sel = np.nonzero(eq)[0]
+                push(sel, kf, mf, nf, cls)
+                push(sel, kf, mf, nf, cls + 1)
+            # a wk + b wm - c wn for a = +1: products with +-1 and the
+            # subtraction of a negation are exact, so these are its floats
+            wk, wm, wn = om[kf], om[mf], om[nf]
+            s, d = wk + wm, wk - wm
+            for cls, v in ((6, s - wn), (7, s + wn), (8, d - wn), (9, d + wn)):
+                cand = np.nonzero(np.abs(v) < _RADICAL_SCREEN)[0]
+                for cl in (cls, 19 - cls):
+                    keep = [
+                        i
+                        for i in cand
+                        if self._confirm_radical(
+                            modes[kf[i]], modes[mf[i]], modes[nf[i]], *_CLASSES[cl]
+                        )
+                    ]
+                    push(np.asarray(keep, dtype=np.int64), kf, mf, nf, cl)
+
+        kf, mf, nf, cls = (np.concatenate(found.pop(key)) for key in ("kf", "mf", "nf", "cls"))
+        order = np.lexsort((kf, cls, nf))
+        kf, mf, nf = kf[order], mf[order], nf[order]
+        ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls[order]].T)
+        G = np.empty(len(kf), dtype=np.complex128)
+        for s in range(0, len(kf), _G_CHUNK):
+            r = slice(s, s + _G_CHUNK)
+            G[r] = self._G_rows(kf[r], ia[r], mf[r], ib[r], nf[r], ic[r])
+        size = self.geometry.nmodes
+        return TriadTable(
+            kf, mf, nf, ia, ib, ic, G,
+            ka=_flat(ia, kf, size), mb=_flat(ib, mf, size), nc=_flat(ic, nf, size),
+        )
+
+    def _build_under_table(self) -> UnderTable:
+        """Rows (a, -a) with k + m on the vertical line and omega(k) = omega(m),
+        sorted by (n3i, a = +1 before -1, kf)."""
         g = self.geometry
-        H, S = self._H, self._S
-        om = self._omega_flat
-        rows_t1 = {k: [] for k in ("kf", "mf", "nf", "ia", "ib", "ic")}
-        Gparts_t1 = []
-        rows_qu = {k: [] for k in ("kf", "mf", "n3i", "ia", "ib")}
-        G4_qu = []
-
+        fid = self._freq_id
+        found = []
+        for kf, mf, nf in self._pair_chunks(underline=True):
+            sel = np.nonzero(fid[kf] == fid[mf])[0]
+            found.append((kf[sel], mf[sel], nf[sel]))
+        kf, mf, nf = (np.concatenate(parts) for parts in zip(*found))
+        del found
+        n3i = nf - (g.nmodes // 2 - g.N)  # (0, 0, n3) is the centre plus n3
+        ia = np.repeat(np.array([1, -1], dtype=np.int8), len(kf))
+        kf, mf, nf, n3i = (np.concatenate([x, x]) for x in (kf, mf, nf, n3i))
+        order = np.lexsort((kf, -ia, n3i))
+        kf, mf, nf, n3i, ia = kf[order], mf[order], nf[order], n3i[order], ia[order]
+        ib = -ia
         ev = self._evec
-        nflat_all = np.arange(g.nmodes)
-
-        # tilde-output classes, one output mode at a time
-        for fn in nflat_all[self._hnz]:
-            kf, mf = self._pair_arrays(fn)
-            if len(kf) == 0:
-                continue
-            eqMN = H[mf] * S[fn] == H[fn] * S[mf]
-            eqKN = H[kf] * S[fn] == H[fn] * S[kf]
-            eqKM = H[kf] * S[mf] == H[mf] * S[kf]
-
-            def push(kk, mm, a, b, c):
-                r = len(kk)
-                if r == 0:
-                    return
-                rows_t1["kf"].append(kk)
-                rows_t1["mf"].append(mm)
-                rows_t1["nf"].append(np.full(r, fn, dtype=np.int64))
-                rows_t1["ia"].append(np.full(r, a, dtype=np.int8))
-                rows_t1["ib"].append(np.full(r, b, dtype=np.int8))
-                rows_t1["ic"].append(np.full(r, c, dtype=np.int8))
-
-            for b in (1, -1):  # (0, b, b): bar at k, omega(m) = omega(n)
-                push(kf[eqMN], mf[eqMN], 0, b, b)
-            for a in (1, -1):  # (a, 0, a): bar at m, omega(k) = omega(n)
-                push(kf[eqKN], mf[eqKN], a, 0, a)
-            for a in (1, -1):  # (a, -a, 0): oscillating pair onto the kernel
-                push(kf[eqKM], mf[eqKM], a, -a, 0)
-            # radical classes: all signs nonzero
-            wk, wm, wn = om[kf], om[mf], om[fn]
-            for a in (1, -1):
-                for b in (1, -1):
-                    for c in (1, -1):
-                        cand = np.nonzero(np.abs(a * wk + b * wm - c * wn) < 1e-11)[0]
-                        if len(cand) == 0:
-                            continue
-                        keep = [
-                            i
-                            for i in cand
-                            if self._confirm_radical(
-                                self._modes[kf[i]],
-                                self._modes[mf[i]],
-                                self._modes[fn],
-                                a,
-                                b,
-                                c,
-                            )
-                        ]
-                        if keep:
-                            keep = np.asarray(keep)
-                            push(kf[keep], mf[keep], a, b, c)
-
-        if rows_t1["kf"]:
-            tab = TriadTable(
-                kf=np.concatenate(rows_t1["kf"]),
-                mf=np.concatenate(rows_t1["mf"]),
-                nf=np.concatenate(rows_t1["nf"]),
-                ia=np.concatenate(rows_t1["ia"]),
-                ib=np.concatenate(rows_t1["ib"]),
-                ic=np.concatenate(rows_t1["ic"]),
-                G=np.empty(0, dtype=np.complex128),
-            )
-            tab.G = self._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic)
-        else:
-            z = np.zeros(0, dtype=np.int64)
-            zs = np.zeros(0, dtype=np.int8)
-            tab = TriadTable(z, z, z, zs, zs, zs, np.zeros(0, dtype=np.complex128))
-        self._tab_t1 = tab
-
-        # underline-output class (a, -a): k + m on the vertical line
-        L = g.L
-        for i3 in range(L):
-            fn_line = (g.N * L + g.N) * L + i3  # mode (0, 0, n3)
-            kf, mf = self._pair_arrays(fn_line)
-            if len(kf) == 0:
-                continue
-            eqKM = H[kf] * S[mf] == H[mf] * S[kf]
-            kk, mmf = kf[eqKM], mf[eqKM]
-            if len(kk) == 0:
-                continue
-            nc3 = self._ncheck_flat[fn_line, 2]
-            for a in (1, -1):
-                ea_k = ev[a + 1, kk]
-                eb_m = ev[-a + 1, mmf]
-                ndot_a = nc3 * ea_k[:, 2]
-                ndot_b = nc3 * eb_m[:, 2]
-                G4 = ndot_a[:, None] * eb_m + ndot_b[:, None] * ea_k
-                G4[:, 2] = 0.0  # Leray at (0,0,n3) kills the third component
-                rows_qu["kf"].append(kk)
-                rows_qu["mf"].append(mmf)
-                rows_qu["n3i"].append(np.full(len(kk), i3, dtype=np.int64))
-                rows_qu["ia"].append(np.full(len(kk), a, dtype=np.int8))
-                rows_qu["ib"].append(np.full(len(kk), -a, dtype=np.int8))
-                G4_qu.append(G4)
-
-        if rows_qu["kf"]:
-            self._tab_qu = UnderTable(
-                kf=np.concatenate(rows_qu["kf"]),
-                mf=np.concatenate(rows_qu["mf"]),
-                n3i=np.concatenate(rows_qu["n3i"]),
-                ia=np.concatenate(rows_qu["ia"]),
-                ib=np.concatenate(rows_qu["ib"]),
-                G4=np.concatenate(G4_qu, axis=0),
-            )
-        else:
-            z = np.zeros(0, dtype=np.int64)
-            zs = np.zeros(0, dtype=np.int8)
-            self._tab_qu = UnderTable(z, z, z, zs, zs, np.zeros((0, 4), dtype=np.complex128))
+        ea_k = ev[ia + 1, kf]
+        eb_m = ev[ib + 1, mf]
+        nc3 = self._ncheck_flat[nf, 2]
+        ndot_a = nc3 * ea_k[:, 2]
+        ndot_b = nc3 * eb_m[:, 2]
+        G4 = ndot_a[:, None] * eb_m + ndot_b[:, None] * ea_k
+        G4[:, 2] = 0.0  # Leray at (0,0,n3) kills the third component
+        return UnderTable(
+            kf, mf, n3i, ia, ib, G4,
+            ka=_flat(ia, kf, g.nmodes), mb=_flat(ib, mf, g.nmodes),
+            out=(n3i[:, None] * 4 + np.arange(4)).reshape(-1),
+        )
 
     @property
     def tables(self) -> tuple[TriadTable, UnderTable]:
         if self._tab_t1 is None:
-            self._build_tables()
+            self._tab_t1 = self._build_triad_table()
+            self._tab_qu = self._build_under_table()
         return self._tab_t1, self._tab_qu
 
     # -- epsilon-dependent forms ---------------------------------------------------
@@ -352,22 +373,30 @@ class FormEngine:
         """(i/2) times the symmetrized coefficient product of each table row:
         c1_a(k) c2_b(m) averaged with its (V1 <-> V2) swap, so the sum is
         bitwise symmetric in its arguments."""
-        C1 = self._coeff_matrix(V1)
-        C2 = self._coeff_matrix(V2)
-        x1 = C1[tab.ia + 1, tab.kf]
-        y2 = C2[tab.ib + 1, tab.mf]
-        x2 = C2[tab.ia + 1, tab.kf]
-        y1 = C1[tab.ib + 1, tab.mf]
-        return 0.5j * (0.5 * (x1 * y2 + x2 * y1))
+        C1 = self._coeff_matrix(V1).reshape(-1)
+        C2 = self._coeff_matrix(V2).reshape(-1)
+        # 0.5j * (0.5 * (x1 * y2 + x2 * y1)), in place: same floats, fewer
+        # row-sized temporaries
+        p = np.take(C1, tab.ka)
+        p *= np.take(C2, tab.mb)
+        q = np.take(C2, tab.ka)
+        q *= np.take(C1, tab.mb)
+        p += q
+        np.multiply(0.5, p, out=p)
+        np.multiply(0.5j, p, out=p)
+        return p
 
     def q_resonant(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """The sparse exact-resonant classes of q_tilde1 (every sign class
         but (0,0,0)), summed over the triad table."""
         tab, _ = self.tables
         g = self.geometry
-        out = np.zeros((3, g.nmodes), dtype=np.complex128)
+        out = np.zeros(3 * g.nmodes, dtype=np.complex128)
         if tab.rows:
-            np.add.at(out, (tab.ic + 1, tab.nf), self._row_products(V1, V2, tab) * tab.G)
+            p = self._row_products(V1, V2, tab)
+            p *= tab.G
+            np.add.at(out, tab.nc, p)
+        out = out.reshape(3, g.nmodes)
         self.last_interactions = tab.rows
         return field_from_coefficients(
             g,
@@ -448,13 +477,13 @@ class FormEngine:
         fft_part = underline_part(transport(bar_part(til1), bar_part(til2)))
 
         _, qu = self.tables
-        out_line = np.zeros((g.L, 4), dtype=np.complex128)
+        out_line = np.zeros(g.L * 4, dtype=np.complex128)
         if len(qu.kf):
             contrib = self._row_products(til1, til2, qu)[:, None] * qu.G4
-            np.add.at(out_line, qu.n3i, contrib)
+            np.add.at(out_line, qu.out, contrib.reshape(-1))
         self.last_interactions = len(qu.kf)
         out = zero_field(g)
-        out.coeffs[g.N, g.N, :, :] = out_line
+        out.coeffs[g.N, g.N, :, :] = out_line.reshape(g.L, 4)
         return (fft_part + out).pin_zero_mode()
 
     def q_limit(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
@@ -516,13 +545,8 @@ class FormEngine:
         if self._kstar_pairs is None:
             tab, _ = self.tables
             allpm = (tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)
-            pairs = sorted({(int(k), int(n)) for k, n in zip(tab.kf[allpm], tab.nf[allpm])})
-            if pairs:
-                arr = np.array(pairs, dtype=np.int64)
-                self._kstar_pairs = (arr[:, 0], arr[:, 1])
-            else:
-                z = np.zeros(0, dtype=np.int64)
-                self._kstar_pairs = (z, z)
+            size = self.geometry.nmodes
+            self._kstar_pairs = np.divmod(np.unique(tab.kf[allpm] * size + tab.nf[allpm]), size)
         return self._kstar_pairs
 
     def trilinear_resonant(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:

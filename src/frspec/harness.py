@@ -256,6 +256,10 @@ def run_sweep(config: SimConfig, progress=None) -> RunReport:
     V0, data_report = random_initial_data(config)
 
     t0 = time.perf_counter()
+    tab, qu = engine.tables
+    timings["tables"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     snap_stride_limit = int(round(config.snapshot_dt / config.dt_limit))
     limit_failure = None
     try:
@@ -266,12 +270,15 @@ def run_sweep(config: SimConfig, progress=None) -> RunReport:
         limit_failure = f"limit solve: {exc}"
     timings["limit_solve"] = time.perf_counter() - t0
 
-    tab, qu = engine.tables
     rows = []
     summary = {
         "data": data_report,
         "errors": {},
-        "resonance_counts": {"tilde_rows": tab.rows, "underline_rows": len(qu.kf)},
+        "resonance_counts": {
+            "tilde_rows": tab.rows,
+            "underline_rows": len(qu.kf),
+            "sign_classes": tab.class_rows(),
+        },
     }
     if limit_failure is not None:
         for eps in config.eps_list:

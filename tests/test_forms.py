@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import frspec.forms as forms
 from frspec.fields import (
     SpectralField4,
     convolve_quadratic,
@@ -18,7 +19,7 @@ from frspec.fields import (
 )
 from frspec.forms import FormEngine, project_tilde
 from frspec.geometry import TorusGeometry
-from frspec.resonance import is_resonant
+from frspec.resonance import exact_sqrt_sum_is_zero, is_resonant, omega_ratio_ints
 from frspec.waves import (
     EigenBasis,
     bar_part,
@@ -27,6 +28,7 @@ from frspec.waves import (
     eigenbasis,
     field_from_coefficients,
     osc_part,
+    underline_part,
 )
 
 from conftest import random_field
@@ -40,6 +42,176 @@ def engine4(unit_torus_4):
 @pytest.fixture(scope="module")
 def engine3(unit_torus_3):
     return FormEngine(unit_torus_3, nu=1.0)
+
+
+# sign classes (a, b, c) in their row order within one output mode
+CLASS_ORDER = [(0, 1, 1), (0, -1, -1), (1, 0, 1), (-1, 0, -1), (1, -1, 0), (-1, 1, 0)] + list(
+    itertools.product((1, -1), repeat=3)
+)
+TABLE_ARRAYS = ("kf", "mf", "nf", "ia", "ib", "ic", "G", "ka", "mb", "nc")
+UNDER_ARRAYS = ("kf", "mf", "n3i", "ia", "ib", "G4", "ka", "mb", "out")
+
+
+def brute_force_triads(g):
+    """Nested-loop resonant set of the tilde-output table.
+
+    Returns the rows {(kf, mf, nf, a, b, c)} and the number of (pair, radical
+    class) combinations that pass the table's float screen
+    |a wk + b wm - c wn| < 1e-11.  Zero-sign classes are the integer
+    equalities H_x S_y == H_y S_x; radical classes are decided by the scalar
+    exact_sqrt_sum_is_zero."""
+    H, S = omega_ratio_ints(g)
+    N = g.N
+    axis = range(-N, N + 1)
+    modes = [(x, y, z) for x in axis for y in axis for z in axis if (x, y) != (0, 0)]
+    flat = {n: g.flat_index(n) for n in modes}
+    w = {f: float(np.sqrt(H[f] / S[f])) for f in flat.values()}
+    radicands = sorted({g.omega_sq_exact(n) for n in modes})
+    rid = {flat[n]: radicands.index(g.omega_sq_exact(n)) for n in modes}
+    decided = {}
+
+    def resonant(a, b, c, fk, fm, fn):
+        key = (a, b, c, rid[fk], rid[fm], rid[fn])
+        if key not in decided:
+            terms = [(a, radicands[key[3]]), (b, radicands[key[4]]), (-c, radicands[key[5]])]
+            decided[key] = exact_sqrt_sum_is_zero(terms)
+        return decided[key]
+
+    def same(x, y):
+        return H[x] * S[y] == H[y] * S[x]
+
+    rows, screened = set(), 0
+    for n in modes:
+        fn = flat[n]
+        for k in modes:
+            m = (n[0] - k[0], n[1] - k[1], n[2] - k[2])
+            if m not in flat:
+                continue
+            fk, fm = flat[k], flat[m]
+            for a, b, c in CLASS_ORDER:
+                if a == 0:
+                    ok = same(fm, fn)
+                elif b == 0:
+                    ok = same(fk, fn)
+                elif c == 0:
+                    ok = same(fk, fm)
+                else:
+                    screened += abs(a * w[fk] + b * w[fm] - c * w[fn]) < 1e-11
+                    ok = resonant(a, b, c, fk, fm, fn)
+                if ok:
+                    rows.add((fk, fm, fn, a, b, c))
+    return rows, screened
+
+
+class TestTables:
+    @pytest.mark.parametrize("a_sq", [(1, 2, 3), (1, 1, 1)])
+    def test_against_brute_force(self, a_sq, monkeypatch):
+        g = TorusGeometry(a_sq, 3)
+        want_rows, want_screened = brute_force_triads(g)
+        calls = []
+
+        def counting(terms):
+            calls.append(terms)
+            return exact_sqrt_sum_is_zero(terms)
+
+        monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", counting)
+        eng = FormEngine(g, nu=1.0)
+        tab, _ = eng.tables
+        assert len(calls) == want_screened
+        if a_sq == (1, 2, 3):
+            assert want_screened > 0
+        got = list(zip(tab.kf.tolist(), tab.mf.tolist(), tab.nf.tolist(),
+                       tab.ia.tolist(), tab.ib.tolist(), tab.ic.tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == want_rows
+        keys = [(nf, CLASS_ORDER.index((a, b, c)), kf) for kf, _, nf, a, b, c in got]
+        assert keys == sorted(keys)
+        assert np.array_equal(tab.G, eng._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic))
+
+    def test_chunk_sizes_do_not_change_the_tables(self, monkeypatch):
+        g = TorusGeometry((1, 2, 3), 3)
+        big_t, big_u = FormEngine(g, nu=1.0).tables
+        monkeypatch.setattr(forms, "_PAIR_CHUNK", 500)
+        monkeypatch.setattr(forms, "_G_CHUNK", 1000)
+        small_t, small_u = FormEngine(g, nu=1.0).tables
+        assert big_t.rows > 1000
+        for name in TABLE_ARRAYS:
+            x, y = getattr(big_t, name), getattr(small_t, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        for name in UNDER_ARRAYS:
+            x, y = getattr(big_u, name), getattr(small_u, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    def test_kstar_pairs_are_the_sorted_distinct_radical_pairs(self):
+        eng = FormEngine(TorusGeometry((1, 2, 3), 3), nu=1.0)
+        tab, _ = eng.tables
+        allpm = (tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)
+        want = sorted({(int(k), int(n)) for k, n in zip(tab.kf[allpm], tab.nf[allpm])})
+        kf, nf = eng.kstar_pair_indices()
+        assert want and list(zip(kf.tolist(), nf.tolist())) == want
+        assert kf.dtype == nf.dtype == np.int64
+
+    def test_class_rows(self):
+        tab, _ = FormEngine(TorusGeometry((1, 2, 3), 3), nu=1.0).tables
+        counts = tab.class_rows()
+        assert list(counts) == [
+            "".join("m0p"[x + 1] for x in cls) for cls in CLASS_ORDER
+        ]
+        for cls, n in zip(CLASS_ORDER, counts.values()):
+            assert n == np.sum((tab.ia == cls[0]) & (tab.ib == cls[1]) & (tab.ic == cls[2]))
+        assert sum(counts.values()) == tab.rows
+
+
+def _row_products_2d(eng, V1, V2, tab):
+    """The row product with 2-D (sign row, mode) gathers."""
+    C1, C2 = eng._coeff_matrix(V1), eng._coeff_matrix(V2)
+    x1 = C1[tab.ia + 1, tab.kf]
+    y2 = C2[tab.ib + 1, tab.mf]
+    x2 = C2[tab.ia + 1, tab.kf]
+    y1 = C1[tab.ib + 1, tab.mf]
+    return 0.5j * (0.5 * (x1 * y2 + x2 * y1))
+
+
+def q_resonant_2d(eng, V1, V2):
+    g = eng.geometry
+    tab, _ = eng.tables
+    out = np.zeros((3, g.nmodes), dtype=np.complex128)
+    np.add.at(out, (tab.ic + 1, tab.nf), _row_products_2d(eng, V1, V2, tab) * tab.G)
+    shape = (g.L,) * 3
+    return field_from_coefficients(
+        g, {-1: out[0].reshape(shape), 0: out[1].reshape(shape), 1: out[2].reshape(shape)}
+    )
+
+
+def q_underline_2d(eng, V1, V2):
+    g = eng.geometry
+    til1, til2 = project_tilde(V1), project_tilde(V2)
+    fft_part = underline_part(transport(bar_part(til1), bar_part(til2)))
+    _, qu = eng.tables
+    out_line = np.zeros((g.L, 4), dtype=np.complex128)
+    np.add.at(out_line, qu.n3i, _row_products_2d(eng, til1, til2, qu)[:, None] * qu.G4)
+    out = zero_field(g)
+    out.coeffs[g.N, g.N, :, :] = out_line
+    return (fft_part + out).pin_zero_mode()
+
+
+class TestFlatIndexApply:
+    @pytest.mark.parametrize("a_sq, N", [((1, 2, 3), 3), ((1, 1, 1), 4)])
+    def test_matches_2d_indexed_scatter(self, a_sq, N):
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        A = random_field(g, seed=61, spectrum_r=1.0)
+        B = random_field(g, seed=62, spectrum_r=1.0)
+        # random underline weights, so that the scatter sums nonzero rows
+        _, qu = eng.tables
+        rng = np.random.default_rng(63)
+        qu.G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
+        for got, want in (
+            (eng.q_resonant(A, B), q_resonant_2d(eng, A, B)),
+            (eng.q_underline(A, B), q_underline_2d(eng, A, B)),
+        ):
+            assert np.max(np.abs(got.coeffs)) > 0
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestQeps:

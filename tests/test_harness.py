@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import frspec.harness as harness
 from frspec.cli import main as cli_main
 from frspec.fields import divergence_max, l2_norm
 from frspec.forms import FormEngine
@@ -172,6 +173,25 @@ class TestSweep:
         cfg = replace(SimConfig(), **SMALL).validate()
         rep = run_sweep(cfg)
         assert rep.summary["resonance_counts"]["tilde_rows"] > 0
+
+    def test_table_build_timed_apart_from_limit_solve(self, monkeypatch):
+        built_at_solve = []
+        solve_limit = harness.solve_limit
+
+        def spy(engine, *args, **kwargs):
+            built_at_solve.append(engine._tab_t1 is not None)
+            return solve_limit(engine, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_limit", spy)
+        cfg = replace(SimConfig(), **SMALL).validate()
+        rep = run_sweep(cfg)
+        assert built_at_solve == [True]
+        assert list(rep.timings)[:2] == ["tables", "limit_solve"]
+        assert rep.timings["tables"] > 0.0
+        counts = rep.summary["resonance_counts"]
+        tab, _ = FormEngine(cfg.geometry(), cfg.nu).tables
+        assert counts["sign_classes"] == tab.class_rows()
+        assert sum(counts["sign_classes"].values()) == counts["tilde_rows"] == tab.rows
 
     def test_infinite_eps_degenerate(self):
         over = dict(SMALL, T=0.1, eps_list=(math.inf,))
