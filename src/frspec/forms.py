@@ -263,6 +263,8 @@ class FormEngine:
 
         for kf, mf, nf in self._pair_chunks(underline=False):
             ik, im, i_n = fid[kf], fid[mf], fid[nf]
+            # (0, b, b): omega(m) = omega(n); (a, 0, a): omega(k) = omega(n);
+            # (a, -a, 0): omega(k) = omega(m)
             for cls, eq in ((0, im == i_n), (2, ik == i_n), (4, ik == im)):
                 sel = np.nonzero(eq)[0]
                 push(sel, kf, mf, nf, cls)
@@ -288,8 +290,8 @@ class FormEngine:
         kf, mf, nf = kf[order], mf[order], nf[order]
         ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls[order]].T)
         G = np.empty(len(kf), dtype=np.complex128)
-        for s in range(0, len(kf), _G_CHUNK):
-            r = slice(s, s + _G_CHUNK)
+        for lo in range(0, len(kf), _G_CHUNK):
+            r = slice(lo, lo + _G_CHUNK)
             G[r] = self._G_rows(kf[r], ia[r], mf[r], ib[r], nf[r], ic[r])
         size = self.geometry.nmodes
         return TriadTable(
