@@ -36,7 +36,7 @@ import numpy as np
 
 from .fields import SpectralField4, transport, zero_field
 from .geometry import TorusGeometry
-from .resonance import exact_sqrt_sum_is_zero, omega_ratio_ints
+from .resonance import _pair_chunks, exact_sqrt_sum_is_zero, omega_ratio_ints
 from .waves import (
     EigenBasis,
     apply_filter,
@@ -59,18 +59,9 @@ _CLASSES = (
 )
 _CLASS_SIGNS = np.array(_CLASSES, dtype=np.int8)
 _RADICAL_SCREEN = 1e-11
-# (k, m) pairs per enumeration chunk and table rows per G chunk: they bound
-# the memory of the table build, not its result.
-_PAIR_CHUNK = 1 << 16
+# table rows per G chunk: it bounds the memory of the table build, not its
+# result.
 _G_CHUNK = 1 << 15
-
-
-def _axis_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 3N^2 + 3N + 1 pairs (k_i, m_i) with |k_i|, |m_i|, |k_i + m_i| <= N."""
-    r = np.arange(-N, N + 1, dtype=np.int64)
-    k, m = np.meshgrid(r, r, indexing="ij")
-    ok = np.abs(k + m) <= N
-    return k[ok], m[ok]
 
 
 def _flat(signs: np.ndarray, modes: np.ndarray, nmodes: int) -> np.ndarray:
@@ -200,29 +191,6 @@ class FormEngine:
 
     # -- table construction -------------------------------------------------------
 
-    def _pair_chunks(self, underline: bool):
-        """Flat (kf, mf, nf = kf + mf - centre) of every in-box pair with
-        k_h, m_h != 0 and n_h != 0 (n_h == 0 if `underline`), in chunks of
-        about _PAIR_CHUNK pairs: the product of the horizontal axes,
-        broadcast against the vertical axis."""
-        g = self.geometry
-        N, L = g.N, g.L
-        k, m = _axis_pairs(N)
-        k1, k2 = np.repeat(k, len(k)), np.tile(k, len(k))
-        m1, m2 = np.repeat(m, len(m)), np.tile(m, len(m))
-        ok = ((k1 != 0) | (k2 != 0)) & ((m1 != 0) | (m2 != 0))
-        nh0 = (k1 + m1 == 0) & (k2 + m2 == 0)
-        ok &= nh0 if underline else ~nh0
-        kh = ((k1[ok] + N) * L + (k2[ok] + N)) * L
-        mh = ((m1[ok] + N) * L + (m2[ok] + N)) * L
-        k3, m3 = k + N, m + N
-        centre = g.nmodes // 2
-        step = max(1, _PAIR_CHUNK // len(k3))
-        for s in range(0, len(kh), step):
-            kf = (kh[s : s + step, None] + k3).reshape(-1)
-            mf = (mh[s : s + step, None] + m3).reshape(-1)
-            yield kf, mf, kf + mf - centre
-
     def _G_rows(self, kf, ia, mf, ib, nf, ic) -> np.ndarray:
         ev = self._evec
         nck = self._ncheck_flat[nf]
@@ -261,7 +229,7 @@ class FormEngine:
             found["nf"].append(nf[sel])
             found["cls"].append(np.full(len(sel), cls, dtype=np.int8))
 
-        for kf, mf, nf in self._pair_chunks(underline=False):
+        for kf, mf, nf in _pair_chunks(self.geometry.N):
             ik, im, i_n = fid[kf], fid[mf], fid[nf]
             # (0, b, b): omega(m) = omega(n); (a, 0, a): omega(k) = omega(n);
             # (a, -a, 0): omega(k) = omega(m)
@@ -305,7 +273,7 @@ class FormEngine:
         g = self.geometry
         fid = self._freq_id
         found = []
-        for kf, mf, nf in self._pair_chunks(underline=True):
+        for kf, mf, nf in _pair_chunks(g.N, underline=True):
             sel = np.nonzero(fid[kf] == fid[mf])[0]
             found.append((kf[sel], mf[sel], nf[sel]))
         kf, mf, nf = (np.concatenate(parts) for parts in zip(*found))

@@ -91,6 +91,8 @@ class SimConfig:
             raise ConfigError("T, dt, dt_limit must be positive")
         if any((e <= 0 and not math.isinf(e)) for e in self.eps_list):
             raise ConfigError("epsilon values must be positive (or inf)")
+        if not 0 < self.snapshot_dt <= self.T:
+            raise ConfigError("snapshot_dt must satisfy 0 < snapshot_dt <= T")
         for name, dt in (("dt", self.dt), ("dt_limit", self.dt_limit)):
             ratio = self.snapshot_dt / dt
             if abs(ratio - round(ratio)) > 1e-9:

@@ -7,6 +7,13 @@ rationals and are decided exactly: a fast floating screen discards pairs
 that are provably non-resonant (the float error is orders of magnitude
 below the screen threshold) and every candidate is confirmed by clearing
 radicals over Fractions.  No tolerance ever decides membership.
+
+The candidate (k, m) pairs come from one chunked pair stream,
+`_pair_chunks`: flat indices into the box [-N, N]^3 of every pair with k,
+m and n = k + m in the box, built from per-axis pair products in numpy
+chunks of bounded size.  `radical_sign_triads` screens it on a sub-box
+N <= geometry.N, and `forms.FormEngine` builds its triad tables from it
+with N = geometry.N.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ __all__ = [
 # expressions is exact to ~1e-14 at desk scale, so anything larger than
 # this is certainly nonzero; anything smaller goes to the exact decision.
 SCREEN_TOL = 1e-9
+# (k, m) pairs per enumeration chunk: it bounds the memory of an
+# enumeration, not its result.
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,6 +183,37 @@ def _box_modes(N: int) -> np.ndarray:
     return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
+def _axis_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 3N^2 + 3N + 1 pairs (k_i, m_i) with |k_i|, |m_i|, |k_i + m_i| <= N."""
+    r = np.arange(-N, N + 1, dtype=np.int64)
+    k, m = np.meshgrid(r, r, indexing="ij")
+    ok = np.abs(k + m) <= N
+    return k[ok], m[ok]
+
+
+def _pair_chunks(N: int, underline: bool = False):
+    """Flat indices (kf, mf, nf = kf + mf - centre) into the box [-N, N]^3 of
+    every pair with k, m, k + m in the box, k_h, m_h != 0 and n_h != 0
+    (n_h == 0 if `underline`), in chunks of about _PAIR_CHUNK pairs: the
+    product of the horizontal axes, broadcast against the vertical axis."""
+    L = 2 * N + 1
+    k, m = _axis_pairs(N)
+    k1, k2 = np.repeat(k, len(k)), np.tile(k, len(k))
+    m1, m2 = np.repeat(m, len(m)), np.tile(m, len(m))
+    ok = ((k1 != 0) | (k2 != 0)) & ((m1 != 0) | (m2 != 0))
+    nh0 = (k1 + m1 == 0) & (k2 + m2 == 0)
+    ok &= nh0 if underline else ~nh0
+    kh = ((k1[ok] + N) * L + (k2[ok] + N)) * L
+    mh = ((m1[ok] + N) * L + (m2[ok] + N)) * L
+    k3, m3 = k + N, m + N
+    centre = L**3 // 2
+    step = max(1, _PAIR_CHUNK // len(k3))
+    for s in range(0, len(kh), step):
+        kf = (kh[s : s + step, None] + k3).reshape(-1)
+        mf = (mh[s : s + step, None] + m3).reshape(-1)
+        yield kf, mf, kf + mf - centre
+
+
 def radical_sign_triads(geometry: TorusGeometry, N: int | None = None):
     """All (k, m, n, a, b, c) with signs in {+,-}^3, k+m=n, all horizontal
     parts nonzero, max norm <= N, satisfying the resonance exactly.
@@ -183,54 +224,31 @@ def radical_sign_triads(geometry: TorusGeometry, N: int | None = None):
     N = g.N if N is None else N
     if N > g.N:
         raise ValueError("enumeration beyond the geometry truncation")
-    sub = _subblock_flat(g, N)
     modes = _box_modes(N)
-    omN = _omega_float(g)[sub]
-    h_nonzero = (modes[:, 0] != 0) | (modes[:, 1] != 0)
-
-    out = []
-    Lb = 2 * N + 1
+    om = _omega_float(g)[_subblock_flat(g, N)]
     sq_cache: dict[tuple[int, int, int], Fraction] = {}
 
-    def rsq(v):
-        t = tuple(int(x) for x in v)
+    def rsq(t):
         r = sq_cache.get(t)
         if r is None:
             r = g.omega_sq_exact(t)
             sq_cache[t] = r
         return r
 
-    for idx_n, n in enumerate(modes):
-        if not h_nonzero[idx_n]:
-            continue
-        m = n[None, :] - modes  # candidate partners, k = modes
-        ok = (
-            h_nonzero
-            & (np.abs(m).max(axis=1) <= N)
-            & ((m[:, 0] != 0) | (m[:, 1] != 0))
-        )
-        if not ok.any():
-            continue
-        ks = modes[ok]
-        ms = m[ok]
-        wk = omN[ok]
-        mi = ((ms[:, 0] + N) * Lb + (ms[:, 1] + N)) * Lb + (ms[:, 2] + N)
-        wm = omN[mi]
-        wn = omN[idx_n]
-        for a in (1, -1):
-            for b in (1, -1):
-                for c in (1, -1):
-                    expr = a * wk + b * wm - c * wn
-                    cand = np.abs(expr) < SCREEN_TOL
-                    if not cand.any():
-                        continue
-                    for kk, mm in zip(ks[cand], ms[cand]):
-                        kk = tuple(int(x) for x in kk)
-                        mm = tuple(int(x) for x in mm)
-                        nn = tuple(int(x) for x in n)
-                        rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
-                        if exact_sqrt_sum_is_zero([(a, rk), (b, rm), (-c, rn)]):
-                            out.append((kk, mm, nn, a, b, c, (rk, rm, rn)))
+    out = []
+    for kf, mf, nf in _pair_chunks(N):
+        # a wk + b wm - c wn for a = +1: products with +-1 and the
+        # subtraction of a negation are exact, so these are its floats, and
+        # the class (-a, -b, -c) has the exact negation
+        wk, wm, wn = om[kf], om[mf], om[nf]
+        s, d = wk + wm, wk - wm
+        for b, c, v in ((1, 1, s - wn), (1, -1, s + wn), (-1, 1, d - wn), (-1, -1, d + wn)):
+            for i in np.nonzero(np.abs(v) < SCREEN_TOL)[0]:
+                kk, mm, nn = (tuple(modes[x].tolist()) for x in (kf[i], mf[i], nf[i]))
+                rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
+                for a in (1, -1):
+                    if exact_sqrt_sum_is_zero([(a, rk), (a * b, rm), (-a * c, rn)]):
+                        out.append((kk, mm, nn, a, a * b, a * c, (rk, rm, rn)))
     return out
 
 

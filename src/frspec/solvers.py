@@ -571,6 +571,11 @@ def read_checkpoint(path) -> SimState:
         )
         g = TorusGeometry(a_sq, N)
         L = g.L
-        raw = fh.read(L * L * L * 4 * 16)
-        coeffs = np.frombuffer(raw, dtype="<c16").reshape(L, L, L, 4).copy()
+        raw = fh.read()
+    want = L * L * L * 4 * 16
+    if len(raw) != want:
+        raise ValueError(
+            f"checkpoint {path}: payload is {len(raw)} bytes, expected {want} for N = {N}"
+        )
+    coeffs = np.frombuffer(raw, dtype="<c16").reshape(L, L, L, 4).copy()
     return SimState(t, SpectralField4(g, coeffs.astype(np.complex128)), nu, eps)

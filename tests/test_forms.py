@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import frspec.forms as forms
+import frspec.resonance as resonance
 from frspec.fields import (
     SpectralField4,
     convolve_quadratic,
@@ -131,7 +132,7 @@ class TestTables:
     def test_chunk_sizes_do_not_change_the_tables(self, monkeypatch):
         g = TorusGeometry((1, 2, 3), 3)
         big_t, big_u = FormEngine(g, nu=1.0).tables
-        monkeypatch.setattr(forms, "_PAIR_CHUNK", 500)
+        monkeypatch.setattr(resonance, "_PAIR_CHUNK", 500)
         monkeypatch.setattr(forms, "_G_CHUNK", 1000)
         small_t, small_u = FormEngine(g, nu=1.0).tables
         assert big_t.rows > 1000

@@ -79,6 +79,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             replace(SimConfig(), eps_list=(0.0,)).validate()
 
+    def test_snapshot_dt_equal_to_horizon_is_valid(self):
+        replace(SimConfig(), T=0.05, snapshot_dt=0.05).validate()
+
 
 class TestInitialData:
     def test_bit_identical_per_seed(self):
@@ -296,6 +299,18 @@ class TestCli:
             state = stepper.step(state, enforce_cfl=(i % 100 == 0))
         assert np.array_equal(ck.U.coeffs, state.U.coeffs)
         assert (ck.t, ck.nu, ck.eps) == (state.t, state.nu, state.eps)
+
+    @pytest.mark.parametrize(
+        "over", [dict(T=0.01, snapshot_dt=0.05), dict(snapshot_dt=0), dict(snapshot_dt=-0.025)]
+    )
+    def test_snapshot_grid_outside_horizon_is_config_error(self, tmp_path, capsys, over):
+        # a snapshot grid that records nothing: no snapshot in (0, T]
+        with pytest.raises(ConfigError):
+            replace(SimConfig(), **over).validate()
+        assert cli_main(["--config", self._cfg_file(tmp_path, **over), "sweep"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: snapshot_dt")
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"

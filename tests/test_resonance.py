@@ -1,11 +1,13 @@
 """Exact resonance arithmetic against independent floating and symbolic oracles."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import frspec.resonance as resonance
 from frspec.geometry import TorusGeometry
 from frspec.resonance import (
     RadicalValue,
@@ -15,6 +17,7 @@ from frspec.resonance import (
     fiber,
     is_resonant,
     kstar_pairs,
+    radical_sign_triads,
 )
 
 
@@ -42,6 +45,43 @@ def float_brute_force_kstar(a, N, tol=1e-9):
             hit = np.abs(a_ * wk + b_ * wm - c_ * wn) < tol
             for kk, mm in zip(ks[hit], ms[hit]):
                 out.add((tuple(kk), tuple(mm), tuple(n), a_, b_, c_))
+    return out
+
+
+def _per_n_loop_oracle(geometry, N):
+    """radical_sign_triads as a Python loop over the output modes n: per n,
+    mask the in-box partners, screen each of the 8 sign classes and confirm
+    every hit through resonance.exact_sqrt_sum_is_zero."""
+    g = geometry
+    modes = resonance._box_modes(N)
+    omN = resonance._omega_float(g)[resonance._subblock_flat(g, N)]
+    h_nonzero = (modes[:, 0] != 0) | (modes[:, 1] != 0)
+    Lb = 2 * N + 1
+    sq_cache = {}
+
+    def rsq(v):
+        if v not in sq_cache:
+            sq_cache[v] = g.omega_sq_exact(v)
+        return sq_cache[v]
+
+    out = []
+    for idx_n, n in enumerate(modes):
+        if not h_nonzero[idx_n]:
+            continue
+        m = n[None, :] - modes
+        ok = h_nonzero & (np.abs(m).max(axis=1) <= N) & ((m[:, 0] != 0) | (m[:, 1] != 0))
+        if not ok.any():
+            continue
+        ks, ms, wk = modes[ok], m[ok], omN[ok]
+        wm = omN[((ms[:, 0] + N) * Lb + (ms[:, 1] + N)) * Lb + (ms[:, 2] + N)]
+        wn = omN[idx_n]
+        for a, b, c in itertools.product((1, -1), repeat=3):
+            cand = np.abs(a * wk + b * wm - c * wn) < resonance.SCREEN_TOL
+            for kk, mm in zip(ks[cand], ms[cand]):
+                kk, mm, nn = tuple(kk.tolist()), tuple(mm.tolist()), tuple(n.tolist())
+                rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
+                if resonance.exact_sqrt_sum_is_zero([(a, rk), (b, rm), (-c, rn)]):
+                    out.append((kk, mm, nn, a, b, c, (rk, rm, rn)))
     return out
 
 
@@ -115,6 +155,33 @@ class TestEnumeration:
             assert t.verify(g)
         oracle = float_brute_force_kstar((1.0, 1.0, np.sqrt(3.0)), 3)
         assert members == oracle
+
+    @pytest.mark.parametrize(
+        "a_sq,gN,N", [((1, 2, 3), 6, 6), ((1, 1, 3), 4, 4), ((1, 2, 3), 8, 5), ((1, 1, 1), 4, 4)]
+    )
+    def test_chunked_pairs_match_per_n_loop(self, a_sq, gN, N, monkeypatch):
+        g = TorusGeometry(a_sq, gN)
+        calls = Counter()
+        exact = resonance.exact_sqrt_sum_is_zero
+
+        def counting(terms):
+            calls[tuple(terms)] += 1
+            return exact(terms)
+
+        monkeypatch.setattr(resonance, "exact_sqrt_sum_is_zero", counting)
+        want = sorted(_per_n_loop_oracle(g, N))
+        want_calls = calls.copy()
+        calls.clear()
+        got = sorted(radical_sign_triads(g, N))
+        assert got == want
+        assert calls == want_calls
+        assert bool(got) == (a_sq != (1, 1, 1))
+
+    def test_chunk_size_does_not_change_kstar(self, monkeypatch):
+        g = TorusGeometry((1, 1, 3), 4)
+        want = enumerate_kstar(g)
+        monkeypatch.setattr(resonance, "_PAIR_CHUNK", 100)
+        assert want and enumerate_kstar(g) == want
 
     def test_lexicographic_order(self):
         g = TorusGeometry((1, 1, 3), 3)

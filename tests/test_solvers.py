@@ -450,6 +450,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             read_checkpoint(p)
 
+    def test_truncated_payload_names_the_file(self, tmp_path, unit_torus_4):
+        p = tmp_path / "cut.frsp"
+        write_checkpoint(p, SimState(0.0, random_field(unit_torus_4, seed=77), nu=1.0, eps=0.1))
+        p.write_bytes(p.read_bytes()[:200])
+        want = unit_torus_4.L**3 * 4 * 16
+        with pytest.raises(ValueError) as err:
+            read_checkpoint(p)
+        msg = str(err.value)
+        assert str(p) in msg and "136 bytes" in msg and f"expected {want}" in msg
+
     def test_infinite_eps_round_trips(self, tmp_path, unit_torus_4):
         V = random_field(unit_torus_4, seed=76)
         state = SimState(0.0, V, nu=1.0, eps=math.inf)
