@@ -24,13 +24,15 @@ components (a at k) and (b at m) and projecting the output on e_c(n),
       + (ncheck(n) . e_b^vel(m)) <e_a(k), e_c(n)>,
 
 which is the quantity tabulated below.  Rows come in (k,a) <-> (m,b)
-swapped pairs, so evaluating with the symmetrized coefficient product
-makes the forms bitwise symmetric in their arguments.
+swapped pairs with the same output and bitwise-equal G, so evaluating with
+the symmetrized coefficient product makes the forms bitwise symmetric in
+their arguments, and the resonant sum runs once per pair with weight 2 G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,7 +81,13 @@ def project_tilde(V: SpectralField4) -> SpectralField4:
 
 @dataclass
 class TriadTable:
-    """Sparse interaction rows for tilde-output sign classes."""
+    """Sparse interaction rows for tilde-output sign classes.
+
+    kf .. ic hold the whole resonant set.  Each row (k,a,m,b,c) has its
+    mirror (m,b,k,a,c) in the set, with the same output and the same G, and
+    no row is its own mirror.  The apply plan ka, mb, nc, W keeps one row
+    per mirror pair, the one with ka < mb, in table order, with weight
+    W = 2 G."""
 
     kf: np.ndarray  # flat mode index of k
     mf: np.ndarray
@@ -87,10 +95,10 @@ class TriadTable:
     ia: np.ndarray  # signs in {-1, 0, 1}
     ib: np.ndarray
     ic: np.ndarray
-    G: np.ndarray  # complex coupling weight
-    ka: np.ndarray  # flat (ia, kf), (ib, mf), (ic, nf): see _flat
+    ka: np.ndarray  # plan rows: flat (ia, kf), (ib, mf), (ic, nf), see _flat
     mb: np.ndarray
     nc: np.ndarray
+    W: np.ndarray  # plan rows: complex weight 2 G
 
     @property
     def rows(self) -> int:
@@ -128,7 +136,8 @@ class FormEvaluation:
     """Result of a limit-form evaluation with bookkeeping.
 
     The output is divergence-free and zero-mean (the forms project);
-    `interactions` counts the sparse triad rows summed.
+    `interactions` counts the sparse triad rows the sum covers (a mirror
+    pair of the triad table counts twice, though it is summed once).
     """
 
     output: SpectralField4
@@ -177,6 +186,7 @@ class FormEngine:
                 self.basis.ep.reshape(-1, 4),
             ]
         )
+        self._sq_cache: dict[int, Fraction] = {}
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
         self._kstar_pairs: tuple[np.ndarray, np.ndarray] | None = None
@@ -203,24 +213,27 @@ class FormEngine:
         pair_ac = np.einsum("rj,rj->r", ea_k, ec_n)
         return ndot_a * pair_bc + ndot_b * pair_ac
 
-    def _confirm_radical(self, k, m, n, a, b, c) -> bool:
-        g = self.geometry
+    def _omega_sq(self, f: int) -> Fraction:
+        """Exact squared frequency of flat mode f, computed once per mode."""
+        r = self._sq_cache.get(f)
+        if r is None:
+            r = self._sq_cache[f] = self.geometry.omega_sq_exact(tuple(self._modes[f].tolist()))
+        return r
+
+    def _confirm_radical(self, kf, mf, nf, a, b, c) -> bool:
         return exact_sqrt_sum_is_zero(
-            [
-                (a, g.omega_sq_exact(k)),
-                (b, g.omega_sq_exact(m)),
-                (-c, g.omega_sq_exact(n)),
-            ]
+            [(a, self._omega_sq(kf)), (b, self._omega_sq(mf)), (-c, self._omega_sq(nf))]
         )
 
     def _build_triad_table(self) -> TriadTable:
-        """Rows sorted by (nf, class in _CLASSES order, kf).
+        """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
+        is the rows with ka < mb, in that order.
 
         Zero-sign classes are equalities of exact frequency ids.  A radical
         class keeps the pairs with |a wk + b wm - c wn| < _RADICAL_SCREEN
         that pass exact confirmation; the screen value of the mirror class
         is the exact negation, so one screen serves both."""
-        fid, om, modes = self._freq_id, self._omega_flat, self._modes
+        fid, om = self._freq_id, self._omega_flat
         found = {"kf": [], "mf": [], "nf": [], "cls": []}
 
         def push(sel, kf, mf, nf, cls):
@@ -241,15 +254,14 @@ class FormEngine:
             # subtraction of a negation are exact, so these are its floats
             wk, wm, wn = om[kf], om[mf], om[nf]
             s, d = wk + wm, wk - wm
-            for cls, v in ((6, s - wn), (7, s + wn), (8, d - wn), (9, d + wn)):
+            # no (7, s + wn): every pair has k_h, m_h, n_h != 0, so wk + wm + wn > 0
+            for cls, v in ((6, s - wn), (8, d - wn), (9, d + wn)):
                 cand = np.nonzero(np.abs(v) < _RADICAL_SCREEN)[0]
                 for cl in (cls, 19 - cls):
                     keep = [
                         i
                         for i in cand
-                        if self._confirm_radical(
-                            modes[kf[i]], modes[mf[i]], modes[nf[i]], *_CLASSES[cl]
-                        )
+                        if self._confirm_radical(kf[i], mf[i], nf[i], *_CLASSES[cl])
                     ]
                     push(np.asarray(keep, dtype=np.int64), kf, mf, nf, cl)
 
@@ -257,14 +269,17 @@ class FormEngine:
         order = np.lexsort((kf, cls, nf))
         kf, mf, nf = kf[order], mf[order], nf[order]
         ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls[order]].T)
-        G = np.empty(len(kf), dtype=np.complex128)
-        for lo in range(0, len(kf), _G_CHUNK):
-            r = slice(lo, lo + _G_CHUNK)
-            G[r] = self._G_rows(kf[r], ia[r], mf[r], ib[r], nf[r], ic[r])
         size = self.geometry.nmodes
+        ka, mb = _flat(ia, kf, size), _flat(ib, mf, size)
+        plan = np.nonzero(ka < mb)[0]
+        W = np.empty(len(plan), dtype=np.complex128)
+        for lo in range(0, len(plan), _G_CHUNK):
+            r = plan[lo : lo + _G_CHUNK]
+            W[lo : lo + _G_CHUNK] = self._G_rows(kf[r], ia[r], mf[r], ib[r], nf[r], ic[r])
+        W *= 2.0
         return TriadTable(
-            kf, mf, nf, ia, ib, ic, G,
-            ka=_flat(ia, kf, size), mb=_flat(ib, mf, size), nc=_flat(ic, nf, size),
+            kf, mf, nf, ia, ib, ic,
+            ka=ka[plan], mb=mb[plan], nc=_flat(ic[plan], nf[plan], size), W=W,
         )
 
     def _build_under_table(self) -> UnderTable:
@@ -358,13 +373,13 @@ class FormEngine:
 
     def q_resonant(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """The sparse exact-resonant classes of q_tilde1 (every sign class
-        but (0,0,0)), summed over the triad table."""
+        but (0,0,0)), summed once per mirror pair of the triad table."""
         tab, _ = self.tables
         g = self.geometry
         out = np.zeros(3 * g.nmodes, dtype=np.complex128)
         if tab.rows:
             p = self._row_products(V1, V2, tab)
-            p *= tab.G
+            p *= tab.W
             np.add.at(out, tab.nc, p)
         out = out.reshape(3, g.nmodes)
         self.last_interactions = tab.rows

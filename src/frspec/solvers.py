@@ -540,6 +540,7 @@ def blowup_monitor(times, fields) -> np.ndarray:
 
 _MAGIC = b"FRSP"
 _VERSION = 1
+_HEADER_BYTES = 64  # magic, version, then N, a1, a2, a3, nu, eps, t as doubles
 
 
 def write_checkpoint(path, state: SimState) -> None:
@@ -558,13 +559,17 @@ def write_checkpoint(path, state: SimState) -> None:
 
 def read_checkpoint(path) -> SimState:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(_HEADER_BYTES)
+        if head[:4] != _MAGIC:
+            raise ValueError(f"checkpoint {path}: bad magic {head[:4]!r}")
+        if len(head) != _HEADER_BYTES:
+            raise ValueError(
+                f"checkpoint {path}: header is {len(head)} bytes, expected {_HEADER_BYTES}"
+            )
+        (version,) = struct.unpack_from("<I", head, 4)
         if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        Nf, a1, a2, a3, nu, eps, t = struct.unpack("<7d", fh.read(56))
+            raise ValueError(f"checkpoint {path}: unsupported version {version}")
+        Nf, a1, a2, a3, nu, eps, t = struct.unpack_from("<7d", head, 8)
         N = int(round(Nf))
         a_sq = tuple(
             Fraction(x * x).limit_denominator(10**9) for x in (a1, a2, a3)

@@ -49,7 +49,7 @@ def engine3(unit_torus_3):
 CLASS_ORDER = [(0, 1, 1), (0, -1, -1), (1, 0, 1), (-1, 0, -1), (1, -1, 0), (-1, 1, 0)] + list(
     itertools.product((1, -1), repeat=3)
 )
-TABLE_ARRAYS = ("kf", "mf", "nf", "ia", "ib", "ic", "G", "ka", "mb", "nc")
+TABLE_ARRAYS = ("kf", "mf", "nf", "ia", "ib", "ic", "ka", "mb", "nc", "W")
 UNDER_ARRAYS = ("kf", "mf", "n3i", "ia", "ib", "G4", "ka", "mb", "out")
 
 
@@ -127,7 +127,10 @@ class TestTables:
         assert set(got) == want_rows
         keys = [(nf, CLASS_ORDER.index((a, b, c)), kf) for kf, _, nf, a, b, c in got]
         assert keys == sorted(keys)
-        assert np.array_equal(tab.G, eng._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic))
+        r = _plan_rows(tab, g.nmodes)
+        assert np.array_equal(
+            tab.W, 2 * eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
+        )
 
     def test_chunk_sizes_do_not_change_the_tables(self, monkeypatch):
         g = TorusGeometry((1, 2, 3), 3)
@@ -163,21 +166,41 @@ class TestTables:
         assert sum(counts.values()) == tab.rows
 
 
-def _row_products_2d(eng, V1, V2, tab):
+def _full_flat(tab, nmodes):
+    """Flat (sign row, mode) indices of (a, k), (b, m), (c, n) on every table row."""
+    return tuple((s.astype(np.int64) + 1) * nmodes + f
+                 for s, f in ((tab.ia, tab.kf), (tab.ib, tab.mf), (tab.ic, tab.nf)))
+
+
+def _plan_rows(tab, nmodes):
+    """Table rows of the apply plan: one per mirror pair, the one with ka < mb."""
+    ka, mb, _ = _full_flat(tab, nmodes)
+    return np.nonzero(ka < mb)[0]
+
+
+def _row_products_2d(eng, V1, V2, tab, rows=slice(None)):
     """The row product with 2-D (sign row, mode) gathers."""
     C1, C2 = eng._coeff_matrix(V1), eng._coeff_matrix(V2)
-    x1 = C1[tab.ia + 1, tab.kf]
-    y2 = C2[tab.ib + 1, tab.mf]
-    x2 = C2[tab.ia + 1, tab.kf]
-    y1 = C1[tab.ib + 1, tab.mf]
+    ia, kf, ib, mf = tab.ia[rows], tab.kf[rows], tab.ib[rows], tab.mf[rows]
+    x1 = C1[ia + 1, kf]
+    y2 = C2[ib + 1, mf]
+    x2 = C2[ia + 1, kf]
+    y1 = C1[ib + 1, mf]
     return 0.5j * (0.5 * (x1 * y2 + x2 * y1))
 
 
-def q_resonant_2d(eng, V1, V2):
+def q_resonant_2d(eng, V1, V2, plan=False):
+    """The resonant sum with 2-D gathers and scatters: over every table row
+    with weight G, or over the plan rows with weight W."""
     g = eng.geometry
     tab, _ = eng.tables
+    if plan:
+        rows, w = _plan_rows(tab, g.nmodes), tab.W
+    else:
+        rows = slice(None)
+        w = eng._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic)
     out = np.zeros((3, g.nmodes), dtype=np.complex128)
-    np.add.at(out, (tab.ic + 1, tab.nf), _row_products_2d(eng, V1, V2, tab) * tab.G)
+    np.add.at(out, (tab.ic[rows] + 1, tab.nf[rows]), _row_products_2d(eng, V1, V2, tab, rows) * w)
     shape = (g.L,) * 3
     return field_from_coefficients(
         g, {-1: out[0].reshape(shape), 0: out[1].reshape(shape), 1: out[2].reshape(shape)}
@@ -207,12 +230,75 @@ class TestFlatIndexApply:
         _, qu = eng.tables
         rng = np.random.default_rng(63)
         qu.G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
-        for got, want in (
-            (eng.q_resonant(A, B), q_resonant_2d(eng, A, B)),
-            (eng.q_underline(A, B), q_underline_2d(eng, A, B)),
-        ):
-            assert np.max(np.abs(got.coeffs)) > 0
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        got = eng.q_resonant(A, B)
+        assert np.max(np.abs(got.coeffs)) > 0
+        assert got.coeffs.tobytes() == q_resonant_2d(eng, A, B, plan=True).coeffs.tobytes()
+        # weight 2 G on one row of a pair reorders the additions of the sum
+        # over both rows
+        full = q_resonant_2d(eng, A, B).coeffs
+        assert np.max(np.abs(got.coeffs - full)) <= 1e-14 * np.max(np.abs(full))
+        got = eng.q_underline(A, B)
+        assert np.max(np.abs(got.coeffs)) > 0
+        assert got.coeffs.tobytes() == q_underline_2d(eng, A, B).coeffs.tobytes()
+
+
+@pytest.fixture(scope="module", params=[((1, 2, 3), 3), ((1, 1, 1), 4), ((1, 4, 1), 5)],
+                ids=lambda p: "-".join(map(str, p[0])) + f"-N{p[1]}")
+def mirror_engine(request):
+    return FormEngine(TorusGeometry(*request.param), nu=1.0)
+
+
+class TestMirrorPlan:
+    """Every table row (k,a,m,b,c) has its swap (m,b,k,a,c), and the apply
+    plan keeps one row of each pair with weight 2 G."""
+
+    @staticmethod
+    def _mirror(tab, nmodes):
+        """Index of each row's swap (m,b,k,a,c) in the table."""
+        ka, mb, nc = _full_flat(tab, nmodes)
+        width = 3 * nmodes
+        key = (ka * width + mb) * width + nc
+        order = np.argsort(key)
+        assert np.all(np.diff(key[order]) > 0)
+        swap = (mb * width + ka) * width + nc
+        pos = np.searchsorted(key[order], swap)
+        assert np.all(pos < len(key)) and np.array_equal(key[order][pos], swap)
+        return order[pos]
+
+    def test_every_row_has_its_mirror(self, mirror_engine):
+        tab, _ = mirror_engine.tables
+        j = self._mirror(tab, mirror_engine.geometry.nmodes)
+        assert tab.rows > 0
+        for x, y in (("kf", "mf"), ("mf", "kf"), ("ia", "ib"), ("ib", "ia"), ("nf", "nf"), ("ic", "ic")):
+            assert np.array_equal(getattr(tab, x)[j], getattr(tab, y)), (x, y)
+        _, _, nc = _full_flat(tab, mirror_engine.geometry.nmodes)
+        assert np.array_equal(nc[j], nc)
+
+    def test_G_is_bitwise_equal_on_a_pair(self, mirror_engine):
+        tab, _ = mirror_engine.tables
+        j = self._mirror(tab, mirror_engine.geometry.nmodes)
+        G = mirror_engine._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic)
+        assert G[j].tobytes() == G.tobytes()
+
+    def test_no_row_is_its_own_mirror(self, mirror_engine):
+        tab, _ = mirror_engine.tables
+        ka, mb, _ = _full_flat(tab, mirror_engine.geometry.nmodes)
+        assert not np.any(ka == mb)
+
+    def test_plan_is_the_rows_with_ka_below_mb(self, mirror_engine):
+        tab, _ = mirror_engine.tables
+        nmodes = mirror_engine.geometry.nmodes
+        r = _plan_rows(tab, nmodes)
+        assert tab.rows % 2 == 0 and len(r) == tab.rows // 2
+        for name, full in zip(("ka", "mb", "nc"), _full_flat(tab, nmodes)):
+            got = getattr(tab, name)
+            assert got.dtype == np.int64 and got.tobytes() == full[r].tobytes(), name
+
+    def test_W_is_twice_G(self, mirror_engine):
+        tab, _ = mirror_engine.tables
+        r = _plan_rows(tab, mirror_engine.geometry.nmodes)
+        G = mirror_engine._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
+        assert tab.W.dtype == np.complex128 and tab.W.tobytes() == (2 * G).tobytes()
 
 
 class TestQeps:

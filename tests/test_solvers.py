@@ -447,8 +447,9 @@ class TestCheckpoints:
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.frsp"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad magic") as err:
             read_checkpoint(p)
+        assert str(p) in str(err.value)
 
     def test_truncated_payload_names_the_file(self, tmp_path, unit_torus_4):
         p = tmp_path / "cut.frsp"
@@ -459,6 +460,16 @@ class TestCheckpoints:
             read_checkpoint(p)
         msg = str(err.value)
         assert str(p) in msg and "136 bytes" in msg and f"expected {want}" in msg
+
+    @pytest.mark.parametrize("cut", [6, 30])
+    def test_truncated_header_names_the_file(self, tmp_path, unit_torus_4, cut):
+        p = tmp_path / "cut.frsp"
+        write_checkpoint(p, SimState(0.0, random_field(unit_torus_4, seed=77), nu=1.0, eps=0.1))
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(ValueError) as err:
+            read_checkpoint(p)
+        msg = str(err.value)
+        assert str(p) in msg and f"{cut} bytes" in msg and "expected 64" in msg
 
     def test_infinite_eps_round_trips(self, tmp_path, unit_torus_4):
         V = random_field(unit_torus_4, seed=76)
