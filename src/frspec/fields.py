@@ -19,8 +19,10 @@ velocity a is divergence-free (a_h horizontally divergence-free), which
 every caller guarantees: Leray-projected fields, the limit system's bar
 and underline parts.  One evaluation makes one inverse transform of a and
 B (3 + 4 components, 2 + 4 horizontal, 4 when A is B; 4 + 4 for the
-symmetric `transport`) and one forward transform of the products a_j B_c
-(12 components, 8 horizontal).
+symmetric `transport`) and one forward transform of the products P_jc =
+a_j B_c (12 components, 8 horizontal).  Where P_jc = P_cj for j, c <= 3
+(A is B, and the symmetric `transport`) the full stencil transforms only
+the 9 distinct products.
 """
 
 from __future__ import annotations
@@ -234,19 +236,35 @@ def _samples(A: SpectralField4, B: SpectralField4, ncomp: int) -> tuple[np.ndarr
     return grid[:ncomp], grid[ncomp:]
 
 
-def _divergence(geometry: TorusGeometry, prod: np.ndarray) -> SpectralField4:
-    """Dealiased coefficients of sum_j d_j P_jc from the samples P (J, 4, M, M, M).
+# slot of P_jc in the transformed products: all 12 in row order, or, for a
+# symmetric full stencil (P_jc = P_cj for j, c <= 3), the 9 with j <= c
+_PLAIN_SLOTS = np.arange(12).reshape(3, 4)
+_SYM_SLOTS = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8]])
+_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
 
-    One batched forward transform of the 4 J products, then i ncheck_j P_hat_jc
+
+def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> SpectralField4:
+    """Dealiased coefficients of sum_j d_j P_jc from the samples prod (P, M, M, M)
+    of the products, P_jc = prod[slots[j, c]] for j < J = len(slots).
+
+    One batched forward transform of the P products, then i ncheck_j P_hat_jc
     summed over j = 1..J on the half lattice (J = 2 is the horizontal div_h).
     """
     g = geometry
-    J = prod.shape[0]
-    hat = _from_grid(g, prod.reshape((4 * J,) + prod.shape[2:]))
-    hat = hat.reshape(J, 4, g.L, g.L, g.N + 1)
+    hat = _from_grid(g, prod)
     k1, k2, k3 = g.check_grid
     ks = (k1, k2, k3[..., g.N :])
-    return _lattice(g, 1j * sum(ks[j] * hat[j] for j in range(J))).pin_zero_mode()
+    return _lattice(g, 1j * sum(ks[j] * hat[slots[j]] for j in range(len(slots)))).pin_zero_mode()
+
+
+def _stencil_divergence(geometry: TorusGeometry, product, J: int, symmetric: bool) -> SpectralField4:
+    """`_divergence` of the samples P_jc = product(j, c), transforming the 9
+    distinct ones when the stencil is full and P_jc = P_cj."""
+    if symmetric and J == 3:
+        pairs, slots = _SYM_PAIRS, _SYM_SLOTS
+    else:
+        pairs, slots = [(j, c) for j in range(J) for c in range(4)], _PLAIN_SLOTS[:J]
+    return _divergence(geometry, np.stack([product(j, c) for j, c in pairs]), slots)
 
 
 def convolve_quadratic(
@@ -264,7 +282,7 @@ def convolve_quadratic(
     """
     J = 2 if stencil == "horizontal" else 3
     a, b = _samples(A, B, J)
-    return _divergence(A.geometry, a[:, None] * b[None])
+    return _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c], J, A is B)
 
 
 def transport(A: SpectralField4, B: SpectralField4, stencil: str = "full") -> SpectralField4:
@@ -275,7 +293,7 @@ def transport(A: SpectralField4, B: SpectralField4, stencil: str = "full") -> Sp
     """
     J = 2 if stencil == "horizontal" else 3
     a, b = _samples(A, B, 4)
-    raw = _divergence(A.geometry, a[:J, None] * b[None] + b[:J, None] * a[None])
+    raw = _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c] + b[j] * a[c], J, True)
     return leray_project(0.5 * raw, check_mean=False)
 
 

@@ -14,7 +14,12 @@ identically zero.  In the eigen decomposition the interactions split into
 sign classes: the (0,0,0) class is an unrestricted convolution of the
 e_0 parts (evaluated by FFT), while every class with a nonzero sign is
 supported on an exactly enumerated resonant set (evaluated by sparse
-triad summation with exact-arithmetic membership decisions).
+triad summation).  The tables are built by joins inside exact frequency
+classes (see `resonance`): zero-sign classes by equal-omega ids, radical
+classes by an integer identity in int64, proven exact while
+3 s_max^3 < 2^63 for the reduced denominators s of omega^2 (N <= 363 on
+a^2 = (1, 2, 3)), in Python integers past that; no float screen takes
+part.  Every radical row is also confirmed over Fractions.
 
 Per-row coupling weight: restricting the two inputs of T to eigen
 components (a at k) and (b at m) and projecting the output on e_c(n),
@@ -38,7 +43,14 @@ import numpy as np
 
 from .fields import SpectralField4, transport, zero_field
 from .geometry import TorusGeometry
-from .resonance import _pair_chunks, exact_sqrt_sum_is_zero, omega_ratio_ints
+from .resonance import (
+    _box_axes,
+    _class_pairs,
+    _freq_classes,
+    _radical_rows,
+    _third_mode,
+    exact_sqrt_sum_is_zero,
+)
 from .waves import (
     EigenBasis,
     apply_filter,
@@ -60,7 +72,6 @@ _CLASSES = (
     (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
 )
 _CLASS_SIGNS = np.array(_CLASSES, dtype=np.int8)
-_RADICAL_SCREEN = 1e-11
 # table rows per G chunk: it bounds the memory of the table build, not its
 # result.
 _G_CHUNK = 1 << 15
@@ -159,16 +170,6 @@ class FormEngine:
         self._modes = np.stack(
             np.meshgrid(g.n_axis, g.n_axis, g.n_axis, indexing="ij"), axis=-1
         ).reshape(-1, 3)
-        H, S = omega_ratio_ints(g)
-        Sf = np.where(S > 0, S, 1).astype(float)
-        self._omega_flat = np.sqrt(H / Sf)
-        # exact frequency classes: equal ids <=> H_x S_y == H_y S_x, from
-        # H / S in lowest terms
-        d = np.gcd(H, S)
-        d[d == 0] = 1
-        self._freq_id = np.unique(
-            np.stack([H // d, S // d], axis=1), axis=0, return_inverse=True
-        )[1].reshape(-1)
         k1, k2, k3 = g.check_grid
         self._ncheck_flat = np.stack(
             [
@@ -225,51 +226,57 @@ class FormEngine:
             [(a, self._omega_sq(kf)), (b, self._omega_sq(mf)), (-c, self._omega_sq(nf))]
         )
 
-    def _build_triad_table(self) -> TriadTable:
+    def _build_triad_table(self, x: np.ndarray, y: np.ndarray) -> TriadTable:
         """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
         is the rows with ka < mb, in that order.
 
-        Zero-sign classes are equalities of exact frequency ids.  A radical
-        class keeps the pairs with |a wk + b wm - c wn| < _RADICAL_SCREEN
-        that pass exact confirmation; the screen value of the mirror class
-        is the exact negation, so one screen serves both."""
-        fid, om = self._freq_id, self._omega_flat
-        found = {"kf": [], "mf": [], "nf": [], "cls": []}
+        (x, y) are the ordered pairs of modes with equal omega.  They are
+        the zero-sign classes: (0, b, b) with (m, n) = (x, y) and (a, 0, a)
+        with (k, n) = (x, y), both with the third mode y - x, and (a, -a, 0)
+        with (k, m) = (x, y).  The radical classes are the rows of
+        `_radical_rows` and their mirrors (-a, -b, -c), each also confirmed
+        by exact_sqrt_sum_is_zero; a disagreement raises.  Each row is one
+        unique int64 key (nf * 14 + class) * L^3 + kf, so one sort orders
+        the table and the rows decode from their keys."""
+        g = self.geometry
+        size, centre = g.nmodes, g.nmodes // 2
+        axes = _box_axes(g.N)
+        keys = []
 
-        def push(sel, kf, mf, nf, cls):
-            found["kf"].append(kf[sel])
-            found["mf"].append(mf[sel])
-            found["nf"].append(nf[sel])
-            found["cls"].append(np.full(len(sel), cls, dtype=np.int8))
+        def push(kf, nf, cls, mirror_cls):
+            key = (nf * 14 + cls) * size + kf
+            keys.extend((key, key + (mirror_cls - cls) * size))
 
-        for kf, mf, nf in _pair_chunks(self.geometry.N):
-            ik, im, i_n = fid[kf], fid[mf], fid[nf]
-            # (0, b, b): omega(m) = omega(n); (a, 0, a): omega(k) = omega(n);
-            # (a, -a, 0): omega(k) = omega(m)
-            for cls, eq in ((0, im == i_n), (2, ik == i_n), (4, ik == im)):
-                sel = np.nonzero(eq)[0]
-                push(sel, kf, mf, nf, cls)
-                push(sel, kf, mf, nf, cls + 1)
-            # a wk + b wm - c wn for a = +1: products with +-1 and the
-            # subtraction of a negation are exact, so these are its floats
-            wk, wm, wn = om[kf], om[mf], om[nf]
-            s, d = wk + wm, wk - wm
-            # no (7, s + wn): every pair has k_h, m_h, n_h != 0, so wk + wm + wn > 0
-            for cls, v in ((6, s - wn), (8, d - wn), (9, d + wn)):
-                cand = np.nonzero(np.abs(v) < _RADICAL_SCREEN)[0]
-                for cl in (cls, 19 - cls):
-                    keep = [
-                        i
-                        for i in cand
-                        if self._confirm_radical(kf[i], mf[i], nf[i], *_CLASSES[cl])
-                    ]
-                    push(np.asarray(keep, dtype=np.int64), kf, mf, nf, cl)
+        in_box, h_zero = _third_mode(axes, x, y, g.N, -1)
+        xd, yd = (v[in_box & ~h_zero].astype(np.int64) for v in (x, y))
+        push(yd - xd + centre, yd, 0, 1)
+        push(xd, yd, 2, 3)
+        del xd, yd
+        in_box, h_zero = _third_mode(axes, x, y, g.N, 1)
+        xs, ys = (v[in_box & ~h_zero].astype(np.int64) for v in (x, y))
+        push(xs, xs + ys - centre, 4, 5)
+        del xs, ys, in_box, h_zero
 
-        kf, mf, nf, cls = (np.concatenate(found.pop(key)) for key in ("kf", "mf", "nf", "cls"))
-        order = np.lexsort((kf, cls, nf))
-        kf, mf, nf = kf[order], mf[order], nf[order]
-        ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls[order]].T)
-        size = self.geometry.nmodes
+        kf, mf, nf, b, c = _radical_rows(g, g.N)
+        cls = 6 + (1 - b.astype(np.int64)) + (1 - c.astype(np.int64)) // 2
+        for row in zip(kf.tolist(), mf.tolist(), nf.tolist(), cls.tolist()):
+            for cl in (row[3], 19 - row[3]):
+                if not self._confirm_radical(*row[:3], *_CLASSES[cl]):
+                    raise ArithmeticError(
+                        f"integer and radical resonance decisions disagree at "
+                        f"flat modes {row[:3]}, class {_CLASSES[cl]}"
+                    )
+        push(kf, nf, cls, 19 - cls)
+
+        key = np.concatenate(keys)
+        del keys
+        key.sort()
+        kf = key % size
+        key //= size
+        cls, nf = key % 14, key // 14
+        del key
+        mf = nf - kf + centre
+        ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls].T)
         ka, mb = _flat(ia, kf, size), _flat(ib, mf, size)
         plan = np.nonzero(ka < mb)[0]
         W = np.empty(len(plan), dtype=np.complex128)
@@ -282,22 +289,25 @@ class FormEngine:
             ka=ka[plan], mb=mb[plan], nc=_flat(ic[plan], nf[plan], size), W=W,
         )
 
-    def _build_under_table(self) -> UnderTable:
+    def _build_under_table(self, x: np.ndarray, y: np.ndarray) -> UnderTable:
         """Rows (a, -a) with k + m on the vertical line and omega(k) = omega(m),
-        sorted by (n3i, a = +1 before -1, kf)."""
+        (k, m) one of the ordered equal-omega pairs (x, y), sorted by
+        (n3i, a = +1 before -1, kf) through the unique key
+        (2 n3i + [a = -1]) * L^3 + kf."""
         g = self.geometry
-        fid = self._freq_id
-        found = []
-        for kf, mf, nf in _pair_chunks(g.N, underline=True):
-            sel = np.nonzero(fid[kf] == fid[mf])[0]
-            found.append((kf[sel], mf[sel], nf[sel]))
-        kf, mf, nf = (np.concatenate(parts) for parts in zip(*found))
-        del found
-        n3i = nf - (g.nmodes // 2 - g.N)  # (0, 0, n3) is the centre plus n3
-        ia = np.repeat(np.array([1, -1], dtype=np.int8), len(kf))
-        kf, mf, nf, n3i = (np.concatenate([x, x]) for x in (kf, mf, nf, n3i))
-        order = np.lexsort((kf, -ia, n3i))
-        kf, mf, nf, n3i, ia = kf[order], mf[order], nf[order], n3i[order], ia[order]
+        size, centre = g.nmodes, g.nmodes // 2
+        in_box, h_zero = _third_mode(_box_axes(g.N), x, y, g.N, 1)
+        xs, ys = (v[in_box & h_zero].astype(np.int64) for v in (x, y))
+        # (0, 0, n3) is the centre plus n3
+        key = (2 * (xs + ys - centre - (centre - g.N))) * size + xs
+        key = np.concatenate([key, key + size])
+        key.sort()
+        kf = key % size
+        key //= size
+        n3i = key // 2
+        ia = (1 - 2 * (key % 2)).astype(np.int8)
+        nf = n3i + (centre - g.N)
+        mf = nf - kf + centre
         ib = -ia
         ev = self._evec
         ea_k = ev[ia + 1, kf]
@@ -316,8 +326,9 @@ class FormEngine:
     @property
     def tables(self) -> tuple[TriadTable, UnderTable]:
         if self._tab_t1 is None:
-            self._tab_t1 = self._build_triad_table()
-            self._tab_qu = self._build_under_table()
+            x, y = _class_pairs(_freq_classes(self.geometry))
+            self._tab_t1 = self._build_triad_table(x, y)
+            self._tab_qu = self._build_under_table(x, y)
         return self._tab_t1, self._tab_qu
 
     # -- epsilon-dependent forms ---------------------------------------------------

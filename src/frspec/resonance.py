@@ -3,23 +3,34 @@
 Every eigenfrequency satisfies omega(n)^2 = |ncheck_h|^2 / |ncheck|^2, a
 rational number once the squared periods a_i^2 are rational.  Resonance
 conditions are therefore equalities between signed square roots of
-rationals and are decided exactly: a fast floating screen discards pairs
-that are provably non-resonant (the float error is orders of magnitude
-below the screen threshold) and every candidate is confirmed by clearing
-radicals over Fractions.  No tolerance ever decides membership.
+rationals and are decided exactly, in integers or over Fractions.  No
+floating-point value decides or prunes membership.
 
-The candidate (k, m) pairs come from one chunked pair stream,
-`_pair_chunks`: flat indices into the box [-N, N]^3 of every pair with k,
-m and n = k + m in the box, built from per-axis pair products in numpy
-chunks of bounded size.  `radical_sign_triads` screens it on a sub-box
-N <= geometry.N, and `forms.FormEngine` builds its triad tables from it
-with N = geometry.N.
+The enumerators join modes inside exact frequency classes instead of
+screening pairs.  With omega^2 = h / s in lowest terms:
+
+- omega(x) = omega(y) exactly when x and y share the equal-omega id of
+  (h, s) (`_freq_classes`); this decides every class with a zero sign.
+- A three-term resonance a omega(k) + b omega(m) = c omega(n) with nonzero
+  signs needs k, m, n in one radical class: squaring it once shows that
+  omega(k) omega(m) and omega(k) omega(n) are rational, so h s of all three
+  has the same square-free kernel r.  Inside a class omega = (q / s) sqrt(r)
+  with h s = q^2 r, and the resonance is the integer identity
+  a q_k s_m s_n + b q_m s_k s_n = c q_n s_k s_m.  Its terms are at most
+  s_max^3 (q <= s), so it is evaluated in int64 while 3 s_max^3 < 2^63 and
+  in Python integers past that.  s <= (w1 + w2 + w3) N^2 (`int_weights`),
+  so int64 holds up to N = 363 on a^2 = (1, 2, 3).
+
+`radical_sign_triads` passes each radical row through
+`exact_sqrt_sum_is_zero` as well, and raises if the two exact decisions
+disagree; `forms.FormEngine` builds its triad tables from the same joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -35,16 +46,7 @@ __all__ = [
     "fiber",
     "enumerate_iab",
     "omega_ratio_ints",
-    "SCREEN_TOL",
 ]
-
-# Floating screen threshold: double-precision evaluation of the resonance
-# expressions is exact to ~1e-14 at desk scale, so anything larger than
-# this is certainly nonzero; anything smaller goes to the exact decision.
-SCREEN_TOL = 1e-9
-# (k, m) pairs per enumeration chunk: it bounds the memory of an
-# enumeration, not its result.
-_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -171,61 +173,139 @@ def omega_ratio_ints(geometry: TorusGeometry):
     return H.reshape(-1), S.reshape(-1)
 
 
-def _omega_float(geometry: TorusGeometry) -> np.ndarray:
-    H, S = omega_ratio_ints(geometry)
-    Sf = np.where(S > 0, S, 1).astype(float)
-    return np.sqrt(H / Sf)
-
-
 def _box_modes(N: int) -> np.ndarray:
     """All integer modes in [-N, N]^3, lexicographic, shape (L^3, 3)."""
     r = np.arange(-N, N + 1)
     return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def _axis_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 3N^2 + 3N + 1 pairs (k_i, m_i) with |k_i|, |m_i|, |k_i + m_i| <= N."""
-    r = np.arange(-N, N + 1, dtype=np.int64)
-    k, m = np.meshgrid(r, r, indexing="ij")
-    ok = np.abs(k + m) <= N
-    return k[ok], m[ok]
+# -- exact joins inside frequency classes ----------------------------------------
 
 
-def _pair_chunks(N: int, underline: bool = False):
-    """Flat indices (kf, mf, nf = kf + mf - centre) into the box [-N, N]^3 of
-    every pair with k, m, k + m in the box, k_h, m_h != 0 and n_h != 0
-    (n_h == 0 if `underline`), in chunks of about _PAIR_CHUNK pairs: the
-    product of the horizontal axes, broadcast against the vertical axis."""
+def _lowest_terms(H: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, s) = (H, S) / gcd(H, S), with the zero mode's (0, 0) kept."""
+    d = np.gcd(H, S)
+    d[d == 0] = 1
+    return H // d, S // d
+
+
+def _freq_classes(geometry: TorusGeometry) -> np.ndarray:
+    """Equal-omega class id of every flat lattice mode with n_h != 0, -1 on
+    n_h = 0: equal ids <=> H_x S_y == H_y S_x, from H / S in lowest terms."""
+    h, s = _lowest_terms(*omega_ratio_ints(geometry))
+    ids = np.unique(np.stack([h, s], axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    return np.where(h > 0, ids, -1)
+
+
+def _square_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(root, core) with v = root^2 core and core square-free, for v >= 1."""
+    u, inv = np.unique(np.asarray(v, dtype=np.int64), return_inverse=True)
+    root, core = np.ones_like(u), u.copy()
+    for p in range(2, isqrt(int(u.max(initial=1))) + 1):
+        hit = core % (p * p) == 0
+        while hit.any():
+            core[hit] //= p * p
+            root[hit] *= p
+            hit = core % (p * p) == 0
+    return root[inv], core[inv]
+
+
+def _radical_form(geometry: TorusGeometry, N: int):
+    """omega = (q / s) sqrt(r) on the flat sub-box [-N, N]^3: omega^2 = h / s
+    in lowest terms and h s = q^2 r with r square-free.  r is the radical
+    class, -1 on n_h = 0 (q = 0 there)."""
+    H, S = omega_ratio_ints(geometry)
+    sub = _subblock_flat(geometry, N)
+    h, s = _lowest_terms(H[sub], S[sub])
+    live = h > 0
+    q = np.zeros_like(h)
+    r = np.full_like(h, -1)
+    # h and s are coprime, so the square split of h s is the product of theirs
+    (qh, rh), (qs, rs) = _square_split(h[live]), _square_split(s[live])
+    q[live], r[live] = qh * qs, rh * rs
+    return q, s, r
+
+
+def _box_axes(N: int) -> np.ndarray:
+    """int16 coordinates (3, L^3) of the flat box [-N, N]^3."""
     L = 2 * N + 1
-    k, m = _axis_pairs(N)
-    k1, k2 = np.repeat(k, len(k)), np.tile(k, len(k))
-    m1, m2 = np.repeat(m, len(m)), np.tile(m, len(m))
-    ok = ((k1 != 0) | (k2 != 0)) & ((m1 != 0) | (m2 != 0))
-    nh0 = (k1 + m1 == 0) & (k2 + m2 == 0)
-    ok &= nh0 if underline else ~nh0
-    kh = ((k1[ok] + N) * L + (k2[ok] + N)) * L
-    mh = ((m1[ok] + N) * L + (m2[ok] + N)) * L
-    k3, m3 = k + N, m + N
-    centre = L**3 // 2
-    step = max(1, _PAIR_CHUNK // len(k3))
-    for s in range(0, len(kh), step):
-        kf = (kh[s : s + step, None] + k3).reshape(-1)
-        mf = (mh[s : s + step, None] + m3).reshape(-1)
-        yield kf, mf, kf + mf - centre
+    return np.indices((L, L, L), dtype=np.int16).reshape(3, -1) - np.int16(N)
+
+
+def _class_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (x, y), as int32 positions, with key[x] == key[y] >= 0."""
+    live = np.flatnonzero(key >= 0).astype(np.int32)
+    members = live[np.argsort(key[live], kind="stable")]
+    _, start, size = np.unique(key[members], return_index=True, return_counts=True)
+    # member i of a class of size c pairs with positions start .. start + c - 1
+    reps = np.repeat(size, size)
+    x = np.repeat(members, reps)
+    y = np.arange(len(x), dtype=np.int64)
+    y -= np.repeat(np.cumsum(reps) - reps - np.repeat(start, size), reps)
+    return x, members[y]
+
+
+def _third_mode(axes: np.ndarray, x: np.ndarray, y: np.ndarray, N: int, sign: int):
+    """(in_box, h_zero) masks of z = y + sign x for box positions x, y."""
+    z = [axes[i][y] + sign * axes[i][x] for i in range(3)]
+    in_box = (np.abs(z[0]) <= N) & (np.abs(z[1]) <= N) & (np.abs(z[2]) <= N)
+    return in_box, (z[0] == 0) & (z[1] == 0)
+
+
+def _identity_dtype(s_max: int):
+    """int64 when every term of the triad identity and every sum of two is
+    proven to fit, 3 s_max^3 < 2^63; Python integers past that bound."""
+    return np.int64 if 3 * int(s_max) ** 3 < 2**63 else object
+
+
+def _identity_terms(q, s, kf, mf, nf, dtype):
+    """(q_k s_m s_n, q_m s_k s_n, q_n s_k s_m) of each row, exact in `dtype`."""
+    q, s = np.asarray(q).astype(dtype), np.asarray(s).astype(dtype)
+    sk, sm, sn = s[kf], s[mf], s[nf]
+    return q[kf] * sm * sn, q[mf] * sk * sn, q[nf] * sk * sm
+
+
+def _radical_rows(geometry: TorusGeometry, N: int):
+    """Every radical resonant row with a = +1 on the box [-N, N]^3: flat box
+    indices kf, mf, nf (int64) and signs b, c (int8) with
+    omega(k) + b omega(m) = c omega(n), all horizontal parts nonzero.
+
+    k, m, n share one radical class r, since squaring the resonance once
+    makes omega(k) omega(m) and omega(k) omega(n) rational.  Inside a class
+    the resonance is the integer identity
+    q_k s_m s_n + b q_m s_k s_n = c q_n s_k s_m; (b, c) = (+1, -1) has no
+    solution, and a pair satisfies at most one of the other three."""
+    q, s, r = _radical_form(geometry, N)
+    x, y = _class_pairs(r)
+    in_box, h_zero = _third_mode(_box_axes(N), x, y, N, 1)
+    x, y = x[in_box & ~h_zero], y[in_box & ~h_zero]
+    kf, mf = x.astype(np.int64), y.astype(np.int64)
+    del x, y, in_box, h_zero
+    nf = kf + mf - len(s) // 2
+    same = r[nf] == r[kf]
+    kf, mf, nf = kf[same], mf[same], nf[same]
+    t1, t2, t3 = _identity_terms(q, s, kf, mf, nf, _identity_dtype(s.max()))
+    plus, minus = t1 + t2 == t3, t1 - t2 == t3
+    hit = plus | minus | (t1 - t2 == -t3)
+    b = np.where(plus, 1, -1).astype(np.int8)[hit]
+    c = np.where(minus | plus, 1, -1).astype(np.int8)[hit]
+    return kf[hit], mf[hit], nf[hit], b, c
 
 
 def radical_sign_triads(geometry: TorusGeometry, N: int | None = None):
     """All (k, m, n, a, b, c) with signs in {+,-}^3, k+m=n, all horizontal
     parts nonzero, max norm <= N, satisfying the resonance exactly.
 
-    Returns a list of plain tuples (unsorted); enumerate_kstar wraps it.
+    The rows of `_radical_rows` and their mirrors (-a, -b, -c), each also
+    confirmed by exact_sqrt_sum_is_zero; a disagreement of the two exact
+    decisions raises.  Returns a list of plain tuples (unsorted);
+    enumerate_kstar wraps it.
     """
     g = geometry
     N = g.N if N is None else N
     if N > g.N:
         raise ValueError("enumeration beyond the geometry truncation")
     modes = _box_modes(N)
-    om = _omega_float(g)[_subblock_flat(g, N)]
     sq_cache: dict[tuple[int, int, int], Fraction] = {}
 
     def rsq(t):
@@ -236,19 +316,15 @@ def radical_sign_triads(geometry: TorusGeometry, N: int | None = None):
         return r
 
     out = []
-    for kf, mf, nf in _pair_chunks(N):
-        # a wk + b wm - c wn for a = +1: products with +-1 and the
-        # subtraction of a negation are exact, so these are its floats, and
-        # the class (-a, -b, -c) has the exact negation
-        wk, wm, wn = om[kf], om[mf], om[nf]
-        s, d = wk + wm, wk - wm
-        for b, c, v in ((1, 1, s - wn), (1, -1, s + wn), (-1, 1, d - wn), (-1, -1, d + wn)):
-            for i in np.nonzero(np.abs(v) < SCREEN_TOL)[0]:
-                kk, mm, nn = (tuple(modes[x].tolist()) for x in (kf[i], mf[i], nf[i]))
-                rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
-                for a in (1, -1):
-                    if exact_sqrt_sum_is_zero([(a, rk), (a * b, rm), (-a * c, rn)]):
-                        out.append((kk, mm, nn, a, a * b, a * c, (rk, rm, rn)))
+    for kf, mf, nf, b, c in zip(*(col.tolist() for col in _radical_rows(g, N))):
+        kk, mm, nn = (tuple(modes[x].tolist()) for x in (kf, mf, nf))
+        rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
+        for a in (1, -1):
+            if not exact_sqrt_sum_is_zero([(a, rk), (a * b, rm), (-a * c, rn)]):
+                raise ArithmeticError(
+                    f"integer and radical resonance decisions disagree at {kk}, {mm}, {nn}"
+                )
+            out.append((kk, mm, nn, a, a * b, a * c, (rk, rm, rn)))
     return out
 
 

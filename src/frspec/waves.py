@@ -212,11 +212,12 @@ def coefficients(field: SpectralField4) -> dict[int, np.ndarray]:
     Keys: 0 -> e_0, +1 -> e_+, -1 -> e_-.
     """
     basis = EigenBasis.of(field.geometry)
-    v = field.coeffs
-    return {
-        a: np.einsum("xyzc,xyzc->xyz", v, np.conj(basis.evec[a]))
-        for a in (0, 1, -1)
-    }
+    return {a: _coefficient(basis, field.coeffs, a) for a in (0, 1, -1)}
+
+
+def _coefficient(basis: EigenBasis, v: np.ndarray, a: int) -> np.ndarray:
+    """c_a(n) = <v(n), e_a(n)> over the lattice."""
+    return np.einsum("xyzc,xyzc->xyz", v, np.conj(basis.evec[a]))
 
 
 def field_from_coefficients(
@@ -286,12 +287,12 @@ def apply_filter(tau: float, field: SpectralField4) -> SpectralField4:
         return field.copy()
     g = field.geometry
     basis = EigenBasis.of(g)
-    c = coefficients(field)
+    cp, cm = (_coefficient(basis, field.coeffs, a) for a in (1, -1))
     phase = np.exp(1j * tau * basis.omega)
     out = field.coeffs.copy()
     # remove the oscillating components, re-add them with their phases
-    out -= c[1][..., None] * basis.ep
-    out -= c[-1][..., None] * basis.em
-    out += (c[1] * phase)[..., None] * basis.ep
-    out += (c[-1] * np.conj(phase))[..., None] * basis.em
+    out -= cp[..., None] * basis.ep
+    out -= cm[..., None] * basis.em
+    out += (cp * phase)[..., None] * basis.ep
+    out += (cm * np.conj(phase))[..., None] * basis.em
     return SpectralField4(g, out)

@@ -24,6 +24,41 @@ def random_field(geometry, seed=0, divergence_free=True, amplitude=None, spectru
     return f
 
 
+def pair_stream(N, underline=False, chunk=1 << 16):
+    """The pair stream the resonance tables were once screened from: flat
+    indices (kf, mf, nf = kf + mf - centre) into the box [-N, N]^3 of every
+    pair with k, m, k + m in the box, k_h, m_h != 0 and n_h != 0 (n_h == 0
+    if `underline`), in chunks of about `chunk` pairs built from per-axis
+    pair products."""
+    L = 2 * N + 1
+    r = np.arange(-N, N + 1, dtype=np.int64)
+    k, m = np.meshgrid(r, r, indexing="ij")
+    ok = np.abs(k + m) <= N
+    k, m = k[ok], m[ok]
+    k1, k2 = np.repeat(k, len(k)), np.tile(k, len(k))
+    m1, m2 = np.repeat(m, len(m)), np.tile(m, len(m))
+    ok = ((k1 != 0) | (k2 != 0)) & ((m1 != 0) | (m2 != 0))
+    nh0 = (k1 + m1 == 0) & (k2 + m2 == 0)
+    ok &= nh0 if underline else ~nh0
+    kh = ((k1[ok] + N) * L + (k2[ok] + N)) * L
+    mh = ((m1[ok] + N) * L + (m2[ok] + N)) * L
+    k3, m3 = k + N, m + N
+    centre = L**3 // 2
+    step = max(1, chunk // len(k3))
+    for s in range(0, len(kh), step):
+        kf = (kh[s : s + step, None] + k3).reshape(-1)
+        mf = (mh[s : s + step, None] + m3).reshape(-1)
+        yield kf, mf, kf + mf - centre
+
+
+def float_omega(geometry):
+    """omega(n) in double precision over the flat lattice."""
+    from frspec.resonance import omega_ratio_ints
+
+    H, S = omega_ratio_ints(geometry)
+    return np.sqrt(H / np.where(S > 0, S, 1).astype(float))
+
+
 @pytest.fixture(scope="session")
 def unit_torus_4():
     return TorusGeometry((1, 1, 1), 4)

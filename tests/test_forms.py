@@ -1,12 +1,12 @@
 """The filtered bilinear forms, their limits, and the remainder decomposition."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import frspec.forms as forms
-import frspec.resonance as resonance
 from frspec.fields import (
     SpectralField4,
     convolve_quadratic,
@@ -32,7 +32,7 @@ from frspec.waves import (
     underline_part,
 )
 
-from conftest import random_field
+from conftest import float_omega, pair_stream, random_field
 
 
 @pytest.fixture(scope="module")
@@ -54,19 +54,14 @@ UNDER_ARRAYS = ("kf", "mf", "n3i", "ia", "ib", "G4", "ka", "mb", "out")
 
 
 def brute_force_triads(g):
-    """Nested-loop resonant set of the tilde-output table.
-
-    Returns the rows {(kf, mf, nf, a, b, c)} and the number of (pair, radical
-    class) combinations that pass the table's float screen
-    |a wk + b wm - c wn| < 1e-11.  Zero-sign classes are the integer
-    equalities H_x S_y == H_y S_x; radical classes are decided by the scalar
-    exact_sqrt_sum_is_zero."""
+    """Nested-loop resonant set {(kf, mf, nf, a, b, c)} of the tilde-output
+    table.  Zero-sign classes are the integer equalities H_x S_y == H_y S_x;
+    radical classes are decided by the scalar exact_sqrt_sum_is_zero."""
     H, S = omega_ratio_ints(g)
     N = g.N
     axis = range(-N, N + 1)
     modes = [(x, y, z) for x in axis for y in axis for z in axis if (x, y) != (0, 0)]
     flat = {n: g.flat_index(n) for n in modes}
-    w = {f: float(np.sqrt(H[f] / S[f])) for f in flat.values()}
     radicands = sorted({g.omega_sq_exact(n) for n in modes})
     rid = {flat[n]: radicands.index(g.omega_sq_exact(n)) for n in modes}
     decided = {}
@@ -81,7 +76,7 @@ def brute_force_triads(g):
     def same(x, y):
         return H[x] * S[y] == H[y] * S[x]
 
-    rows, screened = set(), 0
+    rows = set()
     for n in modes:
         fn = flat[n]
         for k in modes:
@@ -97,18 +92,80 @@ def brute_force_triads(g):
                 elif c == 0:
                     ok = same(fk, fm)
                 else:
-                    screened += abs(a * w[fk] + b * w[fm] - c * w[fn]) < 1e-11
                     ok = resonant(a, b, c, fk, fm, fn)
                 if ok:
                     rows.add((fk, fm, fn, a, b, c))
-    return rows, screened
+    return rows
+
+
+def pair_stream_tables(eng):
+    """The triad and underline tables screened from the chunked pair stream:
+    zero-sign classes by exact frequency ids, radical classes by the float
+    screen |a wk + b wm - c wn| < 1e-11 with every hit confirmed through
+    eng._confirm_radical, sorted by lexsort."""
+    g = eng.geometry
+    H, S = omega_ratio_ints(g)
+    d = np.gcd(H, S)
+    d[d == 0] = 1
+    fid = np.unique(np.stack([H // d, S // d], axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    om = float_omega(g)
+    size = g.nmodes
+    found = {"kf": [], "mf": [], "nf": [], "cls": []}
+
+    def push(sel, kf, mf, nf, cls):
+        found["kf"].append(kf[sel])
+        found["mf"].append(mf[sel])
+        found["nf"].append(nf[sel])
+        found["cls"].append(np.full(len(sel), cls, dtype=np.int8))
+
+    for kf, mf, nf in pair_stream(g.N):
+        ik, im, i_n = fid[kf], fid[mf], fid[nf]
+        for cls, eq in ((0, im == i_n), (2, ik == i_n), (4, ik == im)):
+            sel = np.nonzero(eq)[0]
+            push(sel, kf, mf, nf, cls)
+            push(sel, kf, mf, nf, cls + 1)
+        wk, wm, wn = om[kf], om[mf], om[nf]
+        s, dd = wk + wm, wk - wm
+        for cls, v in ((6, s - wn), (8, dd - wn), (9, dd + wn)):
+            cand = np.nonzero(np.abs(v) < 1e-11)[0]
+            for cl in (cls, 19 - cls):
+                keep = [i for i in cand if eng._confirm_radical(kf[i], mf[i], nf[i], *CLASS_ORDER[cl])]
+                push(np.asarray(keep, dtype=np.int64), kf, mf, nf, cl)
+    kf, mf, nf, cls = (np.concatenate(found[key]) for key in ("kf", "mf", "nf", "cls"))
+    order = np.lexsort((kf, cls, nf))
+    kf, mf, nf = kf[order], mf[order], nf[order]
+    ia, ib, ic = (np.ascontiguousarray(col) for col in forms._CLASS_SIGNS[cls[order]].T)
+    ka, mb = forms._flat(ia, kf, size), forms._flat(ib, mf, size)
+    plan = np.nonzero(ka < mb)[0]
+    W = 2.0 * eng._G_rows(kf[plan], ia[plan], mf[plan], ib[plan], nf[plan], ic[plan])
+    tab = forms.TriadTable(kf, mf, nf, ia, ib, ic, ka=ka[plan], mb=mb[plan],
+                           nc=forms._flat(ic[plan], nf[plan], size), W=W)
+
+    parts = [(kf[sel], mf[sel], nf[sel])
+             for kf, mf, nf in pair_stream(g.N, underline=True)
+             for sel in [np.nonzero(fid[kf] == fid[mf])[0]]]
+    kf, mf, nf = (np.concatenate(p) for p in zip(*parts))
+    n3i = nf - (size // 2 - g.N)
+    ia = np.repeat(np.array([1, -1], dtype=np.int8), len(kf))
+    kf, mf, nf, n3i = (np.concatenate([x, x]) for x in (kf, mf, nf, n3i))
+    order = np.lexsort((kf, -ia, n3i))
+    kf, mf, nf, n3i, ia = kf[order], mf[order], nf[order], n3i[order], ia[order]
+    ib = -ia
+    ea_k, eb_m = eng._evec[ia + 1, kf], eng._evec[ib + 1, mf]
+    nc3 = eng._ncheck_flat[nf, 2]
+    G4 = (nc3 * ea_k[:, 2])[:, None] * eb_m + (nc3 * eb_m[:, 2])[:, None] * ea_k
+    G4[:, 2] = 0.0
+    under = forms.UnderTable(kf, mf, n3i, ia, ib, G4, ka=forms._flat(ia, kf, size),
+                             mb=forms._flat(ib, mf, size),
+                             out=(n3i[:, None] * 4 + np.arange(4)).reshape(-1))
+    return tab, under
 
 
 class TestTables:
     @pytest.mark.parametrize("a_sq", [(1, 2, 3), (1, 1, 1)])
     def test_against_brute_force(self, a_sq, monkeypatch):
         g = TorusGeometry(a_sq, 3)
-        want_rows, want_screened = brute_force_triads(g)
+        want_rows = brute_force_triads(g)
         calls = []
 
         def counting(terms):
@@ -118,9 +175,10 @@ class TestTables:
         monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", counting)
         eng = FormEngine(g, nu=1.0)
         tab, _ = eng.tables
-        assert len(calls) == want_screened
+        # one exact confirmation per radical row
+        assert len(calls) == sum(0 not in row[3:] for row in want_rows)
         if a_sq == (1, 2, 3):
-            assert want_screened > 0
+            assert calls
         got = list(zip(tab.kf.tolist(), tab.mf.tolist(), tab.nf.tolist(),
                        tab.ia.tolist(), tab.ib.tolist(), tab.ic.tolist()))
         assert len(got) == len(set(got))
@@ -135,7 +193,6 @@ class TestTables:
     def test_chunk_sizes_do_not_change_the_tables(self, monkeypatch):
         g = TorusGeometry((1, 2, 3), 3)
         big_t, big_u = FormEngine(g, nu=1.0).tables
-        monkeypatch.setattr(resonance, "_PAIR_CHUNK", 500)
         monkeypatch.setattr(forms, "_G_CHUNK", 1000)
         small_t, small_u = FormEngine(g, nu=1.0).tables
         assert big_t.rows > 1000
@@ -145,6 +202,34 @@ class TestTables:
         for name in UNDER_ARRAYS:
             x, y = getattr(big_u, name), getattr(small_u, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 2, 3), 3), ((1, 1, 1), 4), ((1, 4, 1), 5), ((1, 2, 3), 6)])
+    def test_class_join_matches_pair_stream(self, a_sq, N, monkeypatch):
+        calls = Counter()
+
+        def counting(terms):
+            calls[tuple(terms)] += 1
+            return exact_sqrt_sum_is_zero(terms)
+
+        monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", counting)
+        g = TorusGeometry(a_sq, N)
+        want_t, want_u = pair_stream_tables(FormEngine(g, nu=1.0))
+        want_calls = calls.copy()
+        calls.clear()
+        got_t, got_u = FormEngine(g, nu=1.0).tables
+        assert calls == want_calls
+        assert bool(calls) == (a_sq == (1, 2, 3))
+        for name in TABLE_ARRAYS:
+            x, y = getattr(want_t, name), getattr(got_t, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        for name in UNDER_ARRAYS:
+            x, y = getattr(want_u, name), getattr(got_u, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    def test_disagreeing_exact_checks_raise(self, monkeypatch):
+        monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", lambda terms: False)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            FormEngine(TorusGeometry((1, 2, 3), 3), nu=1.0).tables
 
     def test_kstar_pairs_are_the_sorted_distinct_radical_pairs(self):
         eng = FormEngine(TorusGeometry((1, 2, 3), 3), nu=1.0)

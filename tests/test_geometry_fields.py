@@ -221,6 +221,21 @@ class TestDivergenceFormKernel:
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
         assert np.array_equal(got, transport(B, A, stencil).coeffs)
 
+    def test_distinct_products_match_all_twelve(self, geometry):
+        """The symmetric full stencil transforms 9 distinct products; the
+        result has the bytes of transforming all 12 products a_j B_c."""
+        A = self._inputs(geometry, "full", 15)
+        B = self._inputs(geometry, "full", 16)
+        twelve = np.arange(12).reshape(3, 4)
+        a, b = fields._samples(A, A, 3)
+        prod = (a[:, None] * b[None]).reshape((12,) + a.shape[1:])
+        want = fields._divergence(geometry, prod, twelve)
+        assert convolve_quadratic(A, A).coeffs.tobytes() == want.coeffs.tobytes()
+        a, b = fields._samples(A, B, 4)
+        prod = (a[:3, None] * b[None] + b[:3, None] * a[None]).reshape((12,) + a.shape[1:])
+        want = leray_project(0.5 * fields._divergence(geometry, prod, twelve), check_mean=False)
+        assert transport(A, B).coeffs.tobytes() == want.coeffs.tobytes()
+
 
 class TestTransformCount:
     """One batched inverse and one batched forward real transform per call."""
@@ -249,10 +264,10 @@ class TestTransformCount:
     @pytest.mark.parametrize(
         "call, batches",
         [
-            (lambda A, B: convolve_quadratic(A, A), [("inverse", 4), ("forward", 12)]),
+            (lambda A, B: convolve_quadratic(A, A), [("inverse", 4), ("forward", 9)]),
             (lambda A, B: convolve_quadratic(A, B), [("inverse", 7), ("forward", 12)]),
             (lambda A, B: convolve_quadratic(A, B, "horizontal"), [("inverse", 6), ("forward", 8)]),
-            (lambda A, B: transport(A, B), [("inverse", 8), ("forward", 12)]),
+            (lambda A, B: transport(A, B), [("inverse", 8), ("forward", 9)]),
             (lambda A, B: transport(A, B, "horizontal"), [("inverse", 8), ("forward", 8)]),
             (lambda A, B: to_spectral(to_physical(A)), [("inverse", 4), ("forward", 4)]),
         ],

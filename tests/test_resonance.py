@@ -17,8 +17,11 @@ from frspec.resonance import (
     fiber,
     is_resonant,
     kstar_pairs,
+    omega_ratio_ints,
     radical_sign_triads,
 )
+
+from conftest import float_omega, pair_stream
 
 
 def float_brute_force_kstar(a, N, tol=1e-9):
@@ -48,13 +51,17 @@ def float_brute_force_kstar(a, N, tol=1e-9):
     return out
 
 
+# float screen of the oracles below; every hit is confirmed exactly
+_SCREEN_TOL = 1e-9
+
+
 def _per_n_loop_oracle(geometry, N):
     """radical_sign_triads as a Python loop over the output modes n: per n,
     mask the in-box partners, screen each of the 8 sign classes and confirm
     every hit through resonance.exact_sqrt_sum_is_zero."""
     g = geometry
     modes = resonance._box_modes(N)
-    omN = resonance._omega_float(g)[resonance._subblock_flat(g, N)]
+    omN = float_omega(g)[resonance._subblock_flat(g, N)]
     h_nonzero = (modes[:, 0] != 0) | (modes[:, 1] != 0)
     Lb = 2 * N + 1
     sq_cache = {}
@@ -76,12 +83,40 @@ def _per_n_loop_oracle(geometry, N):
         wm = omN[((ms[:, 0] + N) * Lb + (ms[:, 1] + N)) * Lb + (ms[:, 2] + N)]
         wn = omN[idx_n]
         for a, b, c in itertools.product((1, -1), repeat=3):
-            cand = np.abs(a * wk + b * wm - c * wn) < resonance.SCREEN_TOL
+            cand = np.abs(a * wk + b * wm - c * wn) < _SCREEN_TOL
             for kk, mm in zip(ks[cand], ms[cand]):
                 kk, mm, nn = tuple(kk.tolist()), tuple(mm.tolist()), tuple(n.tolist())
                 rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
                 if resonance.exact_sqrt_sum_is_zero([(a, rk), (b, rm), (-c, rn)]):
                     out.append((kk, mm, nn, a, b, c, (rk, rm, rn)))
+    return out
+
+
+def _pair_stream_oracle(geometry, N):
+    """radical_sign_triads screened from the chunked pair stream: one float
+    screen per mirror pair of sign classes, every hit confirmed through
+    resonance.exact_sqrt_sum_is_zero for a = +1 and a = -1."""
+    g = geometry
+    modes = resonance._box_modes(N)
+    om = float_omega(g)[resonance._subblock_flat(g, N)]
+    sq_cache = {}
+
+    def rsq(t):
+        if t not in sq_cache:
+            sq_cache[t] = g.omega_sq_exact(t)
+        return sq_cache[t]
+
+    out = []
+    for kf, mf, nf in pair_stream(N):
+        wk, wm, wn = om[kf], om[mf], om[nf]
+        s, d = wk + wm, wk - wm
+        for b, c, v in ((1, 1, s - wn), (1, -1, s + wn), (-1, 1, d - wn), (-1, -1, d + wn)):
+            for i in np.nonzero(np.abs(v) < _SCREEN_TOL)[0]:
+                kk, mm, nn = (tuple(modes[x].tolist()) for x in (kf[i], mf[i], nf[i]))
+                rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
+                for a in (1, -1):
+                    if resonance.exact_sqrt_sum_is_zero([(a, rk), (a * b, rm), (-a * c, rn)]):
+                        out.append((kk, mm, nn, a, a * b, a * c, (rk, rm, rn)))
     return out
 
 
@@ -177,11 +212,32 @@ class TestEnumeration:
         assert calls == want_calls
         assert bool(got) == (a_sq != (1, 1, 1))
 
-    def test_chunk_size_does_not_change_kstar(self, monkeypatch):
-        g = TorusGeometry((1, 1, 3), 4)
-        want = enumerate_kstar(g)
-        monkeypatch.setattr(resonance, "_PAIR_CHUNK", 100)
-        assert want and enumerate_kstar(g) == want
+    @pytest.mark.parametrize(
+        "a_sq,gN,N", [((1, 2, 3), 6, 6), ((1, 1, 3), 4, 4), ((1, 2, 3), 8, 5), ((1, 1, 1), 4, 4)]
+    )
+    def test_class_join_matches_pair_stream(self, a_sq, gN, N, monkeypatch):
+        g = TorusGeometry(a_sq, gN)
+        calls = Counter()
+        exact = resonance.exact_sqrt_sum_is_zero
+
+        def counting(terms):
+            calls[tuple(terms)] += 1
+            return exact(terms)
+
+        monkeypatch.setattr(resonance, "exact_sqrt_sum_is_zero", counting)
+        want = sorted(_pair_stream_oracle(g, N))
+        want_calls = calls.copy()
+        calls.clear()
+        got = sorted(radical_sign_triads(g, N))
+        assert got == want
+        assert calls == want_calls
+        assert bool(got) == (a_sq != (1, 1, 1))
+
+    def test_disagreeing_exact_checks_raise(self, monkeypatch):
+        g = TorusGeometry((1, 1, 3), 3)
+        monkeypatch.setattr(resonance, "exact_sqrt_sum_is_zero", lambda terms: False)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            radical_sign_triads(g)
 
     def test_lexicographic_order(self):
         g = TorusGeometry((1, 1, 3), 3)
@@ -324,3 +380,67 @@ class TestKstarPairs:
         pairs = kstar_pairs(g, 3)
         triads = enumerate_kstar(g, 3)
         assert pairs == {(t.k, t.n) for t in triads}
+
+
+class TestIntegerIdentity:
+    """The radical classes and the integer identity that decides a row."""
+
+    @staticmethod
+    def _odd_part(factors):
+        out = 1
+        for p, e in factors.items():
+            out *= p ** (e % 2)
+        return out
+
+    def test_square_split_against_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        v = np.arange(1, 4000)
+        root, core = resonance._square_split(v)
+        for x, q, r in zip(v.tolist(), root.tolist(), core.tolist()):
+            assert r == self._odd_part(sympy.factorint(x)) and q * q * r == x, x
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 2, 3), 8), ((1, 1, 3), 4), ((2, 3, 5), 4)])
+    def test_radical_class_is_the_square_class_of_h_s(self, a_sq, N):
+        sympy = pytest.importorskip("sympy")
+        g = TorusGeometry(a_sq, N)
+        q, s, r = resonance._radical_form(g, N)
+        H, S = omega_ratio_ints(g)
+        live = H > 0
+        assert np.array_equal(r < 0, ~live) and np.all(q[~live] == 0)
+        h = H[live] // np.gcd(H[live], S[live])
+        assert np.array_equal(s[live], S[live] // np.gcd(H[live], S[live]))
+        keys = {}
+        for hh, ss, qq, rr in zip(h.tolist(), s[live].tolist(), q[live].tolist(), r[live].tolist()):
+            assert qq * qq * rr == hh * ss and 0 < qq <= ss
+            keys.setdefault(hh * ss, rr)
+        for hs, rr in keys.items():
+            assert rr == self._odd_part(sympy.factorint(hs))
+
+    def test_python_int_path_matches_int64(self):
+        rng = np.random.default_rng(11)
+        s = rng.integers(1, 60, 50)
+        q = rng.integers(1, 60, 50) % s + 1
+        kf, mf, nf = rng.integers(0, 50, (3, 2000))
+        fixed = resonance._identity_terms(q, s, kf, mf, nf, np.int64)
+        exact = resonance._identity_terms(q, s, kf, mf, nf, object)
+        for x, y in zip(fixed, exact):
+            assert x.dtype == np.int64 and y.dtype == object
+            assert x.tolist() == y.tolist()
+
+    def test_python_ints_past_the_int64_bound(self):
+        # s <= (w1 + w2 + w3) N^2 = 11 N^2 on a^2 = (1, 2, 3): int64 is
+        # proven up to N = 363
+        assert resonance._identity_dtype(11 * 363**2) is np.int64
+        assert resonance._identity_dtype(11 * 364**2) is object
+        s = np.array([11 * 600**2, 11 * 600**2 - 1, 11 * 600**2 - 7])
+        q = s - np.array([0, 3, 8])
+        kf, mf, nf = np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([2, 0, 1])
+        terms = resonance._identity_terms(q, s, kf, mf, nf, resonance._identity_dtype(s.max()))
+        ql, sl = q.tolist(), s.tolist()
+        want = (
+            [ql[k] * sl[m] * sl[n] for k, m, n in zip(kf, mf, nf)],
+            [ql[m] * sl[k] * sl[n] for k, m, n in zip(kf, mf, nf)],
+            [ql[n] * sl[k] * sl[m] for k, m, n in zip(kf, mf, nf)],
+        )
+        assert [t.tolist() for t in terms] == [list(w) for w in want]
+        assert max(max(w) for w in want) > 2**63  # int64 would have wrapped
