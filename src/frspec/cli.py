@@ -151,9 +151,7 @@ def cmd_norms(cfg: SimConfig) -> int:
         else:
             rows.append((q, e, cq[qi], 0.0, 0.0))
     t1, t2, r = dyadic.bony_split(V, V)
-    from .dyadic import _pointwise_product
-
-    direct = _pointwise_product(V, V)
+    direct = dyadic._pointwise_product(V, V)
     bony_res = l2_norm(t1 + t2 + r - direct) / max(l2_norm(direct), 1e-300)
     out = _outdir(cfg) / "norms.csv"
     write_csv(

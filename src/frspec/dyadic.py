@@ -21,6 +21,7 @@ from .fields import (
     SpectralField4,
     sobolev_norm,
     to_physical,
+    to_spectral,
     zero_field,
 )
 from .geometry import TorusGeometry
@@ -94,8 +95,6 @@ def _pointwise_product(A: SpectralField4, B: SpectralField4) -> SpectralField4:
     pa = to_physical(A)
     pb = to_physical(B)
     prod = PhysicalField4(g, pa.values * pb.values, pa.grid_points)
-    from .fields import to_spectral
-
     return to_spectral(prod)
 
 

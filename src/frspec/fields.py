@@ -285,15 +285,14 @@ def convolve_quadratic(
     return _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c], J, A is B)
 
 
-def transport(A: SpectralField4, B: SpectralField4, stencil: str = "full") -> SpectralField4:
+def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
     """Symmetrized projected transport 1/2 P [a.grad B + b.grad A].
 
     One symmetric product 1/2 P div(a (x) B + b (x) A) for divergence-free
     velocities; bitwise symmetric in (A, B).
     """
-    J = 2 if stencil == "horizontal" else 3
     a, b = _samples(A, B, 4)
-    raw = _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c] + b[j] * a[c], J, True)
+    raw = _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c] + b[j] * a[c], 3, True)
     return leray_project(0.5 * raw, check_mean=False)
 
 

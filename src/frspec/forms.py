@@ -31,7 +31,12 @@ components (a at k) and (b at m) and projecting the output on e_c(n),
 which is the quantity tabulated below.  Rows come in (k,a) <-> (m,b)
 swapped pairs with the same output and bitwise-equal G, so evaluating with
 the symmetrized coefficient product makes the forms bitwise symmetric in
-their arguments, and the resonant sum runs once per pair with weight 2 G.
+their arguments, and the resonant sum runs once per pair with weight 2 G,
+on the row with (a, k) < (b, m).
+
+Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
+e_+, e_-, indexed by the sign a), so a flat index into a raveled (3, L^3)
+stack is (a mod 3) L^3 + mode.
 """
 
 from __future__ import annotations
@@ -78,8 +83,9 @@ _G_CHUNK = 1 << 15
 
 
 def _flat(signs: np.ndarray, modes: np.ndarray, nmodes: int) -> np.ndarray:
-    """Flat index of (sign row, mode) in a raveled (3, L^3) coefficient matrix."""
-    return (signs.astype(np.int64) + 1) * nmodes + modes
+    """Flat index of (sign, mode) in a raveled (3, L^3) coefficient matrix
+    with rows c_0, c_+, c_- (sign a sits in row a mod 3)."""
+    return (signs.astype(np.int64) % 3) * nmodes + modes
 
 
 def project_tilde(V: SpectralField4) -> SpectralField4:
@@ -97,8 +103,8 @@ class TriadTable:
     kf .. ic hold the whole resonant set.  Each row (k,a,m,b,c) has its
     mirror (m,b,k,a,c) in the set, with the same output and the same G, and
     no row is its own mirror.  The apply plan ka, mb, nc, W keeps one row
-    per mirror pair, the one with ka < mb, in table order, with weight
-    W = 2 G."""
+    per mirror pair, the one with (a, k) < (b, m) (signs compared first,
+    then flat modes), in table order, with weight W = 2 G."""
 
     kf: np.ndarray  # flat mode index of k
     mf: np.ndarray
@@ -119,12 +125,10 @@ class TriadTable:
         """Rows per sign class (a, b, c), keyed like "0pp" or "pmm", in the
         order of _CLASSES."""
         def code(a, b, c):
-            return (a + 1) * 9 + (b + 1) * 3 + (c + 1)
+            return (a % 3) * 9 + (b % 3) * 3 + c % 3
 
         counts = np.bincount(code(self.ia.astype(np.int64), self.ib, self.ic), minlength=27)
-        return {
-            "".join("m0p"[x + 1] for x in cls): int(counts[code(*cls)]) for cls in _CLASSES
-        }
+        return {"".join("0pm"[x] for x in cls): int(counts[code(*cls)]) for cls in _CLASSES}
 
 
 @dataclass
@@ -179,14 +183,9 @@ class FormEngine:
             ],
             axis=-1,
         )
-        # eigenvectors flattened, stacked by sign row {-1, 0, +1} -> {0, 1, 2}
-        self._evec = np.stack(
-            [
-                self.basis.em.reshape(-1, 4),
-                self.basis.e0.reshape(-1, 4),
-                self.basis.ep.reshape(-1, 4),
-            ]
-        )
+        # eigenvectors and their conjugates over flat modes, rows e_0, e_+, e_-
+        self._evec = self.basis.evec.reshape(3, -1, 4)
+        self._evec_conj = self.basis.evec_conj.reshape(3, -1, 4)
         self._sq_cache: dict[int, Fraction] = {}
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
@@ -196,18 +195,16 @@ class FormEngine:
     # -- coefficient packing ----------------------------------------------------
 
     def _coeff_matrix(self, V: SpectralField4) -> np.ndarray:
-        """(3, L^3) eigen coefficients, rows ordered (-1, 0, +1)."""
-        c = coefficients(V)
-        return np.stack([c[-1].reshape(-1), c[0].reshape(-1), c[1].reshape(-1)])
+        """(3, L^3) eigen coefficients, rows c_0, c_+, c_-."""
+        return coefficients(V).reshape(3, -1)
 
     # -- table construction -------------------------------------------------------
 
     def _G_rows(self, kf, ia, mf, ib, nf, ic) -> np.ndarray:
-        ev = self._evec
         nck = self._ncheck_flat[nf]
-        ea_k = ev[ia + 1, kf]
-        eb_m = ev[ib + 1, mf]
-        ec_n = np.conj(ev[ic + 1, nf])
+        ea_k = self._evec[ia, kf]
+        eb_m = self._evec[ib, mf]
+        ec_n = self._evec_conj[ic, nf]
         ndot_a = np.einsum("rj,rj->r", nck, ea_k[:, :3])
         ndot_b = np.einsum("rj,rj->r", nck, eb_m[:, :3])
         pair_bc = np.einsum("rj,rj->r", eb_m, ec_n)
@@ -228,7 +225,7 @@ class FormEngine:
 
     def _build_triad_table(self, x: np.ndarray, y: np.ndarray) -> TriadTable:
         """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
-        is the rows with ka < mb, in that order.
+        is the rows with (a, k) < (b, m), in that order.
 
         (x, y) are the ordered pairs of modes with equal omega.  They are
         the zero-sign classes: (0, b, b) with (m, n) = (x, y) and (a, 0, a)
@@ -277,8 +274,7 @@ class FormEngine:
         del key
         mf = nf - kf + centre
         ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls].T)
-        ka, mb = _flat(ia, kf, size), _flat(ib, mf, size)
-        plan = np.nonzero(ka < mb)[0]
+        plan = np.nonzero((ia < ib) | ((ia == ib) & (kf < mf)))[0]
         W = np.empty(len(plan), dtype=np.complex128)
         for lo in range(0, len(plan), _G_CHUNK):
             r = plan[lo : lo + _G_CHUNK]
@@ -286,7 +282,8 @@ class FormEngine:
         W *= 2.0
         return TriadTable(
             kf, mf, nf, ia, ib, ic,
-            ka=ka[plan], mb=mb[plan], nc=_flat(ic[plan], nf[plan], size), W=W,
+            ka=_flat(ia[plan], kf[plan], size), mb=_flat(ib[plan], mf[plan], size),
+            nc=_flat(ic[plan], nf[plan], size), W=W,
         )
 
     def _build_under_table(self, x: np.ndarray, y: np.ndarray) -> UnderTable:
@@ -309,9 +306,8 @@ class FormEngine:
         nf = n3i + (centre - g.N)
         mf = nf - kf + centre
         ib = -ia
-        ev = self._evec
-        ea_k = ev[ia + 1, kf]
-        eb_m = ev[ib + 1, mf]
+        ea_k = self._evec[ia, kf]
+        eb_m = self._evec[ib, mf]
         nc3 = self._ncheck_flat[nf, 2]
         ndot_a = nc3 * ea_k[:, 2]
         ndot_b = nc3 * eb_m[:, 2]
@@ -392,16 +388,9 @@ class FormEngine:
             p = self._row_products(V1, V2, tab)
             p *= tab.W
             np.add.at(out, tab.nc, p)
-        out = out.reshape(3, g.nmodes)
+        out = out.reshape((3,) + (g.L,) * 3)
         self.last_interactions = tab.rows
-        return field_from_coefficients(
-            g,
-            {
-                -1: out[0].reshape((g.L,) * 3),
-                0: out[1].reshape((g.L,) * 3),
-                1: out[2].reshape((g.L,) * 3),
-            },
-        )
+        return field_from_coefficients(g, {a: out[a] for a in (-1, 0, 1)})
 
     def q_tilde1(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Resonance-restricted symmetrized transport (tilde output).
@@ -439,12 +428,12 @@ class FormEngine:
         flip = slice(None, None, -1)
         for b in (1, -1):
             cb = C2[b][:, :, flip]
-            eb = (basis.ep if b == 1 else basis.em)[:, :, flip, :]
+            eb = basis.evec[b][:, :, flip, :]
             ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
             ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
-            ec = basis.ep if b == 1 else basis.em  # resonance forces c = b
-            pair_bc = np.einsum("xyzj,xyzj->xyz", eb, np.conj(ec))
-            pair_uc = np.einsum("zj,xyzj->xyz", u_at.astype(np.complex128), np.conj(ec))
+            ec_conj = basis.evec_conj[b]  # resonance forces c = b
+            pair_bc = np.einsum("xyzj,xyzj->xyz", eb, ec_conj)
+            pair_uc = np.einsum("zj,xyzj->xyz", u_at.astype(np.complex128), ec_conj)
             contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
             out[b] += np.where(osc, contrib, 0.0)
         return field_from_coefficients(g, out)

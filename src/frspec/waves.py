@@ -20,6 +20,12 @@ generator check are mutually consistent.
 On modes with n_h = 0 the kernel is spanned by f_1 = (1,0,0,0),
 f_2 = (0,1,0,0), f_3 = (0,0,0,1); a divergence-free field has no third
 component there, and L(tau) is the identity.
+
+Every layer shares one layout of this data: `EigenBasis.evec` is a single
+(3, L, L, L, 4) stack with rows e_0, e_+, e_-, so that Python's negative
+index makes evec[a] the vector e_a for a in (0, 1, -1), and
+`coefficients` returns the (3, L, L, L) stack c_0, c_+, c_- indexed the
+same way.
 """
 
 from __future__ import annotations
@@ -96,25 +102,24 @@ class EigenBasis:
         k2b = np.broadcast_to(k2, (L, L, L))
         k3b = np.broadcast_to(k3, (L, L, L))
 
-        e0 = np.zeros((L, L, L, 4), dtype=np.complex128)
+        # rows e_0, e_+, e_-: evec[a] is e_a for a in (0, 1, -1)
+        self.evec = np.zeros((3, L, L, L, 4), dtype=np.complex128)
+        e0, ep, em = self.e0, self.ep, self.em = self.evec
         e0[..., 0] = np.where(osc, -k2b / safe_kh, 0.0)
         e0[..., 1] = np.where(osc, k1b / safe_kh, 0.0)
-        self.e0 = e0
 
         a1 = np.where(osc, k1b * k3b / (safe_kh * safe_kn), 0.0)
         a2 = np.where(osc, k2b * k3b / (safe_kh * safe_kn), 0.0)
         b = np.where(osc, kh / safe_kn, 0.0)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        ep = np.zeros((L, L, L, 4), dtype=np.complex128)
         ep[..., 0] = -1j * a1 * inv_sqrt2
         ep[..., 1] = -1j * a2 * inv_sqrt2
         ep[..., 2] = 1j * b * inv_sqrt2
         ep[..., 3] = np.where(osc, inv_sqrt2, 0.0)
-        self.ep = ep
-        self.em = np.conj(ep)
-        self.evec = {0: self.e0, 1: self.ep, -1: self.em}
+        np.conj(ep, out=em)
+        self.evec_conj = np.conj(self.evec)
         # |e_pm^vel|^2, the same for both signs since e_- = conj(e_+)
-        self.vshare = np.einsum("xyzj,xyzj->xyz", ep[..., :3], np.conj(ep[..., :3])).real
+        self.vshare = np.einsum("xyzj,xyzj->xyz", ep[..., :3], self.evec_conj[1, ..., :3]).real
 
     @classmethod
     def of(cls, geometry: TorusGeometry) -> "EigenBasis":
@@ -123,32 +128,6 @@ class EigenBasis:
             inst = cls(geometry)
             cls._instances[geometry] = inst
         return inst
-
-
-def omega_signed(t: EigenTriple, sign: int) -> float:
-    """omega^sign of a mode: sign * omega(n), with omega^0 identically 0."""
-    return 0.0 if sign == 0 else sign * t.omega
-
-
-def freq_combo_abc(tk: EigenTriple, tm: EigenTriple, tn: EigenTriple, a: int, b: int, c: int) -> float:
-    """omega^a(k) + omega^b(m) - omega^c(n)."""
-    return omega_signed(tk, a) + omega_signed(tm, b) - omega_signed(tn, c)
-
-
-def freq_combo_pair(tk: EigenTriple, tm: EigenTriple, a: int, b: int) -> float:
-    """omega^a(k) + omega^b(m)."""
-    return omega_signed(tk, a) + omega_signed(tm, b)
-
-
-def freq_combo_tilde(tm: EigenTriple, tn: EigenTriple, b: int, c: int) -> float:
-    """omega^b(m) - omega^c(n)."""
-    return omega_signed(tm, b) - omega_signed(tn, c)
-
-
-def freq_combo_same(tn: EigenTriple, a: int, b: int) -> float:
-    """omega^b(n) - omega^a(n), the phase difference of the conjugated
-    dissipation at one mode (zero exactly when a = b)."""
-    return omega_signed(tn, b) - omega_signed(tn, a)
 
 
 def eigenbasis(geometry: TorusGeometry, n) -> EigenTriple:
@@ -205,25 +184,26 @@ def apply_pa(field: SpectralField4) -> SpectralField4:
 # -- eigen coefficients ---------------------------------------------------------
 
 
-def coefficients(field: SpectralField4) -> dict[int, np.ndarray]:
-    """Eigen coefficients c_alpha(n) = <V_hat(n), e_alpha(n)> on n_h != 0 modes.
+def coefficients(field: SpectralField4) -> np.ndarray:
+    """Eigen coefficients c_a(n) = <V_hat(n), e_a(n)> on n_h != 0 modes.
 
-    Returned as arrays over the full lattice (zero where n_h = 0).
-    Keys: 0 -> e_0, +1 -> e_+, -1 -> e_-.
+    One (3, L, L, L) array over the full lattice (zero where n_h = 0), rows
+    c_0, c_+, c_- like `EigenBasis.evec`: c[a] is c_a for a in (0, 1, -1).
     """
-    basis = EigenBasis.of(field.geometry)
-    return {a: _coefficient(basis, field.coeffs, a) for a in (0, 1, -1)}
+    return _coefficients(field, slice(None))
 
 
-def _coefficient(basis: EigenBasis, v: np.ndarray, a: int) -> np.ndarray:
-    """c_a(n) = <v(n), e_a(n)> over the lattice."""
-    return np.einsum("xyzc,xyzc->xyz", v, np.conj(basis.evec[a]))
+def _coefficients(field: SpectralField4, rows: slice) -> np.ndarray:
+    """The rows `rows` of the `coefficients` stack, and only those."""
+    evec_conj = EigenBasis.of(field.geometry).evec_conj[rows]
+    return np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec_conj)
 
 
 def field_from_coefficients(
     geometry: TorusGeometry, coeffs: dict[int, np.ndarray]
 ) -> SpectralField4:
-    """Assemble sum_alpha c_alpha e_alpha into a spectral field."""
+    """Assemble sum_a c_a e_a into a spectral field, adding the terms in the
+    order of `coeffs`, a map from the sign a in (0, 1, -1) to c_a."""
     basis = EigenBasis.of(geometry)
     out = zero_field(geometry)
     for a, c in coeffs.items():
@@ -256,14 +236,14 @@ def underline_part(field: SpectralField4) -> SpectralField4:
 
 def bar_part(field: SpectralField4) -> SpectralField4:
     """Kernel part on n_h != 0 modes: the e_0 component."""
-    c = coefficients(field)
-    return field_from_coefficients(field.geometry, {0: c[0]})
+    (c0,) = _coefficients(field, slice(0, 1))
+    return field_from_coefficients(field.geometry, {0: c0})
 
 
 def osc_part(field: SpectralField4) -> SpectralField4:
     """Wave part: the e_+ and e_- components."""
-    c = coefficients(field)
-    return field_from_coefficients(field.geometry, {1: c[1], -1: c[-1]})
+    cp, cm = _coefficients(field, slice(1, 3))
+    return field_from_coefficients(field.geometry, {1: cp, -1: cm})
 
 
 def decompose(field: SpectralField4, div_tol: float = 1e-8) -> KernelDecomposition:
@@ -287,7 +267,7 @@ def apply_filter(tau: float, field: SpectralField4) -> SpectralField4:
         return field.copy()
     g = field.geometry
     basis = EigenBasis.of(g)
-    cp, cm = (_coefficient(basis, field.coeffs, a) for a in (1, -1))
+    cp, cm = _coefficients(field, slice(1, 3))
     phase = np.exp(1j * tau * basis.omega)
     out = field.coeffs.copy()
     # remove the oscillating components, re-add them with their phases

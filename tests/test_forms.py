@@ -53,6 +53,22 @@ TABLE_ARRAYS = ("kf", "mf", "nf", "ia", "ib", "ic", "ka", "mb", "nc", "W")
 UNDER_ARRAYS = ("kf", "mf", "n3i", "ia", "ib", "G4", "ka", "mb", "out")
 
 
+def sign_row(s):
+    """Row of sign s in the eigen stacks, rows (e_0, e_+, e_-)."""
+    return np.where(np.asarray(s) < 0, 2, s).astype(np.int64)
+
+
+def flat_of(s, f, nmodes):
+    """Flat index of (sign s, mode f) in a raveled (3, L^3) coefficient matrix."""
+    return sign_row(s) * nmodes + f
+
+
+def plan_rows_of(ia, kf, ib, mf):
+    """Rows with (a, k) < (b, m): signs compared first, then flat modes."""
+    pairs = zip(ia.tolist(), kf.tolist(), ib.tolist(), mf.tolist())
+    return np.array([i for i, (a, k, b, m) in enumerate(pairs) if (a, k) < (b, m)], dtype=np.int64)
+
+
 def brute_force_triads(g):
     """Nested-loop resonant set {(kf, mf, nf, a, b, c)} of the tilde-output
     table.  Zero-sign classes are the integer equalities H_x S_y == H_y S_x;
@@ -135,11 +151,11 @@ def pair_stream_tables(eng):
     order = np.lexsort((kf, cls, nf))
     kf, mf, nf = kf[order], mf[order], nf[order]
     ia, ib, ic = (np.ascontiguousarray(col) for col in forms._CLASS_SIGNS[cls[order]].T)
-    ka, mb = forms._flat(ia, kf, size), forms._flat(ib, mf, size)
-    plan = np.nonzero(ka < mb)[0]
+    plan = plan_rows_of(ia, kf, ib, mf)
     W = 2.0 * eng._G_rows(kf[plan], ia[plan], mf[plan], ib[plan], nf[plan], ic[plan])
-    tab = forms.TriadTable(kf, mf, nf, ia, ib, ic, ka=ka[plan], mb=mb[plan],
-                           nc=forms._flat(ic[plan], nf[plan], size), W=W)
+    tab = forms.TriadTable(kf, mf, nf, ia, ib, ic, ka=flat_of(ia[plan], kf[plan], size),
+                           mb=flat_of(ib[plan], mf[plan], size),
+                           nc=flat_of(ic[plan], nf[plan], size), W=W)
 
     parts = [(kf[sel], mf[sel], nf[sel])
              for kf, mf, nf in pair_stream(g.N, underline=True)
@@ -151,12 +167,13 @@ def pair_stream_tables(eng):
     order = np.lexsort((kf, -ia, n3i))
     kf, mf, nf, n3i, ia = kf[order], mf[order], nf[order], n3i[order], ia[order]
     ib = -ia
-    ea_k, eb_m = eng._evec[ia + 1, kf], eng._evec[ib + 1, mf]
+    ev = EigenBasis.of(g).evec.reshape(3, -1, 4)
+    ea_k, eb_m = ev[sign_row(ia), kf], ev[sign_row(ib), mf]
     nc3 = eng._ncheck_flat[nf, 2]
     G4 = (nc3 * ea_k[:, 2])[:, None] * eb_m + (nc3 * eb_m[:, 2])[:, None] * ea_k
     G4[:, 2] = 0.0
-    under = forms.UnderTable(kf, mf, n3i, ia, ib, G4, ka=forms._flat(ia, kf, size),
-                             mb=forms._flat(ib, mf, size),
+    under = forms.UnderTable(kf, mf, n3i, ia, ib, G4, ka=flat_of(ia, kf, size),
+                             mb=flat_of(ib, mf, size),
                              out=(n3i[:, None] * 4 + np.arange(4)).reshape(-1))
     return tab, under
 
@@ -185,7 +202,7 @@ class TestTables:
         assert set(got) == want_rows
         keys = [(nf, CLASS_ORDER.index((a, b, c)), kf) for kf, _, nf, a, b, c in got]
         assert keys == sorted(keys)
-        r = _plan_rows(tab, g.nmodes)
+        r = _plan_rows(tab)
         assert np.array_equal(
             tab.W, 2 * eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
         )
@@ -250,27 +267,40 @@ class TestTables:
             assert n == np.sum((tab.ia == cls[0]) & (tab.ib == cls[1]) & (tab.ic == cls[2]))
         assert sum(counts.values()) == tab.rows
 
+    @pytest.mark.parametrize("a_sq,N,rows", [((1, 2, 3), 5, 3600), ((1, 1, 1), 4, 2080), ((1, 4, 1), 4, 2080)])
+    def test_underline_weights_are_exactly_zero(self, a_sq, N, rows):
+        """Every underline row (a at k, -a at m) has k + m = (0, 0, n3) and
+        omega(k) = omega(m), so m = (-k_h, k3) and n3 = 2 k3 (n3 = 0 has
+        nc3 = 0).  There e_{-a}(-k_h, k3) equals e_a(k_h, k3) except for the
+        third component, which changes sign, so
+        G4 = nc3 e_a(k)_3 (e_{-a}(m) - e_a(k)) lives on the third component,
+        which the Leray projection at (0, 0, n3) removes: every weight is 0."""
+        _, qu = FormEngine(TorusGeometry(a_sq, N), nu=1.0).tables
+        assert len(qu.kf) == rows
+        assert qu.G4.shape == (rows, 4)
+        assert np.all(qu.G4 == 0.0)
+
 
 def _full_flat(tab, nmodes):
     """Flat (sign row, mode) indices of (a, k), (b, m), (c, n) on every table row."""
-    return tuple((s.astype(np.int64) + 1) * nmodes + f
+    return tuple(flat_of(s, f, nmodes)
                  for s, f in ((tab.ia, tab.kf), (tab.ib, tab.mf), (tab.ic, tab.nf)))
 
 
-def _plan_rows(tab, nmodes):
-    """Table rows of the apply plan: one per mirror pair, the one with ka < mb."""
-    ka, mb, _ = _full_flat(tab, nmodes)
-    return np.nonzero(ka < mb)[0]
+def _plan_rows(tab):
+    """Table rows of the apply plan: one per mirror pair, the one with
+    (a, k) < (b, m)."""
+    return plan_rows_of(tab.ia, tab.kf, tab.ib, tab.mf)
 
 
 def _row_products_2d(eng, V1, V2, tab, rows=slice(None)):
     """The row product with 2-D (sign row, mode) gathers."""
-    C1, C2 = eng._coeff_matrix(V1), eng._coeff_matrix(V2)
-    ia, kf, ib, mf = tab.ia[rows], tab.kf[rows], tab.ib[rows], tab.mf[rows]
-    x1 = C1[ia + 1, kf]
-    y2 = C2[ib + 1, mf]
-    x2 = C2[ia + 1, kf]
-    y1 = C1[ib + 1, mf]
+    C1, C2 = (coefficients(V).reshape(3, -1) for V in (V1, V2))
+    ia, kf, ib, mf = sign_row(tab.ia[rows]), tab.kf[rows], sign_row(tab.ib[rows]), tab.mf[rows]
+    x1 = C1[ia, kf]
+    y2 = C2[ib, mf]
+    x2 = C2[ia, kf]
+    y1 = C1[ib, mf]
     return 0.5j * (0.5 * (x1 * y2 + x2 * y1))
 
 
@@ -280,15 +310,15 @@ def q_resonant_2d(eng, V1, V2, plan=False):
     g = eng.geometry
     tab, _ = eng.tables
     if plan:
-        rows, w = _plan_rows(tab, g.nmodes), tab.W
+        rows, w = _plan_rows(tab), tab.W
     else:
         rows = slice(None)
         w = eng._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic)
     out = np.zeros((3, g.nmodes), dtype=np.complex128)
-    np.add.at(out, (tab.ic[rows] + 1, tab.nf[rows]), _row_products_2d(eng, V1, V2, tab, rows) * w)
+    np.add.at(out, (sign_row(tab.ic[rows]), tab.nf[rows]), _row_products_2d(eng, V1, V2, tab, rows) * w)
     shape = (g.L,) * 3
     return field_from_coefficients(
-        g, {-1: out[0].reshape(shape), 0: out[1].reshape(shape), 1: out[2].reshape(shape)}
+        g, {-1: out[2].reshape(shape), 0: out[0].reshape(shape), 1: out[1].reshape(shape)}
     )
 
 
@@ -373,7 +403,7 @@ class TestMirrorPlan:
     def test_plan_is_the_rows_with_ka_below_mb(self, mirror_engine):
         tab, _ = mirror_engine.tables
         nmodes = mirror_engine.geometry.nmodes
-        r = _plan_rows(tab, nmodes)
+        r = _plan_rows(tab)
         assert tab.rows % 2 == 0 and len(r) == tab.rows // 2
         for name, full in zip(("ka", "mb", "nc"), _full_flat(tab, nmodes)):
             got = getattr(tab, name)
@@ -381,7 +411,7 @@ class TestMirrorPlan:
 
     def test_W_is_twice_G(self, mirror_engine):
         tab, _ = mirror_engine.tables
-        r = _plan_rows(tab, mirror_engine.geometry.nmodes)
+        r = _plan_rows(tab)
         G = mirror_engine._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
         assert tab.W.dtype == np.complex128 and tab.W.tobytes() == (2 * G).tobytes()
 

@@ -11,6 +11,7 @@ from frspec.waves import (
     EigenBasis,
     apply_filter,
     apply_pa,
+    coefficients,
     decompose,
     eigenbasis,
     pa_symbol,
@@ -95,24 +96,31 @@ class TestEigenbasis:
         assert worst_eig < 1e-14
 
 
-class TestFrequencyCombos:
-    def test_derived_sums(self, unit_torus_4):
-        from frspec.waves import (
-            freq_combo_abc,
-            freq_combo_pair,
-            freq_combo_same,
-            freq_combo_tilde,
-        )
+class TestSignIndexedLayout:
+    """One stack of eigenvectors, rows (e_0, e_+, e_-), indexed by sign."""
 
-        tk = eigenbasis(unit_torus_4, (1, 0, 1))
-        tm = eigenbasis(unit_torus_4, (-1, 0, 1))
-        tn = eigenbasis(unit_torus_4, (0, 0, 2))
-        # equal moduli: omega^+(k) + omega^-(m) = 0
-        assert freq_combo_pair(tk, tm, 1, -1) == 0.0
-        assert freq_combo_abc(tk, tm, tn, 1, -1, 0) == 0.0
-        assert freq_combo_tilde(tk, tm, 1, 1) == 0.0
-        assert freq_combo_same(tk, 1, -1) == pytest.approx(-2 * tk.omega)
-        assert freq_combo_same(tk, 1, 1) == 0.0
+    @pytest.fixture(scope="class", params=[((1, 1, 1), 4), ((1, 2, 3), 8)], ids=["unit-4", "a123-8"])
+    def geometry(self, request):
+        return TorusGeometry(*request.param)
+
+    def test_rows_are_e0_ep_em(self, geometry):
+        b = EigenBasis.of(geometry)
+        L = geometry.L
+        assert b.evec.shape == (3, L, L, L, 4) and b.evec.dtype == np.complex128
+        for a, e in ((0, b.e0), (1, b.ep), (-1, b.em)):
+            assert np.shares_memory(b.evec[a], e) and np.array_equal(b.evec[a], e)
+        assert b.evec[-1].tobytes() == np.conj(b.evec[1]).tobytes()
+        assert b.evec_conj.tobytes() == np.conj(b.evec).tobytes()
+
+    def test_coefficients_are_the_projections_on_each_row(self, geometry):
+        b = EigenBasis.of(geometry)
+        for seed in (21, 22):
+            V = random_field(geometry, seed=seed, spectrum_r=1.0)
+            c = coefficients(V)
+            assert c.shape == (3,) + (geometry.L,) * 3
+            for a in (0, 1, -1):
+                want = np.einsum("xyzc,xyzc->xyz", V.coeffs, np.conj(b.evec[a]))
+                assert c[a].tobytes() == want.tobytes(), a
 
 
 class TestDecomposition:
