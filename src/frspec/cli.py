@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,7 +45,23 @@ def _load_config(args) -> SimConfig:
         over["eps_list"] = tuple(args.epsilon)
     if over:
         cfg = replace(cfg, **over).validate()
+    _check_outdir(Path(cfg.out_dir))
     return cfg
+
+
+def _check_outdir(path: Path) -> None:
+    """Raise OSError unless `path` is a directory or can be made one.
+
+    Checked before any computation, so that an unusable --out is a
+    configuration error; the directory itself is made when a command writes.
+    """
+    existing = path
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(f"output directory {path}: {existing} is not writable")
 
 
 def _outdir(cfg: SimConfig) -> Path:

@@ -5,7 +5,9 @@ lattice mode n in [-N, N]^3, in an (L, L, L, 4) array with L = 2N + 1 and
 axis index i = n + N.  The first three components are a velocity, the
 fourth is the buoyancy/density perturbation.  All fields have zero global
 average (the n = 0 coefficient is pinned to zero) and represent real
-fields, i.e. V_hat(-n) = conj(V_hat(n)).
+fields, i.e. V_hat(-n) = conj(V_hat(n)); the transforms raise ValueError
+on a field that breaks this by more than 1e-8 of its l2 norm (and more
+than 1e-12).
 
 Quadratic products are evaluated pseudo-spectrally on a padded collocation
 grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
@@ -133,6 +135,11 @@ def single_mode_field(geometry: TorusGeometry, n, vec, hermitian: bool = True) -
 # -- transforms ---------------------------------------------------------------
 
 _AXES = (1, 2, 3)
+# the kernels accept a Hermitian defect (l2) up to 1e-8 of the field's l2
+# norm (the real fields of this package sit below 1e-13), and any defect
+# up to 1e-12: a field that small is the rounding residue of a projection
+# (the e_0 part of a wave field, say), not a field with a shape
+_HERMITIAN_TOL, _HERMITIAN_FLOOR = 1e-8, 1e-12
 
 
 def _pad_size(N: int) -> int:
@@ -145,11 +152,27 @@ def _wrap(geometry: TorusGeometry, M: int) -> np.ndarray:
 
 
 def _to_grid(geometry: TorusGeometry, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Samples (C, M, M, M) of the real fields with coefficients (L, L, L, C)."""
+    """Samples (C, M, M, M) of the real fields with coefficients (L, L, L, C).
+
+    The transform reads only the n3 >= 0 half, and only the real part of
+    the n3 = 0 plane, so it raises ValueError when the coefficients are not
+    Hermitian, V_hat(-n) = conj(V_hat(n)), within the bounds above: the
+    discarded part would silently give another field.
+    """
     N = geometry.N
+    upper = coeffs[:, :, N:, :]
+    # l2 norms of V_hat(n) - conj(V_hat(-n)) over n3 >= 0 and of V_hat
+    miss = (upper - np.conj(coeffs[::-1, ::-1, N::-1, :])).ravel()
+    flat = coeffs.ravel()
+    defect, size = np.sqrt(np.vdot(miss, miss).real), np.sqrt(np.vdot(flat, flat).real)
+    if defect > max(_HERMITIAN_TOL * size, _HERMITIAN_FLOOR):
+        raise ValueError(
+            f"kernel input is not a real field: Hermitian defect {defect:.3e}, "
+            f"l2 norm {size:.3e}"
+        )
     idx = _wrap(geometry, M)
     half = np.zeros((coeffs.shape[-1], M, M, M // 2 + 1), dtype=np.complex128)
-    half[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(coeffs[:, :, N:, :], -1, 0)
+    half[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(upper, -1, 0)
     return irfftn(half, s=(M, M, M), axes=_AXES, norm="forward")
 
 

@@ -32,7 +32,12 @@ which is the quantity tabulated below.  Rows come in (k,a) <-> (m,b)
 swapped pairs with the same output and bitwise-equal G, so evaluating with
 the symmetrized coefficient product makes the forms bitwise symmetric in
 their arguments, and the resonant sum runs once per pair with weight 2 G,
-on the row with (a, k) < (b, m).
+on the row with (a, k) < (b, m).  The (a, -a, 0) rows are not summed: two
+resonant waves never force e_0.  With kc = ncheck(k), mc = ncheck(m) and
+X = kc_1 mc_2 - kc_2 mc_1, such a row has
+G = -X (|kc_h|^2 mc_3^2 - |mc_h|^2 kc_3^2) / (2 |kc_h| |kc| |mc_h| |mc| |nc_h|),
+whose bracket vanishes exactly when omega(k) = omega(m) (derived in
+tests/test_forms.py, TestWaveWaveKernelForcing).
 
 Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
 e_+, e_-, indexed by the sign a), so a flat index into a raveled (3, L^3)
@@ -104,7 +109,8 @@ class TriadTable:
     mirror (m,b,k,a,c) in the set, with the same output and the same G, and
     no row is its own mirror.  The apply plan ka, mb, nc, W keeps one row
     per mirror pair, the one with (a, k) < (b, m) (signs compared first,
-    then flat modes), in table order, with weight W = 2 G."""
+    then flat modes), in table order, with weight W = 2 G, and leaves out
+    the (a, -a, 0) rows, whose G is identically zero."""
 
     kf: np.ndarray  # flat mode index of k
     mf: np.ndarray
@@ -151,8 +157,10 @@ class FormEvaluation:
     """Result of a limit-form evaluation with bookkeeping.
 
     The output is divergence-free and zero-mean (the forms project);
-    `interactions` counts the sparse triad rows the sum covers (a mirror
-    pair of the triad table counts twice, though it is summed once).
+    `interactions` counts the rows of the resonant set the form covers: a
+    mirror pair of the triad table counts twice, though it is summed once,
+    and the (a, -a, 0) rows count, though they are skipped as identically
+    zero.
     """
 
     output: SpectralField4
@@ -225,7 +233,7 @@ class FormEngine:
 
     def _build_triad_table(self, x: np.ndarray, y: np.ndarray) -> TriadTable:
         """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
-        is the rows with (a, k) < (b, m), in that order.
+        is the rows with (a, k) < (b, m) and c != 0, in that order.
 
         (x, y) are the ordered pairs of modes with equal omega.  They are
         the zero-sign classes: (0, b, b) with (m, n) = (x, y) and (a, 0, a)
@@ -274,7 +282,7 @@ class FormEngine:
         del key
         mf = nf - kf + centre
         ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls].T)
-        plan = np.nonzero((ia < ib) | ((ia == ib) & (kf < mf)))[0]
+        plan = np.nonzero(((ia < ib) | ((ia == ib) & (kf < mf))) & (ic != 0))[0]
         W = np.empty(len(plan), dtype=np.complex128)
         for lo in range(0, len(plan), _G_CHUNK):
             r = plan[lo : lo + _G_CHUNK]
@@ -379,8 +387,8 @@ class FormEngine:
         return p
 
     def q_resonant(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
-        """The sparse exact-resonant classes of q_tilde1 (every sign class
-        but (0,0,0)), summed once per mirror pair of the triad table."""
+        """The sparse exact-resonant classes of q_tilde1 (all but (0,0,0)),
+        once per mirror pair: a wave field, as no plan row outputs on e_0."""
         tab, _ = self.tables
         g = self.geometry
         out = np.zeros(3 * g.nmodes, dtype=np.complex128)
@@ -390,7 +398,7 @@ class FormEngine:
             np.add.at(out, tab.nc, p)
         out = out.reshape((3,) + (g.L,) * 3)
         self.last_interactions = tab.rows
-        return field_from_coefficients(g, {a: out[a] for a in (-1, 0, 1)})
+        return field_from_coefficients(g, {a: out[a] for a in (-1, 1)})
 
     def q_tilde1(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Resonance-restricted symmetrized transport (tilde output).

@@ -342,10 +342,10 @@ class LimitStepper:
         """Resonant transport of the wave part by itself and by the bar part
         in one table sum: the sum is bilinear and symmetric, so
         q(o, o) + 2 q(b, o) = q(o, o + 2b).  The FFT (0,0,0) class is left
-        out, since its output lies on e_0 and osc_part drops it."""
+        out, since its output lies on e_0."""
         eng = self.engine
         nl = eng.q_resonant(osc, osc + 2.0 * bar)
-        return -1.0 * (osc_part(nl) + eng.b_form(und, osc))
+        return -1.0 * (nl + eng.b_form(und, osc))
 
     def _heat(self, x: _BarOsc, fac_bar: np.ndarray, fac_osc: np.ndarray) -> _BarOsc:
         g = self.geometry

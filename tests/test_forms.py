@@ -63,10 +63,12 @@ def flat_of(s, f, nmodes):
     return sign_row(s) * nmodes + f
 
 
-def plan_rows_of(ia, kf, ib, mf):
-    """Rows with (a, k) < (b, m): signs compared first, then flat modes."""
-    pairs = zip(ia.tolist(), kf.tolist(), ib.tolist(), mf.tolist())
-    return np.array([i for i, (a, k, b, m) in enumerate(pairs) if (a, k) < (b, m)], dtype=np.int64)
+def plan_rows_of(ia, kf, ib, mf, ic):
+    """Rows with (a, k) < (b, m) (signs compared first, then flat modes) and
+    c != 0."""
+    rows = zip(ia.tolist(), kf.tolist(), ib.tolist(), mf.tolist(), ic.tolist())
+    return np.array([i for i, (a, k, b, m, c) in enumerate(rows) if (a, k) < (b, m) and c != 0],
+                    dtype=np.int64)
 
 
 def brute_force_triads(g):
@@ -151,7 +153,7 @@ def pair_stream_tables(eng):
     order = np.lexsort((kf, cls, nf))
     kf, mf, nf = kf[order], mf[order], nf[order]
     ia, ib, ic = (np.ascontiguousarray(col) for col in forms._CLASS_SIGNS[cls[order]].T)
-    plan = plan_rows_of(ia, kf, ib, mf)
+    plan = plan_rows_of(ia, kf, ib, mf, ic)
     W = 2.0 * eng._G_rows(kf[plan], ia[plan], mf[plan], ib[plan], nf[plan], ic[plan])
     tab = forms.TriadTable(kf, mf, nf, ia, ib, ic, ka=flat_of(ia[plan], kf[plan], size),
                            mb=flat_of(ib[plan], mf[plan], size),
@@ -289,8 +291,8 @@ def _full_flat(tab, nmodes):
 
 def _plan_rows(tab):
     """Table rows of the apply plan: one per mirror pair, the one with
-    (a, k) < (b, m)."""
-    return plan_rows_of(tab.ia, tab.kf, tab.ib, tab.mf)
+    (a, k) < (b, m), and none of the (a, -a, 0) rows."""
+    return plan_rows_of(tab.ia, tab.kf, tab.ib, tab.mf, tab.ic)
 
 
 def _row_products_2d(eng, V1, V2, tab, rows=slice(None)):
@@ -365,7 +367,8 @@ def mirror_engine(request):
 
 class TestMirrorPlan:
     """Every table row (k,a,m,b,c) has its swap (m,b,k,a,c), and the apply
-    plan keeps one row of each pair with weight 2 G."""
+    plan keeps one row of each pair with weight 2 G, except the (a, -a, 0)
+    pairs, whose G is identically zero (TestWaveWaveKernelForcing)."""
 
     @staticmethod
     def _mirror(tab, nmodes):
@@ -404,7 +407,8 @@ class TestMirrorPlan:
         tab, _ = mirror_engine.tables
         nmodes = mirror_engine.geometry.nmodes
         r = _plan_rows(tab)
-        assert tab.rows % 2 == 0 and len(r) == tab.rows // 2
+        kernel_out = np.sum(tab.ic == 0)
+        assert tab.rows % 2 == 0 and kernel_out > 0 and len(r) == (tab.rows - kernel_out) // 2
         for name, full in zip(("ka", "mb", "nc"), _full_flat(tab, nmodes)):
             got = getattr(tab, name)
             assert got.dtype == np.int64 and got.tobytes() == full[r].tobytes(), name
@@ -414,6 +418,105 @@ class TestMirrorPlan:
         r = _plan_rows(tab)
         G = mirror_engine._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
         assert tab.W.dtype == np.complex128 and tab.W.tobytes() == (2 * G).tobytes()
+
+    def test_q_resonant_has_no_e0_output(self, mirror_engine):
+        # no plan row scatters into the e_0 row (row 0 of the flat (3, L^3)
+        # output), so q_resonant assembles a wave field
+        g = mirror_engine.geometry
+        tab, _ = mirror_engine.tables
+        assert np.all(tab.nc >= g.nmodes)
+        q = mirror_engine.q_resonant(random_field(g, seed=64, spectrum_r=1.0),
+                                     random_field(g, seed=65, spectrum_r=1.0))
+        scale = np.max(np.abs(q.coeffs))
+        assert scale > 0
+        assert np.max(np.abs(coefficients(q)[0])) <= 1e-15 * scale
+        assert np.max(np.abs(osc_part(q).coeffs - q.coeffs)) <= 1e-15 * scale
+
+
+class TestWaveWaveKernelForcing:
+    """Two resonant waves never force the kernel mode e_0.
+
+    Take a table row (k, a, m, -a, 0) with n = k + m, and write kc, mc and
+    nc = kc + mc for the checked modes (k1/a1, k2/a2, k3/a3) and so on.  Let
+    v(k) = (-kc_3 kc_h / (|kc_h| |kc|), |kc_h| / |kc|), a real unit vector
+    with v(k) . kc = 0.  Then e_a(k) = (i a v(k), 1) / sqrt2, and
+    e_0(n) = (-nc_2, nc_1, 0, 0) / |nc_h| is real.  With X = kc_1 mc_2 - kc_2 mc_1,
+
+        nc . v(k) = mc . v(k) = (|kc_h|^2 mc_3 - kc_3 kc_h . mc_h) / (|kc_h| |kc|),
+        nc . v(m) = kc . v(m) = (|mc_h|^2 kc_3 - mc_3 kc_h . mc_h) / (|mc_h| |mc|),
+        v(k) . e_0(n) = kc_3 X / (|kc_h| |kc| |nc_h|),
+        v(m) . e_0(n) = -mc_3 X / (|mc_h| |mc| |nc_h|),
+
+    since kc_h . (-nc_2, nc_1) = -X and mc_h . (-nc_2, nc_1) = X.  The
+    tabulated weight is then, for either sign a (the factors i a and -i a
+    multiply to a^2 = 1),
+
+        G = (nc . e_a^vel(k)) <e_-a(m), e_0(n)> + (nc . e_-a^vel(m)) <e_a(k), e_0(n)>
+          = 1/2 [(mc . v(k)) (v(m) . e_0(n)) + (kc . v(m)) (v(k) . e_0(n))]
+          = -X (|kc_h|^2 mc_3^2 - |mc_h|^2 kc_3^2) / (2 |kc_h| |kc| |mc_h| |mc| |nc_h|),
+
+    as the kc_3 mc_3 (kc_h . mc_h) terms cancel.  The bracket equals
+    |kc|^2 |mc|^2 (omega(k)^2 - omega(m)^2), and the table holds the row
+    (k, a, m, -a, 0) exactly when omega(k) = omega(m) (TestTables), so G is
+    identically zero on it.  The apply plan leaves these rows out.
+    """
+
+    def test_closed_form_with_sympy(self):
+        sp = pytest.importorskip("sympy")
+        k, m = sp.symbols("k1:4", real=True), sp.symbols("m1:4", real=True)
+        n = [x + y for x, y in zip(k, m)]
+
+        def norm(v, dims):
+            return sp.sqrt(sum(x**2 for x in v[:dims]))
+
+        def evec(v, a):
+            """e_a(v) as in the waves module docstring."""
+            h, r, s = norm(v, 2), norm(v, 3), sp.sqrt(2)
+            if a == 0:
+                return [-v[1] / h, v[0] / h, 0, 0]
+            return [-a * sp.I * v[0] * v[2] / (h * r * s), -a * sp.I * v[1] * v[2] / (h * r * s),
+                    a * sp.I * h / (r * s), 1 / s]
+
+        def dot(u, w):
+            return sum(x * y for x, y in zip(u, w))
+
+        X = k[0] * m[1] - k[1] * m[0]
+        bracket = norm(k, 2) ** 2 * m[2] ** 2 - norm(m, 2) ** 2 * k[2] ** 2
+        denom = 2 * norm(k, 2) * norm(k, 3) * norm(m, 2) * norm(m, 3) * norm(n, 2)
+        for a in (1, -1):
+            ea, eb, e0 = evec(k, a), evec(m, -a), evec(n, 0)
+            # e_0 is real, so <u, e_0> = u . e_0
+            G = dot(n, ea[:3]) * dot(eb, e0) + dot(n, eb[:3]) * dot(ea, e0)
+            assert sp.expand(G * denom + X * bracket) == 0
+        omega_sq = [norm(v, 2) ** 2 / norm(v, 3) ** 2 for v in (k, m)]
+        assert sp.cancel(bracket - norm(k, 3) ** 2 * norm(m, 3) ** 2 * (omega_sq[0] - omega_sq[1])) == 0
+
+        # the symbolic basis is the one the tables use, and the closed form is
+        # the code's weight on every (a, -a, 0) row
+        g = TorusGeometry((1, 2, 3), 4)
+        eng = FormEngine(g, nu=1.0)
+        ev = EigenBasis.of(g).evec
+        subs = dict(zip(k, np.asarray((1, -2, 3)) / g.a))
+        for a in (0, 1, -1):
+            want = np.array([complex(sp.sympify(x).subs(subs)) for x in evec(k, a)])
+            assert np.max(np.abs(ev[a][tuple(np.add((1, -2, 3), g.N))] - want)) <= 1e-15
+        tab, _ = eng.tables
+        r = np.nonzero(tab.ic == 0)[0]
+        assert len(r) > 0
+        G = eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
+        kc, mc = (eng._ncheck_flat[f] for f in (tab.kf[r], tab.mf[r]))
+        closed = sp.lambdify((k, m), -X * bracket / denom)(kc.T, mc.T)
+        assert np.max(np.abs(G - closed)) <= 1e-15
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 6), ((1, 4, 1), 5), ((2, 3, 5), 5)])
+    def test_weights_vanish_and_leave_the_plan(self, a_sq, N):
+        eng = FormEngine(TorusGeometry(a_sq, N), nu=1.0)
+        tab, _ = eng.tables
+        r = np.nonzero(tab.ic == 0)[0]
+        assert len(r) > 0 and np.all(tab.ib[r] == -tab.ia[r])
+        G = eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
+        assert np.max(np.abs(G)) <= 1e-13 * np.max(np.abs(tab.W))
+        assert len(tab.W) == (tab.rows - len(r)) // 2
 
 
 class TestQeps:

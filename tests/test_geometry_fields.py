@@ -152,14 +152,31 @@ class TestConvolution:
         assert pairing < 1e-10 * l2_norm(out) * l2_norm(B)
 
     def test_corner_mode_alias_free(self, unit_torus_4):
-        # k = m = (N, N, N): the product mode 2N must leave the lattice,
-        # not wrap onto -N (this catches an undersized dealias grid)
+        # real fields at k = m = +-(N, N, N): the product modes +-2N must
+        # leave the lattice, not wrap onto it (this catches an undersized
+        # dealias grid); the product at k - m = 0 is the pinned mean
         g = unit_torus_4
         N = g.N
-        A = single_mode_field(g, (N, N, N), [1, 0, 0, 0], hermitian=False)
-        B = single_mode_field(g, (N, N, N), [0, 0, 1, 0], hermitian=False)
+        A = single_mode_field(g, (N, N, N), [1, 0, 0, 0])
+        B = single_mode_field(g, (N, N, N), [0, 0, 1, 0])
         out = convolve_quadratic(A, B)
         assert l2_norm(out) < 1e-14
+
+    @pytest.mark.parametrize("n", [(1, 2, 0), (1, 2, 3)], ids=["n3=0", "n3>0"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [to_physical, lambda f: convolve_quadratic(f, f), lambda f: transport(f, f)],
+        ids=["to_physical", "convolve_quadratic", "transport"],
+    )
+    def test_non_hermitian_input_raises(self, unit_torus_4, n, kernel):
+        # the transforms read only n3 >= 0 (the real part on n3 = 0), so a
+        # field that is not real would silently become another one
+        f = single_mode_field(unit_torus_4, n, [1, 0, 0, 0], hermitian=False)
+        with pytest.raises(ValueError, match="not a real field"):
+            kernel(f)
+        with pytest.raises(ValueError, match="not a real field"):
+            kernel(1e-10 * f)
+        kernel(1e-13 * f)  # below the floor: the size of a rounding residue
 
 
 def _advective_oracle(A, B, stencil="full"):

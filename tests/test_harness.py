@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import frspec.cli as cli_module
 import frspec.harness as harness
 from frspec.cli import main as cli_main
 from frspec.fields import divergence_max, l2_norm
@@ -316,6 +317,19 @@ class TestCli:
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")
         assert cli_main(["--config", str(p), "audit"]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "resonances"])
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, monkeypatch, command, sub):
+        # rejected before any computation, with one line and no traceback
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli_module, "run_sweep", None)
+        monkeypatch.setattr(cli_module, "enumerate_kstar", None)
+        out = blocker / sub if sub else blocker
+        assert cli_main(["--config", self._cfg_file(tmp_path), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: output directory {out}: {blocker} is not a directory"]
 
     def test_epsilon_flag_overrides(self, tmp_path):
         cfgf = self._cfg_file(tmp_path)
