@@ -67,7 +67,6 @@ from .waves import (
     bar_part,
     coefficients,
     field_from_coefficients,
-    osc_part,
     underline_part,
 )
 
@@ -194,17 +193,15 @@ class FormEngine:
         # eigenvectors and their conjugates over flat modes, rows e_0, e_+, e_-
         self._evec = self.basis.evec.reshape(3, -1, 4)
         self._evec_conj = self.basis.evec_conj.reshape(3, -1, 4)
+        # phase-free dissipation symbol per coefficient row: -nu |ncheck|^2
+        # on e_0, and on e_pm only the velocity share of the wave is diffused
+        lam = -self.nu * g.check_sq
+        self.limit_symbol = np.stack([lam, lam * self.basis.vshare, lam * self.basis.vshare])
         self._sq_cache: dict[int, Fraction] = {}
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
         self._kstar_pairs: tuple[np.ndarray, np.ndarray] | None = None
         self.last_interactions = 0
-
-    # -- coefficient packing ----------------------------------------------------
-
-    def _coeff_matrix(self, V: SpectralField4) -> np.ndarray:
-        """(3, L^3) eigen coefficients, rows c_0, c_+, c_-."""
-        return coefficients(V).reshape(3, -1)
 
     # -- table construction -------------------------------------------------------
 
@@ -368,13 +365,14 @@ class FormEngine:
     # -- limit forms ---------------------------------------------------------------
 
     def _row_products(
-        self, V1: SpectralField4, V2: SpectralField4, tab: TriadTable | UnderTable
+        self, C1: np.ndarray, C2: np.ndarray, tab: TriadTable | UnderTable
     ) -> np.ndarray:
         """(i/2) times the symmetrized coefficient product of each table row:
-        c1_a(k) c2_b(m) averaged with its (V1 <-> V2) swap, so the sum is
-        bitwise symmetric in its arguments."""
-        C1 = self._coeff_matrix(V1).reshape(-1)
-        C2 = self._coeff_matrix(V2).reshape(-1)
+        c1_a(k) c2_b(m) averaged with its (C1 <-> C2) swap, so the sum is
+        bitwise symmetric in its arguments.  C1, C2 are (3, L, L, L)
+        coefficient stacks in the layout of `coefficients`."""
+        C1 = C1.reshape(-1)
+        C2 = C2.reshape(-1)
         # 0.5j * (0.5 * (x1 * y2 + x2 * y1)), in place: same floats, fewer
         # row-sized temporaries
         p = np.take(C1, tab.ka)
@@ -386,19 +384,20 @@ class FormEngine:
         np.multiply(0.5j, p, out=p)
         return p
 
-    def q_resonant(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
+    def q_resonant(self, C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
         """The sparse exact-resonant classes of q_tilde1 (all but (0,0,0)),
-        once per mirror pair: a wave field, as no plan row outputs on e_0."""
+        once per mirror pair, on coefficient stacks: takes two (3, L, L, L)
+        stacks and returns one.  Its row 0 is zero, as no plan row outputs
+        on e_0."""
         tab, _ = self.tables
         g = self.geometry
         out = np.zeros(3 * g.nmodes, dtype=np.complex128)
         if tab.rows:
-            p = self._row_products(V1, V2, tab)
+            p = self._row_products(C1, C2, tab)
             p *= tab.W
             np.add.at(out, tab.nc, p)
-        out = out.reshape((3,) + (g.L,) * 3)
         self.last_interactions = tab.rows
-        return field_from_coefficients(g, {a: out[a] for a in (-1, 1)})
+        return out.reshape((3,) + (g.L,) * 3)
 
     def q_tilde1(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Resonance-restricted symmetrized transport (tilde output).
@@ -407,24 +406,25 @@ class FormEngine:
         unrestricted convolution of the e_0 parts, all other classes are
         the sparse exact-resonant sums of `q_resonant`.
         """
+        g = self.geometry
         fft_part = bar_part(transport(bar_part(V1), bar_part(V2)))
-        return (fft_part + self.q_resonant(V1, V2)).pin_zero_mode()
+        res = self.q_resonant(coefficients(V1), coefficients(V2))
+        waves = field_from_coefficients(g, {a: res[a] for a in (-1, 1)})
+        return (fft_part + waves).pin_zero_mode()
 
-    def _b_sector(
-        self, Vund: SpectralField4, Vtil: SpectralField4
-    ) -> SpectralField4:
-        """The (b, c) = (+-, +-) sector of the underline x tilde form:
-        output n couples the underline field at (0, 0, 2 n3) with the tilde
-        field at (n_h, -n3).  Carries the bare symmetrized kernel (no 1/2):
-        this is the coupling exactly as it enters the wave limit equation."""
+    def _b_sector(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
+        """The (b, c) = (+-, +-) sector of the underline x tilde form on a
+        coefficient stack C: output n couples the underline field at
+        (0, 0, 2 n3) with the tilde coefficients at (n_h, -n3).  Returns a
+        (3, L, L, L) stack with a zero row 0.  Carries the bare symmetrized
+        kernel (no 1/2): this is the coupling exactly as it enters the wave
+        limit equation."""
         g = self.geometry
         L, N = g.L, g.N
         basis = self.basis
         und = Vund.coeffs[N, N, :, :]  # (L, 4) along the vertical line
-        C2 = coefficients(Vtil)
 
-        out = {1: np.zeros((L, L, L), dtype=np.complex128),
-               -1: np.zeros((L, L, L), dtype=np.complex128)}
+        out = np.zeros((3, L, L, L), dtype=np.complex128)
         n3 = g.n_axis
         valid3 = np.abs(2 * n3) <= N  # underline partner inside the lattice
         i_k3 = np.where(valid3, 2 * n3 + N, 0)
@@ -435,7 +435,7 @@ class FormEngine:
         # m = (n1, n2, -n3): flip the vertical index
         flip = slice(None, None, -1)
         for b in (1, -1):
-            cb = C2[b][:, :, flip]
+            cb = C[b][:, :, flip]
             eb = basis.evec[b][:, :, flip, :]
             ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
             ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
@@ -443,15 +443,20 @@ class FormEngine:
             pair_bc = np.einsum("xyzj,xyzj->xyz", eb, ec_conj)
             pair_uc = np.einsum("zj,xyzj->xyz", u_at.astype(np.complex128), ec_conj)
             contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
-            out[b] += np.where(osc, contrib, 0.0)
-        return field_from_coefficients(g, out)
+            out[b] = np.where(osc, contrib, 0.0)
+        return out
 
-    def b_form(self, Vund: SpectralField4, Vosc: SpectralField4) -> SpectralField4:
-        """Limit coupling of the horizontal average into the wave part."""
-        return self._b_sector(underline_part(Vund), osc_part(Vosc)).pin_zero_mode()
+    def b_form(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
+        """Limit coupling of the horizontal average into the wave part.
+
+        Takes the (3, L, L, L) coefficient stack C of the tilde field and
+        reads only its wave rows; returns the stack of the coupling, whose
+        rows +-1 hold the wave output and whose row 0 is zero."""
+        return self._b_sector(underline_part(Vund), C)
 
     def q_tilde2(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Limit underline x tilde transport (tilde output), both slots."""
+        g = self.geometry
         und1 = underline_part(V1)
         und2 = underline_part(V2)
         til1 = project_tilde(V1)
@@ -459,7 +464,10 @@ class FormEngine:
         bar1 = bar_part(til1)
         bar2 = bar_part(til2)
         fft_part = bar_part(transport(und1, bar2) + transport(bar1, und2))
-        b_part = 0.5 * (self._b_sector(und1, til2) + self._b_sector(und2, til1))
+        b1 = self._b_sector(und1, coefficients(til2))
+        b2 = self._b_sector(und2, coefficients(til1))
+        b_part = 0.5 * (field_from_coefficients(g, {1: b1[1], -1: b1[-1]})
+                        + field_from_coefficients(g, {1: b2[1], -1: b2[-1]}))
         return (fft_part + b_part).pin_zero_mode()
 
     def q_underline(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
@@ -472,7 +480,8 @@ class FormEngine:
         _, qu = self.tables
         out_line = np.zeros(g.L * 4, dtype=np.complex128)
         if len(qu.kf):
-            contrib = self._row_products(til1, til2, qu)[:, None] * qu.G4
+            C1, C2 = coefficients(til1), coefficients(til2)
+            contrib = self._row_products(C1, C2, qu)[:, None] * qu.G4
             np.add.at(out_line, qu.out, contrib.reshape(-1))
         self.last_interactions = len(qu.kf)
         out = zero_field(g)
@@ -510,20 +519,13 @@ class FormEngine:
         fourth.  Bar: full Laplacian.  Oscillating: the diagonal
         <A2 e_pm, e_pm> = -nu |ncheck|^2 * |velocity share of e_pm|^2,
         i.e. half the Laplacian, since the wave vectors carry half their
-        energy in the non-diffused fourth component.
+        energy in the non-diffused fourth component.  The bar and wave
+        diagonals are the rows of `limit_symbol`, whose exponentials are
+        the limit stepper's heat factors.
         """
         g = self.geometry
-        vshare = self.basis.vshare
-        c = coefficients(W)
-        ksq = g.check_sq
-        out = field_from_coefficients(
-            g,
-            {
-                0: -self.nu * ksq * c[0],
-                1: -self.nu * ksq * vshare * c[1],
-                -1: -self.nu * ksq * vshare * c[-1],
-            },
-        )
+        c = self.limit_symbol * coefficients(W)
+        out = field_from_coefficients(g, {a: c[a] for a in (0, 1, -1)})
         # underline part: nu * d33 on components 1, 2; fourth untouched
         line = W.coeffs[g.N, g.N, :, :]
         lam3 = -self.nu * (g.n_axis.astype(float) / g.a[2]) ** 2

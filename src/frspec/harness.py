@@ -52,6 +52,12 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
+def _is_multiple(x: float, unit: float) -> bool:
+    """x / unit lies within 1e-9 of an integer."""
+    ratio = x / unit
+    return abs(ratio - round(ratio)) <= 1e-9
+
+
 @dataclass(frozen=True)
 class SimConfig:
     a_sq: tuple = (Fraction(1), Fraction(1), Fraction(1))
@@ -94,9 +100,11 @@ class SimConfig:
         if not 0 < self.snapshot_dt <= self.T:
             raise ConfigError("snapshot_dt must satisfy 0 < snapshot_dt <= T")
         for name, dt in (("dt", self.dt), ("dt_limit", self.dt_limit)):
-            ratio = self.snapshot_dt / dt
-            if abs(ratio - round(ratio)) > 1e-9:
+            if not _is_multiple(self.snapshot_dt, dt):
                 raise ConfigError(f"snapshot_dt must be a multiple of {name}")
+        # the last snapshot lands on T, so no step runs past the horizon
+        if not _is_multiple(self.T, self.snapshot_dt):
+            raise ConfigError("T must be a multiple of snapshot_dt")
         if self.spectrum_r < 0:
             raise ConfigError("spectrum_r must be nonnegative")
         return self

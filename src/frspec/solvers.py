@@ -19,7 +19,10 @@ The limit system is advanced with the same Lawson scheme but diagonal
 heat factors: the horizontal average is a closed-form vertical heat flow,
 the geostrophic-like part a 2.5D Navier-Stokes system, the wave part has
 its phase-free dissipation (half Laplacian) and the resonance-restricted
-transport.
+transport.  The limit stepper integrates the eigen-coefficient stack of
+`waves.coefficients` (rows e_0, e_+, e_-), on which the heat factors act
+row by row; the e_0 row of the transport needs no Leray projection, since
+<P v, e_0> = <v, e_0> (P is self-adjoint per mode and P e_0 = e_0).
 """
 
 from __future__ import annotations
@@ -42,7 +45,13 @@ from .fields import (
 )
 from .forms import FormEngine
 from .geometry import TorusGeometry
-from .waves import EigenBasis, apply_filter, bar_part, decompose, osc_part, underline_part
+from .waves import (
+    apply_filter,
+    coefficients,
+    decompose,
+    field_from_coefficients,
+    underline_part,
+)
 
 __all__ = [
     "SimState",
@@ -231,11 +240,10 @@ class FilteredStepper:
 
         if ledger is not None:
             # exact linear dissipation by polarization, averaged over the
-            # two endpoint placements of the nonlinear displacement
-            z = self._apply(self._E_full_inv, V_new) - V
+            # two endpoint placements of the nonlinear displacement: from V
+            # to exp(dt L) V, and from exp(-dt L) V_new to V_new
             d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
-            Vz = V + z
-            d1 = 0.5 * l2_norm(Vz) ** 2 - 0.5 * l2_norm(self._apply(Ef, Vz)) ** 2
+            d1 = 0.5 * l2_norm(self._apply(self._E_full_inv, V_new)) ** 2 - 0.5 * l2_norm(V_new) ** 2
             ledger.dissipated += 0.5 * (d0 + d1)
 
         t_new = state.t + dt
@@ -294,27 +302,15 @@ class LimitTrajectory:
         return self.underline(self.times[i]) + self.bars[i] + self.oscs[i]
 
 
-@dataclass
-class _BarOsc:
-    """The (bar, osc) pair the limit stepper advances, with + and scalar *."""
-
-    bar: SpectralField4
-    osc: SpectralField4
-
-    def __add__(self, other: "_BarOsc") -> "_BarOsc":
-        return _BarOsc(self.bar + other.bar, self.osc + other.osc)
-
-    def __mul__(self, s: float) -> "_BarOsc":
-        return _BarOsc(self.bar * s, self.osc * s)
-
-    __rmul__ = __mul__
-
-
 class LimitStepper:
     """Joint Lawson-RK4 step of the (bar, osc) limit subsystems.
 
-    One-way coupling: the underline part is advanced exactly and fed to
-    both at stage times; the bar part feeds the osc part.
+    The stepper integrates the eigen-coefficient stack C = coefficients(V)
+    of `waves`: row 0 is the bar part, rows +-1 the waves, so each part
+    stays in its span by construction.  The heat factors are exp(dt lam)
+    of the phase-free dissipation symbol `FormEngine.limit_symbol`, the one
+    `a2_limit` applies.  One-way coupling: the underline part is advanced
+    exactly and fed to both at stage times; the bar part feeds the waves.
     """
 
     def __init__(self, engine: FormEngine, dt: float, und0: SpectralField4):
@@ -323,57 +319,49 @@ class LimitStepper:
         self.nu = engine.nu
         self.dt = float(dt)
         self.und0 = underline_part(und0)
-        g = self.geometry
-        vshare = EigenBasis.of(g).vshare
-        ksq = g.check_sq
-        self._heat_bar_h = np.exp(-self.nu * ksq * 0.5 * self.dt)
-        self._heat_bar_f = np.exp(-self.nu * ksq * self.dt)
-        self._heat_osc_h = np.exp(-self.nu * ksq * vshare * 0.5 * self.dt)
-        self._heat_osc_f = np.exp(-self.nu * ksq * vshare * self.dt)
+        lam = engine.limit_symbol
+        self._heat_half = np.exp((0.5 * self.dt) * lam)
+        self._heat_full = np.exp(self.dt * lam)
 
-    def _rhs_bar(self, bar: SpectralField4, und: SpectralField4) -> SpectralField4:
-        """- P_h [ (ubar + uund) . grad_h ubar ] restricted to the e_0 span."""
-        adv = convolve_quadratic(bar + und, bar, stencil="horizontal")
-        return -1.0 * bar_part(leray_project(adv, check_mean=False))
+    def _rhs(self, C: np.ndarray, und: SpectralField4) -> np.ndarray:
+        """The limit nonlinearity on the coefficient stack C.
 
-    def _rhs_osc(
-        self, osc: SpectralField4, bar: SpectralField4, und: SpectralField4
-    ) -> SpectralField4:
-        """Resonant transport of the wave part by itself and by the bar part
-        in one table sum: the sum is bilinear and symmetric, so
-        q(o, o) + 2 q(b, o) = q(o, o + 2b).  The FFT (0,0,0) class is left
-        out, since its output lies on e_0."""
+        Row 0 is -<(ubar + uund) . grad_h ubar, e_0>.  It needs no Leray
+        projection: P is self-adjoint per mode and P e_0 = e_0, so
+        <P v, e_0> = <v, e_0>.  Rows +-1 are the resonant transport of the
+        waves by themselves and by the bar part in one table sum (bilinear
+        and symmetric, so q(o, o) + 2 q(b, o) = q(o, o + 2b)), plus the
+        underline coupling."""
         eng = self.engine
-        nl = eng.q_resonant(osc, osc + 2.0 * bar)
-        return -1.0 * (nl + eng.b_form(und, osc))
-
-    def _heat(self, x: _BarOsc, fac_bar: np.ndarray, fac_osc: np.ndarray) -> _BarOsc:
-        g = self.geometry
-        return _BarOsc(
-            SpectralField4(g, fac_bar[..., None] * x.bar.coeffs),
-            SpectralField4(g, fac_osc[..., None] * x.osc.coeffs),
-        )
+        bar = np.zeros_like(C)
+        bar[0] = C[0]
+        osc = C - bar
+        out = eng.q_resonant(osc, osc + 2.0 * bar) + eng.b_form(und, C)
+        bar_field = field_from_coefficients(self.geometry, {0: C[0]})
+        adv = convolve_quadratic(bar_field + und, bar_field, stencil="horizontal")
+        out[0] = coefficients(adv)[0]
+        return -1.0 * out
 
     def step(self, s: LimitState) -> LimitState:
         dt = self.dt
         _require_cfl(dt, solve_underline(self.und0, self.nu, s.t) + s.bar + s.osc)
 
-        def rhs(x: _BarOsc, tau: float) -> _BarOsc:
-            und = solve_underline(self.und0, self.nu, s.t + tau)
-            return _BarOsc(self._rhs_bar(x.bar, und), self._rhs_osc(x.osc, x.bar, und))
+        def rhs(C: np.ndarray, tau: float) -> np.ndarray:
+            return self._rhs(C, solve_underline(self.und0, self.nu, s.t + tau))
 
-        new, _ = lawson_rk4(
-            _BarOsc(s.bar, s.osc),
+        C, _ = lawson_rk4(
+            coefficients(s.bar + s.osc),
             rhs,
-            lambda x: self._heat(x, self._heat_bar_h, self._heat_osc_h),
-            lambda x: self._heat(x, self._heat_bar_f, self._heat_osc_f),
+            lambda C: self._heat_half * C,
+            lambda C: self._heat_full * C,
             dt,
         )
-        b_new = bar_part(new.bar)
-        o_new = osc_part(new.osc)
-        if not (np.all(np.isfinite(b_new.coeffs)) and np.all(np.isfinite(o_new.coeffs))):
+        if not np.all(np.isfinite(C)):
             raise NumericalError("non-finite coefficients in limit step")
-        return LimitState(s.t + dt, b_new, o_new)
+        g = self.geometry
+        bar = field_from_coefficients(g, {0: C[0]})
+        osc = field_from_coefficients(g, {1: C[1], -1: C[-1]})
+        return LimitState(s.t + dt, bar, osc)
 
 
 def solve_limit(

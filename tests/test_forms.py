@@ -295,9 +295,10 @@ def _plan_rows(tab):
     return plan_rows_of(tab.ia, tab.kf, tab.ib, tab.mf, tab.ic)
 
 
-def _row_products_2d(eng, V1, V2, tab, rows=slice(None)):
-    """The row product with 2-D (sign row, mode) gathers."""
-    C1, C2 = (coefficients(V).reshape(3, -1) for V in (V1, V2))
+def _row_products_2d(C1, C2, tab, rows=slice(None)):
+    """The row product of two coefficient stacks with 2-D (sign row, mode)
+    gathers."""
+    C1, C2 = (C.reshape(3, -1) for C in (C1, C2))
     ia, kf, ib, mf = sign_row(tab.ia[rows]), tab.kf[rows], sign_row(tab.ib[rows]), tab.mf[rows]
     x1 = C1[ia, kf]
     y2 = C2[ib, mf]
@@ -306,9 +307,10 @@ def _row_products_2d(eng, V1, V2, tab, rows=slice(None)):
     return 0.5j * (0.5 * (x1 * y2 + x2 * y1))
 
 
-def q_resonant_2d(eng, V1, V2, plan=False):
-    """The resonant sum with 2-D gathers and scatters: over every table row
-    with weight G, or over the plan rows with weight W."""
+def q_resonant_2d(eng, C1, C2, plan=False):
+    """The resonant sum of two coefficient stacks with 2-D gathers and
+    scatters, over every table row with weight G or over the plan rows with
+    weight W; returns the (3, L, L, L) output stack."""
     g = eng.geometry
     tab, _ = eng.tables
     if plan:
@@ -317,11 +319,14 @@ def q_resonant_2d(eng, V1, V2, plan=False):
         rows = slice(None)
         w = eng._G_rows(tab.kf, tab.ia, tab.mf, tab.ib, tab.nf, tab.ic)
     out = np.zeros((3, g.nmodes), dtype=np.complex128)
-    np.add.at(out, (sign_row(tab.ic[rows]), tab.nf[rows]), _row_products_2d(eng, V1, V2, tab, rows) * w)
-    shape = (g.L,) * 3
-    return field_from_coefficients(
-        g, {-1: out[2].reshape(shape), 0: out[0].reshape(shape), 1: out[1].reshape(shape)}
-    )
+    np.add.at(out, (sign_row(tab.ic[rows]), tab.nf[rows]), _row_products_2d(C1, C2, tab, rows) * w)
+    return out.reshape((3,) + (g.L,) * 3)
+
+
+def wave_field(g, C):
+    """The field of the wave rows of a coefficient stack, assembled in the
+    (+1, -1) order."""
+    return field_from_coefficients(g, {1: C[1], -1: C[-1]})
 
 
 def q_underline_2d(eng, V1, V2):
@@ -330,7 +335,8 @@ def q_underline_2d(eng, V1, V2):
     fft_part = underline_part(transport(bar_part(til1), bar_part(til2)))
     _, qu = eng.tables
     out_line = np.zeros((g.L, 4), dtype=np.complex128)
-    np.add.at(out_line, qu.n3i, _row_products_2d(eng, til1, til2, qu)[:, None] * qu.G4)
+    C1, C2 = coefficients(til1), coefficients(til2)
+    np.add.at(out_line, qu.n3i, _row_products_2d(C1, C2, qu)[:, None] * qu.G4)
     out = zero_field(g)
     out.coeffs[g.N, g.N, :, :] = out_line
     return (fft_part + out).pin_zero_mode()
@@ -347,13 +353,14 @@ class TestFlatIndexApply:
         _, qu = eng.tables
         rng = np.random.default_rng(63)
         qu.G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
-        got = eng.q_resonant(A, B)
-        assert np.max(np.abs(got.coeffs)) > 0
-        assert got.coeffs.tobytes() == q_resonant_2d(eng, A, B, plan=True).coeffs.tobytes()
+        CA, CB = coefficients(A), coefficients(B)
+        got = eng.q_resonant(CA, CB)
+        assert got.shape == CA.shape and np.max(np.abs(got)) > 0
+        assert got.tobytes() == q_resonant_2d(eng, CA, CB, plan=True).tobytes()
         # weight 2 G on one row of a pair reorders the additions of the sum
         # over both rows
-        full = q_resonant_2d(eng, A, B).coeffs
-        assert np.max(np.abs(got.coeffs - full)) <= 1e-14 * np.max(np.abs(full))
+        full = q_resonant_2d(eng, CA, CB)
+        assert np.max(np.abs(got - full)) <= 1e-14 * np.max(np.abs(full))
         got = eng.q_underline(A, B)
         assert np.max(np.abs(got.coeffs)) > 0
         assert got.coeffs.tobytes() == q_underline_2d(eng, A, B).coeffs.tobytes()
@@ -421,16 +428,19 @@ class TestMirrorPlan:
 
     def test_q_resonant_has_no_e0_output(self, mirror_engine):
         # no plan row scatters into the e_0 row (row 0 of the flat (3, L^3)
-        # output), so q_resonant assembles a wave field
+        # output), so the e_0 row of q_resonant's stack is exactly zero and
+        # its field is a wave field
         g = mirror_engine.geometry
         tab, _ = mirror_engine.tables
         assert np.all(tab.nc >= g.nmodes)
-        q = mirror_engine.q_resonant(random_field(g, seed=64, spectrum_r=1.0),
-                                     random_field(g, seed=65, spectrum_r=1.0))
-        scale = np.max(np.abs(q.coeffs))
-        assert scale > 0
-        assert np.max(np.abs(coefficients(q)[0])) <= 1e-15 * scale
-        assert np.max(np.abs(osc_part(q).coeffs - q.coeffs)) <= 1e-15 * scale
+        q = mirror_engine.q_resonant(coefficients(random_field(g, seed=64, spectrum_r=1.0)),
+                                     coefficients(random_field(g, seed=65, spectrum_r=1.0)))
+        assert np.max(np.abs(q)) > 0
+        assert np.all(q[0] == 0.0)
+        field = wave_field(g, q)
+        scale = np.max(np.abs(field.coeffs))
+        assert np.max(np.abs(coefficients(field)[0])) <= 1e-15 * scale
+        assert np.max(np.abs(osc_part(field).coeffs - field.coeffs)) <= 1e-15 * scale
 
 
 class TestWaveWaveKernelForcing:
@@ -634,22 +644,26 @@ class TestQtilde1:
         A = random_field(unit_torus_4, seed=41)
         B = random_field(unit_torus_4, seed=42)
         fft_class = bar_part(transport(bar_part(A), bar_part(B)))
-        want = (fft_class + engine4.q_resonant(A, B)).pin_zero_mode()
+        res = engine4.q_resonant(coefficients(A), coefficients(B))
+        waves = field_from_coefficients(unit_torus_4, {a: res[a] for a in (-1, 1)})
+        want = (fft_class + waves).pin_zero_mode()
         assert np.array_equal(engine4.q_tilde1(A, B).coeffs, want.coeffs)
 
     def test_resonant_exact_symmetry(self, engine4, unit_torus_4):
         A = random_field(unit_torus_4, seed=41)
         B = random_field(unit_torus_4, seed=42)
-        ab = engine4.q_resonant(A, B)
-        ba = engine4.q_resonant(B, A)
-        assert np.array_equal(ab.coeffs, ba.coeffs)
+        CA, CB = coefficients(A), coefficients(B)
+        ab = engine4.q_resonant(CA, CB)
+        ba = engine4.q_resonant(CB, CA)
+        assert np.max(np.abs(ab)) > 0 and np.array_equal(ab, ba)
 
     @pytest.mark.parametrize(
         "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0)]
     )
     def test_one_resonant_sum_drives_the_waves(self, a_sq, N, radical_rows):
         # the wave forcing of the limit stepper, osc_part(q(o, o) + 2 q(b, o))
-        # with both q_tilde1 calls, is one sum q_resonant(o, o + 2b)
+        # with both q_tilde1 calls, is one sum q_resonant(o, o + 2b) on the
+        # coefficient stacks
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
         tab, _ = eng.tables
@@ -657,7 +671,8 @@ class TestQtilde1:
         dec = decompose(random_field(g, seed=5, amplitude=1.0, spectrum_r=3.0))
         o, b = dec.osc, dec.bar
         want = osc_part(eng.q_tilde1(o, o) + 2.0 * eng.q_tilde1(b, o))
-        got = osc_part(eng.q_resonant(o, o + 2.0 * b))
+        co, cb = coefficients(o), coefficients(b)
+        got = wave_field(g, eng.q_resonant(co, co + 2.0 * cb))
         assert l2_norm(got - want) < 1e-13 * l2_norm(want)
 
     def test_energy_neutral(self, engine4, unit_torus_4):
@@ -677,8 +692,9 @@ class TestQtilde2AndB:
     def test_zero_underline_slot(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=45)
         osc = decompose(V).osc
-        out = engine4.b_form(zero_field(unit_torus_4), osc)
-        assert l2_norm(out) == 0.0
+        out = engine4.b_form(zero_field(unit_torus_4), coefficients(osc))
+        assert out.shape == (3,) + (unit_torus_4.L,) * 3
+        assert np.all(out == 0.0)
 
     def test_single_mode_bookkeeping(self, unit_torus_4):
         # underline at vertical mode 2 couples the wave at (1, 0, -1) into
@@ -688,7 +704,9 @@ class TestQtilde2AndB:
         und = single_mode_field(g, (0, 0, 2), [1.0, 0.5, 0, 2.0])
         t = eigenbasis(g, (1, 0, -1))
         osc = single_mode_field(g, (1, 0, -1), t.ep)
-        out = eng.b_form(und, osc)
+        C = eng.b_form(und, coefficients(osc))
+        assert np.all(C[0] == 0.0)
+        out = wave_field(g, C)
         assert l2_norm(out) > 1e-12
         mask = np.zeros_like(out.coeffs, dtype=bool)
         mask[g.N + 1, g.N, g.N + 1] = True
@@ -706,9 +724,9 @@ class TestQtilde2AndB:
         und, osc = dec.underline, dec.osc
         s = 1.5
         lam = np.sqrt(g.check_sq) ** s
-        B1 = engine4.b_form(und, osc)
+        B1 = wave_field(g, engine4.b_form(und, coefficients(osc)))
         osc_s = SpectralField4(g, lam[..., None] * osc.coeffs)
-        B2 = engine4.b_form(und, osc_s)
+        B2 = wave_field(g, engine4.b_form(und, coefficients(osc_s)))
         scale = np.max(np.abs(B2.coeffs))
         assert np.max(np.abs(B2.coeffs - lam[..., None] * B1.coeffs)) < 1e-12 * scale
         pair1 = complex(np.sum(lam[..., None] ** 2 * B1.coeffs * np.conj(osc.coeffs)))

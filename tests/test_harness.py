@@ -83,6 +83,16 @@ class TestConfig:
     def test_snapshot_dt_equal_to_horizon_is_valid(self):
         replace(SimConfig(), T=0.05, snapshot_dt=0.05).validate()
 
+    @pytest.mark.parametrize(
+        "over", [dict(T=0.08, dt_limit=0.05, snapshot_dt=0.05),
+                 dict(T=0.07, dt=0.02, dt_limit=0.02, snapshot_dt=0.02)]
+    )
+    def test_horizon_off_the_snapshot_grid_is_rejected(self, over):
+        # the last step would run past T: to t = 0.1 and t = 0.08
+        with pytest.raises(ConfigError, match="T must be a multiple of snapshot_dt"):
+            replace(SimConfig(), **over).validate()
+        replace(SimConfig(), **dict(over, T=4 * over["snapshot_dt"])).validate()
+
 
 class TestInitialData:
     def test_bit_identical_per_seed(self):
@@ -311,6 +321,13 @@ class TestCli:
         assert cli_main(["--config", self._cfg_file(tmp_path, **over), "sweep"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error: snapshot_dt")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("over", [dict(T=0.06), dict(T=0.07, dt=0.02, dt_limit=0.02, snapshot_dt=0.02)])
+    def test_horizon_off_the_snapshot_grid_is_config_error(self, tmp_path, capsys, over):
+        assert cli_main(["--config", self._cfg_file(tmp_path, **over), "sweep"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: T must be a multiple of snapshot_dt"]
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from frspec.fields import (
     SpectralField4,
+    convolve_quadratic,
     inner_l2,
     l2_norm,
     leray_project,
@@ -32,7 +33,15 @@ from frspec.solvers import (
     solve_underline,
     write_checkpoint,
 )
-from frspec.waves import apply_filter, bar_part, coefficients, decompose, eigenbasis, osc_part
+from frspec.waves import (
+    apply_filter,
+    bar_part,
+    coefficients,
+    decompose,
+    eigenbasis,
+    field_from_coefficients,
+    osc_part,
+)
 
 from conftest import random_field
 
@@ -354,12 +363,20 @@ class TestSolveLimit:
         assert worst < 1e-4
 
     def test_matches_two_call_wave_forcing(self, monkeypatch):
-        # oracle: the wave forcing as two full q_tilde1 evaluations per stage
+        # oracle: the nonlinearity on fields, with the wave forcing as two
+        # full q_tilde1 evaluations per stage and the e_0 row Leray-projected
         class TwoCallStepper(LimitStepper):
-            def _rhs_osc(self, osc, bar, und):
-                eng = self.engine
-                nl = eng.q_tilde1(osc, osc) + 2.0 * eng.q_tilde1(bar, osc)
-                return -1.0 * (osc_part(nl) + eng.b_form(und, osc))
+            calls = 0
+
+            def _rhs(self, C, und):
+                TwoCallStepper.calls += 1
+                eng, g = self.engine, self.geometry
+                bar = field_from_coefficients(g, {0: C[0]})
+                osc = field_from_coefficients(g, {1: C[1], -1: C[-1]})
+                nl = osc_part(eng.q_tilde1(osc, osc) + 2.0 * eng.q_tilde1(bar, osc))
+                adv = convolve_quadratic(bar + und, bar, stencil="horizontal")
+                field = bar_part(leray_project(adv, check_mean=False)) + nl
+                return -1.0 * (coefficients(field) + eng.b_form(und, C))
 
         g = TorusGeometry((1, 2, 3), 3)
         eng = FormEngine(g, nu=1.0)
@@ -367,6 +384,7 @@ class TestSolveLimit:
         got = solve_limit(eng, V0, T=0.05, dt=5e-3)
         monkeypatch.setattr("frspec.solvers.LimitStepper", TwoCallStepper)
         want = solve_limit(eng, V0, T=0.05, dt=5e-3)
+        assert TwoCallStepper.calls == 4 * 10  # the oracle ran every stage
         assert len(got.times) == len(want.times) == 11
         for parts_got, parts_want in ((got.bars, want.bars), (got.oscs, want.oscs)):
             for x, y in zip(parts_got, parts_want):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from frspec.fields import l2_norm, single_mode_field, sobolev_norm
+from frspec.fields import l2_norm, leray_project, single_mode_field, sobolev_norm
 from frspec.geometry import TorusGeometry
 from frspec.waves import (
     EigenBasis,
@@ -121,6 +121,23 @@ class TestSignIndexedLayout:
             for a in (0, 1, -1):
                 want = np.einsum("xyzc,xyzc->xyz", V.coeffs, np.conj(b.evec[a]))
                 assert c[a].tobytes() == want.tobytes(), a
+
+
+class TestLerayKeepsTheKernelRow:
+    """<P v, e_0> = <v, e_0>: the Leray projection P is self-adjoint per mode
+    and P e_0 = e_0, so the limit stepper reads the e_0 row of its transport
+    without projecting it."""
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_e0_row_of_leray_projection(self, a_sq, N):
+        g = TorusGeometry(a_sq, N)
+        for seed in (31, 32):
+            v = random_field(g, seed=seed, divergence_free=False)  # real field
+            pv = leray_project(v)
+            assert l2_norm(pv - v) > 0.1 * l2_norm(v)  # far from divergence-free
+            want = coefficients(v)[0]
+            got = coefficients(pv)[0]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestDecomposition:
