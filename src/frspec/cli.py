@@ -25,7 +25,7 @@ from .harness import (
     write_csv,
 )
 from .resonance import enumerate_kstar
-from .solvers import NumericalError, write_checkpoint
+from .solvers import NumericalError, checkpoint_periods, write_checkpoint
 from . import dyadic
 
 EXIT_OK = 0
@@ -97,6 +97,10 @@ def cmd_simulate(cfg: SimConfig) -> int:
     if math.isinf(eps):
         raise ConfigError("simulate requires a finite epsilon; use `frspec limit` for eps = inf")
     cfg_one = replace(cfg, eps_list=(eps,)).validate()
+    try:
+        checkpoint_periods(cfg_one.geometry())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = run_sweep(cfg_one)
     out = _outdir(cfg) / f"simulate_eps{format_float(eps)}.csv"
     write_csv(report, out)

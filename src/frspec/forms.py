@@ -39,6 +39,11 @@ G = -X (|kc_h|^2 mc_3^2 - |mc_h|^2 kc_3^2) / (2 |kc_h| |kc| |mc_h| |mc| |nc_h|),
 whose bracket vanishes exactly when omega(k) = omega(m) (derived in
 tests/test_forms.py, TestWaveWaveKernelForcing).
 
+A form called with one object in both slots, a self-interaction q(V, V),
+computes each operand once: the symmetrized row product 0.5 (xy + xy) is
+exactly xy, and `transport(A, A)` transforms A once, so the result is byte
+for byte that of the two-slot path on (V, V.copy()).
+
 Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
 e_+, e_-, indexed by the sign a), so a flat index into a raveled (3, L^3)
 stack is (a mod 3) L^3 + mode.
@@ -90,6 +95,13 @@ def _flat(signs: np.ndarray, modes: np.ndarray, nmodes: int) -> np.ndarray:
     """Flat index of (sign, mode) in a raveled (3, L^3) coefficient matrix
     with rows c_0, c_+, c_- (sign a sits in row a mod 3)."""
     return (signs.astype(np.int64) % 3) * nmodes + modes
+
+
+def _shared(f, x, y):
+    """(f(x), f(y)), with f evaluated once when y is x, so that a form on
+    (V, V) hands one operand object to both slots of what it calls."""
+    fx = f(x)
+    return (fx, fx) if y is x else (fx, f(y))
 
 
 def project_tilde(V: SpectralField4) -> SpectralField4:
@@ -342,8 +354,7 @@ class FormEngine:
         if not eps > 0:
             raise ValueError("q_eps requires eps > 0 (use the limit forms at eps = 0)")
         theta = t / eps
-        W1 = apply_filter(-theta, V1)
-        W2 = apply_filter(-theta, V2)
+        W1, W2 = _shared(lambda V: apply_filter(-theta, V), V1, V2)
         return apply_filter(theta, transport(W1, W2)).pin_zero_mode()
 
     def a2_symbol(self, W: SpectralField4) -> SpectralField4:
@@ -370,7 +381,16 @@ class FormEngine:
         """(i/2) times the symmetrized coefficient product of each table row:
         c1_a(k) c2_b(m) averaged with its (C1 <-> C2) swap, so the sum is
         bitwise symmetric in its arguments.  C1, C2 are (3, L, L, L)
-        coefficient stacks in the layout of `coefficients`."""
+        coefficient stacks in the layout of `coefficients`.
+
+        When C1 is C2 the average 0.5 (xy + xy) is exactly xy, so the
+        coefficients are gathered once and the product is formed once."""
+        if C1 is C2:
+            C = C1.reshape(-1)
+            p = np.take(C, tab.ka)
+            p *= np.take(C, tab.mb)
+            np.multiply(0.5j, p, out=p)
+            return p
         C1 = C1.reshape(-1)
         C2 = C2.reshape(-1)
         # 0.5j * (0.5 * (x1 * y2 + x2 * y1)), in place: same floats, fewer
@@ -388,7 +408,8 @@ class FormEngine:
         """The sparse exact-resonant classes of q_tilde1 (all but (0,0,0)),
         once per mirror pair, on coefficient stacks: takes two (3, L, L, L)
         stacks and returns one.  Its row 0 is zero, as no plan row outputs
-        on e_0."""
+        on e_0.  Pass the same stack twice for a self-interaction
+        q(C, C): its rows are gathered once (see `_row_products`)."""
         tab, _ = self.tables
         g = self.geometry
         out = np.zeros(3 * g.nmodes, dtype=np.complex128)
@@ -407,8 +428,8 @@ class FormEngine:
         the sparse exact-resonant sums of `q_resonant`.
         """
         g = self.geometry
-        fft_part = bar_part(transport(bar_part(V1), bar_part(V2)))
-        res = self.q_resonant(coefficients(V1), coefficients(V2))
+        fft_part = bar_part(transport(*_shared(bar_part, V1, V2)))
+        res = self.q_resonant(*_shared(coefficients, V1, V2))
         waves = field_from_coefficients(g, {a: res[a] for a in (-1, 1)})
         return (fft_part + waves).pin_zero_mode()
 
@@ -457,30 +478,41 @@ class FormEngine:
     def q_tilde2(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Limit underline x tilde transport (tilde output), both slots."""
         g = self.geometry
-        und1 = underline_part(V1)
-        und2 = underline_part(V2)
-        til1 = project_tilde(V1)
-        til2 = project_tilde(V2)
-        bar1 = bar_part(til1)
-        bar2 = bar_part(til2)
-        fft_part = bar_part(transport(und1, bar2) + transport(bar1, und2))
-        b1 = self._b_sector(und1, coefficients(til2))
-        b2 = self._b_sector(und2, coefficients(til1))
-        b_part = 0.5 * (field_from_coefficients(g, {1: b1[1], -1: b1[-1]})
-                        + field_from_coefficients(g, {1: b2[1], -1: b2[-1]}))
+
+        def waves(b):
+            return field_from_coefficients(g, {1: b[1], -1: b[-1]})
+
+        if V2 is V1:
+            # transport is bitwise symmetric and 0.5 (x + x) = x, so the
+            # two slots share every term
+            und = underline_part(V1)
+            til = project_tilde(V1)
+            t = transport(und, bar_part(til))
+            fft_part = bar_part(t + t)
+            b_part = waves(self._b_sector(und, coefficients(til)))
+        else:
+            und1 = underline_part(V1)
+            und2 = underline_part(V2)
+            til1 = project_tilde(V1)
+            til2 = project_tilde(V2)
+            bar1 = bar_part(til1)
+            bar2 = bar_part(til2)
+            fft_part = bar_part(transport(und1, bar2) + transport(bar1, und2))
+            b1 = self._b_sector(und1, coefficients(til2))
+            b2 = self._b_sector(und2, coefficients(til1))
+            b_part = 0.5 * (waves(b1) + waves(b2))
         return (fft_part + b_part).pin_zero_mode()
 
     def q_underline(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """Limit tilde x tilde interaction with output on the vertical line."""
         g = self.geometry
-        til1 = project_tilde(V1)
-        til2 = project_tilde(V2)
-        fft_part = underline_part(transport(bar_part(til1), bar_part(til2)))
+        til1, til2 = _shared(project_tilde, V1, V2)
+        fft_part = underline_part(transport(*_shared(bar_part, til1, til2)))
 
         _, qu = self.tables
         out_line = np.zeros(g.L * 4, dtype=np.complex128)
         if len(qu.kf):
-            C1, C2 = coefficients(til1), coefficients(til2)
+            C1, C2 = _shared(coefficients, til1, til2)
             contrib = self._row_products(C1, C2, qu)[:, None] * qu.G4
             np.add.at(out_line, qu.out, contrib.reshape(-1))
         self.last_interactions = len(qu.kf)
@@ -490,7 +522,7 @@ class FormEngine:
 
     def q_limit(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
         """The full limit form Q = Qt1 + Qt2 + Qu."""
-        t1 = self.q_tilde1(project_tilde(V1), project_tilde(V2))
+        t1 = self.q_tilde1(*_shared(project_tilde, V1, V2))
         t2 = self.q_tilde2(V1, V2)
         qu = self.q_underline(V1, V2)
         tab, under = self.tables

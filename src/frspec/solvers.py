@@ -68,6 +68,7 @@ __all__ = [
     "solve_limit",
     "energy_bounds",
     "blowup_monitor",
+    "checkpoint_periods",
     "write_checkpoint",
     "read_checkpoint",
     "grad_linf",
@@ -329,14 +330,11 @@ class LimitStepper:
         Row 0 is -<(ubar + uund) . grad_h ubar, e_0>.  It needs no Leray
         projection: P is self-adjoint per mode and P e_0 = e_0, so
         <P v, e_0> = <v, e_0>.  Rows +-1 are the resonant transport of the
-        waves by themselves and by the bar part in one table sum (bilinear
-        and symmetric, so q(o, o) + 2 q(b, o) = q(o, o + 2b)), plus the
-        underline coupling."""
+        waves by themselves and by the bar part, one self-interaction
+        q_resonant(C, C) (the table holds no (0, 0, c) row, so no bar x bar
+        product enters it), plus the underline coupling."""
         eng = self.engine
-        bar = np.zeros_like(C)
-        bar[0] = C[0]
-        osc = C - bar
-        out = eng.q_resonant(osc, osc + 2.0 * bar) + eng.b_form(und, C)
+        out = eng.q_resonant(C, C) + eng.b_form(und, C)
         bar_field = field_from_coefficients(self.geometry, {0: C[0]})
         adv = convolve_quadratic(bar_field + und, bar_field, stencil="horizontal")
         out[0] = coefficients(adv)[0]
@@ -527,17 +525,34 @@ def blowup_monitor(times, fields) -> np.ndarray:
 # -- checkpoint I/O --------------------------------------------------------------------
 
 _MAGIC = b"FRSP"
-_VERSION = 1
-_HEADER_BYTES = 64  # magic, version, then N, a1, a2, a3, nu, eps, t as doubles
+_VERSION = 2
+# v1: magic, version, then N, a1, a2, a3, nu, eps, t as doubles.  v2 appends
+# the numerator and denominator of each a_i^2 as unsigned 64-bit integers:
+# the float periods do not determine the rational squared periods.
+_HEADER_BYTES = {1: 64, 2: 112}
+
+
+def checkpoint_periods(g: TorusGeometry) -> list[int]:
+    """Numerator and denominator of each a_i^2, as the checkpoint header
+    stores them; ValueError if one does not fit in 64 bits."""
+    exact = [x for r in g.a_sq for x in (r.numerator, r.denominator)]
+    if max(exact) >= 1 << 64:
+        raise ValueError(
+            f"squared periods {', '.join(map(str, g.a_sq))} do not fit a checkpoint "
+            "header (64-bit numerators and denominators)"
+        )
+    return exact
 
 
 def write_checkpoint(path, state: SimState) -> None:
     g = state.geometry
     a = g.a
+    exact = checkpoint_periods(g)
     header = _MAGIC + struct.pack("<I", _VERSION)
     header += struct.pack(
         "<7d", float(g.N), a[0], a[1], a[2], state.nu, state.eps, state.t
     )
+    header += struct.pack("<6Q", *exact)
     body = np.ascontiguousarray(state.U.coeffs, dtype=np.complex128)
     # lexicographic mode order is the C order of the (i1, i2, i3) array
     with open(path, "wb") as fh:
@@ -546,25 +561,35 @@ def write_checkpoint(path, state: SimState) -> None:
 
 
 def read_checkpoint(path) -> SimState:
+    """Read a v2 or v1 checkpoint.  A v1 file stores only the float periods;
+    its squared periods are recovered as the nearest fractions with
+    denominator at most 10^9, which need not be the ones it was written
+    from."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER_BYTES)
+        head = fh.read(_HEADER_BYTES[_VERSION])
         if head[:4] != _MAGIC:
             raise ValueError(f"checkpoint {path}: bad magic {head[:4]!r}")
-        if len(head) != _HEADER_BYTES:
-            raise ValueError(
-                f"checkpoint {path}: header is {len(head)} bytes, expected {_HEADER_BYTES}"
-            )
-        (version,) = struct.unpack_from("<I", head, 4)
-        if version != _VERSION:
+        version = struct.unpack_from("<I", head, 4)[0] if len(head) >= 8 else _VERSION
+        if version not in _HEADER_BYTES:
             raise ValueError(f"checkpoint {path}: unsupported version {version}")
+        size = _HEADER_BYTES[version]
+        if len(head) < size:
+            raise ValueError(
+                f"checkpoint {path}: header is {len(head)} bytes, expected {size}"
+            )
         Nf, a1, a2, a3, nu, eps, t = struct.unpack_from("<7d", head, 8)
         N = int(round(Nf))
-        a_sq = tuple(
-            Fraction(x * x).limit_denominator(10**9) for x in (a1, a2, a3)
-        )
-        g = TorusGeometry(a_sq, N)
+        try:
+            if version == 1:
+                a_sq = tuple(Fraction(x * x).limit_denominator(10**9) for x in (a1, a2, a3))
+            else:
+                p1, q1, p2, q2, p3, q3 = struct.unpack_from("<6Q", head, 64)
+                a_sq = (Fraction(p1, q1), Fraction(p2, q2), Fraction(p3, q3))
+            g = TorusGeometry(a_sq, N)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from exc
         L = g.L
-        raw = fh.read()
+        raw = head[size:] + fh.read()
     want = L * L * L * 4 * 16
     if len(raw) != want:
         raise ValueError(

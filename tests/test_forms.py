@@ -968,3 +968,89 @@ class TestStructure:
         V = random_field(unit_torus_4, seed=58)
         engine4.q_tilde1(project_tilde(V), project_tilde(V))
         assert engine4.last_interactions == engine4.tables[0].rows > 0
+
+
+@pytest.fixture(scope="module", params=[((1, 1, 1), 4, 0), ((1, 2, 3), 5, 72), ((1, 4, 1), 6, 0)],
+                ids=lambda p: "-".join(map(str, p[0])) + f"-N{p[1]}")
+def self_engine(request):
+    a_sq, N, radical_rows = request.param
+    eng = FormEngine(TorusGeometry(a_sq, N), nu=1.0)
+    tab, _ = eng.tables
+    assert np.sum((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)) == radical_rows
+    return eng
+
+
+class TestSelfInteractions:
+    """A form on (V, V) computes each shared operand once; its bytes are
+    those of the general two-slot path on (V, V.copy())."""
+
+    FORMS = ("q_tilde1", "q_tilde2", "q_underline", "q_limit")
+
+    @staticmethod
+    def _data(g):
+        return random_field(g, seed=83, amplitude=1.0, spectrum_r=3.0)
+
+    def test_q_resonant_matches_the_general_path(self, self_engine):
+        C = coefficients(self._data(self_engine.geometry))
+        got = self_engine.q_resonant(C, C)
+        assert np.max(np.abs(got)) > 0
+        assert np.array_equal(got, self_engine.q_resonant(C, C.copy()))
+
+    def test_q_resonant_matches_the_bar_osc_forcing(self, self_engine):
+        # the limit stepper's former wave forcing q(osc, osc + 2 bar): the
+        # table holds no (0, 0, c) row, so it is q(C, C) byte for byte
+        C = coefficients(self._data(self_engine.geometry))
+        bar = np.zeros_like(C)
+        bar[0] = C[0]
+        osc = C - bar
+        assert np.array_equal(self_engine.q_resonant(C, C), self_engine.q_resonant(osc, osc + 2.0 * bar))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_forms_match_the_general_path(self, self_engine, form, monkeypatch):
+        if form == "q_underline":
+            # q_underline(V, V) cancels to exactly zero: random weights give
+            # the row sum something to compare
+            _, qu = self_engine.tables
+            rng = np.random.default_rng(85)
+            G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
+            monkeypatch.setattr(qu, "G4", G4)
+        V = self._data(self_engine.geometry)
+        fn = getattr(self_engine, form)
+        got = fn(V, V).coeffs
+        assert np.max(np.abs(got)) > 0 and np.array_equal(got, fn(V, V.copy()).coeffs)
+
+    def test_q_eps_matches_the_general_path(self, self_engine):
+        V = self._data(self_engine.geometry)
+        got = self_engine.q_eps(0.3, 0.01, V, V).coeffs
+        assert np.array_equal(got, self_engine.q_eps(0.3, 0.01, V, V.copy()).coeffs)
+
+    def test_remainders_match_a_copy_fed_evaluation(self, self_engine, monkeypatch):
+        U = self._data(self_engine.geometry)
+        got = self_engine.remainders(0.3, 0.01, U)
+        for name in ("q_eps", "q_tilde1", "q_tilde2", "q_underline"):
+            fn = getattr(self_engine, name)
+            monkeypatch.setattr(
+                self_engine, name, lambda *args, fn=fn: fn(*args[:-1], args[-1].copy())
+            )
+        want = self_engine.remainders(0.3, 0.01, U)
+        for x, y in zip(got, want):
+            assert np.array_equal(x.coeffs, y.coeffs)
+
+    def test_q_limit_makes_three_transports(self, engine4, unit_torus_4, monkeypatch):
+        # the two tilde x tilde transports each take one operand object in
+        # both slots (one inverse transform of 4 components); the
+        # underline x bar transport of q_tilde2 runs once for both slots
+        calls = []
+
+        def spy(A, B):
+            calls.append((A, B))
+            return transport(A, B)
+
+        monkeypatch.setattr(forms, "transport", spy)
+        V = random_field(unit_torus_4, seed=84)
+        engine4.q_limit(V, V)
+        assert len(calls) == 3
+        assert [A is B for A, B in calls] == [True, False, True]
+        und, bar = calls[1]
+        assert np.array_equal(und.coeffs, underline_part(V).coeffs)
+        assert np.array_equal(bar.coeffs, bar_part(project_tilde(V)).coeffs)

@@ -295,6 +295,12 @@ class TestCli:
         assert "frspec limit" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # rejected before any solve
 
+    def test_simulate_periods_beyond_the_checkpoint_are_config_error(self, tmp_path, capsys):
+        cfgf = self._cfg_file(tmp_path, a1_sq=f"{1 << 64}/3")
+        assert cli_main(["--config", cfgf, "simulate"]) == 2
+        assert "64-bit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any solve
+
     def test_simulate_checkpoint_is_final_state(self, tmp_path):
         # the checkpoint equals a separate FilteredStepper integration of the
         # same initial data, coefficient for coefficient

@@ -1,6 +1,8 @@
 """Time steppers, the explicit limit system, energy machinery, and I/O."""
 
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -391,6 +393,25 @@ class TestSolveLimit:
                 assert l2_norm(x - y) <= 1e-12 * l2_norm(y)
 
 
+    def test_step_forces_the_waves_by_one_self_interaction(self, monkeypatch):
+        # every stage hands the same coefficient stack to both slots of the
+        # resonant row product, which then gathers it once
+        seen = []
+        row_products = FormEngine._row_products
+
+        def spy(self, C1, C2, tab):
+            seen.append(C1 is C2)
+            return row_products(self, C1, C2, tab)
+
+        g = TorusGeometry((1, 2, 3), 3)
+        eng = FormEngine(g, nu=1.0)
+        dec = decompose(random_field(g, seed=86, amplitude=1.0, spectrum_r=3.0))
+        stepper = LimitStepper(eng, 5e-3, dec.underline)
+        monkeypatch.setattr(FormEngine, "_row_products", spy)
+        stepper.step(LimitState(0.0, dec.bar, dec.osc))
+        assert seen == [True] * 4
+
+
 class TestEnergyBounds:
     def test_zero_data(self, unit_torus_4):
         b = energy_bounds(zero_field(unit_torus_4), T=2.0, nu=1.0, s=5.0)
@@ -477,7 +498,7 @@ class TestCheckpoints:
         with pytest.raises(ValueError) as err:
             read_checkpoint(p)
         msg = str(err.value)
-        assert str(p) in msg and "136 bytes" in msg and f"expected {want}" in msg
+        assert str(p) in msg and "88 bytes" in msg and f"expected {want}" in msg
 
     @pytest.mark.parametrize("cut", [6, 30])
     def test_truncated_header_names_the_file(self, tmp_path, unit_torus_4, cut):
@@ -487,7 +508,7 @@ class TestCheckpoints:
         with pytest.raises(ValueError) as err:
             read_checkpoint(p)
         msg = str(err.value)
-        assert str(p) in msg and f"{cut} bytes" in msg and "expected 64" in msg
+        assert str(p) in msg and f"{cut} bytes" in msg and "expected 112" in msg
 
     def test_infinite_eps_round_trips(self, tmp_path, unit_torus_4):
         V = random_field(unit_torus_4, seed=76)
@@ -495,3 +516,60 @@ class TestCheckpoints:
         p = tmp_path / "inf.frsp"
         write_checkpoint(p, state)
         assert math.isinf(read_checkpoint(p).eps)
+
+    @pytest.mark.parametrize(
+        "a1_sq",
+        [Fraction(123456789, 1000), Fraction(1) + Fraction(1, 10**12), Fraction(1, 10**10)],
+        ids=["big-denominator", "one-plus-1e-12", "1e-10"],
+    )
+    def test_rational_periods_round_trip_exactly(self, tmp_path, a1_sq):
+        # the float periods cannot tell these squared periods from their
+        # neighbours; the v2 header stores the exact fractions
+        g = TorusGeometry((a1_sq, 2, 3), 2)
+        V = random_field(g, seed=78)
+        p = tmp_path / "exact.frsp"
+        write_checkpoint(p, SimState(0.5, V, nu=1.0, eps=0.1))
+        back = read_checkpoint(p)
+        assert back.geometry.a_sq == (a1_sq, Fraction(2), Fraction(3))
+        assert back.geometry == g and np.array_equal(back.U.coeffs, V.coeffs)
+        assert len(p.read_bytes()) == 112 + g.L**3 * 4 * 16
+
+    @staticmethod
+    def _v1_file(path, g, V):
+        header = b"FRSP" + struct.pack("<I", 1)
+        header += struct.pack("<7d", float(g.N), *g.a, 0.7, 0.1, 0.25)
+        path.write_bytes(header + V.coeffs.astype("<c16").tobytes())
+
+    def test_v1_files_stay_readable(self, tmp_path):
+        g = TorusGeometry((1, 2, 3), 2)
+        V = random_field(g, seed=79)
+        p = tmp_path / "v1.frsp"
+        self._v1_file(p, g, V)
+        back = read_checkpoint(p)
+        assert back.geometry == g and np.array_equal(back.U.coeffs, V.coeffs)
+        assert (back.t, back.nu, back.eps) == (0.25, 0.7, 0.1)
+
+    def test_v1_unrecoverable_periods_name_the_file(self, tmp_path):
+        g = TorusGeometry((Fraction(1, 10**10), 2, 3), 2)
+        p = tmp_path / "tiny.frsp"
+        self._v1_file(p, g, random_field(g, seed=80))
+        with pytest.raises(ValueError) as err:
+            read_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    def test_unsupported_version_rejected(self, tmp_path, unit_torus_4):
+        p = tmp_path / "v9.frsp"
+        write_checkpoint(p, SimState(0.0, random_field(unit_torus_4, seed=81), nu=1.0, eps=0.1))
+        raw = bytearray(p.read_bytes())
+        raw[4:8] = struct.pack("<I", 9)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported version 9") as err:
+            read_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    def test_periods_beyond_64_bits_are_refused(self, tmp_path):
+        g = TorusGeometry((Fraction(1 << 64, 3), 2, 3), 2)
+        p = tmp_path / "wide.frsp"
+        with pytest.raises(ValueError, match="64-bit"):
+            write_checkpoint(p, SimState(0.0, random_field(g, seed=82), nu=1.0, eps=0.1))
+        assert not p.exists()
