@@ -5,9 +5,10 @@ Everything is built from one kernel, the symmetrized projected transport
     T(A, B) = 1/2 P [ a . grad B + b . grad A ],
 
 computed pseudo-spectrally with 2/3-rule dealiasing.  The filtered form
-conjugates T by the filtering group,
+conjugates T by the filtering group: for the filtered unknown
+U = L(-t/eps) V of `solvers`,
 
-    Q_eps(t; V1, V2) = L(t/eps) T( L(-t/eps) V1, L(-t/eps) V2 ),
+    Q_eps(t; U1, U2) = L(-t/eps) T( L(t/eps) U1, L(t/eps) U2 ),
 
 and the limit forms keep exactly those interactions whose phase is
 identically zero.  In the eigen decomposition the interactions split into
@@ -347,15 +348,15 @@ class FormEngine:
     # -- epsilon-dependent forms ---------------------------------------------------
 
     def q_eps(
-        self, t: float, eps: float, V1: SpectralField4, V2: SpectralField4
+        self, t: float, eps: float, U1: SpectralField4, U2: SpectralField4
     ) -> SpectralField4:
-        """Filter-conjugated symmetrized transport (eq. level: the filtered
-        system's bilinear term)."""
+        """Filter-conjugated symmetrized transport L(-t/eps) T(L(t/eps) U1,
+        L(t/eps) U2), the filtered system's bilinear term."""
         if not eps > 0:
             raise ValueError("q_eps requires eps > 0 (use the limit forms at eps = 0)")
         theta = t / eps
-        W1, W2 = _shared(lambda V: apply_filter(-theta, V), V1, V2)
-        return apply_filter(theta, transport(W1, W2)).pin_zero_mode()
+        W1, W2 = _shared(lambda U: apply_filter(theta, U), U1, U2)
+        return apply_filter(-theta, transport(W1, W2)).pin_zero_mode()
 
     def a2_symbol(self, W: SpectralField4) -> SpectralField4:
         """Plain dissipation symbol diag(-nu |ncheck|^2 x3, 0)."""
@@ -367,11 +368,11 @@ class FormEngine:
         return SpectralField4(g, out)
 
     def a2_eps(self, t: float, eps: float, W: SpectralField4) -> SpectralField4:
-        """Filter-conjugated dissipation."""
+        """Filter-conjugated dissipation L(-t/eps) A2 L(t/eps) W."""
         if not eps > 0:
             raise ValueError("a2_eps requires eps > 0")
         theta = t / eps
-        return apply_filter(theta, self.a2_symbol(apply_filter(-theta, W)))
+        return apply_filter(-theta, self.a2_symbol(apply_filter(theta, W)))
 
     # -- limit forms ---------------------------------------------------------------
 

@@ -53,9 +53,9 @@ class ConfigError(ValueError):
 
 
 def _is_multiple(x: float, unit: float) -> bool:
-    """x / unit lies within 1e-9 of an integer."""
+    """x / unit lies within 1e-9 of an integer >= 1 (at least one step)."""
     ratio = x / unit
-    return abs(ratio - round(ratio)) <= 1e-9
+    return math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ class SimConfig:
             raise ConfigError("squared periods must be positive rationals")
         if self.nu < 0:
             raise ConfigError("nu must be nonnegative")
-        if self.dt <= 0 or self.dt_limit <= 0 or self.T <= 0:
-            raise ConfigError("T, dt, dt_limit must be positive")
-        if any((e <= 0 and not math.isinf(e)) for e in self.eps_list):
+        for name in ("T", "dt", "dt_limit", "amplitude"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
+        if not all(e > 0 for e in self.eps_list):  # NaN included
             raise ConfigError("epsilon values must be positive (or inf)")
         if not 0 < self.snapshot_dt <= self.T:
             raise ConfigError("snapshot_dt must satisfy 0 < snapshot_dt <= T")
@@ -317,18 +318,13 @@ def run_sweep(config: SimConfig, progress=None) -> RunReport:
             for i in range(nsteps):
                 state = stepper.step(state, ledger, enforce_cfl=(i % snap_stride == 0))
                 if (i + 1) % snap_stride == 0:
-                    V_eps = state.physical_V()
-                    approx = (
-                        traj.underline(state.t)
-                        + traj.bars[isnap]
-                        + apply_filter(state.t / eps, traj.oscs[isnap])
-                    )
-                    err = sobolev_norm(config.s - 2.0, V_eps - approx)
-                    r1, r2, r3, srem = engine.remainders(state.t, eps, state.U)
+                    # L(t/eps) is the identity on the underline and e_0 parts
+                    approx = apply_filter(state.t / eps, traj.total(isnap))
+                    err = sobolev_norm(config.s - 2.0, state.V - approx)
+                    U = apply_filter(-state.t / eps, state.V)
+                    r1, r2, r3, srem = engine.remainders(state.t, eps, U)
                     rem = l2_norm(r1 + r2 + r3 + srem)
-                    rows.append(
-                        (eps, state.t, err, ledger.drift(V_eps), rem)
-                    )
+                    rows.append((eps, state.t, err, ledger.drift(state.V), rem))
                     errs.append(err)
                     isnap += 1
             summary["errors"][format_float(eps)] = max(errs)

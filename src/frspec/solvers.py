@@ -1,11 +1,11 @@
 """Time integration of the filtered system and of the explicit limit system.
 
 The filtered unknown U(t) = L(-t/eps) V(t) satisfies a system whose only
-eps-dependence sits in bounded oscillatory phases.  The stepper works in
-the physical frame V, where the complete linear part (dissipation plus
-the 1/eps buoyancy coupling) is a constant 4x4 matrix per mode whose
-exponential is computed exactly once per step size; the nonlinearity is
-advanced by a Lawson (exponential) Runge-Kutta 4 scheme.  This removes
+eps-dependence sits in bounded oscillatory phases.  The stepper keeps the
+physical frame V (`SimState.V`), where the complete linear part
+(dissipation plus the 1/eps buoyancy coupling) is a constant 4x4 matrix
+per mode whose exponential is computed exactly once per step size; the
+nonlinearity is advanced by a Lawson (exponential) RK4 scheme.  This removes
 the 1/eps stiffness entirely and keeps the discrete energy law accurate
 uniformly in eps: over one step the homogeneous part satisfies
 
@@ -19,7 +19,7 @@ The limit system is advanced with the same Lawson scheme but diagonal
 heat factors: the horizontal average is a closed-form vertical heat flow,
 the geostrophic-like part a 2.5D Navier-Stokes system, the wave part has
 its phase-free dissipation (half Laplacian) and the resonance-restricted
-transport.  The limit stepper integrates the eigen-coefficient stack of
+transport.  The limit stepper keeps the eigen-coefficient stack C of
 `waves.coefficients` (rows e_0, e_+, e_-), on which the heat factors act
 row by row; the e_0 row of the transport needs no Leray projection, since
 <P v, e_0> = <v, e_0> (P is self-adjoint per mode and P e_0 = e_0).
@@ -86,17 +86,13 @@ class CFLViolation(NumericalError):
 @dataclass
 class SimState:
     t: float
-    U: SpectralField4  # filtered unknown
+    V: SpectralField4  # physical frame; the filtered unknown is L(-t/eps) V
     nu: float
     eps: float
 
     @property
     def geometry(self) -> TorusGeometry:
-        return self.U.geometry
-
-    def physical_V(self) -> SpectralField4:
-        """Recover V(t) = L(t/eps) U(t)."""
-        return apply_filter(self.t / self.eps, self.U)
+        return self.V.geometry
 
 
 @dataclass
@@ -224,7 +220,7 @@ class FilteredStepper:
         if state.nu != self.nu or state.eps != self.eps:
             raise ValueError("state parameters do not match this stepper")
         dt = self.dt
-        V = state.physical_V()
+        V = state.V
         self._check(V)
         if enforce_cfl:
             _require_cfl(dt, V)
@@ -247,9 +243,7 @@ class FilteredStepper:
             d1 = 0.5 * l2_norm(self._apply(self._E_full_inv, V_new)) ** 2 - 0.5 * l2_norm(V_new) ** 2
             ledger.dissipated += 0.5 * (d0 + d1)
 
-        t_new = state.t + dt
-        U_new = apply_filter(-t_new / self.eps, V_new)
-        return SimState(t_new, U_new, self.nu, self.eps)
+        return SimState(state.t + dt, V_new, self.nu, self.eps)
 
 
 # -- horizontal-average (underline) subsystem: exact heat flow -------------------
@@ -280,11 +274,14 @@ def solve_underline(U0: SpectralField4, nu: float, t: float) -> SpectralField4:
 # -- limit system ------------------------------------------------------------------
 
 
+def _field(g: TorusGeometry, C: np.ndarray) -> SpectralField4:
+    return field_from_coefficients(g, {a: C[a] for a in (0, 1, -1)})  # sum_a C[a] e_a
+
+
 @dataclass
 class LimitState:
     t: float
-    bar: SpectralField4
-    osc: SpectralField4
+    C: np.ndarray  # (3, L, L, L) eigen-coefficient stack, rows e_0, e_+, e_-
 
 
 @dataclass
@@ -293,14 +290,13 @@ class LimitTrajectory:
     nu: float
     times: list[float]
     underline0: SpectralField4
-    bars: list[SpectralField4]
-    oscs: list[SpectralField4]
+    C: list[np.ndarray]  # the stack of each snapshot: row 0 bar, rows +-1 waves
 
     def underline(self, t: float) -> SpectralField4:
         return solve_underline(self.underline0, self.nu, t)
 
     def total(self, i: int) -> SpectralField4:
-        return self.underline(self.times[i]) + self.bars[i] + self.oscs[i]
+        return self.underline(self.times[i]) + _field(self.geometry, self.C[i])
 
 
 class LimitStepper:
@@ -342,13 +338,13 @@ class LimitStepper:
 
     def step(self, s: LimitState) -> LimitState:
         dt = self.dt
-        _require_cfl(dt, solve_underline(self.und0, self.nu, s.t) + s.bar + s.osc)
+        _require_cfl(dt, solve_underline(self.und0, self.nu, s.t) + _field(self.geometry, s.C))
 
         def rhs(C: np.ndarray, tau: float) -> np.ndarray:
             return self._rhs(C, solve_underline(self.und0, self.nu, s.t + tau))
 
         C, _ = lawson_rk4(
-            coefficients(s.bar + s.osc),
+            s.C,
             rhs,
             lambda C: self._heat_half * C,
             lambda C: self._heat_full * C,
@@ -356,10 +352,7 @@ class LimitStepper:
         )
         if not np.all(np.isfinite(C)):
             raise NumericalError("non-finite coefficients in limit step")
-        g = self.geometry
-        bar = field_from_coefficients(g, {0: C[0]})
-        osc = field_from_coefficients(g, {1: C[1], -1: C[-1]})
-        return LimitState(s.t + dt, bar, osc)
+        return LimitState(s.t + dt, C)
 
 
 def solve_limit(
@@ -370,13 +363,12 @@ def solve_limit(
     snapshot_every: int = 1,
 ) -> LimitTrajectory:
     """Advance the decomposed limit system from V0 to time T."""
-    dec = decompose(V0)
+    dec = decompose(V0)  # also rejects data that is not divergence-free
     nsteps = int(round(T / dt))
     stepper = LimitStepper(engine, dt, dec.underline)
-    s = LimitState(0.0, dec.bar, dec.osc)
+    s = LimitState(0.0, coefficients(V0))
     times = [0.0]
-    bars = [s.bar.copy()]
-    oscs = [s.osc.copy()]
+    stacks = [s.C]
     # each step checks its result for non-finite values and raises
     # NumericalError, so numpy's overflow warnings on the way add nothing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -384,9 +376,8 @@ def solve_limit(
             s = stepper.step(s)
             if (i + 1) % snapshot_every == 0 or i == nsteps - 1:
                 times.append(s.t)
-                bars.append(s.bar.copy())
-                oscs.append(s.osc.copy())
-    return LimitTrajectory(engine.geometry, engine.nu, times, dec.underline, bars, oscs)
+                stacks.append(s.C)
+    return LimitTrajectory(engine.geometry, engine.nu, times, dec.underline, stacks)
 
 
 # -- a priori energy-bound calculators ----------------------------------------------
@@ -525,11 +516,12 @@ def blowup_monitor(times, fields) -> np.ndarray:
 # -- checkpoint I/O --------------------------------------------------------------------
 
 _MAGIC = b"FRSP"
-_VERSION = 2
+_VERSION = 3
 # v1: magic, version, then N, a1, a2, a3, nu, eps, t as doubles.  v2 appends
 # the numerator and denominator of each a_i^2 as unsigned 64-bit integers:
-# the float periods do not determine the rational squared periods.
-_HEADER_BYTES = {1: 64, 2: 112}
+# the float periods do not determine the rational squared periods.  v3 keeps
+# the v2 header; its payload is V, where v1 and v2 store U = L(-t/eps) V.
+_HEADER_BYTES = {1: 64, 2: 112, 3: 112}
 
 
 def checkpoint_periods(g: TorusGeometry) -> list[int]:
@@ -553,7 +545,7 @@ def write_checkpoint(path, state: SimState) -> None:
         "<7d", float(g.N), a[0], a[1], a[2], state.nu, state.eps, state.t
     )
     header += struct.pack("<6Q", *exact)
-    body = np.ascontiguousarray(state.U.coeffs, dtype=np.complex128)
+    body = np.ascontiguousarray(state.V.coeffs, dtype=np.complex128)
     # lexicographic mode order is the C order of the (i1, i2, i3) array
     with open(path, "wb") as fh:
         fh.write(header)
@@ -561,10 +553,11 @@ def write_checkpoint(path, state: SimState) -> None:
 
 
 def read_checkpoint(path) -> SimState:
-    """Read a v2 or v1 checkpoint.  A v1 file stores only the float periods;
-    its squared periods are recovered as the nearest fractions with
-    denominator at most 10^9, which need not be the ones it was written
-    from."""
+    """Read a v3, v2 or v1 checkpoint.  A v1 or v2 payload holds U, which
+    is returned as V = L(t/eps) U.  A v1 file stores only the float
+    periods; its squared periods are recovered as the nearest fractions
+    with denominator at most 10^9, which need not be the ones it was
+    written from."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES[_VERSION])
         if head[:4] != _MAGIC:
@@ -578,6 +571,8 @@ def read_checkpoint(path) -> SimState:
                 f"checkpoint {path}: header is {len(head)} bytes, expected {size}"
             )
         Nf, a1, a2, a3, nu, eps, t = struct.unpack_from("<7d", head, 8)
+        if not eps > 0:
+            raise ValueError(f"checkpoint {path}: eps = {eps} is not positive")
         N = int(round(Nf))
         try:
             if version == 1:
@@ -596,4 +591,7 @@ def read_checkpoint(path) -> SimState:
             f"checkpoint {path}: payload is {len(raw)} bytes, expected {want} for N = {N}"
         )
     coeffs = np.frombuffer(raw, dtype="<c16").reshape(L, L, L, 4).copy()
-    return SimState(t, SpectralField4(g, coeffs.astype(np.complex128)), nu, eps)
+    V = SpectralField4(g, coeffs.astype(np.complex128))
+    if version < 3:
+        V = apply_filter(t / eps, V)
+    return SimState(t, V, nu, eps)

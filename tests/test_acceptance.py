@@ -456,7 +456,7 @@ def test_criterion_6_energy_law():
         for i in range(1000):
             state = stepper.step(state, ledger, enforce_cfl=(i % 100 == 0))
             if (i + 1) % 50 == 0:
-                drift = max(drift, ledger.drift(state.physical_V()))
+                drift = max(drift, ledger.drift(state.V))
         worst[eps] = drift
     elapsed = time.perf_counter() - t0
     ok = all(v <= 1e-5 for v in worst.values())
@@ -498,14 +498,9 @@ def test_criterion_7_main_theorem_sweep():
             for i in range(1000):
                 state = stepper.step(state, enforce_cfl=(i % 50 == 0))
                 if (i + 1) % 50 == 0:
-                    approx = (
-                        traj.underline(state.t)
-                        + traj.bars[isnap]
-                        + apply_filter(state.t / eps, traj.oscs[isnap])
-                    )
-                    worst = max(
-                        worst, sobolev_norm(3.0, state.physical_V() - approx)
-                    )
+                    # L(t/eps) is the identity on the underline and e_0 parts
+                    approx = apply_filter(state.t / eps, traj.total(isnap))
+                    worst = max(worst, sobolev_norm(3.0, state.V - approx))
                     isnap += 1
             errs.append(worst)
         table.append(errs)
@@ -546,7 +541,7 @@ def test_criterion_8_exact_subsolutions_and_wave_bound():
     want = V0.coeffs.copy()
     want[..., 0] *= fac
     want[..., 1] *= fac
-    heat_err = np.max(np.abs(state.physical_V().coeffs - want))
+    heat_err = np.max(np.abs(state.V.coeffs - want))
 
     # E2 bound along simulated wave trajectories
     ok_bound = True
@@ -559,7 +554,7 @@ def test_criterion_8_exact_subsolutions_and_wave_bound():
         diss = 0.0
         prev = None
         for i, t in enumerate(traj.times):
-            osc = traj.oscs[i]
+            osc = field_from_coefficients(g, {1: traj.C[i][1], -1: traj.C[i][-1]})
             gnorm = float(np.sum(ksq[..., None] * np.abs(osc.coeffs) ** 2))
             if prev is not None:
                 diss += 0.5 * (gnorm + prev) * (traj.times[i] - traj.times[i - 1])

@@ -558,6 +558,27 @@ class TestQeps:
         with pytest.raises(ValueError):
             engine4.q_eps(0.1, 0.0, V, V)
 
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_forms_are_the_filtered_stepper_derivative(self, a_sq, N, eps):
+        # the filtered unknown U = L(-t/eps) V of one short FilteredStepper
+        # step moves by dU/dt = -q_eps(t; U, U) + a2_eps(t; U): the forms
+        # are conjugated in the stepper's frame, not evaluated at -t
+        from frspec.solvers import FilteredStepper, SimState
+        from frspec.waves import apply_filter
+
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=5, amplitude=1.0, spectrum_r=3.0)
+        t, dt = 0.3, 1e-6
+        after = FilteredStepper(eng, eps, dt).step(SimState(t, V, 1.0, eps), enforce_cfl=False)
+        U = apply_filter(-t / eps, V)
+        dU = (1.0 / dt) * (apply_filter(-(t + dt) / eps, after.V) - U)
+        rhs = -1.0 * eng.q_eps(t, eps, U, U) + eng.a2_eps(t, eps, U)
+        # O(dt / eps) from the difference quotient; 0.68-0.79 with the
+        # conjugation reversed
+        assert l2_norm(dU - rhs) < 1e-3 * l2_norm(dU)
+
 
 class TestA2:
     def test_underline_heat_display(self, unit_torus_4):

@@ -314,7 +314,7 @@ class TestCli:
         state = SimState(0.0, V0, cfg.nu, 0.1)
         for i in range(int(round(cfg.T / cfg.dt))):
             state = stepper.step(state, enforce_cfl=(i % 100 == 0))
-        assert np.array_equal(ck.U.coeffs, state.U.coeffs)
+        assert np.array_equal(ck.V.coeffs, state.V.coeffs)
         assert (ck.t, ck.nu, ck.eps) == (state.t, state.nu, state.eps)
 
     @pytest.mark.parametrize(
@@ -334,6 +334,33 @@ class TestCli:
         assert cli_main(["--config", self._cfg_file(tmp_path, **over), "sweep"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["configuration error: T must be a multiple of snapshot_dt"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            (dict(T="inf"), "T must be finite and positive"),
+            (dict(dt="inf"), "dt must be finite and positive"),
+            (dict(dt_limit="nan"), "dt_limit must be finite and positive"),
+            (dict(snapshot_dt="1e-13", T="1e-13"), "snapshot_dt must be a multiple of dt"),
+            (dict(amplitude=0), "amplitude must be finite and positive"),
+            (dict(eps="nan"), "epsilon values must be positive (or inf)"),
+        ],
+        ids=["T-inf", "dt-inf", "dt_limit-nan", "snapshot-below-one-step", "amplitude-0", "eps-nan"],
+    )
+    @pytest.mark.parametrize("command", ["limit", "sweep"])
+    def test_degenerate_values_are_config_errors(
+        self, tmp_path, capsys, monkeypatch, over, message, command
+    ):
+        # these once crashed with a traceback: OverflowError on T = inf, an
+        # empty error list when no step fits a snapshot, ZeroDivisionError in
+        # the energy ledger on zero data, a stepper that rejects its own
+        # state when eps is NaN
+        monkeypatch.setattr(cli_module, "run_sweep", None)  # nothing is solved
+        cfgf = self._cfg_file(tmp_path, **over)
+        eps = [] if "eps" in over else ["--epsilon", "0.1"]
+        assert cli_main(["--config", cfgf, *eps, command]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
