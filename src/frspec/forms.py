@@ -1,17 +1,20 @@
-"""The oscillation-conjugated bilinear forms and their epsilon -> 0 limits.
+"""The oscillation-conjugated quadratic forms and their epsilon -> 0 limits.
 
 Everything is built from one kernel, the symmetrized projected transport
 
     T(A, B) = 1/2 P [ a . grad B + b . grad A ],
 
-computed pseudo-spectrally with 2/3-rule dealiasing.  The filtered form
-conjugates T by the filtering group: for the filtered unknown
-U = L(-t/eps) V of `solvers`,
+computed pseudo-spectrally with 2/3-rule dealiasing.  Every form is the
+quadratic form of a symmetric bilinear one and takes one field.  The
+filtered form conjugates T by the filtering group: for the filtered
+unknown U = L(-t/eps) V of `solvers`,
 
-    Q_eps(t; U1, U2) = L(-t/eps) T( L(t/eps) U1, L(t/eps) U2 ),
+    Q_eps(t; U) = L(-t/eps) T( L(t/eps) U, L(t/eps) U ),
 
 and the limit forms keep exactly those interactions whose phase is
-identically zero.  In the eigen decomposition the interactions split into
+identically zero.  The oscillating (Schochet) remainder is therefore the
+filtered right-hand side minus the limit one, F_eps(t; U) - F_0(U), with
+F = Q - A2.  In the eigen decomposition the interactions split into
 sign classes: the (0,0,0) class is an unrestricted convolution of the
 e_0 parts (evaluated by FFT), while every class with a nonzero sign is
 supported on an exactly enumerated resonant set (evaluated by sparse
@@ -25,14 +28,13 @@ part.  Every radical row is also confirmed over Fractions.
 Per-row coupling weight: restricting the two inputs of T to eigen
 components (a at k) and (b at m) and projecting the output on e_c(n),
 
-    <T_row, e_c(n)> = (i/2) c1_a(k) c2_b(m) G,
+    <T_row, e_c(n)> = (i/2) c_a(k) c_b(m) G,
     G = (ncheck(n) . e_a^vel(k)) <e_b(m), e_c(n)>
       + (ncheck(n) . e_b^vel(m)) <e_a(k), e_c(n)>,
 
 which is the quantity tabulated below.  Rows come in (k,a) <-> (m,b)
-swapped pairs with the same output and bitwise-equal G, so evaluating with
-the symmetrized coefficient product makes the forms bitwise symmetric in
-their arguments, and the resonant sum runs once per pair with weight 2 G,
+swapped pairs with the same output, the same coefficient product and
+bitwise-equal G, so the resonant sum runs once per pair with weight 2 G,
 on the row with (a, k) < (b, m).  The (a, -a, 0) rows are not summed: two
 resonant waves never force e_0.  With kc = ncheck(k), mc = ncheck(m) and
 X = kc_1 mc_2 - kc_2 mc_1, such a row has
@@ -40,18 +42,16 @@ G = -X (|kc_h|^2 mc_3^2 - |mc_h|^2 kc_3^2) / (2 |kc_h| |kc| |mc_h| |mc| |nc_h|),
 whose bracket vanishes exactly when omega(k) = omega(m) (derived in
 tests/test_forms.py, TestWaveWaveKernelForcing).
 
-A form called with one object in both slots, a self-interaction q(V, V),
-computes each operand once: the symmetrized row product 0.5 (xy + xy) is
-exactly xy, and `transport(A, A)` transforms A once, so the result is byte
-for byte that of the two-slot path on (V, V.copy()).
-
 Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
 e_+, e_-, indexed by the sign a), so a flat index into a raveled (3, L^3)
-stack is (a mod 3) L^3 + mode.
+stack is (a mod 3) L^3 + mode.  The eigenvectors vanish on the vertical
+line n_h = 0, so the coefficients and the bar part of a field are those of
+its tilde part, and no form projects its input first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,13 +96,6 @@ def _flat(signs: np.ndarray, modes: np.ndarray, nmodes: int) -> np.ndarray:
     """Flat index of (sign, mode) in a raveled (3, L^3) coefficient matrix
     with rows c_0, c_+, c_- (sign a sits in row a mod 3)."""
     return (signs.astype(np.int64) % 3) * nmodes + modes
-
-
-def _shared(f, x, y):
-    """(f(x), f(y)), with f evaluated once when y is x, so that a form on
-    (V, V) hands one operand object to both slots of what it calls."""
-    fx = f(x)
-    return (fx, fx) if y is x else (fx, f(y))
 
 
 def project_tilde(V: SpectralField4) -> SpectralField4:
@@ -164,28 +157,12 @@ class UnderTable:
     out: np.ndarray  # (rows * 4) flat index of (n3i, component) on the line
 
 
-@dataclass
-class FormEvaluation:
-    """Result of a limit-form evaluation with bookkeeping.
-
-    The output is divergence-free and zero-mean (the forms project);
-    `interactions` counts the rows of the resonant set the form covers: a
-    mirror pair of the triad table counts twice, though it is summed once,
-    and the (a, -a, 0) rows count, though they are skipped as identically
-    zero.
-    """
-
-    output: SpectralField4
-    interactions: int
-    seconds: float
-
-
 class FormEngine:
     """All epsilon-forms and limit forms for one geometry and viscosity."""
 
     def __init__(self, geometry: TorusGeometry, nu: float):
-        if nu < 0:
-            raise ValueError("viscosity must be nonnegative")
+        if not 0 <= nu < math.inf:  # NaN included
+            raise ValueError("viscosity must be finite and nonnegative")
         self.geometry = geometry
         self.nu = float(nu)
         self.basis = EigenBasis.of(geometry)
@@ -214,7 +191,6 @@ class FormEngine:
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
         self._kstar_pairs: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_interactions = 0
 
     # -- table construction -------------------------------------------------------
 
@@ -347,16 +323,14 @@ class FormEngine:
 
     # -- epsilon-dependent forms ---------------------------------------------------
 
-    def q_eps(
-        self, t: float, eps: float, U1: SpectralField4, U2: SpectralField4
-    ) -> SpectralField4:
-        """Filter-conjugated symmetrized transport L(-t/eps) T(L(t/eps) U1,
-        L(t/eps) U2), the filtered system's bilinear term."""
+    def q_eps(self, t: float, eps: float, U: SpectralField4) -> SpectralField4:
+        """Filter-conjugated symmetrized transport L(-t/eps) T(L(t/eps) U,
+        L(t/eps) U), the filtered system's quadratic term."""
         if not eps > 0:
             raise ValueError("q_eps requires eps > 0 (use the limit forms at eps = 0)")
         theta = t / eps
-        W1, W2 = _shared(lambda U: apply_filter(theta, U), U1, U2)
-        return apply_filter(-theta, transport(W1, W2)).pin_zero_mode()
+        W = apply_filter(theta, U)
+        return apply_filter(-theta, transport(W, W)).pin_zero_mode()
 
     def a2_symbol(self, W: SpectralField4) -> SpectralField4:
         """Plain dissipation symbol diag(-nu |ncheck|^2 x3, 0)."""
@@ -376,61 +350,40 @@ class FormEngine:
 
     # -- limit forms ---------------------------------------------------------------
 
-    def _row_products(
-        self, C1: np.ndarray, C2: np.ndarray, tab: TriadTable | UnderTable
-    ) -> np.ndarray:
-        """(i/2) times the symmetrized coefficient product of each table row:
-        c1_a(k) c2_b(m) averaged with its (C1 <-> C2) swap, so the sum is
-        bitwise symmetric in its arguments.  C1, C2 are (3, L, L, L)
-        coefficient stacks in the layout of `coefficients`.
-
-        When C1 is C2 the average 0.5 (xy + xy) is exactly xy, so the
-        coefficients are gathered once and the product is formed once."""
-        if C1 is C2:
-            C = C1.reshape(-1)
-            p = np.take(C, tab.ka)
-            p *= np.take(C, tab.mb)
-            np.multiply(0.5j, p, out=p)
-            return p
-        C1 = C1.reshape(-1)
-        C2 = C2.reshape(-1)
-        # 0.5j * (0.5 * (x1 * y2 + x2 * y1)), in place: same floats, fewer
-        # row-sized temporaries
-        p = np.take(C1, tab.ka)
-        p *= np.take(C2, tab.mb)
-        q = np.take(C2, tab.ka)
-        q *= np.take(C1, tab.mb)
-        p += q
-        np.multiply(0.5, p, out=p)
+    def _row_products(self, C: np.ndarray, tab: TriadTable | UnderTable) -> np.ndarray:
+        """(i/2) c_a(k) c_b(m) on each table row, from the (3, L, L, L)
+        coefficient stack C in the layout of `coefficients`."""
+        C = C.reshape(-1)
+        p = np.take(C, tab.ka)
+        p *= np.take(C, tab.mb)
         np.multiply(0.5j, p, out=p)
         return p
 
-    def q_resonant(self, C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
+    def q_resonant(self, C: np.ndarray) -> np.ndarray:
         """The sparse exact-resonant classes of q_tilde1 (all but (0,0,0)),
-        once per mirror pair, on coefficient stacks: takes two (3, L, L, L)
-        stacks and returns one.  Its row 0 is zero, as no plan row outputs
-        on e_0.  Pass the same stack twice for a self-interaction
-        q(C, C): its rows are gathered once (see `_row_products`)."""
+        once per mirror pair, on the (3, L, L, L) coefficient stack C;
+        returns a stack of the same shape.  Its row 0 is zero, as no plan
+        row outputs on e_0."""
         tab, _ = self.tables
         g = self.geometry
         out = np.zeros(3 * g.nmodes, dtype=np.complex128)
         if tab.rows:
-            p = self._row_products(C1, C2, tab)
+            p = self._row_products(C, tab)
             p *= tab.W
             np.add.at(out, tab.nc, p)
-        self.last_interactions = tab.rows
         return out.reshape((3,) + (g.L,) * 3)
 
-    def q_tilde1(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
+    def q_tilde1(self, V: SpectralField4) -> SpectralField4:
         """Resonance-restricted symmetrized transport (tilde output).
 
-        Inputs are taken through their tilde parts; the (0,0,0) class is an
-        unrestricted convolution of the e_0 parts, all other classes are
-        the sparse exact-resonant sums of `q_resonant`.
+        The input is read through its eigen parts (its tilde part); the
+        (0,0,0) class is an unrestricted convolution of the e_0 part, all
+        other classes are the sparse exact-resonant sums of `q_resonant`.
         """
         g = self.geometry
-        fft_part = bar_part(transport(*_shared(bar_part, V1, V2)))
-        res = self.q_resonant(*_shared(coefficients, V1, V2))
+        bar = bar_part(V)
+        fft_part = bar_part(transport(bar, bar))
+        res = self.q_resonant(coefficients(V))
         waves = field_from_coefficients(g, {a: res[a] for a in (-1, 1)})
         return (fft_part + waves).pin_zero_mode()
 
@@ -476,74 +429,36 @@ class FormEngine:
         rows +-1 hold the wave output and whose row 0 is zero."""
         return self._b_sector(underline_part(Vund), C)
 
-    def q_tilde2(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
-        """Limit underline x tilde transport (tilde output), both slots."""
+    def q_tilde2(self, V: SpectralField4) -> SpectralField4:
+        """Limit underline x tilde transport (tilde output).  Both slots of
+        the symmetric form see (underline, tilde), so the sum over the two
+        is twice one of them."""
         g = self.geometry
-
-        def waves(b):
-            return field_from_coefficients(g, {1: b[1], -1: b[-1]})
-
-        if V2 is V1:
-            # transport is bitwise symmetric and 0.5 (x + x) = x, so the
-            # two slots share every term
-            und = underline_part(V1)
-            til = project_tilde(V1)
-            t = transport(und, bar_part(til))
-            fft_part = bar_part(t + t)
-            b_part = waves(self._b_sector(und, coefficients(til)))
-        else:
-            und1 = underline_part(V1)
-            und2 = underline_part(V2)
-            til1 = project_tilde(V1)
-            til2 = project_tilde(V2)
-            bar1 = bar_part(til1)
-            bar2 = bar_part(til2)
-            fft_part = bar_part(transport(und1, bar2) + transport(bar1, und2))
-            b1 = self._b_sector(und1, coefficients(til2))
-            b2 = self._b_sector(und2, coefficients(til1))
-            b_part = 0.5 * (waves(b1) + waves(b2))
+        und = underline_part(V)
+        t = transport(und, bar_part(V))
+        fft_part = bar_part(t + t)
+        b = self._b_sector(und, coefficients(V))
+        b_part = field_from_coefficients(g, {1: b[1], -1: b[-1]})
         return (fft_part + b_part).pin_zero_mode()
 
-    def q_underline(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
-        """Limit tilde x tilde interaction with output on the vertical line."""
+    def q_underline(self, V: SpectralField4) -> SpectralField4:
+        """Limit tilde x tilde interaction with output on the vertical line:
+        the (a, -a) rows of the underline table.  The (0, 0) class needs no
+        term: the e_0 velocity has no vertical part, and on the vertical
+        line ncheck is vertical."""
         g = self.geometry
-        til1, til2 = _shared(project_tilde, V1, V2)
-        fft_part = underline_part(transport(*_shared(bar_part, til1, til2)))
-
         _, qu = self.tables
         out_line = np.zeros(g.L * 4, dtype=np.complex128)
         if len(qu.kf):
-            C1, C2 = _shared(coefficients, til1, til2)
-            contrib = self._row_products(C1, C2, qu)[:, None] * qu.G4
+            contrib = self._row_products(coefficients(V), qu)[:, None] * qu.G4
             np.add.at(out_line, qu.out, contrib.reshape(-1))
-        self.last_interactions = len(qu.kf)
         out = zero_field(g)
         out.coeffs[g.N, g.N, :, :] = out_line.reshape(g.L, 4)
-        return (fft_part + out).pin_zero_mode()
+        return out.pin_zero_mode()
 
-    def q_limit(self, V1: SpectralField4, V2: SpectralField4) -> SpectralField4:
+    def q_limit(self, V: SpectralField4) -> SpectralField4:
         """The full limit form Q = Qt1 + Qt2 + Qu."""
-        t1 = self.q_tilde1(*_shared(project_tilde, V1, V2))
-        t2 = self.q_tilde2(V1, V2)
-        qu = self.q_underline(V1, V2)
-        tab, under = self.tables
-        self.last_interactions = tab.rows + len(under.kf)
-        return t1 + t2 + qu
-
-    def evaluate(self, form: str, V1: SpectralField4, V2: SpectralField4) -> FormEvaluation:
-        """Timed evaluation of a named limit form with its interaction count."""
-        import time as _time
-
-        fn = {
-            "q_tilde1": self.q_tilde1,
-            "q_tilde2": self.q_tilde2,
-            "q_underline": self.q_underline,
-            "q_limit": self.q_limit,
-        }[form]
-        self.last_interactions = 0
-        t0 = _time.perf_counter()
-        out = fn(V1, V2)
-        return FormEvaluation(out, self.last_interactions, _time.perf_counter() - t0)
+        return self.q_tilde1(V) + self.q_tilde2(V) + self.q_underline(V)
 
     def a2_limit(self, W: SpectralField4) -> SpectralField4:
         """Phase-free part of the conjugated dissipation.
@@ -592,21 +507,13 @@ class FormEngine:
         mfl = ((mk[:, 0] + g.N) * L + (mk[:, 1] + g.N)) * L + (mk[:, 2] + g.N)
         return complex(np.sum(af[kf] * bf[mfl] * cf[nf]))
 
-    # -- Schochet remainders ----------------------------------------------------------
+    # -- Schochet remainder ------------------------------------------------------------
 
-    def remainders(self, t: float, eps: float, U: SpectralField4):
-        """Oscillating remainder fields (R_I, R_II, R_III, S).
+    def remainders(self, t: float, eps: float, U: SpectralField4) -> SpectralField4:
+        """The oscillating remainder F_eps(t; U) - F_0(U), F = Q - A2.
 
-        Each R is the non-resonant part of the corresponding interaction
-        class, with its explicit phases; computed as the difference between
-        the filtered form and its resonant (limit) part, which agree on the
-        resonant set with phase exactly one.
-        """
-        til = project_tilde(U)
-        und = underline_part(U)
-        q_til_til = self.q_eps(t, eps, til, til)
-        r1 = project_tilde(q_til_til) - self.q_tilde1(til, til)
-        r2 = 2.0 * project_tilde(self.q_eps(t, eps, und, til)) - self.q_tilde2(U, U)
-        r3 = underline_part(q_til_til) - self.q_underline(til, til)
-        s = -1.0 * (self.a2_eps(t, eps, U) - self.a2_limit(U))
-        return r1, r2, r3, s
+        The limit forms keep exactly the phase-free interactions of the
+        filtered ones, so the difference holds every interaction with a
+        nonzero phase, at its explicit phase t/eps."""
+        filtered = self.q_eps(t, eps, U) - self.a2_eps(t, eps, U)
+        return filtered - (self.q_limit(U) - self.a2_limit(U))

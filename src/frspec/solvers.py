@@ -327,10 +327,10 @@ class LimitStepper:
         projection: P is self-adjoint per mode and P e_0 = e_0, so
         <P v, e_0> = <v, e_0>.  Rows +-1 are the resonant transport of the
         waves by themselves and by the bar part, one self-interaction
-        q_resonant(C, C) (the table holds no (0, 0, c) row, so no bar x bar
+        q_resonant(C) (the table holds no (0, 0, c) row, so no bar x bar
         product enters it), plus the underline coupling."""
         eng = self.engine
-        out = eng.q_resonant(C, C) + eng.b_form(und, C)
+        out = eng.q_resonant(C) + eng.b_form(und, C)
         bar_field = field_from_coefficients(self.geometry, {0: C[0]})
         adv = convolve_quadratic(bar_field + und, bar_field, stencil="horizontal")
         out[0] = coefficients(adv)[0]

@@ -352,7 +352,7 @@ def _averaging_setup():
     g = TorusGeometry((1, 1, 1), 4)
     eng = FormEngine(g, nu=1.0)
     V = random_field(g, seed=5, amplitude=1.0, spectrum_r=1.0)
-    Q = eng.q_limit(V, V)
+    Q = eng.q_limit(V)
     A0 = eng.a2_limit(V)
     return g, eng, V, Q, A0
 
@@ -362,7 +362,7 @@ def _averaged(eng, g, V, thetas, weights, with_a2):
     qa = zero_field(g)
     aa = zero_field(g)
     for th, wi in zip(thetas, w):
-        qa.coeffs += wi * eng.q_eps(th, 1.0, V, V).coeffs
+        qa.coeffs += wi * eng.q_eps(th, 1.0, V).coeffs
         if with_a2:
             aa.coeffs += wi * eng.a2_eps(th, 1.0, V).coeffs
     return qa, aa

@@ -1,4 +1,4 @@
-"""The filtered bilinear forms, their limits, and the remainder decomposition."""
+"""The filtered quadratic forms, their limits, and the Schochet remainder."""
 
 import itertools
 from collections import Counter
@@ -23,6 +23,7 @@ from frspec.geometry import TorusGeometry
 from frspec.resonance import exact_sqrt_sum_is_zero, is_resonant, omega_ratio_ints
 from frspec.waves import (
     EigenBasis,
+    apply_filter,
     bar_part,
     coefficients,
     decompose,
@@ -269,6 +270,11 @@ class TestTables:
             assert n == np.sum((tab.ia == cls[0]) & (tab.ib == cls[1]) & (tab.ic == cls[2]))
         assert sum(counts.values()) == tab.rows
 
+    def test_row_counts(self, engine3):
+        # the stored resonant set on the N = 3 unit torus
+        tab, under = engine3.tables
+        assert (tab.rows, len(under.kf)) == (14640, 864)
+
     @pytest.mark.parametrize("a_sq,N,rows", [((1, 2, 3), 5, 3600), ((1, 1, 1), 4, 2080), ((1, 4, 1), 4, 2080)])
     def test_underline_weights_are_exactly_zero(self, a_sq, N, rows):
         """Every underline row (a at k, -a at m) has k + m = (0, 0, n3) and
@@ -330,6 +336,8 @@ def wave_field(g, C):
 
 
 def q_underline_2d(eng, V1, V2):
+    """The underline-output form on two fields: the FFT (0, 0) class and the
+    table rows with 2-D scatters."""
     g = eng.geometry
     til1, til2 = project_tilde(V1), project_tilde(V2)
     fft_part = underline_part(transport(bar_part(til1), bar_part(til2)))
@@ -342,28 +350,57 @@ def q_underline_2d(eng, V1, V2):
     return (fft_part + out).pin_zero_mode()
 
 
+# The general two-slot forms, written out from the kernels: each form of
+# FormEngine is the diagonal of one of these symmetric bilinear forms.
+
+
+def q_tilde1_2(eng, A, B):
+    res = q_resonant_2d(eng, coefficients(A), coefficients(B), plan=True)
+    waves = field_from_coefficients(eng.geometry, {a: res[a] for a in (-1, 1)})
+    return (bar_part(transport(bar_part(A), bar_part(B))) + waves).pin_zero_mode()
+
+
+def q_tilde2_2(eng, A, B):
+    g = eng.geometry
+    und_a, und_b = underline_part(A), underline_part(B)
+    til_a, til_b = project_tilde(A), project_tilde(B)
+    fft_part = bar_part(transport(und_a, bar_part(til_b)) + transport(bar_part(til_a), und_b))
+    b_a = eng._b_sector(und_a, coefficients(til_b))
+    b_b = eng._b_sector(und_b, coefficients(til_a))
+    return (fft_part + 0.5 * (wave_field(g, b_a) + wave_field(g, b_b))).pin_zero_mode()
+
+
+def q_limit_2(eng, A, B):
+    return (q_tilde1_2(eng, project_tilde(A), project_tilde(B)) + q_tilde2_2(eng, A, B)
+            + q_underline_2d(eng, A, B))
+
+
+def q_eps_2(t, eps, A, B):
+    return apply_filter(-t / eps, transport(apply_filter(t / eps, A), apply_filter(t / eps, B))).pin_zero_mode()
+
+
 class TestFlatIndexApply:
     @pytest.mark.parametrize("a_sq, N", [((1, 2, 3), 3), ((1, 1, 1), 4)])
     def test_matches_2d_indexed_scatter(self, a_sq, N):
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
-        A = random_field(g, seed=61, spectrum_r=1.0)
-        B = random_field(g, seed=62, spectrum_r=1.0)
+        V = random_field(g, seed=61, spectrum_r=1.0)
         # random underline weights, so that the scatter sums nonzero rows
         _, qu = eng.tables
         rng = np.random.default_rng(63)
         qu.G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
-        CA, CB = coefficients(A), coefficients(B)
-        got = eng.q_resonant(CA, CB)
-        assert got.shape == CA.shape and np.max(np.abs(got)) > 0
-        assert got.tobytes() == q_resonant_2d(eng, CA, CB, plan=True).tobytes()
+        C = coefficients(V)
+        got = eng.q_resonant(C)
+        assert got.shape == C.shape and np.max(np.abs(got)) > 0
+        assert got.tobytes() == q_resonant_2d(eng, C, C, plan=True).tobytes()
         # weight 2 G on one row of a pair reorders the additions of the sum
         # over both rows
-        full = q_resonant_2d(eng, CA, CB)
+        full = q_resonant_2d(eng, C, C)
         assert np.max(np.abs(got - full)) <= 1e-14 * np.max(np.abs(full))
-        got = eng.q_underline(A, B)
+        got = eng.q_underline(V)
         assert np.max(np.abs(got.coeffs)) > 0
-        assert got.coeffs.tobytes() == q_underline_2d(eng, A, B).coeffs.tobytes()
+        # the oracle also sums the FFT (0, 0) class, which is exactly zero
+        assert np.array_equal(got.coeffs, q_underline_2d(eng, V, V).coeffs)
 
 
 @pytest.fixture(scope="module", params=[((1, 2, 3), 3), ((1, 1, 1), 4), ((1, 4, 1), 5)],
@@ -433,8 +470,7 @@ class TestMirrorPlan:
         g = mirror_engine.geometry
         tab, _ = mirror_engine.tables
         assert np.all(tab.nc >= g.nmodes)
-        q = mirror_engine.q_resonant(coefficients(random_field(g, seed=64, spectrum_r=1.0)),
-                                     coefficients(random_field(g, seed=65, spectrum_r=1.0)))
+        q = mirror_engine.q_resonant(coefficients(random_field(g, seed=64, spectrum_r=1.0)))
         assert np.max(np.abs(q)) > 0
         assert np.all(q[0] == 0.0)
         field = wave_field(g, q)
@@ -531,41 +567,36 @@ class TestWaveWaveKernelForcing:
 
 class TestQeps:
     def test_bilinear_zero(self, engine4, unit_torus_4):
+        # the quadratic form of the bilinear T: zero at zero and of degree
+        # two (scaling by 2 is exact in floating point)
+        assert l2_norm(engine4.q_eps(0.4, 0.1, zero_field(unit_torus_4))) == 0.0
         V = random_field(unit_torus_4, seed=31)
-        out = engine4.q_eps(0.4, 0.1, V, zero_field(unit_torus_4))
-        assert l2_norm(out) == 0.0
+        assert np.array_equal(engine4.q_eps(0.4, 0.1, 2.0 * V).coeffs,
+                              4.0 * engine4.q_eps(0.4, 0.1, V).coeffs)
 
     def test_t0_is_projected_transport(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=32)
-        got = engine4.q_eps(0.0, 0.05, V, V)
+        got = engine4.q_eps(0.0, 0.05, V)
         want = leray_project(convolve_quadratic(V, V))
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-10
 
     def test_energy_neutral(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=33)
-        q = engine4.q_eps(0.7, 0.02, V, V)
+        q = engine4.q_eps(0.7, 0.02, V)
         assert abs(inner_l2(q, V)) < 1e-10 * l2_norm(q) * l2_norm(V)
-
-    def test_symmetric(self, engine4, unit_torus_4):
-        A = random_field(unit_torus_4, seed=34)
-        B = random_field(unit_torus_4, seed=35)
-        ab = engine4.q_eps(0.3, 0.1, A, B)
-        ba = engine4.q_eps(0.3, 0.1, B, A)
-        assert np.array_equal(ab.coeffs, ba.coeffs)
 
     def test_rejects_bad_eps(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=36)
         with pytest.raises(ValueError):
-            engine4.q_eps(0.1, 0.0, V, V)
+            engine4.q_eps(0.1, 0.0, V)
 
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_forms_are_the_filtered_stepper_derivative(self, a_sq, N, eps):
         # the filtered unknown U = L(-t/eps) V of one short FilteredStepper
-        # step moves by dU/dt = -q_eps(t; U, U) + a2_eps(t; U): the forms
+        # step moves by dU/dt = -q_eps(t; U) + a2_eps(t; U): the forms
         # are conjugated in the stepper's frame, not evaluated at -t
         from frspec.solvers import FilteredStepper, SimState
-        from frspec.waves import apply_filter
 
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
@@ -574,13 +605,18 @@ class TestQeps:
         after = FilteredStepper(eng, eps, dt).step(SimState(t, V, 1.0, eps), enforce_cfl=False)
         U = apply_filter(-t / eps, V)
         dU = (1.0 / dt) * (apply_filter(-(t + dt) / eps, after.V) - U)
-        rhs = -1.0 * eng.q_eps(t, eps, U, U) + eng.a2_eps(t, eps, U)
+        rhs = -1.0 * eng.q_eps(t, eps, U) + eng.a2_eps(t, eps, U)
         # O(dt / eps) from the difference quotient; 0.68-0.79 with the
         # conjugation reversed
         assert l2_norm(dU - rhs) < 1e-3 * l2_norm(dU)
 
 
 class TestA2:
+    @pytest.mark.parametrize("nu", [-1.0, float("nan"), float("inf")])
+    def test_viscosity_must_be_finite_and_nonnegative(self, unit_torus_4, nu):
+        with pytest.raises(ValueError, match="viscosity"):
+            FormEngine(unit_torus_4, nu)
+
     def test_underline_heat_display(self, unit_torus_4):
         eng = FormEngine(unit_torus_4, nu=1.0)
         f = single_mode_field(unit_torus_4, (0, 0, 1), [1, 2, 0, 4])
@@ -634,7 +670,7 @@ class TestQtilde1:
     def test_bar_bar_has_no_wave_output(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=39)
         dec = decompose(V)
-        out = engine4.q_tilde1(dec.bar, dec.bar)
+        out = engine4.q_tilde1(dec.bar)
         c = coefficients(out)
         osc = np.sqrt(np.sum(np.abs(c[1]) ** 2 + np.abs(c[-1]) ** 2))
         assert osc < 1e-12 * l2_norm(dec.bar) ** 2
@@ -643,7 +679,7 @@ class TestQtilde1:
         V = random_field(unit_torus_4, seed=40)
         til = project_tilde(V)
         dec = decompose(V)
-        out = engine4.q_tilde1(til, til)
+        out = engine4.q_tilde1(til)
         c = coefficients(out)
         got = field_from_coefficients(unit_torus_4, {0: c[0]})
         adv = leray_project(
@@ -654,58 +690,41 @@ class TestQtilde1:
         want = field_from_coefficients(unit_torus_4, {0: ca[0]})
         assert l2_norm(got - want) < 1e-10 * l2_norm(want)
 
-    def test_exact_symmetry(self, engine4, unit_torus_4):
-        A = random_field(unit_torus_4, seed=41)
-        B = random_field(unit_torus_4, seed=42)
-        ab = engine4.q_tilde1(A, B)
-        ba = engine4.q_tilde1(B, A)
-        assert np.array_equal(ab.coeffs, ba.coeffs)
-
     def test_fft_class_plus_resonant_classes(self, engine4, unit_torus_4):
-        A = random_field(unit_torus_4, seed=41)
-        B = random_field(unit_torus_4, seed=42)
-        fft_class = bar_part(transport(bar_part(A), bar_part(B)))
-        res = engine4.q_resonant(coefficients(A), coefficients(B))
+        V = random_field(unit_torus_4, seed=41)
+        fft_class = bar_part(transport(bar_part(V), bar_part(V)))
+        res = engine4.q_resonant(coefficients(V))
         waves = field_from_coefficients(unit_torus_4, {a: res[a] for a in (-1, 1)})
         want = (fft_class + waves).pin_zero_mode()
-        assert np.array_equal(engine4.q_tilde1(A, B).coeffs, want.coeffs)
-
-    def test_resonant_exact_symmetry(self, engine4, unit_torus_4):
-        A = random_field(unit_torus_4, seed=41)
-        B = random_field(unit_torus_4, seed=42)
-        CA, CB = coefficients(A), coefficients(B)
-        ab = engine4.q_resonant(CA, CB)
-        ba = engine4.q_resonant(CB, CA)
-        assert np.max(np.abs(ab)) > 0 and np.array_equal(ab, ba)
+        assert np.array_equal(engine4.q_tilde1(V).coeffs, want.coeffs)
 
     @pytest.mark.parametrize(
         "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0)]
     )
     def test_one_resonant_sum_drives_the_waves(self, a_sq, N, radical_rows):
         # the wave forcing of the limit stepper, osc_part(q(o, o) + 2 q(b, o))
-        # with both q_tilde1 calls, is one sum q_resonant(o, o + 2b) on the
-        # coefficient stacks
+        # of the two-slot q_tilde1, is one sum q_resonant(C) on the
+        # coefficient stack of o + b
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
         tab, _ = eng.tables
         assert np.sum((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)) == radical_rows
         dec = decompose(random_field(g, seed=5, amplitude=1.0, spectrum_r=3.0))
         o, b = dec.osc, dec.bar
-        want = osc_part(eng.q_tilde1(o, o) + 2.0 * eng.q_tilde1(b, o))
-        co, cb = coefficients(o), coefficients(b)
-        got = wave_field(g, eng.q_resonant(co, co + 2.0 * cb))
+        want = osc_part(q_tilde1_2(eng, o, o) + 2.0 * q_tilde1_2(eng, b, o))
+        got = wave_field(g, eng.q_resonant(coefficients(o) + coefficients(b)))
         assert l2_norm(got - want) < 1e-13 * l2_norm(want)
 
     def test_energy_neutral(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=43)
         til = project_tilde(V)
-        q = engine4.q_tilde1(til, til)
+        q = engine4.q_tilde1(til)
         assert abs(inner_l2(q, til)) < 1e-10 * max(l2_norm(q) * l2_norm(til), 1e-300)
 
     def test_output_is_real_field(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=44)
         til = project_tilde(V)
-        out = engine4.q_tilde1(til, til)
+        out = engine4.q_tilde1(til)
         assert out.hermitian_defect() < 1e-12
 
 
@@ -761,7 +780,7 @@ class TestQtilde2AndB:
         g = unit_torus_4
         V = random_field(g, seed=47)
         dec = decompose(V)
-        out = engine4.q_tilde2(V, V)
+        out = engine4.q_tilde2(V)
         c = coefficients(out)
         got = field_from_coefficients(g, {0: c[0]})
         # with the 1/2-symmetrized kernel, both slot sums together give one
@@ -779,8 +798,23 @@ class TestQunderline:
     def test_self_cancellation(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=48)
         til = project_tilde(V)
-        out = engine4.q_underline(til, til)
+        out = engine4.q_underline(til)
         assert l2_norm(out) < 1e-12 * l2_norm(til) ** 2
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 4, 1), 6), ((1, 2, 3), 8)])
+    def test_bar_transport_has_no_underline_output(self, a_sq, N):
+        """The FFT (0, 0) class of the underline form vanishes by
+        construction: on the vertical line ncheck is vertical, and the e_0
+        velocity has no vertical part (in the advective form, e_0(k) . mc = 0
+        when m_h = -k_h).  The divergence-form kernel returns exact zeros, on
+        one field and on two, so `q_underline` sums the table rows only."""
+        g = TorusGeometry(a_sq, N)
+        for seed in range(5):
+            A = bar_part(random_field(g, seed=120 + seed, spectrum_r=1.0))
+            B = bar_part(random_field(g, seed=130 + seed, spectrum_r=1.0))
+            assert l2_norm(A) > 0 and l2_norm(B) > 0
+            for X, Y in ((A, A), (A, B)):
+                assert np.all(underline_part(transport(X, Y)).coeffs == 0.0)
 
     def test_disjoint_horizontal_supports(self, engine4, unit_torus_4):
         g = unit_torus_4
@@ -788,7 +822,7 @@ class TestQunderline:
         t2 = eigenbasis(g, (1, 1, -1))
         A = single_mode_field(g, (1, 0, 1), t1.ep)
         B = single_mode_field(g, (1, 1, -1), t2.ep)
-        out = engine4.q_underline(A, B)
+        out = engine4.q_underline(A + B)
         assert l2_norm(out) < 1e-14
 
     def test_against_brute_force_triads(self, engine3, unit_torus_3):
@@ -826,7 +860,7 @@ class TestQunderline:
                                 term = 1j * nc3 * (A4[2] * B4 + B4[2] * A4)
                                 term[2] = 0.0  # Leray at (0,0,n3)
                                 want_line[n3 + N] += 0.5 * term
-        got = engine3.q_underline(til, til)
+        got = engine3.q_underline(til)
         got_line = got.coeffs[N, N, :, :]
         scale = max(np.max(np.abs(want_line)), l2_norm(til) ** 2)
         assert np.max(np.abs(got_line - want_line)) < 1e-12 * scale
@@ -834,7 +868,7 @@ class TestQunderline:
     def test_output_purely_underline(self, engine4, unit_torus_4):
         A = random_field(unit_torus_4, seed=50)
         B = random_field(unit_torus_4, seed=51)
-        out = engine4.q_underline(project_tilde(A), project_tilde(B))
+        out = engine4.q_underline(project_tilde(A + B))
         off = out.coeffs.copy()
         off[unit_torus_4.N, unit_torus_4.N, :, :] = 0.0
         assert np.max(np.abs(off)) == 0.0
@@ -898,97 +932,146 @@ class TestRemainders:
     def test_identity_per_call(self, engine4, unit_torus_4):
         U = random_field(unit_torus_4, seed=54)
         t, eps = 0.37, 0.03
-        r1, r2, r3, s = engine4.remainders(t, eps, U)
-        lhs = r1 + r2 + r3 + s
+        lhs = engine4.remainders(t, eps, U)
         rhs = (
-            engine4.q_eps(t, eps, U, U)
-            - engine4.q_limit(U, U)
+            engine4.q_eps(t, eps, U)
+            - engine4.q_limit(U)
             - (engine4.a2_eps(t, eps, U) - engine4.a2_limit(U))
         )
-        assert l2_norm(lhs - rhs) < 1e-10 * max(l2_norm(rhs), 1e-300)
+        assert l2_norm(lhs - rhs) < 1e-13 * max(l2_norm(rhs), 1e-300)
 
     def test_t0_phases_are_one(self, engine4, unit_torus_4):
+        # at t = 0 every phase is one: the filtered forms are T and A2
         U = random_field(unit_torus_4, seed=55)
-        r1, r2, r3, s = engine4.remainders(0.0, 0.5, U)
-        til = project_tilde(U)
-        want_r1 = project_tilde(
-            engine4.q_eps(0.0, 1.0, til, til)
-        ) - engine4.q_tilde1(til, til)
-        assert np.max(np.abs(r1.coeffs - want_r1.coeffs)) < 1e-12
+        got = engine4.remainders(0.0, 0.5, U)
+        want = (transport(U, U).pin_zero_mode() - engine4.a2_symbol(U)) - (
+            engine4.q_limit(U) - engine4.a2_limit(U)
+        )
+        assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_norm_is_filter_free(self, a_sq, N):
+        # the limit forms commute with the filtering group and L is
+        # unitary, so on U = L(-t/eps) V the remainder's norm is that of
+        # T(V, V) - A2 V - q_limit(V) + a2_limit(V), whatever t/eps is
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=57, amplitude=1.0, spectrum_r=3.0)
+        want = l2_norm(transport(V, V).pin_zero_mode() - eng.a2_symbol(V) - eng.q_limit(V) + eng.a2_limit(V))
+        for t, eps in ((0.3, 0.01), (1.0, 1e-3), (0.05, 0.1)):
+            got = l2_norm(eng.remainders(t, eps, apply_filter(-t / eps, V)))
+            assert abs(got - want) <= 1e-13 * want
 
     def test_time_average_decays(self, engine3, unit_torus_3):
         U = random_field(unit_torus_3, seed=56)
-        scales = [l2_norm(x) for x in engine3.remainders(0.0, 1.0, U)]
+        scale = l2_norm(engine3.remainders(0.0, 1.0, U))
 
         def averaged(span, M=192):
             th = (np.arange(M) + 0.5) * span / M
             w = np.blackman(M + 2)[1:-1]
             w = w / np.sum(w)
-            acc = [zero_field(unit_torus_3) for _ in range(4)]
+            acc = zero_field(unit_torus_3)
             for t_, w_ in zip(th, w):
-                rs = engine3.remainders(t_, 1.0, U)
-                for i in range(4):
-                    acc[i].coeffs += w_ * rs[i].coeffs
-            return [l2_norm(x) for x in acc]
+                acc.coeffs += w_ * engine3.remainders(t_, 1.0, U).coeffs
+            return l2_norm(acc)
 
         short = averaged(50.0)
         long = averaged(400.0)
-        for i in range(4):
-            assert long[i] < 0.25 * scales[i]
-            assert long[i] < short[i]
+        assert long < 0.25 * scale
+        assert long < short
 
     def test_interaction_free_synthetic_input(self):
         # all coefficients on a corner mode: no quadratic interactions fit
-        # in the box, so the transport remainders vanish structurally
+        # in the box, so the transport terms vanish structurally and the
+        # remainder is the dissipation's alone
         g = TorusGeometry((1, 1, 1), 2)
         eng = FormEngine(g, nu=1.0)
         t = eigenbasis(g, (2, 2, 2))
         U = single_mode_field(g, (2, 2, 2), t.ep)
-        r1, r2, r3, s = eng.remainders(0.9, 0.1, U)
-        assert l2_norm(r1) < 1e-14
-        assert l2_norm(r2) < 1e-14
-        assert l2_norm(r3) < 1e-14
+        assert l2_norm(eng.q_eps(0.9, 0.1, U)) < 1e-14
+        assert l2_norm(eng.q_limit(U)) < 1e-14
+        want = eng.a2_limit(U) - eng.a2_eps(0.9, 0.1, U)
+        assert l2_norm(eng.remainders(0.9, 0.1, U) - want) < 1e-14
+
+    def test_work_count(self, engine4, unit_torus_4, monkeypatch):
+        # one filtered evaluation (1 transport, 4 filters) and the two
+        # limit transports (bar x bar, underline x bar)
+        calls = Counter()
+        for name in ("transport", "apply_filter"):
+            fn = getattr(forms, name)
+            monkeypatch.setattr(forms, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+        engine4.remainders(0.3, 0.01, random_field(unit_torus_4, seed=59))
+        assert calls == {"transport": 3, "apply_filter": 4}
+
+
+class TestFilterGroupCommutation:
+    """The limit forms keep exactly the phase-free interactions, so they
+    commute with the filtering group: L(-tau) F(L(tau) V) = F(V).  This is
+    the property that leaves the remainder F_eps - F_0 purely oscillating."""
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    @pytest.mark.parametrize("form", ["q_limit", "a2_limit"])
+    def test_limit_forms_commute(self, a_sq, N, form):
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        tab, _ = eng.tables
+        radical = np.sum((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0))
+        assert (radical > 0) == (a_sq == (1, 2, 3))
+        fn = getattr(eng, form)
+        V = random_field(g, seed=58, amplitude=1.0, spectrum_r=1.0)
+        want = fn(V)
+        assert l2_norm(want) > 0
+        for tau in (0.3, -1.7, 12.5, 1e3):
+            got = apply_filter(-tau, fn(apply_filter(tau, V)))
+            assert l2_norm(got - want) <= 1e-13 * l2_norm(want), tau
 
 
 class TestEvaluate:
-    def test_timed_evaluation(self, engine4, unit_torus_4):
-        V = random_field(unit_torus_4, seed=59)
-        ev = engine4.evaluate("q_tilde1", project_tilde(V), project_tilde(V))
-        assert ev.interactions == engine4.tables[0].rows
-        assert ev.seconds >= 0.0
-        from frspec.fields import divergence_max
-
-        assert divergence_max(ev.output) < 1e-10
-        assert ev.output.zero_mean()
+    """One evaluation of each limit form sums the table rows of its classes
+    (a mirror pair counts twice), counted through the tables handed to the
+    row product."""
 
     @pytest.mark.parametrize("form", ["q_tilde1", "q_tilde2", "q_underline", "q_limit"])
-    def test_interactions_are_the_rows_summed(self, engine3, unit_torus_3, form):
+    def test_interactions_are_the_rows_summed(self, engine3, unit_torus_3, form, monkeypatch):
         tab, under = engine3.tables
         rows = {
-            "q_tilde1": tab.rows,
-            "q_tilde2": 0,
-            "q_underline": len(under.kf),
-            "q_limit": tab.rows + len(under.kf),
+            "q_tilde1": [tab.rows],
+            "q_tilde2": [],
+            "q_underline": [len(under.kf)],
+            "q_limit": [tab.rows, len(under.kf)],
         }
-        assert (tab.rows, len(under.kf)) == (14640, 864)
-        V = random_field(unit_torus_3, seed=60)
-        assert engine3.evaluate(form, V, V).interactions == rows[form]
+        seen = []
+        row_products = FormEngine._row_products
+
+        def spy(self, C, table):
+            seen.append(len(table.kf))
+            return row_products(self, C, table)
+
+        monkeypatch.setattr(FormEngine, "_row_products", spy)
+        getattr(engine3, form)(random_field(unit_torus_3, seed=60))
+        assert seen == rows[form]
 
 
 class TestStructure:
     def test_tilde_forms_have_no_underline_output(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=57)
         for out in (
-            engine4.q_tilde1(project_tilde(V), project_tilde(V)),
-            engine4.q_tilde2(V, V),
+            engine4.q_tilde1(project_tilde(V)),
+            engine4.q_tilde2(V),
         ):
             line = out.coeffs[unit_torus_4.N, unit_torus_4.N, :, :]
             assert np.max(np.abs(line)) < 1e-13
 
-    def test_interaction_count_reported(self, engine4, unit_torus_4):
-        V = random_field(unit_torus_4, seed=58)
-        engine4.q_tilde1(project_tilde(V), project_tilde(V))
-        assert engine4.last_interactions == engine4.tables[0].rows > 0
+    @pytest.mark.parametrize("form", ["q_tilde1", "q_tilde2", "q_underline", "q_limit", "q_eps"])
+    def test_outputs_are_divergence_free_and_zero_mean(self, engine4, unit_torus_4, form):
+        # the forms project
+        from frspec.fields import divergence_max
+
+        V = random_field(unit_torus_4, seed=59)
+        fn = getattr(engine4, form)
+        out = fn(0.3, 0.01, V) if form == "q_eps" else fn(V)
+        assert divergence_max(out) < 1e-10
+        assert out.zero_mean()
 
 
 @pytest.fixture(scope="module", params=[((1, 1, 1), 4, 0), ((1, 2, 3), 5, 72), ((1, 4, 1), 6, 0)],
@@ -1002,10 +1085,12 @@ def self_engine(request):
 
 
 class TestSelfInteractions:
-    """A form on (V, V) computes each shared operand once; its bytes are
-    those of the general two-slot path on (V, V.copy())."""
+    """Each form is the diagonal of a symmetric bilinear form: on V it has
+    the bytes of the two-slot form (written out above from the kernels) on
+    (V, V.copy())."""
 
-    FORMS = ("q_tilde1", "q_tilde2", "q_underline", "q_limit")
+    FORMS = {"q_tilde1": q_tilde1_2, "q_tilde2": q_tilde2_2, "q_underline": q_underline_2d,
+             "q_limit": q_limit_2}
 
     @staticmethod
     def _data(g):
@@ -1013,54 +1098,53 @@ class TestSelfInteractions:
 
     def test_q_resonant_matches_the_general_path(self, self_engine):
         C = coefficients(self._data(self_engine.geometry))
-        got = self_engine.q_resonant(C, C)
+        got = self_engine.q_resonant(C)
         assert np.max(np.abs(got)) > 0
-        assert np.array_equal(got, self_engine.q_resonant(C, C.copy()))
+        assert got.tobytes() == q_resonant_2d(self_engine, C, C.copy(), plan=True).tobytes()
 
     def test_q_resonant_matches_the_bar_osc_forcing(self, self_engine):
         # the limit stepper's former wave forcing q(osc, osc + 2 bar): the
-        # table holds no (0, 0, c) row, so it is q(C, C) byte for byte
+        # table holds no (0, 0, c) row, so it is q(C) byte for byte
         C = coefficients(self._data(self_engine.geometry))
         bar = np.zeros_like(C)
         bar[0] = C[0]
         osc = C - bar
-        assert np.array_equal(self_engine.q_resonant(C, C), self_engine.q_resonant(osc, osc + 2.0 * bar))
+        want = q_resonant_2d(self_engine, osc, osc + 2.0 * bar, plan=True)
+        assert self_engine.q_resonant(C).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("form", FORMS)
     def test_forms_match_the_general_path(self, self_engine, form, monkeypatch):
         if form == "q_underline":
-            # q_underline(V, V) cancels to exactly zero: random weights give
+            # q_underline(V) cancels to exactly zero: random weights give
             # the row sum something to compare
             _, qu = self_engine.tables
             rng = np.random.default_rng(85)
             G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
             monkeypatch.setattr(qu, "G4", G4)
         V = self._data(self_engine.geometry)
-        fn = getattr(self_engine, form)
-        got = fn(V, V).coeffs
-        assert np.max(np.abs(got)) > 0 and np.array_equal(got, fn(V, V.copy()).coeffs)
+        got = getattr(self_engine, form)(V).coeffs
+        want = self.FORMS[form](self_engine, V, V.copy()).coeffs
+        assert np.max(np.abs(got)) > 0 and np.array_equal(got, want)
 
     def test_q_eps_matches_the_general_path(self, self_engine):
         V = self._data(self_engine.geometry)
-        got = self_engine.q_eps(0.3, 0.01, V, V).coeffs
-        assert np.array_equal(got, self_engine.q_eps(0.3, 0.01, V, V.copy()).coeffs)
+        got = self_engine.q_eps(0.3, 0.01, V).coeffs
+        assert np.array_equal(got, q_eps_2(0.3, 0.01, V, V.copy()).coeffs)
 
-    def test_remainders_match_a_copy_fed_evaluation(self, self_engine, monkeypatch):
-        U = self._data(self_engine.geometry)
-        got = self_engine.remainders(0.3, 0.01, U)
-        for name in ("q_eps", "q_tilde1", "q_tilde2", "q_underline"):
-            fn = getattr(self_engine, name)
-            monkeypatch.setattr(
-                self_engine, name, lambda *args, fn=fn: fn(*args[:-1], args[-1].copy())
-            )
-        want = self_engine.remainders(0.3, 0.01, U)
-        for x, y in zip(got, want):
-            assert np.array_equal(x.coeffs, y.coeffs)
+    def test_remainders_match_a_copy_fed_evaluation(self, self_engine):
+        eng = self_engine
+        U = self._data(eng.geometry)
+        got = eng.remainders(0.3, 0.01, U)
+        want = (q_eps_2(0.3, 0.01, U, U.copy()) - eng.a2_eps(0.3, 0.01, U)) - (
+            q_limit_2(eng, U, U.copy()) - eng.a2_limit(U)
+        )
+        assert np.array_equal(got.coeffs, want.coeffs)
 
-    def test_q_limit_makes_three_transports(self, engine4, unit_torus_4, monkeypatch):
-        # the two tilde x tilde transports each take one operand object in
-        # both slots (one inverse transform of 4 components); the
-        # underline x bar transport of q_tilde2 runs once for both slots
+    def test_q_limit_makes_two_transports(self, engine4, unit_torus_4, monkeypatch):
+        # the tilde x tilde transport of q_tilde1 takes one operand object
+        # in both slots (one inverse transform of 4 components), the
+        # underline x bar transport of q_tilde2 runs once for both slots,
+        # and the underline form makes none
         calls = []
 
         def spy(A, B):
@@ -1069,9 +1153,9 @@ class TestSelfInteractions:
 
         monkeypatch.setattr(forms, "transport", spy)
         V = random_field(unit_torus_4, seed=84)
-        engine4.q_limit(V, V)
-        assert len(calls) == 3
-        assert [A is B for A, B in calls] == [True, False, True]
+        engine4.q_limit(V)
+        assert len(calls) == 2
+        assert [A is B for A, B in calls] == [True, False]
         und, bar = calls[1]
         assert np.array_equal(und.coeffs, underline_part(V).coeffs)
         assert np.array_equal(bar.coeffs, bar_part(project_tilde(V)).coeffs)

@@ -183,6 +183,20 @@ class TestSweep:
         assert all(m.startswith("limit solve: ") for m in rep.summary["failures"].values())
         assert rep.rows == []
 
+    def test_snapshot_filter_count(self, monkeypatch):
+        # per snapshot: the limit state into the physical frame, V into the
+        # filtered frame, and the remainder's four filters
+        import frspec.forms as forms
+        import frspec.solvers as solvers
+
+        calls = []
+        for mod in (harness, forms, solvers):
+            fn = mod.apply_filter
+            monkeypatch.setattr(mod, "apply_filter", lambda *a, fn=fn: calls.append(1) or fn(*a))
+        rep = run_sweep(replace(SimConfig(), **SMALL).validate())
+        assert len(rep.rows) == 2
+        assert len(calls) == 6 * len(rep.rows)
+
     def test_resonance_counts_reported(self):
         cfg = replace(SimConfig(), **SMALL).validate()
         rep = run_sweep(cfg)
@@ -345,8 +359,15 @@ class TestCli:
             (dict(snapshot_dt="1e-13", T="1e-13"), "snapshot_dt must be a multiple of dt"),
             (dict(amplitude=0), "amplitude must be finite and positive"),
             (dict(eps="nan"), "epsilon values must be positive (or inf)"),
+            (dict(nu="nan"), "nu must be finite and nonnegative"),
+            (dict(nu="inf"), "nu must be finite and nonnegative"),
+            (dict(s="nan"), "s must be finite"),
+            (dict(s="inf"), "s must be finite"),
+            (dict(spectrum_r="nan"), "spectrum_r must be finite and nonnegative"),
+            (dict(spectrum_r="inf"), "spectrum_r must be finite and nonnegative"),
         ],
-        ids=["T-inf", "dt-inf", "dt_limit-nan", "snapshot-below-one-step", "amplitude-0", "eps-nan"],
+        ids=["T-inf", "dt-inf", "dt_limit-nan", "snapshot-below-one-step", "amplitude-0", "eps-nan",
+             "nu-nan", "nu-inf", "s-nan", "s-inf", "spectrum_r-nan", "spectrum_r-inf"],
     )
     @pytest.mark.parametrize("command", ["limit", "sweep"])
     def test_degenerate_values_are_config_errors(
@@ -355,7 +376,8 @@ class TestCli:
         # these once crashed with a traceback: OverflowError on T = inf, an
         # empty error list when no step fits a snapshot, ZeroDivisionError in
         # the energy ledger on zero data, a stepper that rejects its own
-        # state when eps is NaN
+        # state when eps is NaN; a NaN viscosity ran the table build and the
+        # limit solve before failing with exit 3
         monkeypatch.setattr(cli_module, "run_sweep", None)  # nothing is solved
         cfgf = self._cfg_file(tmp_path, **over)
         eps = [] if "eps" in over else ["--epsilon", "0.1"]

@@ -323,7 +323,7 @@ class TestLimitSteppers:
         eng = FormEngine(g, nu=1.0)
         t = eigenbasis(g, (2, 2, 2))
         osc0 = single_mode_field(g, (2, 2, 2), t.ep)
-        nl = eng.q_tilde1(osc0, osc0)
+        nl = eng.q_tilde1(osc0)
         assert l2_norm(nl) < 1e-14
 
 
@@ -372,13 +372,15 @@ class TestSolveLimit:
                 + traj.total(i - 2)
             )
             U = traj.total(i)
-            rhs = engine4.q_limit(U, U) - engine4.a2_limit(U)
+            rhs = engine4.q_limit(U) - engine4.a2_limit(U)
             worst = max(worst, l2_norm(dU + rhs))
         assert worst < 1e-4
 
     def test_matches_two_call_wave_forcing(self, monkeypatch):
-        # oracle: the nonlinearity on fields, with the wave forcing as two
-        # full q_tilde1 evaluations per stage and the e_0 row Leray-projected
+        # oracle: the nonlinearity on fields, with the wave forcing as the
+        # wave part of full q_tilde1 evaluations per stage (by polarization,
+        # q(o, o) + 2 q(b, o) = q(o + b) - q(b)) and the e_0 row
+        # Leray-projected
         class TwoCallStepper(LimitStepper):
             calls = 0
 
@@ -387,7 +389,7 @@ class TestSolveLimit:
                 eng, g = self.engine, self.geometry
                 bar = field_from_coefficients(g, {0: C[0]})
                 osc = field_from_coefficients(g, {1: C[1], -1: C[-1]})
-                nl = osc_part(eng.q_tilde1(osc, osc) + 2.0 * eng.q_tilde1(bar, osc))
+                nl = osc_part(eng.q_tilde1(bar + osc) - eng.q_tilde1(bar))
                 adv = convolve_quadratic(bar + und, bar, stencil="horizontal")
                 field = bar_part(leray_project(adv, check_mean=False)) + nl
                 return -1.0 * (coefficients(field) + eng.b_form(und, C))
@@ -406,14 +408,13 @@ class TestSolveLimit:
 
 
     def test_step_forces_the_waves_by_one_self_interaction(self, monkeypatch):
-        # every stage hands the same coefficient stack to both slots of the
-        # resonant row product, which then gathers it once
+        # every stage forms one resonant row product, on its own stack
         seen = []
         row_products = FormEngine._row_products
 
-        def spy(self, C1, C2, tab):
-            seen.append(C1 is C2)
-            return row_products(self, C1, C2, tab)
+        def spy(self, C, tab):
+            seen.append(C.shape == (3,) + (self.geometry.L,) * 3 and tab is self.tables[0])
+            return row_products(self, C, tab)
 
         g = TorusGeometry((1, 2, 3), 3)
         eng = FormEngine(g, nu=1.0)
