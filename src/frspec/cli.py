@@ -91,8 +91,6 @@ def cmd_sweep(cfg: SimConfig) -> int:
 
 
 def cmd_simulate(cfg: SimConfig) -> int:
-    if not cfg.eps_list:
-        raise ConfigError("simulate requires one epsilon")
     eps = cfg.eps_list[0]
     if math.isinf(eps):
         raise ConfigError("simulate requires a finite epsilon; use `frspec limit` for eps = inf")

@@ -16,10 +16,14 @@ identically zero.  The oscillating (Schochet) remainder is therefore the
 filtered right-hand side minus the limit one, F_eps(t; U) - F_0(U), with
 F = Q - A2.  In the eigen decomposition the interactions split into
 sign classes: the (0,0,0) class is an unrestricted convolution of the
-e_0 parts (evaluated by FFT), while every class with a nonzero sign is
-supported on an exactly enumerated resonant set (evaluated by sparse
-triad summation).  The tables are built by joins inside exact frequency
-classes (see `resonance`): zero-sign classes by equal-omega ids, radical
+e_0 parts, while every class with a nonzero sign is supported on an
+exactly enumerated resonant set (evaluated by sparse triad summation).
+The e_0 parts have no vertical velocity, so that class, and their
+advection by the underline part, run on the limit stepper's 2.5D kernel
+`convolve_quadratic(., bar, "horizontal")`.
+
+The tables are built by joins inside exact frequency classes (see
+`resonance`): zero-sign classes by equal-omega ids, radical
 classes by an integer identity in int64, proven exact while
 3 s_max^3 < 2^63 for the reduced denominators s of omega^2 (N <= 363 on
 a^2 = (1, 2, 3)), in Python integers past that; no float screen takes
@@ -53,11 +57,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .fields import SpectralField4, transport, zero_field
+from .fields import SpectralField4, convolve_quadratic, transport, zero_field
 from .geometry import TorusGeometry
 from .resonance import (
     _box_axes,
@@ -183,11 +186,11 @@ class FormEngine:
         # eigenvectors and their conjugates over flat modes, rows e_0, e_+, e_-
         self._evec = self.basis.evec.reshape(3, -1, 4)
         self._evec_conj = self.basis.evec_conj.reshape(3, -1, 4)
-        # phase-free dissipation symbol per coefficient row: -nu |ncheck|^2
-        # on e_0, and on e_pm only the velocity share of the wave is diffused
-        lam = -self.nu * g.check_sq
+        # the one A2 symbol: -nu |ncheck|^2 on each velocity component
+        self.a2_diag = lam = -self.nu * g.check_sq
+        # phase-free dissipation symbol per coefficient row: all of A2 on
+        # e_0, and on e_pm only the velocity share of the wave is diffused
         self.limit_symbol = np.stack([lam, lam * self.basis.vshare, lam * self.basis.vshare])
-        self._sq_cache: dict[int, Fraction] = {}
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
         self._kstar_pairs: tuple[np.ndarray, np.ndarray] | None = None
@@ -205,17 +208,9 @@ class FormEngine:
         pair_ac = np.einsum("rj,rj->r", ea_k, ec_n)
         return ndot_a * pair_bc + ndot_b * pair_ac
 
-    def _omega_sq(self, f: int) -> Fraction:
-        """Exact squared frequency of flat mode f, computed once per mode."""
-        r = self._sq_cache.get(f)
-        if r is None:
-            r = self._sq_cache[f] = self.geometry.omega_sq_exact(tuple(self._modes[f].tolist()))
-        return r
-
     def _confirm_radical(self, kf, mf, nf, a, b, c) -> bool:
-        return exact_sqrt_sum_is_zero(
-            [(a, self._omega_sq(kf)), (b, self._omega_sq(mf)), (-c, self._omega_sq(nf))]
-        )
+        rk, rm, rn = (self.geometry._omega_sq(tuple(self._modes[f].tolist())) for f in (kf, mf, nf))
+        return exact_sqrt_sum_is_zero([(a, rk), (b, rm), (-c, rn)])
 
     def _build_triad_table(self, x: np.ndarray, y: np.ndarray) -> TriadTable:
         """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
@@ -334,12 +329,10 @@ class FormEngine:
 
     def a2_symbol(self, W: SpectralField4) -> SpectralField4:
         """Plain dissipation symbol diag(-nu |ncheck|^2 x3, 0)."""
-        g = self.geometry
         out = W.coeffs * 1.0
-        lam = -self.nu * g.check_sq
-        out[..., :3] *= lam[..., None]
+        out[..., :3] *= self.a2_diag[..., None]
         out[..., 3] = 0.0
-        return SpectralField4(g, out)
+        return SpectralField4(self.geometry, out)
 
     def a2_eps(self, t: float, eps: float, W: SpectralField4) -> SpectralField4:
         """Filter-conjugated dissipation L(-t/eps) A2 L(t/eps) W."""
@@ -376,14 +369,16 @@ class FormEngine:
     def q_tilde1(self, V: SpectralField4) -> SpectralField4:
         """Resonance-restricted symmetrized transport (tilde output).
 
-        The input is read through its eigen parts (its tilde part); the
-        (0,0,0) class is an unrestricted convolution of the e_0 part, all
-        other classes are the sparse exact-resonant sums of `q_resonant`.
+        The input is read through its eigen coefficients (its tilde part);
+        the (0,0,0) class is the unrestricted 2.5D advection of the e_0
+        part by itself, the limit stepper's horizontal kernel; all other
+        classes are the sparse exact-resonant sums of `q_resonant`.
         """
         g = self.geometry
-        bar = bar_part(V)
-        fft_part = bar_part(transport(bar, bar))
-        res = self.q_resonant(coefficients(V))
+        C = coefficients(V)
+        bar = field_from_coefficients(g, {0: C[0]})
+        fft_part = bar_part(convolve_quadratic(bar, bar, "horizontal"))
+        res = self.q_resonant(C)
         waves = field_from_coefficients(g, {a: res[a] for a in (-1, 1)})
         return (fft_part + waves).pin_zero_mode()
 
@@ -430,14 +425,17 @@ class FormEngine:
         return self._b_sector(underline_part(Vund), C)
 
     def q_tilde2(self, V: SpectralField4) -> SpectralField4:
-        """Limit underline x tilde transport (tilde output).  Both slots of
-        the symmetric form see (underline, tilde), so the sum over the two
-        is twice one of them."""
+        """Limit underline x tilde transport (tilde output).  Its e_0 class
+        is the horizontal advection of the bar part by the underline part:
+        the other slot, bar . grad underline, is zero, since the bar part
+        has no vertical velocity and the underline part no horizontal
+        dependence."""
         g = self.geometry
         und = underline_part(V)
-        t = transport(und, bar_part(V))
-        fft_part = bar_part(t + t)
-        b = self._b_sector(und, coefficients(V))
+        C = coefficients(V)
+        bar = field_from_coefficients(g, {0: C[0]})
+        fft_part = bar_part(convolve_quadratic(und, bar, "horizontal"))
+        b = self._b_sector(und, C)
         b_part = field_from_coefficients(g, {1: b[1], -1: b[-1]})
         return (fft_part + b_part).pin_zero_mode()
 
@@ -463,23 +461,17 @@ class FormEngine:
     def a2_limit(self, W: SpectralField4) -> SpectralField4:
         """Phase-free part of the conjugated dissipation.
 
-        Underline: heat in x3 on the horizontal components, none on the
-        fourth.  Bar: full Laplacian.  Oscillating: the diagonal
+        Underline: A2 itself, heat in x3 on the horizontal components and
+        none on the fourth.  Bar: full Laplacian.  Oscillating: the diagonal
         <A2 e_pm, e_pm> = -nu |ncheck|^2 * |velocity share of e_pm|^2,
         i.e. half the Laplacian, since the wave vectors carry half their
         energy in the non-diffused fourth component.  The bar and wave
         diagonals are the rows of `limit_symbol`, whose exponentials are
         the limit stepper's heat factors.
         """
-        g = self.geometry
         c = self.limit_symbol * coefficients(W)
-        out = field_from_coefficients(g, {a: c[a] for a in (0, 1, -1)})
-        # underline part: nu * d33 on components 1, 2; fourth untouched
-        line = W.coeffs[g.N, g.N, :, :]
-        lam3 = -self.nu * (g.n_axis.astype(float) / g.a[2]) ** 2
-        out.coeffs[g.N, g.N, :, 0] += lam3 * line[:, 0]
-        out.coeffs[g.N, g.N, :, 1] += lam3 * line[:, 1]
-        return out.pin_zero_mode()
+        out = field_from_coefficients(self.geometry, {a: c[a] for a in (0, 1, -1)})
+        return (out + self.a2_symbol(underline_part(W))).pin_zero_mode()
 
     # -- resonant trilinear pairing -------------------------------------------------
 

@@ -176,6 +176,13 @@ class TorusGeometry:
             return Fraction(0)
         return self.check_h_sq_exact(n) / s
 
+    def _omega_sq(self, n: tuple[int, int, int]) -> Fraction:
+        """omega_sq_exact(n), computed once per mode of this geometry."""
+        memo = self._cached("omega_sq", dict)
+        if n not in memo:
+            memo[n] = self.omega_sq_exact(n)
+        return memo[n]
+
     @property
     def int_weights(self) -> tuple[int, int, int, int]:
         """Integers (w1, w2, w3, D) with D * ncheck_i^2 = w_i * n_i^2 exactly."""

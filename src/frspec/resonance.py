@@ -306,19 +306,10 @@ def radical_sign_triads(geometry: TorusGeometry, N: int | None = None):
     if N > g.N:
         raise ValueError("enumeration beyond the geometry truncation")
     modes = _box_modes(N)
-    sq_cache: dict[tuple[int, int, int], Fraction] = {}
-
-    def rsq(t):
-        r = sq_cache.get(t)
-        if r is None:
-            r = g.omega_sq_exact(t)
-            sq_cache[t] = r
-        return r
-
     out = []
     for kf, mf, nf, b, c in zip(*(col.tolist() for col in _radical_rows(g, N))):
         kk, mm, nn = (tuple(modes[x].tolist()) for x in (kf, mf, nf))
-        rk, rm, rn = rsq(kk), rsq(mm), rsq(nn)
+        rk, rm, rn = g._omega_sq(kk), g._omega_sq(mm), g._omega_sq(nn)
         for a in (1, -1):
             if not exact_sqrt_sum_is_zero([(a, rk), (a * b, rm), (-a * c, rn)]):
                 raise ArithmeticError(

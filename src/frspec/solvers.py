@@ -3,11 +3,12 @@
 The filtered unknown U(t) = L(-t/eps) V(t) satisfies a system whose only
 eps-dependence sits in bounded oscillatory phases.  The stepper keeps the
 physical frame V (`SimState.V`), where the complete linear part
-(dissipation plus the 1/eps buoyancy coupling) is a constant 4x4 matrix
-per mode whose exponential is computed exactly once per step size; the
-nonlinearity is advanced by a Lawson (exponential) RK4 scheme.  This removes
-the 1/eps stiffness entirely and keeps the discrete energy law accurate
-uniformly in eps: over one step the homogeneous part satisfies
+A2 - (1/eps) P A is a constant 4x4 matrix per mode (read from the one A2
+symbol of `forms` and the one P A stack of `waves`) whose exponential is
+computed exactly once per step size; the nonlinearity is advanced by a
+Lawson (exponential) RK4 scheme.  This removes the 1/eps stiffness
+entirely and keeps the discrete energy law accurate uniformly in eps:
+over one step the homogeneous part satisfies
 
     1/2 |V|^2 - 1/2 |exp(dt L) V|^2 = nu * int |grad v|^2 dt
 
@@ -22,7 +23,9 @@ its phase-free dissipation (half Laplacian) and the resonance-restricted
 transport.  The limit stepper keeps the eigen-coefficient stack C of
 `waves.coefficients` (rows e_0, e_+, e_-), on which the heat factors act
 row by row; the e_0 row of the transport needs no Leray projection, since
-<P v, e_0> = <v, e_0> (P is self-adjoint per mode and P e_0 = e_0).
+<P v, e_0> = <v, e_0> (P is self-adjoint per mode and P e_0 = e_0).  Its
+nonlinearity is, row by row, minus the limit form `FormEngine.q_limit`:
+both advect the bar part with the same horizontal kernel.
 """
 
 from __future__ import annotations
@@ -107,11 +110,6 @@ class EnergyLedger:
         return abs(e + self.dissipated - self.e0) / self.e0
 
 
-def _grad_sq_velocity(V: SpectralField4) -> float:
-    ksq = V.geometry.check_sq
-    return float(np.sum(ksq[..., None] * np.abs(V.coeffs[..., :3]) ** 2))
-
-
 def grad_linf(U: SpectralField4) -> float:
     """sup-norm of the full gradient tensor (via collocation sampling)."""
     g = U.geometry
@@ -173,28 +171,12 @@ class FilteredStepper:
         self._E_full_inv = np.linalg.inv(self._E_full)
 
     def _generator(self) -> np.ndarray:
-        """(L^3, 4, 4) linear part per mode: dissipation - (1/eps) PA."""
+        """(L^3, 4, 4) linear part per mode, diag(A2) - (1/eps) PA, from the
+        engine's A2 symbol (`a2_diag`) and PA stack (`basis.pa`)."""
         g = self.geometry
-        nu = self.nu
-        inv_eps = 1.0 / self.eps
-        k1, k2, k3 = g.check_grid
-        L = g.L
-        ks = g.check_sq
-        mats = np.zeros((g.nmodes, 4, 4))
-        lam = (-nu * ks).reshape(-1)
+        mats = self.engine.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / self.eps)
         for j in range(3):
-            mats[:, j, j] = lam
-        # -(1/eps) * PA symbol
-        ksafe = np.where(ks.reshape(-1) > 0, ks.reshape(-1), 1.0)
-        kk1 = np.broadcast_to(k1, (L, L, L)).reshape(-1)
-        kk2 = np.broadcast_to(k2, (L, L, L)).reshape(-1)
-        kk3 = np.broadcast_to(k3, (L, L, L)).reshape(-1)
-        mats[:, 0, 3] = inv_eps * kk1 * kk3 / ksafe
-        mats[:, 1, 3] = inv_eps * kk2 * kk3 / ksafe
-        mats[:, 2, 3] = -inv_eps * (1.0 - kk3 * kk3 / ksafe)
-        mats[:, 3, 2] = inv_eps
-        zero = g.flat_index((0, 0, 0))
-        mats[zero] = 0.0
+            mats[:, j, j] += self.engine.a2_diag.reshape(-1)
         return mats
 
     def _apply(self, E: np.ndarray, V: SpectralField4) -> SpectralField4:

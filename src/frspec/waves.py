@@ -25,12 +25,15 @@ Every layer shares one layout of this data: `EigenBasis.evec` is a single
 (3, L, L, L, 4) stack with rows e_0, e_+, e_-, so that Python's negative
 index makes evec[a] the vector e_a for a in (0, 1, -1), and
 `coefficients` returns the (3, L, L, L) stack c_0, c_+, c_- indexed the
-same way.
+same way.  The symbol of P A itself is written once, as the
+(L, L, L, 4, 4) stack `EigenBasis.pa`: `pa_symbol`, `apply_pa` and the
+filtered stepper's generator all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +124,21 @@ class EigenBasis:
         # |e_pm^vel|^2, the same for both signs since e_- = conj(e_+)
         self.vshare = np.einsum("xyzj,xyzj->xyz", ep[..., :3], self.evec_conj[1, ..., :3]).real
 
+    @cached_property
+    def pa(self) -> np.ndarray:
+        """(L, L, L, 4, 4) symbol of P A per mode, zero at n = 0; built on
+        first use, since only the filtered system needs it."""
+        g = self.geometry
+        k1, k2, k3 = g.check_grid
+        ksq = np.where(g.mask_zero, 1.0, g.check_sq)
+        m = np.zeros((g.L,) * 3 + (4, 4))
+        m[..., 0, 3] = -k1 * k3 / ksq
+        m[..., 1, 3] = -k2 * k3 / ksq
+        m[..., 2, 3] = 1.0 - k3**2 / ksq
+        m[..., 3, 2] = -1.0
+        m[g.mask_zero] = 0.0
+        return m
+
     @classmethod
     def of(cls, geometry: TorusGeometry) -> "EigenBasis":
         inst = cls._instances.get(geometry)
@@ -150,35 +168,19 @@ def eigenbasis(geometry: TorusGeometry, n) -> EigenTriple:
 
 
 def pa_symbol(geometry: TorusGeometry, n) -> np.ndarray:
-    """The 4x4 symbol of P A at mode n != 0."""
+    """The 4x4 symbol of P A at mode n != 0 of the truncation."""
     n = tuple(int(c) for c in n)
     if n == (0, 0, 0):
         raise ValueError("pa_symbol is undefined at n = 0")
-    kc = np.asarray(n, dtype=float) / geometry.a
-    ksq = float(np.dot(kc, kc))
-    m = np.zeros((4, 4))
-    m[0, 3] = -kc[0] * kc[2] / ksq
-    m[1, 3] = -kc[1] * kc[2] / ksq
-    m[2, 3] = 1.0 - kc[2] ** 2 / ksq
-    m[3, 2] = -1.0
-    return m
+    if max(map(abs, n)) > geometry.N:
+        raise ValueError(f"mode {n} lies outside the truncation N = {geometry.N}")
+    return EigenBasis.of(geometry).pa[tuple(c + geometry.N for c in n)].copy()
 
 
 def apply_pa(field: SpectralField4) -> SpectralField4:
-    """Apply the symbol of P A to every mode (zero mode untouched)."""
-    g = field.geometry
-    k1, k2, k3 = g.check_grid
-    ksq = g.check_sq.copy()
-    ksq[g.mask_zero] = 1.0
-    v = field.coeffs
-    out = np.zeros_like(v)
-    out[..., 0] = -(k1 * k3 / ksq) * v[..., 3]
-    out[..., 1] = -(k2 * k3 / ksq) * v[..., 3]
-    out[..., 2] = (1.0 - k3 * k3 / ksq) * v[..., 3]
-    out[..., 3] = -v[..., 2]
-    res = SpectralField4(g, out)
-    res.pin_zero_mode()
-    return res
+    """Apply the symbol of P A to every mode (zero at the zero mode)."""
+    pa = EigenBasis.of(field.geometry).pa
+    return SpectralField4(field.geometry, np.einsum("xyzij,xyzj->xyzi", pa, field.coeffs))
 
 
 # -- eigen coefficients ---------------------------------------------------------

@@ -354,17 +354,27 @@ def q_underline_2d(eng, V1, V2):
 # FormEngine is the diagonal of one of these symmetric bilinear forms.
 
 
+def horizontal_advection_2(A, B):
+    """The symmetric bilinear form of the 2.5D advection a_h . grad_h B."""
+    return 0.5 * (convolve_quadratic(A, B, "horizontal") + convolve_quadratic(B, A, "horizontal"))
+
+
 def q_tilde1_2(eng, A, B):
     res = q_resonant_2d(eng, coefficients(A), coefficients(B), plan=True)
     waves = field_from_coefficients(eng.geometry, {a: res[a] for a in (-1, 1)})
-    return (bar_part(transport(bar_part(A), bar_part(B))) + waves).pin_zero_mode()
+    return (bar_part(horizontal_advection_2(bar_part(A), bar_part(B))) + waves).pin_zero_mode()
 
 
 def q_tilde2_2(eng, A, B):
+    # the slot bar . grad underline is zero: the bar part has no vertical
+    # velocity and the underline part no horizontal dependence
     g = eng.geometry
     und_a, und_b = underline_part(A), underline_part(B)
     til_a, til_b = project_tilde(A), project_tilde(B)
-    fft_part = bar_part(transport(und_a, bar_part(til_b)) + transport(bar_part(til_a), und_b))
+    fft_part = bar_part(
+        0.5 * (convolve_quadratic(und_a, bar_part(til_b), "horizontal")
+               + convolve_quadratic(und_b, bar_part(til_a), "horizontal"))
+    )
     b_a = eng._b_sector(und_a, coefficients(til_b))
     b_b = eng._b_sector(und_b, coefficients(til_a))
     return (fft_part + 0.5 * (wave_field(g, b_a) + wave_field(g, b_b))).pin_zero_mode()
@@ -676,24 +686,22 @@ class TestQtilde1:
         assert osc < 1e-12 * l2_norm(dec.bar) ** 2
 
     def test_e0_projection_is_horizontal_transport(self, engine4, unit_torus_4):
+        # q_tilde1 advects the bar part with the horizontal stencil; the
+        # oracle is the full-stencil symmetric projected transport, which
+        # agrees since the bar part has no vertical velocity
         V = random_field(unit_torus_4, seed=40)
         til = project_tilde(V)
         dec = decompose(V)
-        out = engine4.q_tilde1(til)
-        c = coefficients(out)
-        got = field_from_coefficients(unit_torus_4, {0: c[0]})
-        adv = leray_project(
-            convolve_quadratic(dec.bar, dec.bar, stencil="horizontal"),
-            check_mean=False,
-        )
-        ca = coefficients(adv)
-        want = field_from_coefficients(unit_torus_4, {0: ca[0]})
+        got = bar_part(engine4.q_tilde1(til))
+        want = bar_part(transport(dec.bar, dec.bar))
         assert l2_norm(got - want) < 1e-10 * l2_norm(want)
 
     def test_fft_class_plus_resonant_classes(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=41)
-        fft_class = bar_part(transport(bar_part(V), bar_part(V)))
-        res = engine4.q_resonant(coefficients(V))
+        C = coefficients(V)
+        bar = field_from_coefficients(unit_torus_4, {0: C[0]})
+        fft_class = bar_part(convolve_quadratic(bar, bar, "horizontal"))
+        res = engine4.q_resonant(C)
         waves = field_from_coefficients(unit_torus_4, {a: res[a] for a in (-1, 1)})
         want = (fft_class + waves).pin_zero_mode()
         assert np.array_equal(engine4.q_tilde1(V).coeffs, want.coeffs)
@@ -995,13 +1003,14 @@ class TestRemainders:
 
     def test_work_count(self, engine4, unit_torus_4, monkeypatch):
         # one filtered evaluation (1 transport, 4 filters) and the two
-        # limit transports (bar x bar, underline x bar)
+        # limit advections (bar x bar, underline x bar) on the horizontal
+        # stencil
         calls = Counter()
-        for name in ("transport", "apply_filter"):
+        for name in ("transport", "apply_filter", "convolve_quadratic"):
             fn = getattr(forms, name)
             monkeypatch.setattr(forms, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
         engine4.remainders(0.3, 0.01, random_field(unit_torus_4, seed=59))
-        assert calls == {"transport": 3, "apply_filter": 4}
+        assert calls == {"transport": 1, "apply_filter": 4, "convolve_quadratic": 2}
 
 
 class TestFilterGroupCommutation:
@@ -1140,22 +1149,33 @@ class TestSelfInteractions:
         )
         assert np.array_equal(got.coeffs, want.coeffs)
 
-    def test_q_limit_makes_two_transports(self, engine4, unit_torus_4, monkeypatch):
-        # the tilde x tilde transport of q_tilde1 takes one operand object
-        # in both slots (one inverse transform of 4 components), the
-        # underline x bar transport of q_tilde2 runs once for both slots,
-        # and the underline form makes none
-        calls = []
-
-        def spy(A, B):
-            calls.append((A, B))
-            return transport(A, B)
-
-        monkeypatch.setattr(forms, "transport", spy)
+    def test_q_limit_makes_no_transport(self, engine4, unit_torus_4, monkeypatch):
+        # the limit forms advect the bar part with the limit stepper's
+        # kernel: one horizontal convolution of the bar part by itself (one
+        # operand object in both slots) and one by the underline part, the
+        # bar part assembled from the one coefficient stack of each form,
+        # never projected out of the input
         V = random_field(unit_torus_4, seed=84)
+        calls, outputs, projected = [], [], []
+
+        def conv(A, B, stencil="full"):
+            calls.append((A, B, stencil))
+            outputs.append(convolve_quadratic(A, B, stencil))
+            return outputs[-1]
+
+        def spy_bar(X):
+            projected.append(X)
+            return bar_part(X)
+
+        monkeypatch.setattr(forms, "transport", lambda A, B: pytest.fail("q_limit made a transport"))
+        monkeypatch.setattr(forms, "convolve_quadratic", conv)
+        monkeypatch.setattr(forms, "bar_part", spy_bar)
         engine4.q_limit(V)
-        assert len(calls) == 2
-        assert [A is B for A, B in calls] == [True, False]
-        und, bar = calls[1]
+        assert [(A is B, stencil) for A, B, stencil in calls] == [(True, "horizontal"), (False, "horizontal")]
+        bar = bar_part(V)
+        assert np.array_equal(calls[0][0].coeffs, bar.coeffs)
+        und, bar2 = calls[1][:2]
         assert np.array_equal(und.coeffs, underline_part(V).coeffs)
-        assert np.array_equal(bar.coeffs, bar_part(project_tilde(V)).coeffs)
+        assert np.array_equal(bar2.coeffs, bar.coeffs)
+        # bar_part only reads the e_0 class off each advection
+        assert [id(X) for X in projected] == [id(X) for X in outputs]

@@ -47,15 +47,11 @@ class TestConfig:
             snapshot_dt = 0.025
             seed = 7
             spectrum_r = 2.5
-            const_K = 3.0
-            const_p = inf
             """
         )
         cfg = SimConfig.from_file(p)
         assert cfg.a_sq == (Fraction(1), Fraction(9, 4), Fraction(2))
         assert cfg.eps_list == (0.1, 0.01)
-        assert cfg.constants["K"] == 3.0
-        assert math.isinf(cfg.constants["p"])
         assert cfg.seed == 7
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -383,6 +379,23 @@ class TestCli:
         eps = [] if "eps" in over else ["--epsilon", "0.1"]
         assert cli_main(["--config", cfgf, *eps, command]) == 2
         assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_bound_constants_are_unknown_keys(self, tmp_path, capsys):
+        # the a priori bound constants are arguments of energy_bounds, not
+        # configuration keys
+        assert cli_main(["--config", self._cfg_file(tmp_path, const_K=3), "audit"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["configuration error: unknown configuration key 'const_K'"]
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_empty_eps_list_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # once built the tables, solved the limit and wrote a header-only
+        # sweep.csv with exit 0
+        monkeypatch.setattr(FormEngine, "tables", property(lambda self: pytest.fail("tables built")))
+        assert cli_main(["--config", self._cfg_file(tmp_path, eps=","), command]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: eps must list at least one epsilon"
+        ]
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):

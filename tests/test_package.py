@@ -31,3 +31,20 @@ def test_every_name_the_package_imports_resolves():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"frspec.{module}"), name), (module, name)
         assert hasattr(frspec, name), name
+
+
+def test_every_private_function_has_a_caller():
+    # a private function or method that nothing in the package names is
+    # dead code: it is neither API nor used
+    trees = [ast.parse(p.read_text()) for p in Path(frspec.__file__).parent.glob("*.py")]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {
+        node.name
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert sorted(defined - named) == []

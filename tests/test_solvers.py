@@ -37,6 +37,7 @@ from frspec.solvers import (
     write_checkpoint,
 )
 from frspec.waves import (
+    EigenBasis,
     apply_filter,
     bar_part,
     coefficients,
@@ -131,6 +132,21 @@ class TestFilteredStepper:
         assert np.array_equal(st._E_half, E_half)
         assert np.array_equal(st._E_full, E_full)
         assert np.array_equal(st._E_full_inv, np.array([np.linalg.inv(m) for m in E_full]))
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
+    def test_generator_is_built_from_the_shared_symbols(self, engine4, unit_torus_4, eps):
+        # diag(A2) - (1/eps) PA from the one A2 symbol and the one PA stack,
+        # the stack that pa_symbol reads at every mode
+        g = unit_torus_4
+        pa = EigenBasis.of(g).pa
+        diag = np.zeros(pa.shape)
+        for j in range(3):
+            diag[..., j, j] = engine4.a2_diag
+        want = (diag - pa / eps).reshape(g.nmodes, 4, 4)
+        got = FilteredStepper(engine4, eps=eps, dt=1e-3)._generator()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.all(got[g.flat_index((0, 0, 0))] == 0.0)
+        assert np.array_equal(engine4.a2_diag, -engine4.nu * g.check_sq)
 
     def test_nan_raises(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=64)
@@ -423,6 +439,20 @@ class TestSolveLimit:
         monkeypatch.setattr(FormEngine, "_row_products", spy)
         stepper.step(LimitState(0.0, coefficients(V)))
         assert seen == [True] * 4
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 2, 3), 8)])
+    def test_rhs_is_minus_q_limit(self, a_sq, N):
+        # the stepper's nonlinearity and the limit form run the same kernels
+        # on the same operands: on the coefficient stack they agree to
+        # rounding (7.5e-16 of max |q| at (1,2,3)/N8)
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=87, amplitude=1.0, spectrum_r=3.0)
+        und = decompose(V).underline
+        q = coefficients(eng.q_limit(V))
+        rhs = LimitStepper(eng, 5e-3, und)._rhs(coefficients(V), und)
+        assert np.max(np.abs(q)) > 0
+        assert np.max(np.abs(q + rhs)) <= 1e-14 * np.max(np.abs(q))
 
 
 class TestStepWork:

@@ -41,6 +41,33 @@ class TestSymbol:
             x = rng.standard_normal(4)
             assert abs(kc @ (m @ x)) < 1e-13
 
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_symbol_is_the_shared_stack(self, a_sq, N):
+        # one PA symbol: pa_symbol reads EigenBasis.pa, built from the same
+        # formulas, at every mode; apply_pa applies it mode by mode
+        g = TorusGeometry(a_sq, N)
+        pa = EigenBasis.of(g).pa
+        assert pa.shape == (g.L,) * 3 + (4, 4)
+        for n in itertools.product(range(-N, N + 1), repeat=3):
+            if n == (0, 0, 0):
+                continue
+            kc = np.asarray(n, dtype=float) / g.a
+            ksq = float(kc @ kc)
+            want = np.zeros((4, 4))
+            want[:3, 3] = -kc * kc[2] / ksq
+            want[2, 3] += 1.0
+            want[3, 2] = -1.0
+            got = pa_symbol(g, n)
+            assert np.array_equal(got, pa[tuple(c + N for c in n)])
+            assert np.max(np.abs(got - want)) <= 1e-15, n
+        assert np.all(pa[N, N, N] == 0.0)
+        f = random_field(g, seed=20)
+        assert np.array_equal(apply_pa(f).coeffs, np.einsum("xyzij,xyzj->xyzi", pa, f.coeffs))
+
+    def test_mode_outside_the_truncation_rejected(self, unit_torus_4):
+        with pytest.raises(ValueError, match="outside the truncation"):
+            pa_symbol(unit_torus_4, (5, 0, 0))
+
     def test_zero_mode_rejected(self, unit_torus_4):
         with pytest.raises(ValueError):
             pa_symbol(unit_torus_4, (0, 0, 0))
