@@ -124,11 +124,10 @@ def zero_field(geometry: TorusGeometry) -> SpectralField4:
 def single_mode_field(geometry: TorusGeometry, n, vec, hermitian: bool = True) -> SpectralField4:
     """Field with coefficient `vec` at mode n (plus the conjugate at -n if asked)."""
     f = zero_field(geometry)
-    i = tuple(np.asarray(n) + geometry.N)
-    f.coeffs[i] = np.asarray(vec, dtype=np.complex128)
+    vec = np.asarray(vec, dtype=np.complex128)
+    f.coeffs[geometry.mode_index(n)] = vec
     if hermitian and any(c != 0 for c in n):
-        j = tuple(-np.asarray(n) + geometry.N)
-        f.coeffs[j] += np.conj(np.asarray(vec, dtype=np.complex128))
+        f.coeffs[geometry.mode_index([-c for c in n])] += np.conj(vec)
     return f
 
 

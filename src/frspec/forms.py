@@ -5,9 +5,9 @@ Everything is built from one kernel, the symmetrized projected transport
     T(A, B) = 1/2 P [ a . grad B + b . grad A ],
 
 computed pseudo-spectrally with 2/3-rule dealiasing.  Every form is the
-quadratic form of a symmetric bilinear one and takes one field.  The
-filtered form conjugates T by the filtering group: for the filtered
-unknown U = L(-t/eps) V of `solvers`,
+quadratic form of a symmetric bilinear one.  The filtered form conjugates
+T by the filtering group: for the filtered unknown U = L(-t/eps) V of
+`solvers`,
 
     Q_eps(t; U) = L(-t/eps) T( L(t/eps) U, L(t/eps) U ),
 
@@ -18,9 +18,14 @@ F = Q - A2.  In the eigen decomposition the interactions split into
 sign classes: the (0,0,0) class is an unrestricted convolution of the
 e_0 parts, while every class with a nonzero sign is supported on an
 exactly enumerated resonant set (evaluated by sparse triad summation).
-The e_0 parts have no vertical velocity, so that class, and their
-advection by the underline part, run on the limit stepper's 2.5D kernel
-`convolve_quadratic(., bar, "horizontal")`.
+The e_0 parts have no vertical velocity, so that class runs on the 2.5D
+kernel `convolve_quadratic(bar, bar, "horizontal")`; their advection by
+the underline part, which depends on x3 alone, is a sum along n3.
+
+The class forms take (3, L, L, L) eigen-coefficient stacks; the sum of
+`q_tilde1(C)` and `q_tilde2(und, C)` (stacks too) is the limit stepper's
+right-hand side, so the limit nonlinearity has one definition.  The whole
+forms `q_limit` and `a2_limit` take fields, like the filtered forms.
 
 The tables are built by joins inside exact frequency classes (see
 `resonance`): zero-sign classes by equal-omega ids, radical
@@ -72,8 +77,8 @@ from .resonance import (
 )
 from .waves import (
     EigenBasis,
+    _coefficients,
     apply_filter,
-    bar_part,
     coefficients,
     field_from_coefficients,
     underline_part,
@@ -352,47 +357,37 @@ class FormEngine:
         np.multiply(0.5j, p, out=p)
         return p
 
-    def q_resonant(self, C: np.ndarray) -> np.ndarray:
-        """The sparse exact-resonant classes of q_tilde1 (all but (0,0,0)),
-        once per mirror pair, on the (3, L, L, L) coefficient stack C;
-        returns a stack of the same shape.  Its row 0 is zero, as no plan
-        row outputs on e_0."""
-        tab, _ = self.tables
+    def q_tilde1(self, C: np.ndarray) -> np.ndarray:
+        """Resonance-restricted symmetrized transport on the tilde
+        coefficient stack C; returns the (3, L, L, L) output stack.  Row 0,
+        the (0,0,0) class, is the 2.5D advection of the e_0 part by itself
+        (the horizontal kernel on one operand; no Leray projection, since
+        <P v, e_0> = <v, e_0>); rows +-1 are the sparse exact-resonant
+        classes, summed once per mirror pair (no plan row outputs on e_0)."""
         g = self.geometry
+        tab, _ = self.tables
         out = np.zeros(3 * g.nmodes, dtype=np.complex128)
         if tab.rows:
             p = self._row_products(C, tab)
             p *= tab.W
             np.add.at(out, tab.nc, p)
-        return out.reshape((3,) + (g.L,) * 3)
-
-    def q_tilde1(self, V: SpectralField4) -> SpectralField4:
-        """Resonance-restricted symmetrized transport (tilde output).
-
-        The input is read through its eigen coefficients (its tilde part);
-        the (0,0,0) class is the unrestricted 2.5D advection of the e_0
-        part by itself, the limit stepper's horizontal kernel; all other
-        classes are the sparse exact-resonant sums of `q_resonant`.
-        """
-        g = self.geometry
-        C = coefficients(V)
+        out = out.reshape(C.shape)
         bar = field_from_coefficients(g, {0: C[0]})
-        fft_part = bar_part(convolve_quadratic(bar, bar, "horizontal"))
-        res = self.q_resonant(C)
-        waves = field_from_coefficients(g, {a: res[a] for a in (-1, 1)})
-        return (fft_part + waves).pin_zero_mode()
+        out[0] = _coefficients(convolve_quadratic(bar, bar, "horizontal"), slice(0, 1))[0]
+        return out
 
-    def _b_sector(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
-        """The (b, c) = (+-, +-) sector of the underline x tilde form on a
-        coefficient stack C: output n couples the underline field at
-        (0, 0, 2 n3) with the tilde coefficients at (n_h, -n3).  Returns a
+    def b_form(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
+        """Limit coupling of the horizontal average into the wave part: the
+        (b, c) = (+-, +-) sector of the underline x tilde form.  Output n
+        couples the underline part of Vund at (0, 0, 2 n3) with the wave
+        rows of the tilde coefficient stack C at (n_h, -n3).  Returns a
         (3, L, L, L) stack with a zero row 0.  Carries the bare symmetrized
         kernel (no 1/2): this is the coupling exactly as it enters the wave
         limit equation."""
         g = self.geometry
         L, N = g.L, g.N
         basis = self.basis
-        und = Vund.coeffs[N, N, :, :]  # (L, 4) along the vertical line
+        und = underline_part(Vund).coeffs[N, N, :, :]  # (L, 4) along the vertical line
 
         out = np.zeros((3, L, L, L), dtype=np.complex128)
         n3 = g.n_axis
@@ -411,52 +406,52 @@ class FormEngine:
             ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
             ec_conj = basis.evec_conj[b]  # resonance forces c = b
             pair_bc = np.einsum("xyzj,xyzj->xyz", eb, ec_conj)
-            pair_uc = np.einsum("zj,xyzj->xyz", u_at.astype(np.complex128), ec_conj)
+            pair_uc = np.einsum("zj,xyzj->xyz", u_at, ec_conj)
             contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
             out[b] = np.where(osc, contrib, 0.0)
         return out
 
-    def b_form(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
-        """Limit coupling of the horizontal average into the wave part.
-
-        Takes the (3, L, L, L) coefficient stack C of the tilde field and
-        reads only its wave rows; returns the stack of the coupling, whose
-        rows +-1 hold the wave output and whose row 0 is zero."""
-        return self._b_sector(underline_part(Vund), C)
-
-    def q_tilde2(self, V: SpectralField4) -> SpectralField4:
-        """Limit underline x tilde transport (tilde output).  Its e_0 class
-        is the horizontal advection of the bar part by the underline part:
-        the other slot, bar . grad underline, is zero, since the bar part
-        has no vertical velocity and the underline part no horizontal
-        dependence."""
+    def q_tilde2(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
+        """Limit underline x tilde transport on the underline part of Vund
+        and the tilde coefficient stack C; returns a (3, L, L, L) stack.
+        Rows +-1 are `b_form`.  Row 0 is the e_0 part of und_h . grad_h bar
+        (bar . grad und is zero: bar has no vertical velocity, und no
+        horizontal dependence).  e_0 depends on n_h alone, so it is the sum
+        i sum_k3 ncheck_h(n) . und_h(k3) c_0(n_h, n3 - k3) over
+        |k3|, |n3 - k3| <= N, the dealiased kernel's truncation: two (L, L)
+        Toeplitz products on row 0 of C."""
         g = self.geometry
-        und = underline_part(V)
-        C = coefficients(V)
-        bar = field_from_coefficients(g, {0: C[0]})
-        fft_part = bar_part(convolve_quadratic(und, bar, "horizontal"))
-        b = self._b_sector(und, C)
-        b_part = field_from_coefficients(g, {1: b[1], -1: b[-1]})
-        return (fft_part + b_part).pin_zero_mode()
+        out = self.b_form(Vund, C)
+        line = underline_part(Vund).coeffs[g.N, g.N, :, :2]  # und_h(k3)
+        k3 = g.n_axis[:, None] - g.n_axis[None, :]  # n3 - m3 for row n3, column m3
+        toeplitz = np.where((np.abs(k3) <= g.N)[..., None], line[np.clip(k3 + g.N, 0, g.L - 1)], 0.0)
+        k1, k2, _ = g.check_grid
+        out[0] = 1j * (k1 * (C[0] @ toeplitz[..., 0].T) + k2 * (C[0] @ toeplitz[..., 1].T))
+        return out
 
-    def q_underline(self, V: SpectralField4) -> SpectralField4:
-        """Limit tilde x tilde interaction with output on the vertical line:
-        the (a, -a) rows of the underline table.  The (0, 0) class needs no
-        term: the e_0 velocity has no vertical part, and on the vertical
-        line ncheck is vertical."""
+    def q_underline(self, C: np.ndarray) -> SpectralField4:
+        """Limit tilde x tilde interaction with output on the vertical line,
+        on the coefficient stack C of the tilde field: the (a, -a) rows of
+        the underline table.  The (0, 0) class needs no term: the e_0
+        velocity has no vertical part, and on the vertical line ncheck is
+        vertical."""
         g = self.geometry
         _, qu = self.tables
         out_line = np.zeros(g.L * 4, dtype=np.complex128)
         if len(qu.kf):
-            contrib = self._row_products(coefficients(V), qu)[:, None] * qu.G4
+            contrib = self._row_products(C, qu)[:, None] * qu.G4
             np.add.at(out_line, qu.out, contrib.reshape(-1))
         out = zero_field(g)
         out.coeffs[g.N, g.N, :, :] = out_line.reshape(g.L, 4)
         return out.pin_zero_mode()
 
     def q_limit(self, V: SpectralField4) -> SpectralField4:
-        """The full limit form Q = Qt1 + Qt2 + Qu."""
-        return self.q_tilde1(V) + self.q_tilde2(V) + self.q_underline(V)
+        """The full limit form Q = Qt1 + Qt2 + Qu, on one coefficient stack
+        of V."""
+        C = coefficients(V)
+        q = self.q_tilde1(C) + self.q_tilde2(underline_part(V), C)
+        out = field_from_coefficients(self.geometry, {a: q[a] for a in (0, 1, -1)})
+        return (out + self.q_underline(C)).pin_zero_mode()
 
     def a2_limit(self, W: SpectralField4) -> SpectralField4:
         """Phase-free part of the conjugated dissipation.
@@ -494,10 +489,8 @@ class FormEngine:
         af = np.asarray(a, dtype=np.complex128).reshape(-1)
         bf = np.asarray(b, dtype=np.complex128).reshape(-1)
         cf = np.asarray(c, dtype=np.complex128).reshape(-1)
-        mk = self._modes[nf] - self._modes[kf]
-        L = g.L
-        mfl = ((mk[:, 0] + g.N) * L + (mk[:, 1] + g.N)) * L + (mk[:, 2] + g.N)
-        return complex(np.sum(af[kf] * bf[mfl] * cf[nf]))
+        # m = n - k lies in the box, so its flat index is nf - kf + flat(0)
+        return complex(np.sum(af[kf] * bf[nf - kf + g.nmodes // 2] * cf[nf]))
 
     # -- Schochet remainder ------------------------------------------------------------
 

@@ -197,10 +197,19 @@ class TorusGeometry:
 
     # -- indexing helpers ----------------------------------------------------
 
+    def mode_index(self, n) -> tuple[int, int, int]:
+        """Array index (n1 + N, n2 + N, n3 + N) of a mode of the truncation;
+        ValueError for a mode outside it, which would otherwise wrap around
+        or overrun the (L, L, L) arrays."""
+        n = tuple(int(c) for c in n)
+        if max(map(abs, n)) > self.N:
+            raise ValueError(f"mode {n} lies outside the truncation N = {self.N}")
+        return tuple(c + self.N for c in n)
+
     def flat_index(self, n) -> int:
         """Lexicographic flat index of a mode vector."""
-        N, L = self.N, self.L
-        return ((int(n[0]) + N) * L + (int(n[1]) + N)) * L + (int(n[2]) + N)
+        i1, i2, i3 = self.mode_index(n)
+        return (i1 * self.L + i2) * self.L + i3
 
 
 def check_frequency(geometry: TorusGeometry, n) -> np.ndarray:

@@ -24,8 +24,9 @@ transport.  The limit stepper keeps the eigen-coefficient stack C of
 `waves.coefficients` (rows e_0, e_+, e_-), on which the heat factors act
 row by row; the e_0 row of the transport needs no Leray projection, since
 <P v, e_0> = <v, e_0> (P is self-adjoint per mode and P e_0 = e_0).  Its
-nonlinearity is, row by row, minus the limit form `FormEngine.q_limit`:
-both advect the bar part with the same horizontal kernel.
+nonlinearity is minus the tilde-output limit forms of `forms`,
+q_tilde1(C) + q_tilde2(und, C), on the stack itself: the stepper
+assembles no field in it and calls no `fields` kernel.
 """
 
 from __future__ import annotations
@@ -231,25 +232,20 @@ class FilteredStepper:
 # -- horizontal-average (underline) subsystem: exact heat flow -------------------
 
 
-def heat_factor_line(geometry: TorusGeometry, nu: float, t: float) -> np.ndarray:
-    k3 = geometry.n_axis.astype(float) / geometry.a[2]
-    return np.exp(-nu * k3**2 * t)
-
-
 def solve_underline(U0: SpectralField4, nu: float, t: float) -> SpectralField4:
     """Exact solution of the underline limit system at time t.
 
-    Components 1, 2 decay by the vertical heat factor, component 4 is
-    constant in time; a nonzero third component is rejected.
+    Components 1, 2 decay by exp(-nu |ncheck|^2 t) on the vertical line of
+    `g.check_sq` (the array of the A2 symbol `FormEngine.a2_diag`),
+    component 4 is constant in time; a nonzero third component is rejected.
     """
     g = U0.geometry
     line = U0.coeffs[g.N, g.N, :, :]
     if np.max(np.abs(line[:, 2])) > 1e-12 * max(1.0, float(np.max(np.abs(line)))):
         raise ValueError("underline data must have zero third component")
     out = underline_part(U0)
-    f = heat_factor_line(g, nu, t)
-    out.coeffs[g.N, g.N, :, 0] *= f
-    out.coeffs[g.N, g.N, :, 1] *= f
+    f = np.exp(-nu * g.check_sq[g.N, g.N, :] * t)
+    out.coeffs[g.N, g.N, :, :2] *= f[:, None]
     return out
 
 
@@ -303,20 +299,13 @@ class LimitStepper:
         self._heat_full = np.exp(self.dt * lam)
 
     def _rhs(self, C: np.ndarray, und: SpectralField4) -> np.ndarray:
-        """The limit nonlinearity on the coefficient stack C.
-
-        Row 0 is -<(ubar + uund) . grad_h ubar, e_0>.  It needs no Leray
-        projection: P is self-adjoint per mode and P e_0 = e_0, so
-        <P v, e_0> = <v, e_0>.  Rows +-1 are the resonant transport of the
-        waves by themselves and by the bar part, one self-interaction
-        q_resonant(C) (the table holds no (0, 0, c) row, so no bar x bar
-        product enters it), plus the underline coupling."""
+        """The limit nonlinearity on the coefficient stack C: minus the
+        tilde-output limit forms, q_tilde1(C) (bar x bar on row 0, the
+        resonant wave forcing on rows +-1) plus q_tilde2(und, C) (the
+        advection of the bar part and the coupling of the waves by the
+        underline part)."""
         eng = self.engine
-        out = eng.q_resonant(C) + eng.b_form(und, C)
-        bar_field = field_from_coefficients(self.geometry, {0: C[0]})
-        adv = convolve_quadratic(bar_field + und, bar_field, stencil="horizontal")
-        out[0] = coefficients(adv)[0]
-        return -1.0 * out
+        return -(eng.q_tilde1(C) + eng.q_tilde2(und, C))
 
     def step(self, s: LimitState) -> LimitState:
         dt = self.dt
@@ -411,8 +400,7 @@ def _mixed_norm(
 
 def _vertical_sobolev(line_field: SpectralField4, s: float, comps=(0, 1)) -> float:
     g = line_field.geometry
-    k3 = g.n_axis.astype(float) / g.a[2]
-    w = (1.0 + k3**2) ** s
+    w = (1.0 + g.check_sq[g.N, g.N, :]) ** s
     line = line_field.coeffs[g.N, g.N, :, :]
     tot = sum(np.sum(w * np.abs(line[:, c]) ** 2) for c in comps)
     return float(np.sqrt(tot))
@@ -555,7 +543,9 @@ def read_checkpoint(path) -> SimState:
         Nf, a1, a2, a3, nu, eps, t = struct.unpack_from("<7d", head, 8)
         if not eps > 0:
             raise ValueError(f"checkpoint {path}: eps = {eps} is not positive")
-        N = int(round(Nf))
+        if not (math.isfinite(Nf) and Nf >= 1 and Nf == int(Nf)):
+            raise ValueError(f"checkpoint {path}: N = {Nf} is not an integer >= 1")
+        N = int(Nf)
         try:
             if version == 1:
                 a_sq = tuple(Fraction(x * x).limit_denominator(10**9) for x in (a1, a2, a3))

@@ -154,7 +154,7 @@ def eigenbasis(geometry: TorusGeometry, n) -> EigenTriple:
     if n == (0, 0, 0):
         raise ValueError("the zero mode has no eigen decomposition")
     basis = EigenBasis.of(geometry)
-    i = tuple(c + geometry.N for c in n)
+    i = geometry.mode_index(n)
     if n[0] == 0 and n[1] == 0:
         return EigenTriple(n, 0.0, None, None, None, F_BASIS.copy())
     return EigenTriple(
@@ -172,9 +172,7 @@ def pa_symbol(geometry: TorusGeometry, n) -> np.ndarray:
     n = tuple(int(c) for c in n)
     if n == (0, 0, 0):
         raise ValueError("pa_symbol is undefined at n = 0")
-    if max(map(abs, n)) > geometry.N:
-        raise ValueError(f"mode {n} lies outside the truncation N = {geometry.N}")
-    return EigenBasis.of(geometry).pa[tuple(c + geometry.N for c in n)].copy()
+    return EigenBasis.of(geometry).pa[geometry.mode_index(n)].copy()
 
 
 def apply_pa(field: SpectralField4) -> SpectralField4:

@@ -335,6 +335,12 @@ def wave_field(g, C):
     return field_from_coefficients(g, {1: C[1], -1: C[-1]})
 
 
+def full_field(g, C):
+    """The field of all rows of a coefficient stack, assembled in the
+    (0, +1, -1) order, as `FormEngine.q_limit` assembles it."""
+    return field_from_coefficients(g, {a: C[a] for a in (0, 1, -1)})
+
+
 def q_underline_2d(eng, V1, V2):
     """The underline-output form on two fields: the FFT (0, 0) class and the
     table rows with 2-D scatters."""
@@ -351,7 +357,8 @@ def q_underline_2d(eng, V1, V2):
 
 
 # The general two-slot forms, written out from the kernels: each form of
-# FormEngine is the diagonal of one of these symmetric bilinear forms.
+# FormEngine is the diagonal of one of these symmetric bilinear forms.  The
+# tilde-output forms return coefficient stacks, as the engine's do.
 
 
 def horizontal_advection_2(A, B):
@@ -359,30 +366,41 @@ def horizontal_advection_2(A, B):
     return 0.5 * (convolve_quadratic(A, B, "horizontal") + convolve_quadratic(B, A, "horizontal"))
 
 
-def q_tilde1_2(eng, A, B):
-    res = q_resonant_2d(eng, coefficients(A), coefficients(B), plan=True)
-    waves = field_from_coefficients(eng.geometry, {a: res[a] for a in (-1, 1)})
-    return (bar_part(horizontal_advection_2(bar_part(A), bar_part(B))) + waves).pin_zero_mode()
+def q_tilde1_2(eng, C1, C2):
+    g = eng.geometry
+    out = q_resonant_2d(eng, C1, C2, plan=True)
+    bar1, bar2 = (field_from_coefficients(g, {0: C[0]}) for C in (C1, C2))
+    out[0] = coefficients(horizontal_advection_2(bar1, bar2))[0]
+    return out
 
 
 def q_tilde2_2(eng, A, B):
     # the slot bar . grad underline is zero: the bar part has no vertical
-    # velocity and the underline part no horizontal dependence
+    # velocity and the underline part no horizontal dependence; the e_0 row
+    # comes from the FFT kernel
     g = eng.geometry
     und_a, und_b = underline_part(A), underline_part(B)
-    til_a, til_b = project_tilde(A), project_tilde(B)
-    fft_part = bar_part(
-        0.5 * (convolve_quadratic(und_a, bar_part(til_b), "horizontal")
-               + convolve_quadratic(und_b, bar_part(til_a), "horizontal"))
-    )
-    b_a = eng._b_sector(und_a, coefficients(til_b))
-    b_b = eng._b_sector(und_b, coefficients(til_a))
-    return (fft_part + 0.5 * (wave_field(g, b_a) + wave_field(g, b_b))).pin_zero_mode()
+    C_a, C_b = coefficients(A), coefficients(B)
+    out = 0.5 * (eng.b_form(und_a, C_b) + eng.b_form(und_b, C_a))
+    bar_a, bar_b = (field_from_coefficients(g, {0: C[0]}) for C in (C_a, C_b))
+    adv = 0.5 * (convolve_quadratic(und_a, bar_b, "horizontal") + convolve_quadratic(und_b, bar_a, "horizontal"))
+    out[0] = coefficients(adv)[0]
+    return out
 
 
 def q_limit_2(eng, A, B):
-    return (q_tilde1_2(eng, project_tilde(A), project_tilde(B)) + q_tilde2_2(eng, A, B)
-            + q_underline_2d(eng, A, B))
+    q = q_tilde1_2(eng, coefficients(A), coefficients(B)) + q_tilde2_2(eng, A, B)
+    return (full_field(eng.geometry, q) + q_underline_2d(eng, A, B)).pin_zero_mode()
+
+
+def form_on(eng, form, V):
+    """A limit form of the engine on the field V, through the inputs it
+    takes: the coefficient stack of V, and its underline part for q_tilde2."""
+    if form == "q_tilde2":
+        return eng.q_tilde2(underline_part(V), coefficients(V))
+    if form in ("q_tilde1", "q_underline"):
+        return getattr(eng, form)(coefficients(V))
+    return getattr(eng, form)(V)
 
 
 def q_eps_2(t, eps, A, B):
@@ -400,14 +418,15 @@ class TestFlatIndexApply:
         rng = np.random.default_rng(63)
         qu.G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
         C = coefficients(V)
-        got = eng.q_resonant(C)
-        assert got.shape == C.shape and np.max(np.abs(got)) > 0
-        assert got.tobytes() == q_resonant_2d(eng, C, C, plan=True).tobytes()
+        # the resonant sum: rows +-1 of q_tilde1
+        got = eng.q_tilde1(C)[1:]
+        assert got.shape == C[1:].shape and np.max(np.abs(got)) > 0
+        assert got.tobytes() == q_resonant_2d(eng, C, C, plan=True)[1:].tobytes()
         # weight 2 G on one row of a pair reorders the additions of the sum
         # over both rows
-        full = q_resonant_2d(eng, C, C)
+        full = q_resonant_2d(eng, C, C)[1:]
         assert np.max(np.abs(got - full)) <= 1e-14 * np.max(np.abs(full))
-        got = eng.q_underline(V)
+        got = eng.q_underline(C)
         assert np.max(np.abs(got.coeffs)) > 0
         # the oracle also sums the FFT (0, 0) class, which is exactly zero
         assert np.array_equal(got.coeffs, q_underline_2d(eng, V, V).coeffs)
@@ -475,14 +494,13 @@ class TestMirrorPlan:
 
     def test_q_resonant_has_no_e0_output(self, mirror_engine):
         # no plan row scatters into the e_0 row (row 0 of the flat (3, L^3)
-        # output), so the e_0 row of q_resonant's stack is exactly zero and
-        # its field is a wave field
+        # output), so the resonant sum of q_tilde1 leaves its e_0 row to the
+        # bar advection, and the field of its rows +-1 is a wave field
         g = mirror_engine.geometry
         tab, _ = mirror_engine.tables
         assert np.all(tab.nc >= g.nmodes)
-        q = mirror_engine.q_resonant(coefficients(random_field(g, seed=64, spectrum_r=1.0)))
-        assert np.max(np.abs(q)) > 0
-        assert np.all(q[0] == 0.0)
+        q = mirror_engine.q_tilde1(coefficients(random_field(g, seed=64, spectrum_r=1.0)))
+        assert np.max(np.abs(q[1:])) > 0
         field = wave_field(g, q)
         scale = np.max(np.abs(field.coeffs))
         assert np.max(np.abs(coefficients(field)[0])) <= 1e-15 * scale
@@ -680,8 +698,7 @@ class TestQtilde1:
     def test_bar_bar_has_no_wave_output(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=39)
         dec = decompose(V)
-        out = engine4.q_tilde1(dec.bar)
-        c = coefficients(out)
+        c = engine4.q_tilde1(coefficients(dec.bar))
         osc = np.sqrt(np.sum(np.abs(c[1]) ** 2 + np.abs(c[-1]) ** 2))
         assert osc < 1e-12 * l2_norm(dec.bar) ** 2
 
@@ -690,49 +707,47 @@ class TestQtilde1:
         # oracle is the full-stencil symmetric projected transport, which
         # agrees since the bar part has no vertical velocity
         V = random_field(unit_torus_4, seed=40)
-        til = project_tilde(V)
         dec = decompose(V)
-        got = bar_part(engine4.q_tilde1(til))
-        want = bar_part(transport(dec.bar, dec.bar))
-        assert l2_norm(got - want) < 1e-10 * l2_norm(want)
+        got = engine4.q_tilde1(coefficients(project_tilde(V)))[0]
+        want = coefficients(transport(dec.bar, dec.bar))[0]
+        assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
 
     def test_fft_class_plus_resonant_classes(self, engine4, unit_torus_4):
+        # row 0: the e_0 row of the horizontal kernel on the bar field, one
+        # operand object in both slots; rows +-1: the resonant sum
         V = random_field(unit_torus_4, seed=41)
         C = coefficients(V)
         bar = field_from_coefficients(unit_torus_4, {0: C[0]})
-        fft_class = bar_part(convolve_quadratic(bar, bar, "horizontal"))
-        res = engine4.q_resonant(C)
-        waves = field_from_coefficients(unit_torus_4, {a: res[a] for a in (-1, 1)})
-        want = (fft_class + waves).pin_zero_mode()
-        assert np.array_equal(engine4.q_tilde1(V).coeffs, want.coeffs)
+        got = engine4.q_tilde1(C)
+        assert np.array_equal(got[0], coefficients(convolve_quadratic(bar, bar, "horizontal"))[0])
+        assert got[1:].tobytes() == q_resonant_2d(engine4, C, C, plan=True)[1:].tobytes()
 
     @pytest.mark.parametrize(
         "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0)]
     )
     def test_one_resonant_sum_drives_the_waves(self, a_sq, N, radical_rows):
         # the wave forcing of the limit stepper, osc_part(q(o, o) + 2 q(b, o))
-        # of the two-slot q_tilde1, is one sum q_resonant(C) on the
-        # coefficient stack of o + b
+        # of the two-slot q_tilde1, is one resonant sum, rows +-1 of
+        # q_tilde1(C), on the coefficient stack of o + b
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
         tab, _ = eng.tables
         assert np.sum((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)) == radical_rows
         dec = decompose(random_field(g, seed=5, amplitude=1.0, spectrum_r=3.0))
-        o, b = dec.osc, dec.bar
-        want = osc_part(q_tilde1_2(eng, o, o) + 2.0 * q_tilde1_2(eng, b, o))
-        got = wave_field(g, eng.q_resonant(coefficients(o) + coefficients(b)))
+        o, b = coefficients(dec.osc), coefficients(dec.bar)
+        want = wave_field(g, q_tilde1_2(eng, o, o) + 2.0 * q_tilde1_2(eng, b, o))
+        got = wave_field(g, eng.q_tilde1(o + b))
         assert l2_norm(got - want) < 1e-13 * l2_norm(want)
 
     def test_energy_neutral(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=43)
         til = project_tilde(V)
-        q = engine4.q_tilde1(til)
+        q = full_field(unit_torus_4, engine4.q_tilde1(coefficients(til)))
         assert abs(inner_l2(q, til)) < 1e-10 * max(l2_norm(q) * l2_norm(til), 1e-300)
 
     def test_output_is_real_field(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=44)
-        til = project_tilde(V)
-        out = engine4.q_tilde1(til)
+        out = full_field(unit_torus_4, engine4.q_tilde1(coefficients(V)))
         assert out.hermitian_defect() < 1e-12
 
 
@@ -788,25 +803,46 @@ class TestQtilde2AndB:
         g = unit_torus_4
         V = random_field(g, seed=47)
         dec = decompose(V)
-        out = engine4.q_tilde2(V)
-        c = coefficients(out)
-        got = field_from_coefficients(g, {0: c[0]})
+        got = engine4.q_tilde2(dec.underline, coefficients(V))[0]
         # with the 1/2-symmetrized kernel, both slot sums together give one
         # copy of the underline transport (matching the bar limit equation)
         adv = leray_project(
             convolve_quadratic(dec.underline, dec.bar, stencil="horizontal"),
             check_mean=False,
         )
-        ca = coefficients(adv)
-        want = field_from_coefficients(g, {0: ca[0]})
-        assert l2_norm(got - want) < 1e-10 * max(l2_norm(want), 1e-300)
+        want = coefficients(adv)[0]
+        assert np.linalg.norm(got - want) < 1e-10 * max(np.linalg.norm(want), 1e-300)
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 4, 1), 6), ((1, 2, 3), 8)])
+    def test_e0_row_is_the_horizontal_kernel(self, a_sq, N):
+        # the sum along n3 is the truncated product the 2/3-dealiased FFT
+        # kernel returns, up to rounding (6.3e-16 of max at (1,2,3)/N8)
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        for seed in range(3):
+            V = random_field(g, seed=140 + seed, amplitude=1.0, spectrum_r=3.0)
+            C, und = coefficients(V), underline_part(V)
+            bar = field_from_coefficients(g, {0: C[0]})
+            want = coefficients(convolve_quadratic(und, bar, "horizontal"))[0]
+            got = eng.q_tilde2(und, C)[0]
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_q_tilde2_makes_no_fft(self, engine4, unit_torus_4, monkeypatch):
+        import frspec.fields as fields
+
+        V = random_field(unit_torus_4, seed=47)
+        for name in ("irfftn", "rfftn"):
+            monkeypatch.setattr(fields, name, lambda *a, **k: pytest.fail("q_tilde2 made an FFT"))
+        out = engine4.q_tilde2(underline_part(V), coefficients(V))
+        assert np.max(np.abs(out[0])) > 0 and np.max(np.abs(out[1:])) > 0
 
 
 class TestQunderline:
     def test_self_cancellation(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=48)
         til = project_tilde(V)
-        out = engine4.q_underline(til)
+        out = engine4.q_underline(coefficients(til))
         assert l2_norm(out) < 1e-12 * l2_norm(til) ** 2
 
     @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 4, 1), 6), ((1, 2, 3), 8)])
@@ -830,7 +866,7 @@ class TestQunderline:
         t2 = eigenbasis(g, (1, 1, -1))
         A = single_mode_field(g, (1, 0, 1), t1.ep)
         B = single_mode_field(g, (1, 1, -1), t2.ep)
-        out = engine4.q_underline(A + B)
+        out = engine4.q_underline(coefficients(A + B))
         assert l2_norm(out) < 1e-14
 
     def test_against_brute_force_triads(self, engine3, unit_torus_3):
@@ -868,7 +904,7 @@ class TestQunderline:
                                 term = 1j * nc3 * (A4[2] * B4 + B4[2] * A4)
                                 term[2] = 0.0  # Leray at (0,0,n3)
                                 want_line[n3 + N] += 0.5 * term
-        got = engine3.q_underline(til)
+        got = engine3.q_underline(c)
         got_line = got.coeffs[N, N, :, :]
         scale = max(np.max(np.abs(want_line)), l2_norm(til) ** 2)
         assert np.max(np.abs(got_line - want_line)) < 1e-12 * scale
@@ -876,7 +912,7 @@ class TestQunderline:
     def test_output_purely_underline(self, engine4, unit_torus_4):
         A = random_field(unit_torus_4, seed=50)
         B = random_field(unit_torus_4, seed=51)
-        out = engine4.q_underline(project_tilde(A + B))
+        out = engine4.q_underline(coefficients(project_tilde(A + B)))
         off = out.coeffs.copy()
         off[unit_torus_4.N, unit_torus_4.N, :, :] = 0.0
         assert np.max(np.abs(off)) == 0.0
@@ -1002,15 +1038,15 @@ class TestRemainders:
         assert l2_norm(eng.remainders(0.9, 0.1, U) - want) < 1e-14
 
     def test_work_count(self, engine4, unit_torus_4, monkeypatch):
-        # one filtered evaluation (1 transport, 4 filters) and the two
-        # limit advections (bar x bar, underline x bar) on the horizontal
-        # stencil
+        # one filtered evaluation (1 transport, 4 filters) and one limit
+        # advection (bar x bar) on the horizontal stencil; the underline x
+        # bar advection is a sum along n3
         calls = Counter()
         for name in ("transport", "apply_filter", "convolve_quadratic"):
             fn = getattr(forms, name)
             monkeypatch.setattr(forms, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
         engine4.remainders(0.3, 0.01, random_field(unit_torus_4, seed=59))
-        assert calls == {"transport": 1, "apply_filter": 4, "convolve_quadratic": 2}
+        assert calls == {"transport": 1, "apply_filter": 4, "convolve_quadratic": 1}
 
 
 class TestFilterGroupCommutation:
@@ -1057,18 +1093,18 @@ class TestEvaluate:
             return row_products(self, C, table)
 
         monkeypatch.setattr(FormEngine, "_row_products", spy)
-        getattr(engine3, form)(random_field(unit_torus_3, seed=60))
+        form_on(engine3, form, random_field(unit_torus_3, seed=60))
         assert seen == rows[form]
 
 
 class TestStructure:
     def test_tilde_forms_have_no_underline_output(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=57)
-        for out in (
-            engine4.q_tilde1(project_tilde(V)),
-            engine4.q_tilde2(V),
-        ):
-            line = out.coeffs[unit_torus_4.N, unit_torus_4.N, :, :]
+        N = unit_torus_4.N
+        for form in ("q_tilde1", "q_tilde2"):
+            out = form_on(engine4, form, V)
+            assert np.max(np.abs(out)) > 0 and np.all(out[:, N, N, :] == 0.0), form
+            line = full_field(unit_torus_4, out).coeffs[N, N, :, :]
             assert np.max(np.abs(line)) < 1e-13
 
     @pytest.mark.parametrize("form", ["q_tilde1", "q_tilde2", "q_underline", "q_limit", "q_eps"])
@@ -1077,8 +1113,9 @@ class TestStructure:
         from frspec.fields import divergence_max
 
         V = random_field(unit_torus_4, seed=59)
-        fn = getattr(engine4, form)
-        out = fn(0.3, 0.01, V) if form == "q_eps" else fn(V)
+        out = engine4.q_eps(0.3, 0.01, V) if form == "q_eps" else form_on(engine4, form, V)
+        if form in ("q_tilde1", "q_tilde2"):
+            out = full_field(unit_torus_4, out)
         assert divergence_max(out) < 1e-10
         assert out.zero_mean()
 
@@ -1096,44 +1133,57 @@ def self_engine(request):
 class TestSelfInteractions:
     """Each form is the diagonal of a symmetric bilinear form: on V it has
     the bytes of the two-slot form (written out above from the kernels) on
-    (V, V.copy())."""
+    (V, V.copy()), except the e_0 row of q_tilde2, a sum along n3 that the
+    two-slot form takes from the FFT kernel, so q_tilde2 and q_limit agree
+    with it to rounding."""
 
-    FORMS = {"q_tilde1": q_tilde1_2, "q_tilde2": q_tilde2_2, "q_underline": q_underline_2d,
-             "q_limit": q_limit_2}
+    FORMS = {"q_tilde1": lambda eng, A, B: q_tilde1_2(eng, coefficients(A), coefficients(B)),
+             "q_tilde2": q_tilde2_2, "q_underline": q_underline_2d, "q_limit": q_limit_2}
 
     @staticmethod
     def _data(g):
         return random_field(g, seed=83, amplitude=1.0, spectrum_r=3.0)
 
     def test_q_resonant_matches_the_general_path(self, self_engine):
+        # the resonant sum, rows +-1 of q_tilde1
         C = coefficients(self._data(self_engine.geometry))
-        got = self_engine.q_resonant(C)
+        got = self_engine.q_tilde1(C)[1:]
         assert np.max(np.abs(got)) > 0
-        assert got.tobytes() == q_resonant_2d(self_engine, C, C.copy(), plan=True).tobytes()
+        assert got.tobytes() == q_resonant_2d(self_engine, C, C.copy(), plan=True)[1:].tobytes()
 
     def test_q_resonant_matches_the_bar_osc_forcing(self, self_engine):
         # the limit stepper's former wave forcing q(osc, osc + 2 bar): the
-        # table holds no (0, 0, c) row, so it is q(C) byte for byte
+        # table holds no (0, 0, c) row, so it is the resonant sum of q_tilde1
+        # on C byte for byte
         C = coefficients(self._data(self_engine.geometry))
         bar = np.zeros_like(C)
         bar[0] = C[0]
         osc = C - bar
         want = q_resonant_2d(self_engine, osc, osc + 2.0 * bar, plan=True)
-        assert self_engine.q_resonant(C).tobytes() == want.tobytes()
+        assert self_engine.q_tilde1(C)[1:].tobytes() == want[1:].tobytes()
 
     @pytest.mark.parametrize("form", FORMS)
     def test_forms_match_the_general_path(self, self_engine, form, monkeypatch):
         if form == "q_underline":
-            # q_underline(V) cancels to exactly zero: random weights give
+            # q_underline(C) cancels to exactly zero: random weights give
             # the row sum something to compare
             _, qu = self_engine.tables
             rng = np.random.default_rng(85)
             G4 = rng.standard_normal(qu.G4.shape) + 1j * rng.standard_normal(qu.G4.shape)
             monkeypatch.setattr(qu, "G4", G4)
         V = self._data(self_engine.geometry)
-        got = getattr(self_engine, form)(V).coeffs
-        want = self.FORMS[form](self_engine, V, V.copy()).coeffs
-        assert np.max(np.abs(got)) > 0 and np.array_equal(got, want)
+        got, want = (
+            x.coeffs if isinstance(x, SpectralField4) else x
+            for x in (form_on(self_engine, form, V), self.FORMS[form](self_engine, V, V.copy()))
+        )
+        assert np.max(np.abs(got)) > 0
+        if form == "q_tilde2":
+            assert got[1:].tobytes() == want[1:].tobytes()
+            got, want = got[0], want[0]  # a sum along n3 against the FFT kernel
+        if form in ("q_tilde1", "q_underline"):
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_q_eps_matches_the_general_path(self, self_engine):
         V = self._data(self_engine.geometry)
@@ -1141,41 +1191,36 @@ class TestSelfInteractions:
         assert np.array_equal(got, q_eps_2(0.3, 0.01, V, V.copy()).coeffs)
 
     def test_remainders_match_a_copy_fed_evaluation(self, self_engine):
+        # to rounding: the limit part carries the e_0 row of q_tilde2
         eng = self_engine
         U = self._data(eng.geometry)
         got = eng.remainders(0.3, 0.01, U)
         want = (q_eps_2(0.3, 0.01, U, U.copy()) - eng.a2_eps(0.3, 0.01, U)) - (
             q_limit_2(eng, U, U.copy()) - eng.a2_limit(U)
         )
-        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
 
     def test_q_limit_makes_no_transport(self, engine4, unit_torus_4, monkeypatch):
         # the limit forms advect the bar part with the limit stepper's
         # kernel: one horizontal convolution of the bar part by itself (one
-        # operand object in both slots) and one by the underline part, the
-        # bar part assembled from the one coefficient stack of each form,
-        # never projected out of the input
+        # operand object in both slots), assembled from the one coefficient
+        # stack of V and never projected out of it; the advection by the
+        # underline part is a sum along n3
         V = random_field(unit_torus_4, seed=84)
-        calls, outputs, projected = [], [], []
+        calls, stacks = [], []
 
         def conv(A, B, stencil="full"):
             calls.append((A, B, stencil))
-            outputs.append(convolve_quadratic(A, B, stencil))
-            return outputs[-1]
+            return convolve_quadratic(A, B, stencil)
 
-        def spy_bar(X):
-            projected.append(X)
-            return bar_part(X)
+        def spy_coefficients(X):
+            stacks.append(X)
+            return coefficients(X)
 
         monkeypatch.setattr(forms, "transport", lambda A, B: pytest.fail("q_limit made a transport"))
         monkeypatch.setattr(forms, "convolve_quadratic", conv)
-        monkeypatch.setattr(forms, "bar_part", spy_bar)
+        monkeypatch.setattr(forms, "coefficients", spy_coefficients)
         engine4.q_limit(V)
-        assert [(A is B, stencil) for A, B, stencil in calls] == [(True, "horizontal"), (False, "horizontal")]
-        bar = bar_part(V)
-        assert np.array_equal(calls[0][0].coeffs, bar.coeffs)
-        und, bar2 = calls[1][:2]
-        assert np.array_equal(und.coeffs, underline_part(V).coeffs)
-        assert np.array_equal(bar2.coeffs, bar.coeffs)
-        # bar_part only reads the e_0 class off each advection
-        assert [id(X) for X in projected] == [id(X) for X in outputs]
+        assert [(A is B, stencil) for A, B, stencil in calls] == [(True, "horizontal")]
+        assert np.array_equal(calls[0][0].coeffs, bar_part(V).coeffs)
+        assert [id(X) for X in stacks] == [id(V)]

@@ -42,6 +42,26 @@ class TestCheckFrequency:
         g = TorusGeometry((1, 1, 1), 2)
         assert np.allclose(check_frequency(g, (0, 0, 0)), [0, 0, 0])
 
+    @pytest.mark.parametrize("n", [(4, -4, 0), (-4, 4, 4), (0, 0, -4)])
+    def test_mode_index_inside_the_truncation(self, n):
+        g = TorusGeometry((1, 2, 3), 4)
+        assert g.mode_index(n) == tuple(c + 4 for c in n)
+        assert g.flat_index(n) == np.ravel_multi_index(g.mode_index(n), (g.L,) * 3)
+
+    @pytest.mark.parametrize("n", [(5, 0, 1), (-5, 0, 1), (0, 0, 5), (0, 0, -5)])
+    def test_mode_index_outside_the_truncation_rejected(self, n):
+        g = TorusGeometry((1, 2, 3), 4)
+        for fn in (g.mode_index, g.flat_index):
+            with pytest.raises(ValueError, match="outside the truncation N = 4"):
+                fn(n)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("n", [(5, 0, 1), (-5, 0, 1), (0, 0, 5), (0, 0, -5)])
+    def test_single_mode_outside_the_truncation_rejected(self, n, hermitian):
+        g = TorusGeometry((1, 1, 1), 4)
+        with pytest.raises(ValueError, match="outside the truncation N = 4"):
+            single_mode_field(g, n, [1, 0, 0, 0], hermitian=hermitian)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             TorusGeometry((0, 1, 1), 2)

@@ -48,3 +48,19 @@ def test_every_private_function_has_a_caller():
     named = {node.id for node in nodes if isinstance(node, ast.Name)}
     named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert sorted(defined - named) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # a module that imports a name it never reads keeps a leftover of code
+    # that has gone (the package's own imports, in __init__.py, are its API,
+    # checked above)
+    tree = ast.parse((Path(frspec.__file__).parent / f"{name}.py").read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []

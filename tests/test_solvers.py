@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import frspec.forms as forms
 import frspec.solvers as solvers
 from frspec.fields import (
     SpectralField4,
@@ -44,7 +45,6 @@ from frspec.waves import (
     decompose,
     eigenbasis,
     field_from_coefficients,
-    osc_part,
 )
 
 from conftest import random_field
@@ -216,6 +216,20 @@ class TestUnderline:
         lhs = hs_sq(out) + 2 * nu * integral
         assert abs(lhs - hs_sq(f)) < 1e-10 * hs_sq(f)
 
+    @pytest.mark.parametrize("a_sq, nu, t", [((1, 1, 1), 1.0, 0.5), ((1, 2, 3), 0.7, 1.3)])
+    def test_heat_factor_is_the_a2_symbol(self, a_sq, nu, t):
+        # one dissipation source: components 1 and 2 decay by exp(t A2) of
+        # the engine's symbol on the vertical line, bit for bit
+        g = TorusGeometry(a_sq, 4)
+        f = decompose(random_field(g, seed=67, amplitude=1.0, spectrum_r=3.0)).underline
+        out = solve_underline(f, nu, t)
+        factor = np.exp(t * FormEngine(g, nu).a2_diag[g.N, g.N, :])
+        line = f.coeffs[g.N, g.N]
+        assert np.max(np.abs(line[:, :2])) > 0
+        for c in (0, 1):
+            assert np.array_equal(out.coeffs[g.N, g.N, :, c], factor * line[:, c])
+        assert np.array_equal(out.coeffs[g.N, g.N, :, 3], line[:, 3])
+
     def test_rejects_third_component(self, unit_torus_4):
         f = single_mode_field(unit_torus_4, (0, 0, 1), [0, 0, 1, 0])
         with pytest.raises(ValueError):
@@ -339,8 +353,8 @@ class TestLimitSteppers:
         eng = FormEngine(g, nu=1.0)
         t = eigenbasis(g, (2, 2, 2))
         osc0 = single_mode_field(g, (2, 2, 2), t.ep)
-        nl = eng.q_tilde1(osc0)
-        assert l2_norm(nl) < 1e-14
+        nl = eng.q_tilde1(coefficients(osc0))
+        assert np.linalg.norm(nl) < 1e-14
 
 
 class TestSolveLimit:
@@ -394,9 +408,10 @@ class TestSolveLimit:
 
     def test_matches_two_call_wave_forcing(self, monkeypatch):
         # oracle: the nonlinearity on fields, with the wave forcing as the
-        # wave part of full q_tilde1 evaluations per stage (by polarization,
-        # q(o, o) + 2 q(b, o) = q(o + b) - q(b)) and the e_0 row
-        # Leray-projected
+        # wave rows of two q_tilde1 evaluations per stage, on the stacks of
+        # the fields o + b and b (by polarization, q(o, o) + 2 q(b, o) =
+        # q(o + b) - q(b)), and the e_0 row as the Leray-projected FFT
+        # advection by bar + underline
         class TwoCallStepper(LimitStepper):
             calls = 0
 
@@ -405,10 +420,11 @@ class TestSolveLimit:
                 eng, g = self.engine, self.geometry
                 bar = field_from_coefficients(g, {0: C[0]})
                 osc = field_from_coefficients(g, {1: C[1], -1: C[-1]})
-                nl = osc_part(eng.q_tilde1(bar + osc) - eng.q_tilde1(bar))
+                nl = eng.q_tilde1(coefficients(bar + osc)) - eng.q_tilde1(coefficients(bar))
+                nl[0] = 0.0
                 adv = convolve_quadratic(bar + und, bar, stencil="horizontal")
-                field = bar_part(leray_project(adv, check_mean=False)) + nl
-                return -1.0 * (coefficients(field) + eng.b_form(und, C))
+                field = bar_part(leray_project(adv, check_mean=False))
+                return -1.0 * (coefficients(field) + nl + eng.b_form(und, C))
 
         g = TorusGeometry((1, 2, 3), 3)
         eng = FormEngine(g, nu=1.0)
@@ -458,18 +474,18 @@ class TestSolveLimit:
 class TestStepWork:
     """Each stepper keeps the variable it integrates, so a step converts
     between frames nowhere.  Counted through the names `frspec.solvers`
-    binds."""
+    and `frspec.forms` bind."""
 
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, name, module=solvers):
         calls = []
-        fn = getattr(solvers, name)
+        fn = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, name, counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_filtered_step_applies_no_filter(self, engine4, unit_torus_4, monkeypatch):
@@ -480,9 +496,10 @@ class TestStepWork:
         assert calls == [] and state.t == 0.3 + 1e-3
 
     def test_limit_step_assembles_one_field_for_its_cfl_check(self, monkeypatch):
-        # per stage: one coefficients (the e_0 row of the bar transport) and
-        # one field_from_coefficients (the bar field); plus one field for the
-        # CFL velocity, and no conversion on entry or exit
+        # the right-hand side is the limit forms' own: the stepper assembles
+        # one field, for the CFL velocity, and converts nothing to
+        # coefficients; the forms assemble one bar field per stage and make
+        # no coefficients call either
         g = TorusGeometry((1, 2, 3), 3)
         eng = FormEngine(g, nu=1.0)
         V = random_field(g, seed=88, amplitude=1.0, spectrum_r=3.0)
@@ -490,9 +507,32 @@ class TestStepWork:
         C0 = coefficients(V)
         to_c = self._count(monkeypatch, "coefficients")
         to_field = self._count(monkeypatch, "field_from_coefficients")
+        to_c_forms = self._count(monkeypatch, "coefficients", forms)
+        to_field_forms = self._count(monkeypatch, "field_from_coefficients", forms)
         s = stepper.step(LimitState(0.0, C0))
-        assert len(to_c) == 4 and len(to_field) == 5
+        assert len(to_c) == 0 and len(to_field) == 1
+        assert len(to_c_forms) == 0 and len(to_field_forms) == 4
         assert s.C.shape == C0.shape
+
+    def test_limit_stage_makes_one_horizontal_convolve_on_one_operand(self, monkeypatch):
+        # per stage: the bar x bar advection, one operand object in both
+        # slots; the underline advection is a sum along n3, and no stage
+        # makes a full-stencil transport
+        g = TorusGeometry((1, 2, 3), 3)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=88, amplitude=1.0, spectrum_r=3.0)
+        stepper = LimitStepper(eng, 5e-3, decompose(V).underline)
+        calls = []
+
+        def conv(A, B, stencil="full"):
+            calls.append((A is B, stencil))
+            return convolve_quadratic(A, B, stencil)
+
+        for mod in (forms, solvers):
+            monkeypatch.setattr(mod, "convolve_quadratic", conv)
+        monkeypatch.setattr(forms, "transport", lambda A, B: pytest.fail("a limit stage made a transport"))
+        stepper.step(LimitState(0.0, coefficients(V)))
+        assert calls == [(True, "horizontal")] * 4
 
     def test_solve_limit_stores_one_stack_per_snapshot(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=89, amplitude=1.0, spectrum_r=3.0)
@@ -666,6 +706,17 @@ class TestCheckpoints:
         p = tmp_path / "eps.frsp"
         self._v2_file(p, g, random_field(g, seed=83), eps=eps)
         with pytest.raises(ValueError, match="not positive") as err:
+            read_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("N", [math.inf, math.nan, 2.5, 0.0])
+    def test_truncation_must_be_a_positive_integer(self, tmp_path, N):
+        p = tmp_path / "N.frsp"
+        write_checkpoint(p, SimState(0.0, random_field(TorusGeometry((1, 2, 3), 2), seed=84), nu=1.0, eps=0.1))
+        raw = bytearray(p.read_bytes())
+        raw[8:16] = struct.pack("<d", N)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="not an integer >= 1") as err:
             read_checkpoint(p)
         assert str(p) in str(err.value)
 

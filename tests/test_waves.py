@@ -68,6 +68,14 @@ class TestSymbol:
         with pytest.raises(ValueError, match="outside the truncation"):
             pa_symbol(unit_torus_4, (5, 0, 0))
 
+    @pytest.mark.parametrize("n", [(5, 0, 1), (-5, 0, 1), (0, 0, 5), (0, 0, -5), (1, -7, 2)])
+    @pytest.mark.parametrize("fn", [pa_symbol, eigenbasis], ids=["pa_symbol", "eigenbasis"])
+    def test_modes_past_either_edge_rejected(self, unit_torus_4, fn, n):
+        # a negative entry would wrap around to another mode's data, a
+        # positive one would overrun the stack
+        with pytest.raises(ValueError, match=rf"mode \({n[0]}, {n[1]}, {n[2]}\) lies outside the truncation N = 4"):
+            fn(unit_torus_4, n)
+
     def test_zero_mode_rejected(self, unit_torus_4):
         with pytest.raises(ValueError):
             pa_symbol(unit_torus_4, (0, 0, 0))
