@@ -25,6 +25,14 @@ symmetric `transport`) and one forward transform of the products P_jc =
 a_j B_c (12 components, 8 horizontal).  Where P_jc = P_cj for j, c <= 3
 (A is B, and the symmetric `transport`) the full stencil transforms only
 the 9 distinct products.
+
+There is one product kernel, `_convolve_half`, which takes and returns
+half-lattice coefficients (C, L, L, N + 1), the n3 >= 0 modes in the
+layout of the transforms.  `convolve_quadratic` and `transport` are the
+Hermitian check (`_half`), that kernel and the mirror to the full lattice
+(`_lattice`); the filtered stepper calls the kernel on its half spectrum
+directly.  The per-mode Leray formula is one function, `_leray`, which
+`leray_project` applies on the full lattice and the stepper on the half.
 """
 
 from __future__ import annotations
@@ -150,29 +158,39 @@ def _wrap(geometry: TorusGeometry, M: int) -> np.ndarray:
     return (np.arange(geometry.L) - geometry.N) % M
 
 
-def _to_grid(geometry: TorusGeometry, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Samples (C, M, M, M) of the real fields with coefficients (L, L, L, C).
+def _half(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
+    """The n3 >= 0 half (C, L, L, N + 1) of the coefficients (L, L, L, C).
 
-    The transform reads only the n3 >= 0 half, and only the real part of
-    the n3 = 0 plane, so it raises ValueError when the coefficients are not
-    Hermitian, V_hat(-n) = conj(V_hat(n)), within the bounds above: the
-    discarded part would silently give another field.
+    The transforms read only this half, and only the real part of its
+    n3 = 0 plane, so this raises ValueError when the coefficients are not
+    Hermitian, V_hat(-n) = conj(V_hat(n)), within the bounds above (a NaN
+    anywhere fails too): the discarded part would silently give another
+    field.
     """
     N = geometry.N
     upper = coeffs[:, :, N:, :]
-    # l2 norms of V_hat(n) - conj(V_hat(-n)) over n3 >= 0 and of V_hat
-    miss = (upper - np.conj(coeffs[::-1, ::-1, N::-1, :])).ravel()
-    flat = coeffs.ravel()
-    defect, size = np.sqrt(np.vdot(miss, miss).real), np.sqrt(np.vdot(flat, flat).real)
-    if defect > max(_HERMITIAN_TOL * size, _HERMITIAN_FLOOR):
+    # l2 norms of V_hat(n) - conj(V_hat(-n)) over n3 >= 0 and of V_hat, as
+    # real dot products: NaN only for a NaN or inf input (a complex dot
+    # gives NaN once |V_hat|^2 overflows)
+    miss = (upper - np.conj(coeffs[::-1, ::-1, N::-1, :])).ravel().view(np.float64)
+    flat = coeffs.ravel().view(np.float64)
+    defect, size = np.sqrt(miss @ miss), np.sqrt(flat @ flat)
+    if not defect <= max(_HERMITIAN_TOL * size, _HERMITIAN_FLOOR):
         raise ValueError(
             f"kernel input is not a real field: Hermitian defect {defect:.3e}, "
             f"l2 norm {size:.3e}"
         )
+    return np.moveaxis(upper, -1, 0)
+
+
+def _to_grid(geometry: TorusGeometry, half: np.ndarray, M: int) -> np.ndarray:
+    """Samples (C, M, M, M) of the real fields with half-lattice
+    coefficients (C, L, L, N + 1)."""
+    N = geometry.N
     idx = _wrap(geometry, M)
-    half = np.zeros((coeffs.shape[-1], M, M, M // 2 + 1), dtype=np.complex128)
-    half[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(upper, -1, 0)
-    return irfftn(half, s=(M, M, M), axes=_AXES, norm="forward")
+    pad = np.zeros((half.shape[0], M, M, M // 2 + 1), dtype=np.complex128)
+    pad[:, idx[:, None], idx[None, :], : N + 1] = half
+    return irfftn(pad, s=(M, M, M), axes=_AXES, norm="forward")
 
 
 def _from_grid(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
@@ -198,7 +216,7 @@ def to_physical(field: SpectralField4, grid_points: int | None = None) -> Physic
     M = grid_points or _pad_size(g.N)
     if M < 2 * g.N + 1:
         raise ValueError(f"grid of {M} points cannot hold modes up to N={g.N}")
-    vals = _to_grid(g, field.coeffs, M)
+    vals = _to_grid(g, _half(g, field.coeffs), M)
     return PhysicalField4(g, np.moveaxis(vals, 0, -1), M)
 
 
@@ -211,6 +229,18 @@ def to_spectral(phys: PhysicalField4) -> SpectralField4:
 # -- differential / projection operators --------------------------------------
 
 
+def _leray(v: np.ndarray, k1, k2, k3, ksq) -> np.ndarray:
+    """The per-mode Leray formula on coefficients v (..., 4) at the check
+    frequencies k1, k2, k3 with |ncheck|^2 = ksq (nonzero at n = 0): the
+    first three components lose their part along ncheck."""
+    kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
+    out = v.copy()
+    out[..., 0] -= k1 * kdotv / ksq
+    out[..., 1] -= k2 * kdotv / ksq
+    out[..., 2] -= k3 * kdotv / ksq
+    return out
+
+
 def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralField4:
     """Per-mode projection of the first three components onto div-free vectors.
 
@@ -220,17 +250,8 @@ def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralFie
     if check_mean and not field.zero_mean(tol=1e-12):
         raise ValueError("leray_project requires a zero-mean field")
     k1, k2, k3 = g.check_grid
-    ksq = g.check_sq.copy()
-    ksq[g.mask_zero] = 1.0  # avoid 0/0 at the pinned zero mode
-    v = field.coeffs
-    kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
-    out = v.copy()
-    out[..., 0] -= k1 * kdotv / ksq
-    out[..., 1] -= k2 * kdotv / ksq
-    out[..., 2] -= k3 * kdotv / ksq
-    res = SpectralField4(g, out)
-    res.pin_zero_mode()
-    return res
+    ksq = np.where(g.mask_zero, 1.0, g.check_sq)  # avoid 0/0 at the pinned zero mode
+    return SpectralField4(g, _leray(field.coeffs, k1, k2, k3, ksq)).pin_zero_mode()
 
 
 def divergence_max(field: SpectralField4) -> float:
@@ -242,51 +263,74 @@ def divergence_max(field: SpectralField4) -> float:
     return float(np.max(np.abs(div)))
 
 
-def _samples(A: SpectralField4, B: SpectralField4, ncomp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of the first `ncomp` components of A and of all four of B.
-
-    One batched inverse transform; A and B share it when A is B.
-    """
-    if A.geometry is not B.geometry and A.geometry != B.geometry:
-        raise ValueError("fields live on different geometries")
-    g = A.geometry
-    M = _pad_size(g.N)
-    if A is B:
-        grid = _to_grid(g, B.coeffs, M)
-        return grid[:ncomp], grid
-    grid = _to_grid(g, np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1), M)
-    return grid[:ncomp], grid[ncomp:]
-
-
-# slot of P_jc in the transformed products: all 12 in row order, or, for a
-# symmetric full stencil (P_jc = P_cj for j, c <= 3), the 9 with j <= c
+# the products P_jc (j < J, c < 4) in the order they are transformed: rows
+# j, columns c, and slots[j, c], the place of P_jc.  Plain: all 4 J in row
+# order.  Symmetric full stencil (P_jc = P_cj for j, c <= 3): the 9 with
+# j <= c.
+_PLAIN_ROWS, _PLAIN_COLS = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
 _PLAIN_SLOTS = np.arange(12).reshape(3, 4)
+_SYM_ROWS, _SYM_COLS = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2]), np.array([0, 1, 2, 3, 1, 2, 3, 2, 3])
 _SYM_SLOTS = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8]])
-_SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
 
 
-def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> SpectralField4:
-    """Dealiased coefficients of sum_j d_j P_jc from the samples prod (P, M, M, M)
-    of the products, P_jc = prod[slots[j, c]] for j < J = len(slots).
+def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Dealiased half-lattice coefficients (4, L, L, N + 1) of sum_j d_j P_jc
+    from the samples prod (P, M, M, M) of the products, P_jc =
+    prod[slots[j, c]] for j < J = len(slots).
 
     One batched forward transform of the P products, then i ncheck_j P_hat_jc
-    summed over j = 1..J on the half lattice (J = 2 is the horizontal div_h).
+    summed over j = 1..J (J = 2 is the horizontal div_h); the mean (zero,
+    a divergence has none) is pinned.
     """
     g = geometry
     hat = _from_grid(g, prod)
     k1, k2, k3 = g.check_grid
     ks = (k1, k2, k3[..., g.N :])
-    return _lattice(g, 1j * sum(ks[j] * hat[slots[j]] for j in range(len(slots)))).pin_zero_mode()
+    out = 1j * sum(ks[j] * hat[slots[j]] for j in range(len(slots)))
+    out[:, g.N, g.N, 0] = 0.0
+    return out
 
 
-def _stencil_divergence(geometry: TorusGeometry, product, J: int, symmetric: bool) -> SpectralField4:
-    """`_divergence` of the samples P_jc = product(j, c), transforming the 9
-    distinct ones when the stencil is full and P_jc = P_cj."""
-    if symmetric and J == 3:
-        pairs, slots = _SYM_PAIRS, _SYM_SLOTS
+def _convolve_half(
+    geometry: TorusGeometry, half: np.ndarray, J: int, split: int = 0, symmetrize: bool = False
+) -> np.ndarray:
+    """The product kernel on the half lattice: the dealiased coefficients
+    (4, L, L, N + 1) of sum_{j < J} d_j P_jc, from the half-lattice
+    coefficients (C, L, L, N + 1) of the operands.
+
+    The velocity a is the first rows of `half` and B is half[split:]
+    (split = 0 when A is B); P_jc = a_j b_c, or a_j b_c + b_j a_c if
+    `symmetrize`.  One batched inverse transform, the products written by
+    one in-place multiply into the gathered velocity samples (the 9
+    distinct ones when J = 3 and P_jc = P_cj), one batched forward
+    transform.  It reads no n3 < 0 coefficient and checks nothing: `half`
+    is the half of real fields.
+    """
+    N = geometry.N
+    M = _pad_size(N)
+    a = _to_grid(geometry, half, M)
+    b = a[split:]
+    if J == 3 and (split == 0 or symmetrize):
+        rows, cols, slots = _SYM_ROWS, _SYM_COLS, _SYM_SLOTS
     else:
-        pairs, slots = [(j, c) for j in range(J) for c in range(4)], _PLAIN_SLOTS[:J]
-    return _divergence(geometry, np.stack([product(j, c) for j, c in pairs]), slots)
+        rows, cols, slots = _PLAIN_ROWS[: 4 * J], _PLAIN_COLS[: 4 * J], _PLAIN_SLOTS[:J]
+    prod = a[rows]
+    np.multiply(prod, b[cols], out=prod)
+    if symmetrize:
+        prod += b[rows] * a[cols]
+    return _divergence(geometry, prod, slots)
+
+
+def _operands(A: SpectralField4, B: SpectralField4, ncomp: int) -> tuple[np.ndarray, int]:
+    """The checked half spectrum of the first `ncomp` components of A and
+    the four of B, for one batched inverse transform, and the row where B
+    starts: 0 when A is B, which share one copy."""
+    if A.geometry is not B.geometry and A.geometry != B.geometry:
+        raise ValueError("fields live on different geometries")
+    g = A.geometry
+    if A is B:
+        return _half(g, B.coeffs), 0
+    return _half(g, np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1)), ncomp
 
 
 def convolve_quadratic(
@@ -303,8 +347,8 @@ def convolve_quadratic(
     (a_h horizontally divergence-free).
     """
     J = 2 if stencil == "horizontal" else 3
-    a, b = _samples(A, B, J)
-    return _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c], J, A is B)
+    half, split = _operands(A, B, J)
+    return _lattice(A.geometry, _convolve_half(A.geometry, half, J, split))
 
 
 def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
@@ -313,8 +357,8 @@ def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
     One symmetric product 1/2 P div(a (x) B + b (x) A) for divergence-free
     velocities; bitwise symmetric in (A, B).
     """
-    a, b = _samples(A, B, 4)
-    raw = _stencil_divergence(A.geometry, lambda j, c: a[j] * b[c] + b[j] * a[c], 3, True)
+    half, split = _operands(A, B, 4)
+    raw = _lattice(A.geometry, _convolve_half(A.geometry, half, 3, split, symmetrize=True))
     return leray_project(0.5 * raw, check_mean=False)
 
 

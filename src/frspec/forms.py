@@ -78,6 +78,7 @@ from .resonance import (
 from .waves import (
     EigenBasis,
     _coefficients,
+    _underline_line,
     apply_filter,
     coefficients,
     field_from_coefficients,
@@ -387,7 +388,7 @@ class FormEngine:
         g = self.geometry
         L, N = g.L, g.N
         basis = self.basis
-        und = underline_part(Vund).coeffs[N, N, :, :]  # (L, 4) along the vertical line
+        und = _underline_line(Vund)  # (L, 4) along the vertical line
 
         out = np.zeros((3, L, L, L), dtype=np.complex128)
         n3 = g.n_axis
@@ -422,7 +423,7 @@ class FormEngine:
         Toeplitz products on row 0 of C."""
         g = self.geometry
         out = self.b_form(Vund, C)
-        line = underline_part(Vund).coeffs[g.N, g.N, :, :2]  # und_h(k3)
+        line = _underline_line(Vund)[:, :2]  # und_h(k3)
         k3 = g.n_axis[:, None] - g.n_axis[None, :]  # n3 - m3 for row n3, column m3
         toeplitz = np.where((np.abs(k3) <= g.N)[..., None], line[np.clip(k3 + g.N, 0, g.L - 1)], 0.0)
         k1, k2, _ = g.check_grid

@@ -14,7 +14,14 @@ over one step the homogeneous part satisfies
 
 exactly (the buoyancy part is skew), so the dissipation ledger charges
 the linear part by this polarization identity and only the O(dt)
-nonlinear displacement is charged by quadrature.
+nonlinear displacement is charged by quadrature.  Every operator of a
+step acts per mode and keeps a field real, so a step integrates the half
+spectrum h = V[:, :, N:] (the n3 >= 0 modes the transforms read): the
+propagators and the Leray projection hold L L (N + 1) of the L^3 modes,
+the stages run the half-lattice product kernel of `fields`, and V_new is
+mirrored to the full lattice once.  Stage 1 goes through the public
+`convolve_quadratic(V, V)`, which checks that V is a real field; the
+ledger's norms are sums over the full lattice.
 
 The limit system is advanced with the same Lawson scheme but diagonal
 heat factors: the horizontal average is a closed-form vertical heat flow,
@@ -41,9 +48,11 @@ from scipy.linalg import expm
 
 from .fields import (
     SpectralField4,
+    _convolve_half,
+    _lattice,
+    _leray,
     convolve_quadratic,
     l2_norm,
-    leray_project,
     sobolev_norm,
     to_physical,
 )
@@ -143,8 +152,9 @@ def lawson_rk4(x, rhs, half, full, dt: float):
 
     `half` and `full` apply exp(dt L / 2) and exp(dt L); `rhs(y, tau)` is
     the nonlinearity at the stage time offset tau in (0, dt/2, dt/2, dt).
-    The state only needs `+` and scalar `*`.  Returns the new state and
-    full(x), which the energy ledger reuses.
+    The state only needs `+` and scalar `*`; the first stage calls rhs on
+    x itself.  Returns the new state and full(x), which the energy ledger
+    reuses.
     """
     k1 = rhs(x, 0.0)
     full_x = full(x)
@@ -155,43 +165,68 @@ def lawson_rk4(x, rhs, half, full, dt: float):
     return x_new, full_x
 
 
+def _step_size(dt: float) -> float:
+    dt = float(dt)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return dt
+
+
 class FilteredStepper:
-    """Lawson-RK4 integrator of the filtered system at fixed (nu, eps, dt)."""
+    """Lawson-RK4 integrator of the filtered system at fixed (nu, eps, dt),
+    on the half spectrum h = V[:, :, N:]: the generator at -n is the one
+    at n (the symbols are even in n), so the propagators hold the modes of
+    h only."""
 
     def __init__(self, engine: FormEngine, eps: float, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.engine = engine
-        self.geometry = engine.geometry
-        self.nu = engine.nu
+        self.dt = _step_size(dt)
         self.eps = float(eps)
-        self.dt = float(dt)
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive (inf for no penalization), got {self.eps}")
+        self.engine = engine
+        self.geometry = g = engine.geometry
+        self.nu = engine.nu
         mats = self._generator()
         self._E_half = expm(0.5 * self.dt * mats)
         self._E_full = expm(self.dt * mats)
         self._E_full_inv = np.linalg.inv(self._E_full)
+        # Leray on h: the check frequencies of n3 >= 0, |ncheck|^2 = 1 at n = 0
+        k1, k2, k3 = g.check_grid
+        ksq = np.where(g.mask_zero, 1.0, g.check_sq)
+        self._freqs = (k1, k2, k3[..., g.N :], ksq[:, :, g.N :])
 
     def _generator(self) -> np.ndarray:
-        """(L^3, 4, 4) linear part per mode, diag(A2) - (1/eps) PA, from the
-        engine's A2 symbol (`a2_diag`) and PA stack (`basis.pa`)."""
-        g = self.geometry
-        mats = self.engine.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / self.eps)
+        """(L L (N + 1), 4, 4) linear part per mode of h, diag(A2) - (1/eps)
+        PA, from the engine's A2 symbol (`a2_diag`) and PA stack
+        (`basis.pa`)."""
+        N = self.geometry.N
+        mats = self.engine.basis.pa[:, :, N:].reshape(-1, 4, 4) * (-1.0 / self.eps)
         for j in range(3):
-            mats[:, j, j] += self.engine.a2_diag.reshape(-1)
+            mats[:, j, j] += self.engine.a2_diag[:, :, N:].reshape(-1)
         return mats
 
-    def _apply(self, E: np.ndarray, V: SpectralField4) -> SpectralField4:
-        g = self.geometry
-        c = V.coeffs.reshape(g.nmodes, 4)
-        out = np.matmul(E, c[..., None])
-        return SpectralField4(g, out.reshape(g.L, g.L, g.L, 4))
+    def _apply(self, E: np.ndarray, h: np.ndarray) -> np.ndarray:
+        out = np.matmul(E, h.reshape(-1, 4)[..., None])
+        return out.reshape(h.shape)
 
-    def _nonlinear(self, V: SpectralField4) -> SpectralField4:
-        out = -1.0 * leray_project(convolve_quadratic(V, V), check_mean=False)
-        return out.pin_zero_mode()
+    def _project(self, h: np.ndarray) -> np.ndarray:
+        """The Leray projection of h, zero at n = 0."""
+        out = _leray(h, *self._freqs)
+        out[self.geometry.N, self.geometry.N, 0] = 0.0
+        return out
 
-    def _check(self, V: SpectralField4):
-        if not np.all(np.isfinite(V.coeffs)):
+    def _nonlinear(self, conv: np.ndarray) -> np.ndarray:
+        """Minus the Leray projection of a convolution in the layout of h."""
+        out = -1.0 * _leray(conv, *self._freqs)
+        out[self.geometry.N, self.geometry.N, 0] = 0.0
+        return out
+
+    def _full(self, h: np.ndarray) -> SpectralField4:
+        return _lattice(self.geometry, np.moveaxis(h, -1, 0))
+
+    @staticmethod
+    def _check(coeffs: np.ndarray):
+        if not np.all(np.isfinite(coeffs)):
             raise NumericalError("non-finite coefficients in time step")
 
     def step(
@@ -203,27 +238,39 @@ class FilteredStepper:
         if state.nu != self.nu or state.eps != self.eps:
             raise ValueError("state parameters do not match this stepper")
         dt = self.dt
+        g = self.geometry
         V = state.V
-        self._check(V)
+        self._check(V.coeffs)
         if enforce_cfl:
             _require_cfl(dt, V)
+        h = V.coeffs[:, :, g.N :]
+
+        def rhs(W, tau):  # autonomous: no stage times
+            if W is h:  # stage 1: the public kernel checks that V is real
+                return self._nonlinear(convolve_quadratic(V, V).coeffs[:, :, g.N :])
+            conv = _convolve_half(g, np.moveaxis(W, -1, 0), 3)
+            return self._nonlinear(np.moveaxis(conv, 0, -1))
+
         Eh, Ef = self._E_half, self._E_full
-        V_new, EfV = lawson_rk4(
-            V,
-            lambda W, tau: self._nonlinear(W),  # autonomous: no stage times
-            lambda W: self._apply(Eh, W),
-            lambda W: self._apply(Ef, W),
-            dt,
+        h_new, Efh = lawson_rk4(
+            h, rhs, lambda W: self._apply(Eh, W), lambda W: self._apply(Ef, W), dt
         )
-        V_new = leray_project(V_new, check_mean=False).pin_zero_mode()
-        self._check(V_new)
+        h_new = self._project(h_new)
+        self._check(h_new)
+        V_new = self._full(h_new)
+        # conj turns the +0 imaginary part of an exact zero into -0, where
+        # per-mode arithmetic on n3 < 0 gives x - x = +0: the state keeps
+        # the bytes of a full-lattice step
+        V_new.coeffs[:, :, : g.N] += 0.0
 
         if ledger is not None:
             # exact linear dissipation by polarization, averaged over the
             # two endpoint placements of the nonlinear displacement: from V
-            # to exp(dt L) V, and from exp(-dt L) V_new to V_new
-            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
-            d1 = 0.5 * l2_norm(self._apply(self._E_full_inv, V_new)) ** 2 - 0.5 * l2_norm(V_new) ** 2
+            # to exp(dt L) V, and from exp(-dt L) V_new to V_new; the norms
+            # are sums over the full lattice
+            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(self._full(Efh)) ** 2
+            back = self._full(self._apply(self._E_full_inv, h_new))
+            d1 = 0.5 * l2_norm(back) ** 2 - 0.5 * l2_norm(V_new) ** 2
             ledger.dissipated += 0.5 * (d0 + d1)
 
         return SimState(state.t + dt, V_new, self.nu, self.eps)
@@ -292,7 +339,7 @@ class LimitStepper:
         self.engine = engine
         self.geometry = engine.geometry
         self.nu = engine.nu
-        self.dt = float(dt)
+        self.dt = _step_size(dt)
         self.und0 = underline_part(und0)
         lam = engine.limit_symbol
         self._heat_half = np.exp((0.5 * self.dt) * lam)
@@ -335,8 +382,8 @@ def solve_limit(
 ) -> LimitTrajectory:
     """Advance the decomposed limit system from V0 to time T."""
     dec = decompose(V0)  # also rejects data that is not divergence-free
-    nsteps = int(round(T / dt))
-    stepper = LimitStepper(engine, dt, dec.underline)
+    stepper = LimitStepper(engine, dt, dec.underline)  # rejects an invalid dt
+    nsteps = int(round(T / stepper.dt))
     s = LimitState(0.0, coefficients(V0))
     times = [0.0]
     stacks = [s.C]

@@ -91,7 +91,6 @@ class EigenBasis:
         ksq = g.check_sq.copy()
         osc = ~g.mask_h_zero  # modes with n_h != 0
         self.mask_osc = osc
-        self.mask_vline = g.mask_h_zero & ~g.mask_zero  # n_h = 0, n != 0
 
         kh = np.sqrt(kh2)
         kn = np.sqrt(ksq)
@@ -223,14 +222,21 @@ class KernelDecomposition:
         return self.underline + self.bar + self.osc
 
 
+def _underline_line(field: SpectralField4) -> np.ndarray:
+    """The vertical line (L, 4) of `underline_part(field)`: components
+    (1, 2, 4) of the n_h = 0, n != 0 modes, zero elsewhere."""
+    g = field.geometry
+    line = field.coeffs[g.N, g.N].copy()
+    line[:, 2] = 0.0
+    line[g.N] = 0.0
+    return line
+
+
 def underline_part(field: SpectralField4) -> SpectralField4:
     """Horizontal-average part: n_h = 0 modes, components (1, 2, 4) kept."""
     g = field.geometry
-    basis = EigenBasis.of(g)
     out = zero_field(g)
-    m = basis.mask_vline
-    for c in (0, 1, 3):
-        out.coeffs[..., c][m] = field.coeffs[..., c][m]
+    out.coeffs[g.N, g.N] = _underline_line(field)
     return out
 
 
@@ -250,7 +256,7 @@ def decompose(field: SpectralField4, div_tol: float = 1e-8) -> KernelDecompositi
     """Split a zero-mean divergence-free field into underline + bar + osc."""
     dv = divergence_max(field)
     scale = max(1.0, float(np.max(np.abs(field.coeffs))))
-    if dv > div_tol * scale:
+    if not dv <= div_tol * scale:
         raise ValueError(f"decompose requires a divergence-free field (max div {dv:.3e})")
     return KernelDecomposition(underline_part(field), bar_part(field), osc_part(field))
 

@@ -22,6 +22,7 @@ from frspec.fields import (
     zero_field,
 )
 from frspec.geometry import TorusGeometry, check_frequency
+from frspec.solvers import cfl_bound
 from frspec.waves import bar_part, underline_part
 
 from conftest import random_field
@@ -198,6 +199,20 @@ class TestConvolution:
             kernel(1e-10 * f)
         kernel(1e-13 * f)  # below the floor: the size of a rounding residue
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [to_physical, lambda f: convolve_quadratic(f, f), lambda f: transport(f, f), cfl_bound],
+        ids=["to_physical", "convolve_quadratic", "transport", "cfl_bound"],
+    )
+    def test_nan_in_the_unread_half_raises(self, unit_torus_4, kernel):
+        # the transforms never read n3 < 0, so a NaN there would give a
+        # finite answer (cfl_bound returned 1.26e-3 here); the Hermitian defect
+        # is NaN, which the check must not pass
+        f = random_field(unit_torus_4, seed=17)
+        f.coeffs[1, 2, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="not a real field"):
+            kernel(f)
+
 
 def _advective_oracle(A, B, stencil="full"):
     """The advective kernel a . grad B with numpy complex transforms, kept as
@@ -263,13 +278,20 @@ class TestDivergenceFormKernel:
         A = self._inputs(geometry, "full", 15)
         B = self._inputs(geometry, "full", 16)
         twelve = np.arange(12).reshape(3, 4)
-        a, b = fields._samples(A, A, 3)
-        prod = (a[:, None] * b[None]).reshape((12,) + a.shape[1:])
-        want = fields._divergence(geometry, prod, twelve)
-        assert convolve_quadratic(A, A).coeffs.tobytes() == want.coeffs.tobytes()
-        a, b = fields._samples(A, B, 4)
+        M = fields._pad_size(geometry.N)
+
+        def samples(F):
+            return fields._to_grid(geometry, fields._half(geometry, F.coeffs), M)
+
+        def divergence(prod):
+            return fields._lattice(geometry, fields._divergence(geometry, prod, twelve))
+
+        a = samples(A)
+        prod = (a[:3, None] * a[None]).reshape((12,) + a.shape[1:])
+        assert convolve_quadratic(A, A).coeffs.tobytes() == divergence(prod).coeffs.tobytes()
+        b = samples(B)
         prod = (a[:3, None] * b[None] + b[:3, None] * a[None]).reshape((12,) + a.shape[1:])
-        want = leray_project(0.5 * fields._divergence(geometry, prod, twelve), check_mean=False)
+        want = leray_project(0.5 * divergence(prod), check_mean=False)
         assert transport(A, B).coeffs.tobytes() == want.coeffs.tobytes()
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import frspec.fields as fields
 import frspec.forms as forms
 import frspec.solvers as solvers
 from frspec.fields import (
@@ -32,6 +33,7 @@ from frspec.solvers import (
     blowup_monitor,
     energy_bounds,
     grad_linf,
+    lawson_rk4,
     read_checkpoint,
     solve_limit,
     solve_underline,
@@ -121,12 +123,15 @@ class TestFilteredStepper:
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
     def test_stacked_propagators_match_per_mode_loop(self, engine4, eps):
-        # one stacked expm / inv call gives the per-mode results bit for bit
+        # one stacked expm / inv call over the n3 >= 0 half gives the
+        # per-mode results bit for bit
         from scipy.linalg import expm
 
         dt = 1e-3
+        g = engine4.geometry
         st = FilteredStepper(engine4, eps=eps, dt=dt)
         mats = st._generator()
+        assert mats.shape == (g.L * g.L * (g.N + 1), 4, 4)
         E_half = np.array([expm(0.5 * dt * m) for m in mats])
         E_full = np.array([expm(dt * m) for m in mats])
         assert np.array_equal(st._E_half, E_half)
@@ -142,11 +147,33 @@ class TestFilteredStepper:
         diag = np.zeros(pa.shape)
         for j in range(3):
             diag[..., j, j] = engine4.a2_diag
-        want = (diag - pa / eps).reshape(g.nmodes, 4, 4)
+        want = (diag - pa / eps)[:, :, g.N :].reshape(-1, 4, 4)
         got = FilteredStepper(engine4, eps=eps, dt=1e-3)._generator()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        assert np.all(got[g.flat_index((0, 0, 0))] == 0.0)
+        assert np.all(got[(g.N * g.L + g.N) * (g.N + 1)] == 0.0)  # n = 0
         assert np.array_equal(engine4.a2_diag, -engine4.nu * g.check_sq)
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_generator_at_minus_n_is_the_one_at_n(self, a_sq, N, eps):
+        # the half stack serves n3 < 0 because the generator, built from
+        # the shared symbols over the full lattice as the stepper builds
+        # its half, is even in n bit for bit, and so are its exponentials
+        # (array_equal: an exact zero may carry either sign)
+        from scipy.linalg import expm
+
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=0.7)
+        mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
+        for j in range(3):
+            mats[:, j, j] += eng.a2_diag.reshape(-1)
+        full = mats.reshape(g.L, g.L, g.L, 4, 4)
+        assert np.array_equal(full, full[::-1, ::-1, ::-1])
+        E = expm(1e-3 * full)
+        assert np.array_equal(E, E[::-1, ::-1, ::-1])
+        st = FilteredStepper(eng, eps=eps, dt=1e-3)
+        assert st._generator().tobytes() == full[:, :, N:].copy().tobytes()
+        assert st._E_full.tobytes() == E[:, :, N:].reshape(-1, 4, 4).tobytes()
 
     def test_nan_raises(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=64)
@@ -154,6 +181,75 @@ class TestFilteredStepper:
         st = FilteredStepper(engine4, eps=0.1, dt=1e-3)
         with pytest.raises(NumericalError):
             st.step(SimState(0.0, V0, 1.0, 0.1))
+
+    def test_overflow_is_a_numerical_error(self, engine4, unit_torus_4):
+        # |V|^2 overflows but V is finite: stage 1's Hermitian check passes
+        # it (its norms are NaN only for a NaN or inf input), and the
+        # step's products overflow into the non-finite result it reports
+        V0 = random_field(unit_torus_4, seed=64, amplitude=1e160)
+        st = FilteredStepper(engine4, eps=0.1, dt=1e-3)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            st.step(SimState(0.0, V0, 1.0, 0.1), enforce_cfl=False)
+
+    @pytest.mark.parametrize(
+        "eps, dt, name",
+        [
+            (-0.1, 1e-3, "eps"),
+            (0.0, 1e-3, "eps"),
+            (math.nan, 1e-3, "eps"),
+            (-math.inf, 1e-3, "eps"),
+            (0.1, 0.0, "dt"),
+            (0.1, -1e-3, "dt"),
+            (0.1, math.nan, "dt"),
+            (0.1, math.inf, "dt"),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, engine4, eps, dt, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            FilteredStepper(engine4, eps=eps, dt=dt)
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3])
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_half_spectrum_step_has_the_bytes_of_the_full_lattice_step(self, a_sq, N, eps):
+        # the step integrates h = V[:, :, N:]; the full-lattice step it
+        # replaces (public convolve, leray_project, per-mode matmul over
+        # all L^3 modes) gives the same V and dissipation, byte for byte
+        from scipy.linalg import expm
+
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        dt = 1e-3
+        mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
+        for j in range(3):
+            mats[:, j, j] += eng.a2_diag.reshape(-1)
+        Eh, Ef = expm(0.5 * dt * mats), expm(dt * mats)
+        Einv = np.linalg.inv(Ef)
+
+        def apply(E, W):
+            out = np.matmul(E, W.coeffs.reshape(g.nmodes, 4)[..., None])
+            return SpectralField4(g, out.reshape(W.coeffs.shape))
+
+        def nonlinear(W, tau):
+            out = -1.0 * leray_project(convolve_quadratic(W, W), check_mean=False)
+            return out.pin_zero_mode()
+
+        def full_step(V, ledger):
+            V_new, EfV = lawson_rk4(V, nonlinear, lambda W: apply(Eh, W), lambda W: apply(Ef, W), dt)
+            V_new = leray_project(V_new, check_mean=False).pin_zero_mode()
+            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
+            d1 = 0.5 * l2_norm(apply(Einv, V_new)) ** 2 - 0.5 * l2_norm(V_new) ** 2
+            ledger.dissipated += 0.5 * (d0 + d1)
+            return V_new
+
+        V0 = random_field(g, seed=66, amplitude=1.0, spectrum_r=3.0)
+        st = FilteredStepper(eng, eps=eps, dt=dt)
+        state, ledger = SimState(0.0, V0, 1.0, eps), EnergyLedger(0.5 * l2_norm(V0) ** 2)
+        V, ref = V0, EnergyLedger(ledger.e0)
+        for _ in range(20):
+            state = st.step(state, ledger, enforce_cfl=False)
+            V = full_step(V, ref)
+        assert state.V.coeffs.tobytes() == V.coeffs.tobytes()
+        assert ledger.dissipated == ref.dissipated
 
     def test_divergence_free_preserved(self, engine4, unit_torus_4):
         from frspec.fields import divergence_max
@@ -242,6 +338,13 @@ class TestLimitSteppers:
         s = LimitState(0.0, coefficients(zero_field(unit_torus_4)))
         s = st.step(s)
         assert s.C.shape == (3,) + (unit_torus_4.L,) * 3 and not np.any(s.C)
+
+    @pytest.mark.parametrize("dt", [0.0, -5e-3, math.nan, math.inf])
+    def test_invalid_step_size_rejected(self, engine4, unit_torus_4, dt):
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            LimitStepper(engine4, dt, zero_field(unit_torus_4))
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            solve_limit(engine4, zero_field(unit_torus_4), T=0.01, dt=dt)
 
     def test_cfl_violation_raises(self, engine4, unit_torus_4):
         # the guard bounds the total limit velocity, underline included
@@ -494,6 +597,37 @@ class TestStepWork:
         calls = self._count(monkeypatch, "apply_filter")
         state = st.step(SimState(0.3, V0, 1.0, 1e-2), EnergyLedger(0.5 * l2_norm(V0) ** 2))
         assert calls == [] and state.t == 0.3 + 1e-3
+
+    @pytest.mark.parametrize(
+        "enforce_cfl, inverse, checks", [(False, 4, 1), (True, 5, 2)], ids=["no-cfl", "cfl"]
+    )
+    def test_filtered_step_work(self, engine4, unit_torus_4, monkeypatch, enforce_cfl, inverse, checks):
+        # one public convolve (stage 1, on V) makes the step's one Hermitian
+        # check; the other stages run the half-lattice kernel, unchecked;
+        # one inverse and one forward transform per stage (the CFL bound
+        # samples V once more and checks it)
+        V0 = random_field(unit_torus_4, seed=87, amplitude=1.0, spectrum_r=3.0)
+        st = FilteredStepper(engine4, eps=1e-2, dt=1e-3)
+        convolves = self._count(monkeypatch, "convolve_quadratic")
+        filters = self._count(monkeypatch, "apply_filter")
+        hermitian = self._count(monkeypatch, "_half", fields)
+        inv = self._count(monkeypatch, "irfftn", fields)
+        fwd = self._count(monkeypatch, "rfftn", fields)
+        st.step(SimState(0.0, V0, 1.0, 1e-2), EnergyLedger(1.0), enforce_cfl=enforce_cfl)
+        assert (len(convolves), len(filters)) == (1, 0)
+        assert (len(hermitian), len(inv), len(fwd)) == (checks, inverse, 4)
+
+    def test_limit_step_reads_the_underline_line(self, monkeypatch):
+        # per step: the exact underline state at the CFL check and at the
+        # four stage times; the forms read its vertical line directly
+        g = TorusGeometry((1, 2, 3), 8)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=88, amplitude=1.0, spectrum_r=3.0)
+        stepper = LimitStepper(eng, 5e-3, decompose(V).underline)
+        calls = self._count(monkeypatch, "underline_part")
+        calls_forms = self._count(monkeypatch, "underline_part", forms)
+        stepper.step(LimitState(0.0, coefficients(V)))
+        assert (len(calls), len(calls_forms)) == (5, 0)
 
     def test_limit_step_assembles_one_field_for_its_cfl_check(self, monkeypatch):
         # the right-hand side is the limit forms' own: the stepper assembles

@@ -213,6 +213,14 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose(f)
 
+    def test_rejects_nan_input(self, unit_torus_4):
+        # a NaN divergence is not within the bound (the check reads
+        # "not div <= bound", since "div > bound" is False for NaN)
+        f = random_field(unit_torus_4, seed=13)
+        f.coeffs[1, 2, 3, 0] = np.nan  # a mode in the n3 < 0 half
+        with pytest.raises(ValueError, match="divergence-free"):
+            decompose(f)
+
 
 class TestFilter:
     def test_tau_zero_identity(self, unit_torus_4):
