@@ -19,25 +19,35 @@ components.  Transport is computed in divergence form, a . grad B =
 div(a (x) B), with div_h for the horizontal stencil; this holds when the
 velocity a is divergence-free (a_h horizontally divergence-free), which
 every caller guarantees: Leray-projected fields, the limit system's bar
-and underline parts.  One evaluation makes one inverse transform of a and
-B (3 + 4 components, 2 + 4 horizontal, 4 when A is B; 4 + 4 for the
-symmetric `transport`) and one forward transform of the products P_jc =
-a_j B_c (12 components, 8 horizontal).  Where P_jc = P_cj for j, c <= 3
-(A is B, and the symmetric `transport`) the full stencil transforms only
-the 9 distinct products.
+and underline parts.  One evaluation makes one inverse transform of the
+live components of a and B and one forward transform of the products
+P_jc = a_j B_c it forms.  The kernel derives that product set
+(`_products`) from J (3, or 2 for div_h), whether the operands are
+symmetric (A is B, or the symmetrized `transport`: then P_jc = P_cj and
+only j <= c is formed) and which operand components are identically zero
+(one `any` per component of the checked half spectrum; a NaN or inf is
+live).  A zero component is not transformed and no product with a zero
+factor is formed; leaving out such a term changes no output byte.  With
+every component live: 3 + 4 inverse and 12 forward components (2 + 4 and
+8 horizontal), 4 and 9 when A is B (full stencil), 4 + 4 and 9 for
+`transport`.  The limit system's bar field has components 1 and 2 only,
+so its self-advection makes 2 inverse and 3 forward (a_1 a_1, a_1 a_2,
+a_2 a_2), against 4 and 8.
 
 There is one product kernel, `_convolve_half`, which takes and returns
 half-lattice coefficients (C, L, L, N + 1), the n3 >= 0 modes in the
 layout of the transforms.  `convolve_quadratic` and `transport` are the
 Hermitian check (`_half`), that kernel and the mirror to the full lattice
 (`_lattice`); the filtered stepper calls the kernel on its half spectrum
-directly.  The per-mode Leray formula is one function, `_leray`, which
-`leray_project` applies on the full lattice and the stepper on the half.
+directly, with every component live.  The per-mode Leray formula is one
+function, `_leray`, which `leray_project` applies on the full lattice and
+the stepper on the half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
@@ -120,7 +130,7 @@ class SpectralField4:
 @dataclass
 class PhysicalField4:
     geometry: TorusGeometry
-    values: np.ndarray  # (M, M, M, 4) real
+    values: np.ndarray  # (M, M, M, 4) real; (M, M, M, ncomp) from to_physical(..., ncomp)
     grid_points: int
 
 
@@ -210,13 +220,17 @@ def _lattice(geometry: TorusGeometry, half: np.ndarray) -> SpectralField4:
     return SpectralField4(geometry, out)
 
 
-def to_physical(field: SpectralField4, grid_points: int | None = None) -> PhysicalField4:
-    """Sample the field on a uniform collocation grid (padded for dealiasing)."""
+def to_physical(
+    field: SpectralField4, grid_points: int | None = None, ncomp: int = 4
+) -> PhysicalField4:
+    """Sample the first `ncomp` components of the field (all four by
+    default) on a uniform collocation grid (padded for dealiasing); only
+    those components are transformed."""
     g = field.geometry
     M = grid_points or _pad_size(g.N)
     if M < 2 * g.N + 1:
         raise ValueError(f"grid of {M} points cannot hold modes up to N={g.N}")
-    vals = _to_grid(g, _half(g, field.coeffs), M)
+    vals = _to_grid(g, _half(g, field.coeffs)[:ncomp], M)
     return PhysicalField4(g, np.moveaxis(vals, 0, -1), M)
 
 
@@ -263,36 +277,83 @@ def divergence_max(field: SpectralField4) -> float:
     return float(np.max(np.abs(div)))
 
 
-# the products P_jc (j < J, c < 4) in the order they are transformed: rows
-# j, columns c, and slots[j, c], the place of P_jc.  Plain: all 4 J in row
-# order.  Symmetric full stencil (P_jc = P_cj for j, c <= 3): the 9 with
-# j <= c.
-_PLAIN_ROWS, _PLAIN_COLS = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
-_PLAIN_SLOTS = np.arange(12).reshape(3, 4)
-_SYM_ROWS, _SYM_COLS = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2]), np.array([0, 1, 2, 3, 1, 2, 3, 2, 3])
-_SYM_SLOTS = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8]])
+@lru_cache(maxsize=None)
+def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
+    """The products the kernel forms, derived from the live operand rows.
+
+    The operands are the rows of one half-lattice stack: the velocity a is
+    its first rows and B starts at row `split` (split = 0 when A is B);
+    live[r] is False when row r is identically zero, and only the live
+    rows are transformed.  P_jc (j < J, c < 4) is a_j b_c, or
+    a_j b_c + b_j a_c if `symmetrize`; a term with a zero factor is left
+    out, and so is a product with no term left.  Where P_jc = P_cj (A is
+    B, or `symmetrize`) only the one with j <= c is formed: for J = 3 and
+    every row live, the 9 distinct products.
+
+    Returns the sample rows (x, y) of the factors of each product's first
+    term, the products (i2) with a second term and its factors (x2, y2),
+    and slots (J, 4), the product of P_jc or -1 where P_jc is identically
+    zero; every call with the same arguments shares these read-only
+    arrays.
+    """
+    at = np.cumsum(live) - 1  # the sample row of each live operand row
+    sym = split == 0 or symmetrize
+    slots = np.full((J, 4), -1)
+    first, second = [], []
+    for j in range(J):
+        for c in range(4):
+            if sym and c < j:
+                slots[j, c] = slots[c, j]
+                continue
+            terms = [(j, split + c)] + ([(split + j, c)] if symmetrize else [])
+            terms = [(at[x], at[y]) for x, y in terms if live[x] and live[y]]
+            if terms:
+                slots[j, c] = len(first)
+                if len(terms) == 2:
+                    second.append((len(first), *terms[1]))
+                first.append(terms[0])
+    out = np.array(first).reshape(-1, 2).T, np.array(second).reshape(-1, 3).T, slots
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Dealiased half-lattice coefficients (4, L, L, N + 1) of sum_j d_j P_jc
     from the samples prod (P, M, M, M) of the products, P_jc =
-    prod[slots[j, c]] for j < J = len(slots).
+    prod[slots[j, c]] for j < J = len(slots), or identically zero where
+    slots[j, c] = -1.
 
     One batched forward transform of the P products, then i ncheck_j P_hat_jc
-    summed over j = 1..J (J = 2 is the horizontal div_h); the mean (zero,
-    a divergence has none) is pinned.
+    summed over j = 1..J (J = 2 is the horizontal div_h), skipping the zero
+    products; the mean (zero, a divergence has none) is pinned.  Skipping
+    keeps every byte: the transform of a zero product is a signed zero, and
+    a sum that starts at +0 is never -0, so adding a zero changes nothing
+    (a column with no product is +0, as i (+0) is).
     """
     g = geometry
     hat = _from_grid(g, prod)
     k1, k2, k3 = g.check_grid
     ks = (k1, k2, k3[..., g.N :])
-    out = 1j * sum(ks[j] * hat[slots[j]] for j in range(len(slots)))
+    out = np.zeros((4,) + hat.shape[1:], dtype=np.complex128)
+    for j, row in enumerate(slots.tolist()):
+        cols = [c for c, p in enumerate(row) if p >= 0]
+        if len(cols) == 4:
+            out += ks[j] * hat[slots[j]]
+        elif cols:
+            out[cols] += ks[j] * hat[[row[c] for c in cols]]
+    out *= 1j
     out[:, g.N, g.N, 0] = 0.0
     return out
 
 
 def _convolve_half(
-    geometry: TorusGeometry, half: np.ndarray, J: int, split: int = 0, symmetrize: bool = False
+    geometry: TorusGeometry,
+    half: np.ndarray,
+    J: int,
+    split: int = 0,
+    symmetrize: bool = False,
+    live: tuple[bool, ...] | None = None,
 ) -> np.ndarray:
     """The product kernel on the half lattice: the dealiased coefficients
     (4, L, L, N + 1) of sum_{j < J} d_j P_jc, from the half-lattice
@@ -300,37 +361,42 @@ def _convolve_half(
 
     The velocity a is the first rows of `half` and B is half[split:]
     (split = 0 when A is B); P_jc = a_j b_c, or a_j b_c + b_j a_c if
-    `symmetrize`.  One batched inverse transform, the products written by
-    one in-place multiply into the gathered velocity samples (the 9
-    distinct ones when J = 3 and P_jc = P_cj), one batched forward
-    transform.  It reads no n3 < 0 coefficient and checks nothing: `half`
-    is the half of real fields.
+    `symmetrize`.  `live` marks the rows that are not identically zero
+    (default: all).  One batched inverse transform of the live rows, the
+    products of `_products` written by one in-place multiply into the
+    gathered samples, one batched forward transform.  It reads no n3 < 0
+    coefficient and checks nothing: `half` is the half of real fields.
     """
-    N = geometry.N
-    M = _pad_size(N)
-    a = _to_grid(geometry, half, M)
-    b = a[split:]
-    if J == 3 and (split == 0 or symmetrize):
-        rows, cols, slots = _SYM_ROWS, _SYM_COLS, _SYM_SLOTS
-    else:
-        rows, cols, slots = _PLAIN_ROWS[: 4 * J], _PLAIN_COLS[: 4 * J], _PLAIN_SLOTS[:J]
-    prod = a[rows]
-    np.multiply(prod, b[cols], out=prod)
-    if symmetrize:
-        prod += b[rows] * a[cols]
+    live = live or (True,) * len(half)
+    (x, y), (i2, x2, y2), slots = _products(J, split, symmetrize, live)
+    if not len(x):  # every product is identically zero
+        return np.zeros((4,) + half.shape[1:], dtype=np.complex128)
+    samples = _to_grid(geometry, half if all(live) else half[np.array(live)], _pad_size(geometry.N))
+    prod = samples[x]
+    np.multiply(prod, samples[y], out=prod)
+    if len(i2) == len(prod):
+        prod += samples[x2] * samples[y2]
+    elif len(i2):
+        prod[i2] += samples[x2] * samples[y2]
     return _divergence(geometry, prod, slots)
 
 
-def _operands(A: SpectralField4, B: SpectralField4, ncomp: int) -> tuple[np.ndarray, int]:
+def _operands(
+    A: SpectralField4, B: SpectralField4, ncomp: int
+) -> tuple[np.ndarray, int, tuple[bool, ...]]:
     """The checked half spectrum of the first `ncomp` components of A and
-    the four of B, for one batched inverse transform, and the row where B
-    starts: 0 when A is B, which share one copy."""
+    the four of B, for one batched inverse transform, the row where B
+    starts (0 when A is B, which share one copy), and which of its rows
+    are not identically zero (a NaN or inf counts as live)."""
     if A.geometry is not B.geometry and A.geometry != B.geometry:
         raise ValueError("fields live on different geometries")
     g = A.geometry
     if A is B:
-        return _half(g, B.coeffs), 0
-    return _half(g, np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1)), ncomp
+        half, split = _half(g, B.coeffs), 0
+    else:
+        half = _half(g, np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1))
+        split = ncomp
+    return half, split, tuple(np.any(half != 0, axis=(1, 2, 3)).tolist())
 
 
 def convolve_quadratic(
@@ -347,8 +413,8 @@ def convolve_quadratic(
     (a_h horizontally divergence-free).
     """
     J = 2 if stencil == "horizontal" else 3
-    half, split = _operands(A, B, J)
-    return _lattice(A.geometry, _convolve_half(A.geometry, half, J, split))
+    half, split, live = _operands(A, B, J)
+    return _lattice(A.geometry, _convolve_half(A.geometry, half, J, split, live=live))
 
 
 def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
@@ -357,8 +423,8 @@ def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
     One symmetric product 1/2 P div(a (x) B + b (x) A) for divergence-free
     velocities; bitwise symmetric in (A, B).
     """
-    half, split = _operands(A, B, 4)
-    raw = _lattice(A.geometry, _convolve_half(A.geometry, half, 3, split, symmetrize=True))
+    half, split, live = _operands(A, B, 4)
+    raw = _lattice(A.geometry, _convolve_half(A.geometry, half, 3, split, True, live))
     return leray_project(0.5 * raw, check_mean=False)
 
 

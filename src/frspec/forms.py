@@ -32,7 +32,14 @@ The tables are built by joins inside exact frequency classes (see
 classes by an integer identity in int64, proven exact while
 3 s_max^3 < 2^63 for the reduced denominators s of omega^2 (N <= 363 on
 a^2 = (1, 2, 3)), in Python integers past that; no float screen takes
-part.  Every radical row is also confirmed over Fractions.
+part.  Every radical row is also confirmed over Fractions.  The build
+records the rows of each sign class as it pushes them (`TriadTable.counts`,
+read by `class_rows`), so no count re-reads the table.
+
+`b_form` couples the underline part into the waves through two factors
+per sign b that depend on the basis alone, ncheck(n) . e_b and
+<e_b, e_b(n)> with e_b taken at (n_h, -n3); they are built on its first
+call and kept on the engine.
 
 Per-row coupling weight: restricting the two inputs of T to eigen
 components (a at k) and (b at m) and projecting the output on e_c(n),
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +144,7 @@ class TriadTable:
     mb: np.ndarray
     nc: np.ndarray
     W: np.ndarray  # plan rows: complex weight 2 G
+    counts: np.ndarray  # rows per sign class, in the order of _CLASSES
 
     @property
     def rows(self) -> int:
@@ -143,12 +152,8 @@ class TriadTable:
 
     def class_rows(self) -> dict[str, int]:
         """Rows per sign class (a, b, c), keyed like "0pp" or "pmm", in the
-        order of _CLASSES."""
-        def code(a, b, c):
-            return (a % 3) * 9 + (b % 3) * 3 + c % 3
-
-        counts = np.bincount(code(self.ia.astype(np.int64), self.ib, self.ic), minlength=27)
-        return {"".join("0pm"[x] for x in cls): int(counts[code(*cls)]) for cls in _CLASSES}
+        order of _CLASSES: the counts the build recorded."""
+        return {"".join("0pm"[x] for x in cls): int(n) for cls, n in zip(_CLASSES, self.counts)}
 
 
 @dataclass
@@ -234,10 +239,16 @@ class FormEngine:
         size, centre = g.nmodes, g.nmodes // 2
         axes = _box_axes(g.N)
         keys = []
+        counts = np.zeros(len(_CLASSES), dtype=np.int64)
 
         def push(kf, nf, cls, mirror_cls):
             key = (nf * 14 + cls) * size + kf
             keys.extend((key, key + (mirror_cls - cls) * size))
+            if np.ndim(cls):  # the radical rows: a few hundred
+                for c in (cls, mirror_cls):
+                    counts[:] += np.bincount(c, minlength=len(_CLASSES))
+            else:
+                counts[[cls, mirror_cls]] += kf.size
 
         in_box, h_zero = _third_mode(axes, x, y, g.N, -1)
         xd, yd = (v[in_box & ~h_zero].astype(np.int64) for v in (x, y))
@@ -278,7 +289,7 @@ class FormEngine:
         return TriadTable(
             kf, mf, nf, ia, ib, ic,
             ka=_flat(ia[plan], kf[plan], size), mb=_flat(ib[plan], mf[plan], size),
-            nc=_flat(ic[plan], nf[plan], size), W=W,
+            nc=_flat(ic[plan], nf[plan], size), W=W, counts=counts,
         )
 
     def _build_under_table(self, x: np.ndarray, y: np.ndarray) -> UnderTable:
@@ -395,22 +406,32 @@ class FormEngine:
         valid3 = np.abs(2 * n3) <= N  # underline partner inside the lattice
         i_k3 = np.where(valid3, 2 * n3 + N, 0)
         u_at = np.where(valid3[:, None], und[i_k3, :], 0.0)  # (L, 4) for each n3
-        k1, k2, k3 = g.check_grid
+        k1, k2, _ = g.check_grid
         osc = basis.mask_osc
 
         # m = (n1, n2, -n3): flip the vertical index
-        flip = slice(None, None, -1)
-        for b in (1, -1):
-            cb = C[b][:, :, flip]
-            eb = basis.evec[b][:, :, flip, :]
-            ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
-            ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
+        ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
+        for b, (ndot_eb, pair_bc) in self._b_factors.items():
+            cb = C[b][:, :, ::-1]
             ec_conj = basis.evec_conj[b]  # resonance forces c = b
-            pair_bc = np.einsum("xyzj,xyzj->xyz", eb, ec_conj)
             pair_uc = np.einsum("zj,xyzj->xyz", u_at, ec_conj)
             contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
             out[b] = np.where(osc, contrib, 0.0)
         return out
+
+    @cached_property
+    def _b_factors(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The geometry factors of `b_form` for b in (+1, -1): ncheck(n) .
+        e_b and <e_b, e_b(n)>, with e_b taken at (n_h, -n3).  They depend
+        on the basis alone; built on first use, since only the limit
+        system's wave coupling reads them."""
+        k1, k2, k3 = self.geometry.check_grid
+        factors = {}
+        for b in (1, -1):
+            eb = self.basis.evec[b][:, :, ::-1, :]
+            ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
+            factors[b] = ndot_eb, np.einsum("xyzj,xyzj->xyz", eb, self.basis.evec_conj[b])
+        return factors
 
     def q_tilde2(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
         """Limit underline x tilde transport on the underline part of Vund

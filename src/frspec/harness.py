@@ -103,6 +103,8 @@ class SimConfig:
             raise ConfigError("T must be a multiple of snapshot_dt")
         if not 0 <= self.spectrum_r < math.inf:
             raise ConfigError("spectrum_r must be finite and nonnegative")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError("seed must be a nonnegative integer")
         return self
 
     @staticmethod

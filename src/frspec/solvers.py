@@ -39,6 +39,7 @@ assembles no field in it and calls no `fields` kernel.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,9 +134,11 @@ def grad_linf(U: SpectralField4) -> float:
 
 
 def cfl_bound(V: SpectralField4) -> float:
-    """Advective step bound 0.5 / (N max|u|) of the velocity of V."""
-    phys = to_physical(V)
-    umax = float(np.max(np.sqrt(np.sum(phys.values[..., :3] ** 2, axis=-1))))
+    """Advective step bound 0.5 / (N max|u|) of the velocity of V, sampled
+    on the padded grid (only the three velocity components are
+    transformed)."""
+    phys = to_physical(V, ncomp=3)
+    umax = float(np.max(np.sqrt(np.sum(phys.values**2, axis=-1))))
     if umax == 0.0:
         return math.inf
     return 0.5 / (V.geometry.N * umax)
@@ -380,7 +383,13 @@ def solve_limit(
     dt: float,
     snapshot_every: int = 1,
 ) -> LimitTrajectory:
-    """Advance the decomposed limit system from V0 to time T."""
+    """Advance the decomposed limit system from V0 to time T, keeping every
+    `snapshot_every`-th step and the last.  ValueError on a T that is not
+    positive and finite, or a `snapshot_every` that is not an integer >= 1."""
+    if not 0.0 < T < math.inf:  # NaN included
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not isinstance(snapshot_every, numbers.Integral) or snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be an integer >= 1, got {snapshot_every!r}")
     dec = decompose(V0)  # also rejects data that is not divergence-free
     stepper = LimitStepper(engine, dt, dec.underline)  # rejects an invalid dt
     nsteps = int(round(T / stepper.dt))

@@ -50,7 +50,7 @@ def engine3(unit_torus_3):
 CLASS_ORDER = [(0, 1, 1), (0, -1, -1), (1, 0, 1), (-1, 0, -1), (1, -1, 0), (-1, 1, 0)] + list(
     itertools.product((1, -1), repeat=3)
 )
-TABLE_ARRAYS = ("kf", "mf", "nf", "ia", "ib", "ic", "ka", "mb", "nc", "W")
+TABLE_ARRAYS = ("kf", "mf", "nf", "ia", "ib", "ic", "ka", "mb", "nc", "W", "counts")
 UNDER_ARRAYS = ("kf", "mf", "n3i", "ia", "ib", "G4", "ka", "mb", "out")
 
 
@@ -158,7 +158,8 @@ def pair_stream_tables(eng):
     W = 2.0 * eng._G_rows(kf[plan], ia[plan], mf[plan], ib[plan], nf[plan], ic[plan])
     tab = forms.TriadTable(kf, mf, nf, ia, ib, ic, ka=flat_of(ia[plan], kf[plan], size),
                            mb=flat_of(ib[plan], mf[plan], size),
-                           nc=flat_of(ic[plan], nf[plan], size), W=W)
+                           nc=flat_of(ic[plan], nf[plan], size), W=W,
+                           counts=np.bincount(cls, minlength=len(CLASS_ORDER)))
 
     parts = [(kf[sel], mf[sel], nf[sel])
              for kf, mf, nf in pair_stream(g.N, underline=True)
@@ -260,14 +261,26 @@ class TestTables:
         assert want and list(zip(kf.tolist(), nf.tolist())) == want
         assert kf.dtype == nf.dtype == np.int64
 
-    def test_class_rows(self):
-        tab, _ = FormEngine(TorusGeometry((1, 2, 3), 3), nu=1.0).tables
+    @pytest.mark.parametrize(
+        "a_sq,N",
+        [((1, 2, 3), 3), ((1, 2, 3), 8), ((1, 1, 1), 4), ((1, 4, 1), 5)],
+        ids=["a123-N3", "a123-N8", "unit-N4", "a141-N5"],
+    )
+    def test_class_rows(self, a_sq, N):
+        # the counts the build recorded, against a bincount of the stored
+        # sign columns
+        tab, _ = FormEngine(TorusGeometry(a_sq, N), nu=1.0).tables
         counts = tab.class_rows()
         assert list(counts) == [
             "".join("m0p"[x + 1] for x in cls) for cls in CLASS_ORDER
         ]
-        for cls, n in zip(CLASS_ORDER, counts.values()):
-            assert n == np.sum((tab.ia == cls[0]) & (tab.ib == cls[1]) & (tab.ic == cls[2]))
+
+        def code(a, b, c):
+            return (a + 1) * 9 + (b + 1) * 3 + c + 1
+
+        want = np.bincount(code(tab.ia.astype(np.int64), tab.ib, tab.ic), minlength=27)
+        assert list(counts.values()) == [int(want[code(*cls)]) for cls in CLASS_ORDER]
+        assert all(type(n) is int for n in counts.values())
         assert sum(counts.values()) == tab.rows
 
     def test_row_counts(self, engine3):
@@ -739,6 +752,26 @@ class TestQtilde1:
         got = wave_field(g, eng.q_tilde1(o + b))
         assert l2_norm(got - want) < 1e-13 * l2_norm(want)
 
+    def test_bar_advection_transforms_the_live_components(self, engine4, unit_torus_4, monkeypatch):
+        # the bar field carries components 1 and 2 only: one inverse
+        # transform of 2 components and one forward of the 3 distinct
+        # products a_1 a_1, a_1 a_2, a_2 a_2
+        import frspec.fields as fields
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(x, *args, **kwargs):
+                calls.append((name, len(x)))
+                return fn(x, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("irfftn", "rfftn"):
+            monkeypatch.setattr(fields, name, counting(name, getattr(fields, name)))
+        engine4.q_tilde1(coefficients(random_field(unit_torus_4, seed=42)))
+        assert calls == [("irfftn", 2), ("rfftn", 3)]
+
     def test_energy_neutral(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=43)
         til = project_tilde(V)
@@ -752,6 +785,38 @@ class TestQtilde1:
 
 
 class TestQtilde2AndB:
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_geometry_factors_built_once(self, a_sq, N):
+        # ncheck(n) . e_b and <e_b, e_b(n)> at (n_h, -n3) are built on the
+        # first call and reused; the output has the bytes of building them
+        # inside every call
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        assert "_b_factors" not in vars(eng)
+        basis = eng.basis
+        k1, k2, k3 = g.check_grid
+        for seed in (46, 47):
+            V = random_field(g, seed=seed, amplitude=1.0, spectrum_r=3.0)
+            und, C = underline_part(V), coefficients(V)
+            line = und.coeffs[g.N, g.N].copy()
+            line[:, 2] = 0.0
+            line[g.N] = 0.0
+            valid = np.abs(2 * g.n_axis) <= g.N
+            u = np.where(valid[:, None], line[np.where(valid, 2 * g.n_axis + g.N, 0)], 0.0)
+            want = np.zeros((3,) + (g.L,) * 3, dtype=np.complex128)
+            for b in (1, -1):
+                cb, eb = C[b][:, :, ::-1], basis.evec[b][:, :, ::-1, :]
+                ndot_u = k1 * u[None, None, :, 0] + k2 * u[None, None, :, 1]
+                ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
+                pair_bc = np.einsum("xyzj,xyzj->xyz", eb, basis.evec_conj[b])
+                pair_uc = np.einsum("zj,xyzj->xyz", u, basis.evec_conj[b])
+                contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
+                want[b] = np.where(basis.mask_osc, contrib, 0.0)
+            assert eng.b_form(und, C).tobytes() == want.tobytes()
+            if seed == 46:
+                factors = eng._b_factors
+        assert eng._b_factors is factors
+
     def test_zero_underline_slot(self, engine4, unit_torus_4):
         V = random_field(unit_torus_4, seed=45)
         osc = decompose(V).osc

@@ -295,6 +295,91 @@ class TestDivergenceFormKernel:
         assert transport(A, B).coeffs.tobytes() == want.coeffs.tobytes()
 
 
+def _dense_kernel(A, B, J, symmetrize=False):
+    """The product kernel as it was before it derived its products: every
+    component of both operands transformed, all 4 J products a_j B_c (plus
+    b_j A_c if `symmetrize`) formed and transformed, then
+    i sum_j ncheck_j P_hat_jc; the full lattice of that, mirrored."""
+    from scipy.fft import irfftn, rfftn
+
+    g = A.geometry
+    L, N = g.L, g.N
+    M = fields._pad_size(N)
+    idx = (np.arange(L) - N) % M
+
+    def samples(F):
+        pad = np.zeros((4, M, M, M // 2 + 1), dtype=np.complex128)
+        pad[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(F.coeffs[:, :, N:], -1, 0)
+        return irfftn(pad, s=(M, M, M), axes=(1, 2, 3), norm="forward")
+
+    a, b = samples(A), samples(B)
+    prod = (a[:J, None] * b[None]).reshape((4 * J,) + a.shape[1:])
+    if symmetrize:
+        prod += (b[:J, None] * a[None]).reshape((4 * J,) + a.shape[1:])
+    hat = rfftn(prod, axes=(1, 2, 3), norm="forward")[:, idx[:, None], idx[None, :], : N + 1]
+    k1, k2, k3 = g.check_grid
+    ks = (k1, k2, k3[..., N:])
+    half = 1j * sum(ks[j] * hat[4 * j : 4 * j + 4] for j in range(J))
+    half[:, N, N, 0] = 0.0
+    h = np.moveaxis(half, 0, -1)
+    out = np.empty((L, L, L, 4), dtype=np.complex128)
+    out[:, :, N:] = h
+    out[:, :, :N] = np.conj(h[::-1, ::-1, N:0:-1])
+    return out
+
+
+class TestLiveComponents:
+    """The kernel transforms only the operand rows that are not identically
+    zero and forms only the products with no zero factor; every output has
+    the bytes of the dense kernel, signed zeros included."""
+
+    @pytest.fixture(scope="class", params=[((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 2, 3), 8)],
+                    ids=["unit-4", "a123-5", "a123-8"])
+    def geometry(self, request):
+        return TorusGeometry(*request.param)
+
+    @staticmethod
+    def _fields(g, seed):
+        V = random_field(g, seed=seed, amplitude=1.0, spectrum_r=3.0)
+        bar = bar_part(V)
+        return {"bar": bar, "underline+bar": underline_part(V) + bar, "real": V}
+
+    @pytest.mark.parametrize("kind", ["bar", "underline+bar", "real"])
+    def test_bytes_of_the_dense_kernel(self, geometry, kind):
+        for seed in (61, 62):
+            F = self._fields(geometry, seed)[kind]
+            G = random_field(geometry, seed=seed + 10, amplitude=1.0)
+            for stencil, J in (("full", 3), ("horizontal", 2)):
+                want = _dense_kernel(F, F, J)
+                assert convolve_quadratic(F, F, stencil).coeffs.tobytes() == want.tobytes()
+                want = _dense_kernel(F, G, J)
+                assert convolve_quadratic(F, G, stencil).coeffs.tobytes() == want.tobytes()
+            for X, Y in ((F, F), (F, G)):
+                raw = SpectralField4(geometry, _dense_kernel(X, Y, 3, symmetrize=True))
+                want = leray_project(0.5 * raw, check_mean=False)
+                assert transport(X, Y).coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_zero_operand_makes_no_transform(self, unit_torus_4, monkeypatch):
+        for name in ("irfftn", "rfftn"):
+            monkeypatch.setattr(fields, name, lambda *a, **k: pytest.fail("transformed a zero field"))
+        Z = zero_field(unit_torus_4)
+        want = _dense_kernel(Z, Z, 3)
+        assert convolve_quadratic(Z, Z).coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_is_not_skipped(self, unit_torus_4, monkeypatch, bad):
+        # components 3 and 4 of a bar field are zero; a non-finite value
+        # there is still seen: the check rejects it, and the row counts as live
+        F = bar_part(random_field(unit_torus_4, seed=63))
+        F.coeffs[1, 2, 5, 3] = F.coeffs[7, 6, 3, 3] = bad
+        with np.errstate(invalid="ignore"):
+            for call in (convolve_quadratic, lambda A, B: convolve_quadratic(A, B, "horizontal"), transport):
+                with pytest.raises(ValueError, match="not a real field"):
+                    call(F, F)
+        monkeypatch.setattr(fields, "_half", lambda g, coeffs: np.moveaxis(coeffs[:, :, g.N :], -1, 0))
+        assert fields._operands(F, F, 3)[2] == (True, True, False, True)
+
+
 class TestTransformCount:
     """One batched inverse and one batched forward real transform per call."""
 
@@ -327,8 +412,16 @@ class TestTransformCount:
             (lambda A, B: convolve_quadratic(A, B, "horizontal"), [("inverse", 6), ("forward", 8)]),
             (lambda A, B: transport(A, B), [("inverse", 8), ("forward", 9)]),
             (lambda A, B: to_spectral(to_physical(A)), [("inverse", 4), ("forward", 4)]),
+            # a bar field has components 1 and 2 only: 3 distinct products
+            (lambda A, B: transport(*[bar_part(A)] * 2), [("inverse", 2), ("forward", 3)]),
+            (lambda A, B: convolve_quadratic(*[bar_part(A)] * 2, "horizontal"),
+             [("inverse", 2), ("forward", 3)]),
+            (lambda A, B: convolve_quadratic(*[bar_part(A) + underline_part(A)] * 2, "horizontal"),
+             [("inverse", 3), ("forward", 5)]),
+            (lambda A, B: cfl_bound(A), [("inverse", 3)]),
         ],
-        ids=["self", "pair", "horizontal", "transport", "round-trip"],
+        ids=["self", "pair", "horizontal", "transport", "round-trip", "bar-transport", "bar-horizontal",
+             "underline-bar-horizontal", "cfl"],
     )
     def test_one_batched_call_each_way(self, unit_torus_4, calls, call, batches):
         A = random_field(unit_torus_4, seed=15)

@@ -381,6 +381,22 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "over, flags, command",
+        [({}, ["--seed", "-1"], "limit"), ({"seed": -3}, [], "audit")],
+        ids=["flag-limit", "file-audit"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, over, flags, command):
+        # once raised numpy's "expected non-negative integer" from the
+        # random initial data, with a traceback
+        monkeypatch.setattr(cli_module, "run_sweep", None)
+        monkeypatch.setattr(cli_module, "audit_cancellations", None)
+        assert cli_main(["--config", self._cfg_file(tmp_path, **over), *flags, command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: seed must be a nonnegative integer"]
+        with pytest.raises(ConfigError, match="seed"):
+            replace(SimConfig(), seed=-1).validate()
+
     def test_bound_constants_are_unknown_keys(self, tmp_path, capsys):
         # the a priori bound constants are arguments of energy_bounds, not
         # configuration keys

@@ -346,6 +346,25 @@ class TestLimitSteppers:
         with pytest.raises(ValueError, match="^dt must be positive"):
             solve_limit(engine4, zero_field(unit_torus_4), T=0.01, dt=dt)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(T=-1.0), "^T must be positive and finite"),
+            (dict(T=0.0), "^T must be positive and finite"),
+            (dict(T=math.nan), "^T must be positive and finite"),
+            (dict(T=math.inf), "^T must be positive and finite"),
+            (dict(T=0.01, snapshot_every=0), "^snapshot_every must be an integer >= 1"),
+            (dict(T=0.01, snapshot_every=-2), "^snapshot_every must be an integer >= 1"),
+            (dict(T=0.01, snapshot_every=1.5), "^snapshot_every must be an integer >= 1"),
+        ],
+        ids=["T-negative", "T-zero", "T-nan", "T-inf", "every-0", "every-negative", "every-float"],
+    )
+    def test_invalid_horizon_or_snapshot_stride_rejected(self, engine4, unit_torus_4, kwargs, message):
+        # these once returned a one-snapshot trajectory (T = -1) or raised
+        # from int(round(T / dt)) or from the stride's modulo
+        with pytest.raises(ValueError, match=message):
+            solve_limit(engine4, zero_field(unit_torus_4), dt=5e-3, **kwargs)
+
     def test_cfl_violation_raises(self, engine4, unit_torus_4):
         # the guard bounds the total limit velocity, underline included
         g = unit_torus_4
@@ -591,6 +610,19 @@ class TestStepWork:
         monkeypatch.setattr(module, name, counting)
         return calls
 
+    @staticmethod
+    def _components(monkeypatch, name):
+        """The components of each batch passed to fields.<name>."""
+        seen = []
+        fn = getattr(fields, name)
+
+        def counting(x, *args, **kwargs):
+            seen.append(len(x))
+            return fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(fields, name, counting)
+        return seen
+
     def test_filtered_step_applies_no_filter(self, engine4, unit_torus_4, monkeypatch):
         V0 = random_field(unit_torus_4, seed=87, amplitude=1.0, spectrum_r=3.0)
         st = FilteredStepper(engine4, eps=1e-2, dt=1e-3)
@@ -599,23 +631,24 @@ class TestStepWork:
         assert calls == [] and state.t == 0.3 + 1e-3
 
     @pytest.mark.parametrize(
-        "enforce_cfl, inverse, checks", [(False, 4, 1), (True, 5, 2)], ids=["no-cfl", "cfl"]
+        "enforce_cfl, inverse, checks", [(False, [4] * 4, 1), (True, [3] + [4] * 4, 2)], ids=["no-cfl", "cfl"]
     )
     def test_filtered_step_work(self, engine4, unit_torus_4, monkeypatch, enforce_cfl, inverse, checks):
         # one public convolve (stage 1, on V) makes the step's one Hermitian
         # check; the other stages run the half-lattice kernel, unchecked;
-        # one inverse and one forward transform per stage (the CFL bound
-        # samples V once more and checks it)
+        # one inverse transform of the 4 components and one forward of the
+        # 9 distinct products per stage (the CFL bound samples the 3
+        # velocity components of V once more and checks V)
         V0 = random_field(unit_torus_4, seed=87, amplitude=1.0, spectrum_r=3.0)
         st = FilteredStepper(engine4, eps=1e-2, dt=1e-3)
         convolves = self._count(monkeypatch, "convolve_quadratic")
         filters = self._count(monkeypatch, "apply_filter")
         hermitian = self._count(monkeypatch, "_half", fields)
-        inv = self._count(monkeypatch, "irfftn", fields)
-        fwd = self._count(monkeypatch, "rfftn", fields)
+        inv = self._components(monkeypatch, "irfftn")
+        fwd = self._components(monkeypatch, "rfftn")
         st.step(SimState(0.0, V0, 1.0, 1e-2), EnergyLedger(1.0), enforce_cfl=enforce_cfl)
-        assert (len(convolves), len(filters)) == (1, 0)
-        assert (len(hermitian), len(inv), len(fwd)) == (checks, inverse, 4)
+        assert (len(convolves), len(filters), len(hermitian)) == (1, 0, checks)
+        assert (inv, fwd) == (inverse, [9] * 4)
 
     def test_limit_step_reads_the_underline_line(self, monkeypatch):
         # per step: the exact underline state at the CFL check and at the
