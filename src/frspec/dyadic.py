@@ -19,6 +19,7 @@ import numpy as np
 from .fields import (
     PhysicalField4,
     SpectralField4,
+    l2_norm,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -65,7 +66,8 @@ def q_max(geometry: TorusGeometry) -> int:
 
 
 def _block_multiplier(geometry: TorusGeometry, q: int) -> np.ndarray:
-    k = np.sqrt(geometry.check_sq)
+    """The multiplier of Delta_q on the stored modes n3 >= 0 of a field."""
+    k = np.sqrt(geometry.check_sq[..., geometry.N :])
     if q == -1:
         return chi_profile(k)
     if q < -1:
@@ -81,7 +83,8 @@ def dyadic_block(q: int, field: SpectralField4) -> SpectralField4:
 
 def low_cut(q: int, field: SpectralField4) -> SpectralField4:
     """S_q = sum_{q' <= q-1} Delta_q'; multiplier chi(|ncheck| / 2^q)."""
-    k = np.sqrt(field.geometry.check_sq)
+    g = field.geometry
+    k = np.sqrt(g.check_sq[..., g.N :])
     if q <= -1:
         m = np.zeros_like(k)
     else:
@@ -151,7 +154,7 @@ def bernstein_ratio(
     outside = np.abs(field.coeffs[m[..., None] * np.ones(4) == 0.0])
     if outside.size and np.max(outside) > 1e-12 * max(1.0, np.max(np.abs(field.coeffs))):
         raise ValueError(f"field is not supported in the dyadic annulus q={q}")
-    lam = np.sqrt(g.check_sq) ** k
+    lam = np.sqrt(g.check_sq[..., g.N :]) ** k
     deriv = SpectralField4(g, lam[..., None] * field.coeffs)
     ratio_deriv = lp_norm(deriv, p) / (2.0 ** (q * k) * lp_norm(field, p))
     gain = lp_norm(field, r) / (
@@ -170,8 +173,7 @@ def dyadic_coefficients(s: float, field: SpectralField4) -> tuple[float, np.ndar
     hs = sobolev_norm(s, field)
     d = np.array(
         [
-            2.0 ** (q * s)
-            * np.sqrt(np.sum(np.abs(dyadic_block(q, field).coeffs) ** 2))
+            2.0 ** (q * s) * l2_norm(dyadic_block(q, field))
             for q in range(-1, Q + 1)
         ]
     )

@@ -1,20 +1,23 @@
 """Four-component spectral and physical fields on the torus.
 
-A SpectralField4 stores the Fourier coefficients V_hat(n) in C^4 for every
-lattice mode n in [-N, N]^3, in an (L, L, L, 4) array with L = 2N + 1 and
-axis index i = n + N.  The first three components are a velocity, the
+The fields of this package are real, V_hat(-n) = conj(V_hat(n)), so the
+modes with n3 >= 0 determine them.  A SpectralField4 stores exactly those:
+the Fourier coefficients V_hat(n) in C^4 in an (L, L, N + 1, 4) array
+with L = 2N + 1 and axis indices (n1 + N, n2 + N, n3), the layout of the
+real transforms (rfftn).  The first three components are a velocity, the
 fourth is the buoyancy/density perturbation.  All fields have zero global
-average (the n = 0 coefficient is pinned to zero) and represent real
-fields, i.e. V_hat(-n) = conj(V_hat(n)); the transforms raise ValueError
-on a field that breaks this by more than 1e-8 of its l2 norm (and more
-than 1e-12).
+average (the n = 0 coefficient, at (N, N, 0), is pinned to zero).  The
+n3 = 0 plane holds both n and -n; the transforms read its Hermitian part.
+The norms and the inner product are sums over the whole lattice: the
+n3 = 0 plane counts once and every plane n3 > 0 twice, for itself and for
+its mirror.
 
 Quadratic products are evaluated pseudo-spectrally on a padded collocation
 grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
 modes of a product of two fields are alias-free.
 
-All transforms are scipy.fft real transforms (irfftn / rfftn) on the half
-spectrum n3 >= 0, component axis first, one batched call for all
+All transforms are scipy.fft real transforms (irfftn / rfftn) of the
+stored coefficients, component axis first, one batched call for all
 components.  Transport is computed in divergence form, a . grad B =
 div(a (x) B), with div_h for the horizontal stencil; this holds when the
 velocity a is divergence-free (a_h horizontally divergence-free), which
@@ -25,23 +28,13 @@ P_jc = a_j B_c it forms.  The kernel derives that product set
 (`_products`) from J (3, or 2 for div_h), whether the operands are
 symmetric (A is B, or the symmetrized `transport`: then P_jc = P_cj and
 only j <= c is formed) and which operand components are identically zero
-(one `any` per component of the checked half spectrum; a NaN or inf is
-live).  A zero component is not transformed and no product with a zero
-factor is formed; leaving out such a term changes no output byte.  With
-every component live: 3 + 4 inverse and 12 forward components (2 + 4 and
-8 horizontal), 4 and 9 when A is B (full stencil), 4 + 4 and 9 for
-`transport`.  The limit system's bar field has components 1 and 2 only,
-so its self-advection makes 2 inverse and 3 forward (a_1 a_1, a_1 a_2,
-a_2 a_2), against 4 and 8.
-
-There is one product kernel, `_convolve_half`, which takes and returns
-half-lattice coefficients (C, L, L, N + 1), the n3 >= 0 modes in the
-layout of the transforms.  `convolve_quadratic` and `transport` are the
-Hermitian check (`_half`), that kernel and the mirror to the full lattice
-(`_lattice`); the filtered stepper calls the kernel on its half spectrum
-directly, with every component live.  The per-mode Leray formula is one
-function, `_leray`, which `leray_project` applies on the full lattice and
-the stepper on the half.
+(one `any` per component; a NaN or inf is live).  A zero component is
+not transformed and no product with a zero factor is formed; leaving out
+such a term changes no output byte.  With every component live: 3 + 4
+inverse and 12 forward components (2 + 4 and 8 horizontal), 4 and 9 when
+A is B (full stencil), 4 + 4 and 9 for `transport`.  The limit system's
+bar field has components 1 and 2 only, so its self-advection makes 2
+inverse and 3 forward (a_1 a_1, a_1 a_2, a_2 a_2), against 4 and 8.
 """
 
 from __future__ import annotations
@@ -74,14 +67,13 @@ __all__ = [
 @dataclass
 class SpectralField4:
     geometry: TorusGeometry
-    coeffs: np.ndarray  # (L, L, L, 4) complex128
+    coeffs: np.ndarray  # (L, L, N + 1, 4) complex128, the modes n3 >= 0
 
     def __post_init__(self):
-        L = self.geometry.L
-        if self.coeffs.shape != (L, L, L, 4):
-            raise ValueError(
-                f"coefficient array must have shape {(L, L, L, 4)}, got {self.coeffs.shape}"
-            )
+        g = self.geometry
+        shape = (g.L, g.L, g.N + 1, 4)
+        if self.coeffs.shape != shape:
+            raise ValueError(f"coefficient array must have shape {shape}, got {self.coeffs.shape}")
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
@@ -108,23 +100,12 @@ class SpectralField4:
 
     def pin_zero_mode(self) -> "SpectralField4":
         N = self.geometry.N
-        self.coeffs[N, N, N, :] = 0.0
+        self.coeffs[N, N, 0, :] = 0.0
         return self
 
     def zero_mean(self, tol: float = 1e-13) -> bool:
         N = self.geometry.N
-        return bool(np.max(np.abs(self.coeffs[N, N, N, :])) <= tol)
-
-    def conj_reflect(self) -> np.ndarray:
-        """conj(V_hat(-n)), same layout; equals coeffs for a real field."""
-        return np.conj(self.coeffs[::-1, ::-1, ::-1, :])
-
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.coeffs - self.conj_reflect())))
-
-    def make_hermitian(self) -> "SpectralField4":
-        self.coeffs = 0.5 * (self.coeffs + self.conj_reflect())
-        return self
+        return bool(np.max(np.abs(self.coeffs[N, N, 0, :])) <= tol)
 
 
 @dataclass
@@ -136,27 +117,26 @@ class PhysicalField4:
 
 def zero_field(geometry: TorusGeometry) -> SpectralField4:
     L = geometry.L
-    return SpectralField4(geometry, np.zeros((L, L, L, 4), dtype=np.complex128))
+    return SpectralField4(geometry, np.zeros((L, L, geometry.N + 1, 4), dtype=np.complex128))
 
 
-def single_mode_field(geometry: TorusGeometry, n, vec, hermitian: bool = True) -> SpectralField4:
-    """Field with coefficient `vec` at mode n (plus the conjugate at -n if asked)."""
-    f = zero_field(geometry)
+def single_mode_field(geometry: TorusGeometry, n, vec) -> SpectralField4:
+    """The real field with coefficient `vec` at mode n and conj(vec) at -n
+    (one term at n = 0); ValueError for a mode outside the truncation."""
+    geometry.mode_index(n)
+    N = geometry.N
+    n = np.array(n, dtype=int)
     vec = np.asarray(vec, dtype=np.complex128)
-    f.coeffs[geometry.mode_index(n)] = vec
-    if hermitian and any(c != 0 for c in n):
-        f.coeffs[geometry.mode_index([-c for c in n])] += np.conj(vec)
+    f = zero_field(geometry)
+    for m, v in [(n, vec)] + ([(-n, np.conj(vec))] if n.any() else []):
+        if m[2] >= 0:  # a stored mode
+            f.coeffs[m[0] + N, m[1] + N, m[2]] += v
     return f
 
 
 # -- transforms ---------------------------------------------------------------
 
 _AXES = (1, 2, 3)
-# the kernels accept a Hermitian defect (l2) up to 1e-8 of the field's l2
-# norm (the real fields of this package sit below 1e-13), and any defect
-# up to 1e-12: a field that small is the rounding residue of a projection
-# (the e_0 part of a wave field, say), not a field with a shape
-_HERMITIAN_TOL, _HERMITIAN_FLOOR = 1e-8, 1e-12
 
 
 def _pad_size(N: int) -> int:
@@ -168,56 +148,21 @@ def _wrap(geometry: TorusGeometry, M: int) -> np.ndarray:
     return (np.arange(geometry.L) - geometry.N) % M
 
 
-def _half(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
-    """The n3 >= 0 half (C, L, L, N + 1) of the coefficients (L, L, L, C).
-
-    The transforms read only this half, and only the real part of its
-    n3 = 0 plane, so this raises ValueError when the coefficients are not
-    Hermitian, V_hat(-n) = conj(V_hat(n)), within the bounds above (a NaN
-    anywhere fails too): the discarded part would silently give another
-    field.
-    """
-    N = geometry.N
-    upper = coeffs[:, :, N:, :]
-    # l2 norms of V_hat(n) - conj(V_hat(-n)) over n3 >= 0 and of V_hat, as
-    # real dot products: NaN only for a NaN or inf input (a complex dot
-    # gives NaN once |V_hat|^2 overflows)
-    miss = (upper - np.conj(coeffs[::-1, ::-1, N::-1, :])).ravel().view(np.float64)
-    flat = coeffs.ravel().view(np.float64)
-    defect, size = np.sqrt(miss @ miss), np.sqrt(flat @ flat)
-    if not defect <= max(_HERMITIAN_TOL * size, _HERMITIAN_FLOOR):
-        raise ValueError(
-            f"kernel input is not a real field: Hermitian defect {defect:.3e}, "
-            f"l2 norm {size:.3e}"
-        )
-    return np.moveaxis(upper, -1, 0)
-
-
-def _to_grid(geometry: TorusGeometry, half: np.ndarray, M: int) -> np.ndarray:
-    """Samples (C, M, M, M) of the real fields with half-lattice
-    coefficients (C, L, L, N + 1)."""
+def _to_grid(geometry: TorusGeometry, stack: np.ndarray, M: int) -> np.ndarray:
+    """Samples (C, M, M, M) of the real fields whose stored coefficients
+    are the rows of `stack` (C, L, L, N + 1)."""
     N = geometry.N
     idx = _wrap(geometry, M)
-    pad = np.zeros((half.shape[0], M, M, M // 2 + 1), dtype=np.complex128)
-    pad[:, idx[:, None], idx[None, :], : N + 1] = half
+    pad = np.zeros((stack.shape[0], M, M, M // 2 + 1), dtype=np.complex128)
+    pad[:, idx[:, None], idx[None, :], : N + 1] = stack
     return irfftn(pad, s=(M, M, M), axes=_AXES, norm="forward")
 
 
 def _from_grid(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
-    """Retained half-lattice coefficients (C, L, L, N + 1) of samples (C, M, M, M)."""
+    """Retained coefficients (C, L, L, N + 1) of samples (C, M, M, M)."""
     idx = _wrap(geometry, values.shape[1])
     hat = rfftn(values, axes=_AXES, norm="forward")
     return hat[:, idx[:, None], idx[None, :], : geometry.N + 1]
-
-
-def _lattice(geometry: TorusGeometry, half: np.ndarray) -> SpectralField4:
-    """Real field from its half-lattice coefficients (C, L, L, N + 1)."""
-    L, N = geometry.L, geometry.N
-    h = np.moveaxis(half, 0, -1)
-    out = np.empty((L, L, L, h.shape[-1]), dtype=np.complex128)
-    out[:, :, N:] = h
-    out[:, :, :N] = np.conj(h[::-1, ::-1, N:0:-1])
-    return SpectralField4(geometry, out)
 
 
 def to_physical(
@@ -230,29 +175,29 @@ def to_physical(
     M = grid_points or _pad_size(g.N)
     if M < 2 * g.N + 1:
         raise ValueError(f"grid of {M} points cannot hold modes up to N={g.N}")
-    vals = _to_grid(g, _half(g, field.coeffs)[:ncomp], M)
+    vals = _to_grid(g, np.moveaxis(field.coeffs[..., :ncomp], -1, 0), M)
     return PhysicalField4(g, np.moveaxis(vals, 0, -1), M)
 
 
 def to_spectral(phys: PhysicalField4) -> SpectralField4:
     """Inverse of to_physical on the retained modes."""
     g = phys.geometry
-    return _lattice(g, _from_grid(g, np.moveaxis(phys.values, -1, 0)))
+    return SpectralField4(g, np.moveaxis(_from_grid(g, np.moveaxis(phys.values, -1, 0)), 0, -1))
 
 
 # -- differential / projection operators --------------------------------------
 
 
-def _leray(v: np.ndarray, k1, k2, k3, ksq) -> np.ndarray:
-    """The per-mode Leray formula on coefficients v (..., 4) at the check
-    frequencies k1, k2, k3 with |ncheck|^2 = ksq (nonzero at n = 0): the
-    first three components lose their part along ncheck."""
-    kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
-    out = v.copy()
-    out[..., 0] -= k1 * kdotv / ksq
-    out[..., 1] -= k2 * kdotv / ksq
-    out[..., 2] -= k3 * kdotv / ksq
-    return out
+@lru_cache(maxsize=None)
+def _frequencies(geometry: TorusGeometry) -> tuple[np.ndarray, ...]:
+    """The check frequencies (k1, k2, k3) broadcastable over the stored
+    modes, and |ncheck|^2 there with 1 at n = 0 (a safe divisor); every
+    call on one geometry shares these arrays, read-only."""
+    k1, k2, k3 = geometry.check_grid
+    ksq = geometry.check_sq[..., geometry.N :].copy()
+    ksq[geometry.N, geometry.N, 0] = 1.0
+    ksq.setflags(write=False)
+    return k1, k2, k3[..., geometry.N :], ksq
 
 
 def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralField4:
@@ -263,15 +208,19 @@ def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralFie
     g = field.geometry
     if check_mean and not field.zero_mean(tol=1e-12):
         raise ValueError("leray_project requires a zero-mean field")
-    k1, k2, k3 = g.check_grid
-    ksq = np.where(g.mask_zero, 1.0, g.check_sq)  # avoid 0/0 at the pinned zero mode
-    return SpectralField4(g, _leray(field.coeffs, k1, k2, k3, ksq)).pin_zero_mode()
+    k1, k2, k3, ksq = _frequencies(g)
+    v = field.coeffs
+    kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
+    out = v.copy()
+    out[..., 0] -= k1 * kdotv / ksq
+    out[..., 1] -= k2 * kdotv / ksq
+    out[..., 2] -= k3 * kdotv / ksq
+    return SpectralField4(g, out).pin_zero_mode()
 
 
 def divergence_max(field: SpectralField4) -> float:
     """max_n |sum_i ncheck_i v_hat^i(n)|."""
-    g = field.geometry
-    k1, k2, k3 = g.check_grid
+    k1, k2, k3, _ = _frequencies(field.geometry)
     v = field.coeffs
     div = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
     return float(np.max(np.abs(div)))
@@ -281,7 +230,7 @@ def divergence_max(field: SpectralField4) -> float:
 def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
     """The products the kernel forms, derived from the live operand rows.
 
-    The operands are the rows of one half-lattice stack: the velocity a is
+    The operands are the rows of one coefficient stack: the velocity a is
     its first rows and B starts at row `split` (split = 0 when A is B);
     live[r] is False when row r is identically zero, and only the live
     rows are transformed.  P_jc (j < J, c < 4) is a_j b_c, or
@@ -319,7 +268,7 @@ def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
 
 
 def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Dealiased half-lattice coefficients (4, L, L, N + 1) of sum_j d_j P_jc
+    """Dealiased coefficients (4, L, L, N + 1) of sum_j d_j P_jc
     from the samples prod (P, M, M, M) of the products, P_jc =
     prod[slots[j, c]] for j < J = len(slots), or identically zero where
     slots[j, c] = -1.
@@ -333,8 +282,7 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
     """
     g = geometry
     hat = _from_grid(g, prod)
-    k1, k2, k3 = g.check_grid
-    ks = (k1, k2, k3[..., g.N :])
+    ks = _frequencies(g)
     out = np.zeros((4,) + hat.shape[1:], dtype=np.complex128)
     for j, row in enumerate(slots.tolist()):
         cols = [c for c, p in enumerate(row) if p >= 0]
@@ -347,56 +295,39 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
     return out
 
 
-def _convolve_half(
-    geometry: TorusGeometry,
-    half: np.ndarray,
-    J: int,
-    split: int = 0,
-    symmetrize: bool = False,
-    live: tuple[bool, ...] | None = None,
-) -> np.ndarray:
-    """The product kernel on the half lattice: the dealiased coefficients
-    (4, L, L, N + 1) of sum_{j < J} d_j P_jc, from the half-lattice
-    coefficients (C, L, L, N + 1) of the operands.
+def _convolve(
+    A: SpectralField4, B: SpectralField4, J: int, ncomp: int, symmetrize: bool = False
+) -> SpectralField4:
+    """The product kernel: the dealiased coefficients of sum_{j < J} d_j P_jc.
 
-    The velocity a is the first rows of `half` and B is half[split:]
-    (split = 0 when A is B); P_jc = a_j b_c, or a_j b_c + b_j a_c if
-    `symmetrize`.  `live` marks the rows that are not identically zero
-    (default: all).  One batched inverse transform of the live rows, the
-    products of `_products` written by one in-place multiply into the
-    gathered samples, one batched forward transform.  It reads no n3 < 0
-    coefficient and checks nothing: `half` is the half of real fields.
+    The operands are the first `ncomp` components of A and the four of B,
+    stacked for one batched inverse transform (when A is B they share one
+    copy and B starts at row 0); the velocity a is the first rows, and
+    P_jc = a_j b_c, or a_j b_c + b_j a_c if `symmetrize`.  Only the rows
+    that are not identically zero are transformed (a NaN or inf counts as
+    live); the products of `_products` are written by one in-place
+    multiply into the gathered samples, then one batched forward transform.
     """
-    live = live or (True,) * len(half)
+    if A.geometry is not B.geometry and A.geometry != B.geometry:
+        raise ValueError("fields live on different geometries")
+    g = A.geometry
+    if A is B:
+        stack, split = np.moveaxis(B.coeffs, -1, 0), 0
+    else:
+        stack = np.moveaxis(np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1), -1, 0)
+        split = ncomp
+    live = tuple(np.any(stack != 0, axis=(1, 2, 3)).tolist())
     (x, y), (i2, x2, y2), slots = _products(J, split, symmetrize, live)
     if not len(x):  # every product is identically zero
-        return np.zeros((4,) + half.shape[1:], dtype=np.complex128)
-    samples = _to_grid(geometry, half if all(live) else half[np.array(live)], _pad_size(geometry.N))
+        return zero_field(g)
+    samples = _to_grid(g, stack if all(live) else stack[np.array(live)], _pad_size(g.N))
     prod = samples[x]
     np.multiply(prod, samples[y], out=prod)
     if len(i2) == len(prod):
         prod += samples[x2] * samples[y2]
     elif len(i2):
         prod[i2] += samples[x2] * samples[y2]
-    return _divergence(geometry, prod, slots)
-
-
-def _operands(
-    A: SpectralField4, B: SpectralField4, ncomp: int
-) -> tuple[np.ndarray, int, tuple[bool, ...]]:
-    """The checked half spectrum of the first `ncomp` components of A and
-    the four of B, for one batched inverse transform, the row where B
-    starts (0 when A is B, which share one copy), and which of its rows
-    are not identically zero (a NaN or inf counts as live)."""
-    if A.geometry is not B.geometry and A.geometry != B.geometry:
-        raise ValueError("fields live on different geometries")
-    g = A.geometry
-    if A is B:
-        half, split = _half(g, B.coeffs), 0
-    else:
-        half = _half(g, np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1))
-        split = ncomp
-    return half, split, tuple(np.any(half != 0, axis=(1, 2, 3)).tolist())
+    return SpectralField4(g, np.moveaxis(_divergence(g, prod, slots), 0, -1))
 
 
 def convolve_quadratic(
@@ -413,8 +344,7 @@ def convolve_quadratic(
     (a_h horizontally divergence-free).
     """
     J = 2 if stencil == "horizontal" else 3
-    half, split, live = _operands(A, B, J)
-    return _lattice(A.geometry, _convolve_half(A.geometry, half, J, split, live=live))
+    return _convolve(A, B, J, J)
 
 
 def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
@@ -423,25 +353,32 @@ def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
     One symmetric product 1/2 P div(a (x) B + b (x) A) for divergence-free
     velocities; bitwise symmetric in (A, B).
     """
-    half, split, live = _operands(A, B, 4)
-    raw = _lattice(A.geometry, _convolve_half(A.geometry, half, 3, split, True, live))
-    return leray_project(0.5 * raw, check_mean=False)
+    return leray_project(0.5 * _convolve(A, B, 3, 4, symmetrize=True), check_mean=False)
 
 
 # -- norms --------------------------------------------------------------------
 
 
+def _mode_sum(x: np.ndarray):
+    """The sum over the whole lattice of x (L, L, N + 1, ...), a quantity
+    even in n: the n3 = 0 plane once, every plane n3 > 0 twice."""
+    return np.sum(x[:, :, 0]) + 2.0 * np.sum(x[:, :, 1:])
+
+
 def l2_norm(field: SpectralField4) -> float:
     """Coefficient l2 norm (sum_n |V_hat(n)|^2)^(1/2)."""
-    return float(np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
+    return float(np.sqrt(_mode_sum(np.abs(field.coeffs) ** 2)))
 
 
 def sobolev_norm(s: float, field: SpectralField4) -> float:
     """Non-homogeneous Sobolev norm (sum_n (1+|ncheck|^2)^s |V_hat(n)|^2)^(1/2)."""
-    w = (1.0 + field.geometry.check_sq) ** s
-    return float(np.sqrt(np.sum(w[..., None] * np.abs(field.coeffs) ** 2)))
+    g = field.geometry
+    w = (1.0 + g.check_sq[..., g.N :]) ** s
+    return float(np.sqrt(_mode_sum(w[..., None] * np.abs(field.coeffs) ** 2)))
 
 
 def inner_l2(A: SpectralField4, B: SpectralField4) -> complex:
-    """Coefficient inner product sum_n <A_hat(n), B_hat(n)>_{C^4}."""
-    return complex(np.sum(A.coeffs * np.conj(B.coeffs)))
+    """Coefficient inner product sum_n <A_hat(n), B_hat(n)>_{C^4}: a plane
+    n3 > 0 and its mirror add up to twice the real part."""
+    p = A.coeffs * np.conj(B.coeffs)
+    return complex(np.sum(p[:, :, 0]) + 2.0 * np.sum(p[:, :, 1:].real))

@@ -85,7 +85,9 @@ from .resonance import (
 )
 from .waves import (
     EigenBasis,
+    _assemble,
     _coefficients,
+    _full_rows,
     _underline_line,
     apply_filter,
     coefficients,
@@ -347,7 +349,7 @@ class FormEngine:
     def a2_symbol(self, W: SpectralField4) -> SpectralField4:
         """Plain dissipation symbol diag(-nu |ncheck|^2 x3, 0)."""
         out = W.coeffs * 1.0
-        out[..., :3] *= self.a2_diag[..., None]
+        out[..., :3] *= self.a2_diag[..., self.geometry.N :, None]
         out[..., 3] = 0.0
         return SpectralField4(self.geometry, out)
 
@@ -385,7 +387,8 @@ class FormEngine:
             np.add.at(out, tab.nc, p)
         out = out.reshape(C.shape)
         bar = field_from_coefficients(g, {0: C[0]})
-        out[0] = _coefficients(convolve_quadratic(bar, bar, "horizontal"), slice(0, 1))[0]
+        conv = convolve_quadratic(bar, bar, "horizontal")
+        out[0] = _full_rows(_coefficients(conv, slice(0, 1)))[0]
         return out
 
     def b_form(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
@@ -464,7 +467,7 @@ class FormEngine:
             contrib = self._row_products(C, qu)[:, None] * qu.G4
             np.add.at(out_line, qu.out, contrib.reshape(-1))
         out = zero_field(g)
-        out.coeffs[g.N, g.N, :, :] = out_line.reshape(g.L, 4)
+        out.coeffs[g.N, g.N] = out_line.reshape(g.L, 4)[g.N :]
         return out.pin_zero_mode()
 
     def q_limit(self, V: SpectralField4) -> SpectralField4:
@@ -486,8 +489,8 @@ class FormEngine:
         diagonals are the rows of `limit_symbol`, whose exponentials are
         the limit stepper's heat factors.
         """
-        c = self.limit_symbol * coefficients(W)
-        out = field_from_coefficients(self.geometry, {a: c[a] for a in (0, 1, -1)})
+        c = self.limit_symbol[..., self.geometry.N :] * _coefficients(W, slice(None))
+        out = _assemble(self.geometry, {a: c[a] for a in (0, 1, -1)})
         return (out + self.a2_symbol(underline_part(W))).pin_zero_mode()
 
     # -- resonant trilinear pairing -------------------------------------------------

@@ -15,13 +15,10 @@ over one step the homogeneous part satisfies
 exactly (the buoyancy part is skew), so the dissipation ledger charges
 the linear part by this polarization identity and only the O(dt)
 nonlinear displacement is charged by quadrature.  Every operator of a
-step acts per mode and keeps a field real, so a step integrates the half
-spectrum h = V[:, :, N:] (the n3 >= 0 modes the transforms read): the
-propagators and the Leray projection hold L L (N + 1) of the L^3 modes,
-the stages run the half-lattice product kernel of `fields`, and V_new is
-mirrored to the full lattice once.  Stage 1 goes through the public
-`convolve_quadratic(V, V)`, which checks that V is a real field; the
-ledger's norms are sums over the full lattice.
+step acts per mode and keeps a field real, so the propagators hold the
+L L (N + 1) stored modes n3 >= 0 of a field (the generator at -n is the
+one at n), and every stage is the public `convolve_quadratic` followed by
+`leray_project`.
 
 The limit system is advanced with the same Lawson scheme but diagonal
 heat factors: the horizontal average is a closed-form vertical heat flow,
@@ -34,6 +31,11 @@ row by row; the e_0 row of the transport needs no Leray projection, since
 nonlinearity is minus the tilde-output limit forms of `forms`,
 q_tilde1(C) + q_tilde2(und, C), on the stack itself: the stepper
 assembles no field in it and calls no `fields` kernel.
+
+A checkpoint stores V on the full lattice: `write_checkpoint` mirrors the
+stored modes onto n3 < 0, and `read_checkpoint` checks that a payload,
+which comes from outside the program, is a real field before it keeps
+the modes n3 >= 0.
 """
 
 from __future__ import annotations
@@ -49,11 +51,9 @@ from scipy.linalg import expm
 
 from .fields import (
     SpectralField4,
-    _convolve_half,
-    _lattice,
-    _leray,
     convolve_quadratic,
     l2_norm,
+    leray_project,
     sobolev_norm,
     to_physical,
 )
@@ -126,7 +126,7 @@ def grad_linf(U: SpectralField4) -> float:
     g = U.geometry
     k1, k2, k3 = g.check_grid
     total = None
-    for kk in (k1, k2, k3):
+    for kk in (k1, k2, k3[..., g.N :]):
         block = SpectralField4(g, 1j * kk[..., None] * U.coeffs)
         sq = np.sum(to_physical(block).values ** 2, axis=-1)
         total = sq if total is None else total + sq
@@ -176,10 +176,9 @@ def _step_size(dt: float) -> float:
 
 
 class FilteredStepper:
-    """Lawson-RK4 integrator of the filtered system at fixed (nu, eps, dt),
-    on the half spectrum h = V[:, :, N:]: the generator at -n is the one
-    at n (the symbols are even in n), so the propagators hold the modes of
-    h only."""
+    """Lawson-RK4 integrator of the filtered system at fixed (nu, eps, dt)
+    on the stored modes n3 >= 0: the symbols are even in n, so the
+    generator at -n is the one at n."""
 
     def __init__(self, engine: FormEngine, eps: float, dt: float):
         self.dt = _step_size(dt)
@@ -187,20 +186,16 @@ class FilteredStepper:
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive (inf for no penalization), got {self.eps}")
         self.engine = engine
-        self.geometry = g = engine.geometry
+        self.geometry = engine.geometry
         self.nu = engine.nu
         mats = self._generator()
         self._E_half = expm(0.5 * self.dt * mats)
         self._E_full = expm(self.dt * mats)
         self._E_full_inv = np.linalg.inv(self._E_full)
-        # Leray on h: the check frequencies of n3 >= 0, |ncheck|^2 = 1 at n = 0
-        k1, k2, k3 = g.check_grid
-        ksq = np.where(g.mask_zero, 1.0, g.check_sq)
-        self._freqs = (k1, k2, k3[..., g.N :], ksq[:, :, g.N :])
 
     def _generator(self) -> np.ndarray:
-        """(L L (N + 1), 4, 4) linear part per mode of h, diag(A2) - (1/eps)
-        PA, from the engine's A2 symbol (`a2_diag`) and PA stack
+        """(L L (N + 1), 4, 4) linear part per stored mode, diag(A2) -
+        (1/eps) PA, from the engine's A2 symbol (`a2_diag`) and PA stack
         (`basis.pa`)."""
         N = self.geometry.N
         mats = self.engine.basis.pa[:, :, N:].reshape(-1, 4, 4) * (-1.0 / self.eps)
@@ -208,24 +203,9 @@ class FilteredStepper:
             mats[:, j, j] += self.engine.a2_diag[:, :, N:].reshape(-1)
         return mats
 
-    def _apply(self, E: np.ndarray, h: np.ndarray) -> np.ndarray:
-        out = np.matmul(E, h.reshape(-1, 4)[..., None])
-        return out.reshape(h.shape)
-
-    def _project(self, h: np.ndarray) -> np.ndarray:
-        """The Leray projection of h, zero at n = 0."""
-        out = _leray(h, *self._freqs)
-        out[self.geometry.N, self.geometry.N, 0] = 0.0
-        return out
-
-    def _nonlinear(self, conv: np.ndarray) -> np.ndarray:
-        """Minus the Leray projection of a convolution in the layout of h."""
-        out = -1.0 * _leray(conv, *self._freqs)
-        out[self.geometry.N, self.geometry.N, 0] = 0.0
-        return out
-
-    def _full(self, h: np.ndarray) -> SpectralField4:
-        return _lattice(self.geometry, np.moveaxis(h, -1, 0))
+    def _apply(self, E: np.ndarray, W: SpectralField4) -> SpectralField4:
+        out = np.matmul(E, W.coeffs.reshape(-1, 4)[..., None])
+        return SpectralField4(self.geometry, out.reshape(W.coeffs.shape))
 
     @staticmethod
     def _check(coeffs: np.ndarray):
@@ -241,38 +221,27 @@ class FilteredStepper:
         if state.nu != self.nu or state.eps != self.eps:
             raise ValueError("state parameters do not match this stepper")
         dt = self.dt
-        g = self.geometry
         V = state.V
         self._check(V.coeffs)
         if enforce_cfl:
             _require_cfl(dt, V)
-        h = V.coeffs[:, :, g.N :]
 
         def rhs(W, tau):  # autonomous: no stage times
-            if W is h:  # stage 1: the public kernel checks that V is real
-                return self._nonlinear(convolve_quadratic(V, V).coeffs[:, :, g.N :])
-            conv = _convolve_half(g, np.moveaxis(W, -1, 0), 3)
-            return self._nonlinear(np.moveaxis(conv, 0, -1))
+            return -leray_project(convolve_quadratic(W, W))
 
         Eh, Ef = self._E_half, self._E_full
-        h_new, Efh = lawson_rk4(
-            h, rhs, lambda W: self._apply(Eh, W), lambda W: self._apply(Ef, W), dt
+        V_new, EfV = lawson_rk4(
+            V, rhs, lambda W: self._apply(Eh, W), lambda W: self._apply(Ef, W), dt
         )
-        h_new = self._project(h_new)
-        self._check(h_new)
-        V_new = self._full(h_new)
-        # conj turns the +0 imaginary part of an exact zero into -0, where
-        # per-mode arithmetic on n3 < 0 gives x - x = +0: the state keeps
-        # the bytes of a full-lattice step
-        V_new.coeffs[:, :, : g.N] += 0.0
+        V_new = leray_project(V_new, check_mean=False)
+        self._check(V_new.coeffs)
 
         if ledger is not None:
             # exact linear dissipation by polarization, averaged over the
             # two endpoint placements of the nonlinear displacement: from V
-            # to exp(dt L) V, and from exp(-dt L) V_new to V_new; the norms
-            # are sums over the full lattice
-            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(self._full(Efh)) ** 2
-            back = self._full(self._apply(self._E_full_inv, h_new))
+            # to exp(dt L) V, and from exp(-dt L) V_new to V_new
+            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
+            back = self._apply(self._E_full_inv, V_new)
             d1 = 0.5 * l2_norm(back) ** 2 - 0.5 * l2_norm(V_new) ** 2
             ledger.dissipated += 0.5 * (d0 + d1)
 
@@ -290,11 +259,11 @@ def solve_underline(U0: SpectralField4, nu: float, t: float) -> SpectralField4:
     component 4 is constant in time; a nonzero third component is rejected.
     """
     g = U0.geometry
-    line = U0.coeffs[g.N, g.N, :, :]
+    line = U0.coeffs[g.N, g.N]
     if np.max(np.abs(line[:, 2])) > 1e-12 * max(1.0, float(np.max(np.abs(line)))):
         raise ValueError("underline data must have zero third component")
     out = underline_part(U0)
-    f = np.exp(-nu * g.check_sq[g.N, g.N, :] * t)
+    f = np.exp(-nu * g.check_sq[g.N, g.N, g.N :] * t)
     out.coeffs[g.N, g.N, :, :2] *= f[:, None]
     return out
 
@@ -427,7 +396,7 @@ def _exp_cap(x: float) -> float:
 def _vertical_slices(field: SpectralField4, M3: int = 64) -> np.ndarray:
     """Horizontal spectra as functions of x3: array (M3, L, L, 4)."""
     g = field.geometry
-    c = np.moveaxis(field.coeffs, 2, 0)  # (L, L, L, 4) -> (n3, n1, n2, 4)
+    c = np.moveaxis(_mirrored(field), 2, 0)  # (L, L, L, 4) -> (n3, n1, n2, 4)
     big = np.zeros((M3, g.L, g.L, 4), dtype=np.complex128)
     idx = (np.arange(g.L) - g.N) % M3
     big[idx] = c
@@ -456,8 +425,9 @@ def _mixed_norm(
 
 def _vertical_sobolev(line_field: SpectralField4, s: float, comps=(0, 1)) -> float:
     g = line_field.geometry
-    w = (1.0 + g.check_sq[g.N, g.N, :]) ** s
-    line = line_field.coeffs[g.N, g.N, :, :]
+    w = (1.0 + g.check_sq[g.N, g.N, g.N :]) ** s
+    w[1:] *= 2.0  # the mode n3 > 0 and its mirror -n3
+    line = line_field.coeffs[g.N, g.N]
     tot = sum(np.sum(w * np.abs(line[:, c]) ** 2) for c in comps)
     return float(np.sqrt(tot))
 
@@ -547,7 +517,23 @@ _VERSION = 3
 # the numerator and denominator of each a_i^2 as unsigned 64-bit integers:
 # the float periods do not determine the rational squared periods.  v3 keeps
 # the v2 header; its payload is V, where v1 and v2 store U = L(-t/eps) V.
+# Every payload holds all L^3 modes in lexicographic order.
 _HEADER_BYTES = {1: 64, 2: 112, 3: 112}
+# a payload must be a real field: its Hermitian defect (l2) is at most this
+# fraction of its l2 norm (the states `frspec simulate` writes sit below 1e-16)
+_HERMITIAN_TOL = 1e-8
+
+
+def _mirrored(field: SpectralField4) -> np.ndarray:
+    """The (L, L, L, 4) coefficients of a real field over the whole lattice:
+    the stored modes, and conj V_hat(-n) on n3 < 0, plus 0.0, which writes
+    an exact zero as +0, as per-mode arithmetic on those modes gives it."""
+    g, h = field.geometry, field.coeffs
+    N = g.N
+    out = np.empty((g.L, g.L, g.L, 4), dtype=np.complex128)
+    out[:, :, N:] = h
+    out[:, :, :N] = np.conj(h[::-1, ::-1, N:0:-1]) + 0.0
+    return out
 
 
 def checkpoint_periods(g: TorusGeometry) -> list[int]:
@@ -571,7 +557,7 @@ def write_checkpoint(path, state: SimState) -> None:
         "<7d", float(g.N), a[0], a[1], a[2], state.nu, state.eps, state.t
     )
     header += struct.pack("<6Q", *exact)
-    body = np.ascontiguousarray(state.V.coeffs, dtype=np.complex128)
+    body = _mirrored(state.V)
     # lexicographic mode order is the C order of the (i1, i2, i3) array
     with open(path, "wb") as fh:
         fh.write(header)
@@ -583,7 +569,10 @@ def read_checkpoint(path) -> SimState:
     is returned as V = L(t/eps) U.  A v1 file stores only the float
     periods; its squared periods are recovered as the nearest fractions
     with denominator at most 10^9, which need not be the ones it was
-    written from."""
+    written from.  ValueError, naming the file, for a header or payload
+    that cannot be a state: among them a nu outside [0, inf), a t that is
+    not finite, and a payload that is not a real field (a NaN included),
+    since only its n3 >= 0 modes are kept."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES[_VERSION])
         if head[:4] != _MAGIC:
@@ -599,6 +588,10 @@ def read_checkpoint(path) -> SimState:
         Nf, a1, a2, a3, nu, eps, t = struct.unpack_from("<7d", head, 8)
         if not eps > 0:
             raise ValueError(f"checkpoint {path}: eps = {eps} is not positive")
+        if not 0 <= nu < math.inf:  # NaN included
+            raise ValueError(f"checkpoint {path}: nu = {nu} is not finite and nonnegative")
+        if not math.isfinite(t):
+            raise ValueError(f"checkpoint {path}: t = {t} is not finite")
         if not (math.isfinite(Nf) and Nf >= 1 and Nf == int(Nf)):
             raise ValueError(f"checkpoint {path}: N = {Nf} is not an integer >= 1")
         N = int(Nf)
@@ -618,8 +611,19 @@ def read_checkpoint(path) -> SimState:
         raise ValueError(
             f"checkpoint {path}: payload is {len(raw)} bytes, expected {want} for N = {N}"
         )
-    coeffs = np.frombuffer(raw, dtype="<c16").reshape(L, L, L, 4).copy()
-    V = SpectralField4(g, coeffs.astype(np.complex128))
+    coeffs = np.frombuffer(raw, dtype="<c16").reshape(L, L, L, 4).astype(np.complex128)
+    # l2 norms of V_hat(n) - conj(V_hat(-n)) over n3 >= 0 and of V_hat, as
+    # real dot products: NaN for a NaN or inf payload
+    with np.errstate(invalid="ignore"):
+        miss = (coeffs[:, :, N:] - np.conj(coeffs[::-1, ::-1, N::-1])).ravel().view(np.float64)
+    flat = coeffs.ravel().view(np.float64)
+    defect, size = np.sqrt(miss @ miss), np.sqrt(flat @ flat)
+    if not defect <= _HERMITIAN_TOL * size:
+        raise ValueError(
+            f"checkpoint {path}: payload is not a real field: Hermitian defect "
+            f"{defect:.3e}, l2 norm {size:.3e}"
+        )
+    V = SpectralField4(g, coeffs[:, :, N:].copy())
     if version < 3:
         V = apply_filter(t / eps, V)
     return SimState(t, V, nu, eps)

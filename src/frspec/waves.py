@@ -28,6 +28,16 @@ index makes evec[a] the vector e_a for a in (0, 1, -1), and
 same way.  The symbol of P A itself is written once, as the
 (L, L, L, 4, 4) stack `EigenBasis.pa`: `pa_symbol`, `apply_pa` and the
 filtered stepper's generator all read it.
+
+The basis stacks and the coefficient stacks cover the full lattice,
+since the resonance tables gather coefficients at any mode; fields store
+only the modes n3 >= 0 (see `fields`).  The per-mode operators (the
+projections, `apply_filter`, `apply_pa`) act on the stored modes alone,
+and this module owns the one conversion of coefficients between the
+layouts: `coefficients` evaluates n3 >= 0 and fills n3 < 0 by the symmetry of a
+real field, c_0(-n) = -conj c_0(n) and c_pm(-n) = conj c_mp(n) (since
+e_0(-n) = -e_0(n) and e_pm(-n) = e_pm(n) = conj e_mp(n), entry for
+entry), and `field_from_coefficients` reads the n3 >= 0 modes of a stack.
 """
 
 from __future__ import annotations
@@ -176,8 +186,9 @@ def pa_symbol(geometry: TorusGeometry, n) -> np.ndarray:
 
 def apply_pa(field: SpectralField4) -> SpectralField4:
     """Apply the symbol of P A to every mode (zero at the zero mode)."""
-    pa = EigenBasis.of(field.geometry).pa
-    return SpectralField4(field.geometry, np.einsum("xyzij,xyzj->xyzi", pa, field.coeffs))
+    g = field.geometry
+    pa = EigenBasis.of(g).pa[:, :, g.N :]
+    return SpectralField4(g, np.einsum("xyzij,xyzj->xyzi", pa, field.coeffs))
 
 
 # -- eigen coefficients ---------------------------------------------------------
@@ -189,24 +200,47 @@ def coefficients(field: SpectralField4) -> np.ndarray:
     One (3, L, L, L) array over the full lattice (zero where n_h = 0), rows
     c_0, c_+, c_- like `EigenBasis.evec`: c[a] is c_a for a in (0, 1, -1).
     """
-    return _coefficients(field, slice(None))
+    return _full_rows(_coefficients(field, slice(None)))
+
+
+def _full_rows(stored: np.ndarray) -> np.ndarray:
+    """The full-lattice rows (R, L, L, L) of the coefficient rows
+    (R, L, L, N + 1) on the stored modes of a real field: the whole stack
+    (R = 3) or row c_0 alone (R = 1).  n3 < 0 holds c_0(-n) = -conj c_0(n)
+    and c_pm(-n) = conj c_mp(n)."""
+    R, L, _, K = stored.shape
+    N = K - 1
+    out = np.empty((R, L, L, L), dtype=np.complex128)
+    out[..., N:] = stored
+    opposite = [0, 2, 1][:R]  # the row of c_-a for each row c_a
+    out[..., :N] = np.conj(stored[opposite, ::-1, ::-1, N:0:-1])
+    out[0, ..., :N] *= -1.0
+    return out
 
 
 def _coefficients(field: SpectralField4, rows: slice) -> np.ndarray:
-    """The rows `rows` of the `coefficients` stack, and only those."""
-    evec_conj = EigenBasis.of(field.geometry).evec_conj[rows]
+    """The rows `rows` of the `coefficients` stack on the stored modes,
+    (R, L, L, N + 1), and only those."""
+    g = field.geometry
+    evec_conj = EigenBasis.of(g).evec_conj[rows, :, :, g.N :]
     return np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec_conj)
 
 
 def field_from_coefficients(
     geometry: TorusGeometry, coeffs: dict[int, np.ndarray]
 ) -> SpectralField4:
-    """Assemble sum_a c_a e_a into a spectral field, adding the terms in the
-    order of `coeffs`, a map from the sign a in (0, 1, -1) to c_a."""
-    basis = EigenBasis.of(geometry)
+    """Assemble sum_a c_a e_a into a spectral field from the n3 >= 0 modes
+    of the full-lattice rows c_a, adding the terms in the order of
+    `coeffs`, a map from the sign a in (0, 1, -1) to c_a."""
+    return _assemble(geometry, {a: c[..., geometry.N :] for a, c in coeffs.items()})
+
+
+def _assemble(geometry: TorusGeometry, coeffs: dict[int, np.ndarray]) -> SpectralField4:
+    """`field_from_coefficients` on rows (L, L, N + 1) of the stored modes."""
+    evec = EigenBasis.of(geometry).evec[:, :, :, geometry.N :]
     out = zero_field(geometry)
     for a, c in coeffs.items():
-        out.coeffs += c[..., None] * basis.evec[a]
+        out.coeffs += c[..., None] * evec[a]
     return out
 
 
@@ -223,10 +257,12 @@ class KernelDecomposition:
 
 
 def _underline_line(field: SpectralField4) -> np.ndarray:
-    """The vertical line (L, 4) of `underline_part(field)`: components
-    (1, 2, 4) of the n_h = 0, n != 0 modes, zero elsewhere."""
+    """The vertical line (L, 4), n3 = -N..N, of `underline_part(field)`:
+    components (1, 2, 4) of the n_h = 0, n != 0 modes, zero elsewhere; the
+    mode -n3 is the conjugate of n3."""
     g = field.geometry
-    line = field.coeffs[g.N, g.N].copy()
+    stored = field.coeffs[g.N, g.N]  # n3 = 0..N
+    line = np.concatenate([np.conj(stored[:0:-1]), stored])
     line[:, 2] = 0.0
     line[g.N] = 0.0
     return line
@@ -236,20 +272,20 @@ def underline_part(field: SpectralField4) -> SpectralField4:
     """Horizontal-average part: n_h = 0 modes, components (1, 2, 4) kept."""
     g = field.geometry
     out = zero_field(g)
-    out.coeffs[g.N, g.N] = _underline_line(field)
+    out.coeffs[g.N, g.N] = _underline_line(field)[g.N :]
     return out
 
 
 def bar_part(field: SpectralField4) -> SpectralField4:
     """Kernel part on n_h != 0 modes: the e_0 component."""
     (c0,) = _coefficients(field, slice(0, 1))
-    return field_from_coefficients(field.geometry, {0: c0})
+    return _assemble(field.geometry, {0: c0})
 
 
 def osc_part(field: SpectralField4) -> SpectralField4:
     """Wave part: the e_+ and e_- components."""
     cp, cm = _coefficients(field, slice(1, 3))
-    return field_from_coefficients(field.geometry, {1: cp, -1: cm})
+    return _assemble(field.geometry, {1: cp, -1: cm})
 
 
 def decompose(field: SpectralField4, div_tol: float = 1e-8) -> KernelDecomposition:
@@ -274,11 +310,12 @@ def apply_filter(tau: float, field: SpectralField4) -> SpectralField4:
     g = field.geometry
     basis = EigenBasis.of(g)
     cp, cm = _coefficients(field, slice(1, 3))
-    phase = np.exp(1j * tau * basis.omega)
+    phase = np.exp(1j * tau * basis.omega[..., g.N :])
+    ep, em = basis.ep[..., g.N :, :], basis.em[..., g.N :, :]
     out = field.coeffs.copy()
     # remove the oscillating components, re-add them with their phases
-    out -= cp[..., None] * basis.ep
-    out -= cm[..., None] * basis.em
-    out += (cp * phase)[..., None] * basis.ep
-    out += (cm * np.conj(phase))[..., None] * basis.em
+    out -= cp[..., None] * ep
+    out -= cm[..., None] * em
+    out += (cp * phase)[..., None] * ep
+    out += (cm * np.conj(phase))[..., None] * em
     return SpectralField4(g, out)

@@ -6,14 +6,15 @@ from frspec.geometry import TorusGeometry
 
 
 def random_field(geometry, seed=0, divergence_free=True, amplitude=None, spectrum_r=0.0):
-    """Zero-mean Hermitian random field, optionally Leray-projected."""
+    """Zero-mean real random field, optionally Leray-projected: the real
+    part (V_hat(n) + conj V_hat(-n)) / 2 of a complex Gaussian draw on the
+    full lattice, stored on n3 >= 0."""
     rng = np.random.default_rng(seed)
-    L = geometry.L
+    L, N = geometry.L, geometry.N
     raw = rng.standard_normal((L, L, L, 4)) + 1j * rng.standard_normal((L, L, L, 4))
     if spectrum_r:
         raw = raw * (1.0 + geometry.check_sq[..., None]) ** (-spectrum_r / 2.0)
-    f = SpectralField4(geometry, raw)
-    f.make_hermitian()
+    f = SpectralField4(geometry, 0.5 * (raw[:, :, N:] + np.conj(raw[::-1, ::-1, N::-1])))
     f.pin_zero_mode()
     if divergence_free:
         f = leray_project(f)
@@ -22,6 +23,31 @@ def random_field(geometry, seed=0, divergence_free=True, amplitude=None, spectru
 
         f = (amplitude / l2_norm(f)) * f
     return f
+
+
+def full_lattice(field):
+    """The (L, L, L, 4) coefficients of a real field over the whole
+    lattice, indexed by n + N: the stored modes n3 >= 0, and conj V_hat(-n)
+    on n3 < 0."""
+    g = field.geometry
+    N, h = g.N, field.coeffs
+    out = np.empty((g.L, g.L, g.L, 4), dtype=np.complex128)
+    out[:, :, N:] = h
+    out[:, :, :N] = np.conj(h[::-1, ::-1, N:0:-1])
+    return out
+
+
+def from_lattice(geometry, coeffs):
+    """The field whose full-lattice coefficients (L, L, L, 4) are `coeffs`
+    (of a real field): its modes n3 >= 0."""
+    return SpectralField4(geometry, coeffs[:, :, geometry.N :].copy())
+
+
+def stored(geometry, n):
+    """The array index (n1 + N, n2 + N, n3) of a mode with n3 >= 0 in the
+    stored layout of a field."""
+    assert n[2] >= 0
+    return (n[0] + geometry.N, n[1] + geometry.N, n[2])
 
 
 def pair_stream(N, underline=False, chunk=1 << 16):

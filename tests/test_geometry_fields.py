@@ -25,7 +25,7 @@ from frspec.geometry import TorusGeometry, check_frequency
 from frspec.solvers import cfl_bound
 from frspec.waves import bar_part, underline_part
 
-from conftest import random_field
+from conftest import from_lattice, full_lattice, random_field, stored
 
 
 class TestCheckFrequency:
@@ -56,12 +56,12 @@ class TestCheckFrequency:
             with pytest.raises(ValueError, match="outside the truncation N = 4"):
                 fn(n)
 
-    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("real_vec", [True, False])
     @pytest.mark.parametrize("n", [(5, 0, 1), (-5, 0, 1), (0, 0, 5), (0, 0, -5)])
-    def test_single_mode_outside_the_truncation_rejected(self, n, hermitian):
+    def test_single_mode_outside_the_truncation_rejected(self, n, real_vec):
         g = TorusGeometry((1, 1, 1), 4)
         with pytest.raises(ValueError, match="outside the truncation N = 4"):
-            single_mode_field(g, n, [1, 0, 0, 0], hermitian=hermitian)
+            single_mode_field(g, n, [1, 0, 0, 0] if real_vec else [1j, 0, 0, 0])
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -73,16 +73,16 @@ class TestCheckFrequency:
 class TestLeray:
     def test_parallel_mode_killed(self, unit_torus_4):
         # n = (1,0,0): the ncheck-parallel part of (1,2,3) is the first slot
-        f = single_mode_field(unit_torus_4, (1, 0, 0), [1, 2, 3, 4], hermitian=False)
+        f = single_mode_field(unit_torus_4, (1, 0, 0), [1, 2, 3, 4])
         out = leray_project(f)
-        got = out.coeffs[5, 4, 4]
+        got = out.coeffs[stored(unit_torus_4, (1, 0, 0))]
         assert np.allclose(got, [0, 2, 3, 4], atol=1e-14)
 
     def test_parallel_input_annihilated(self, unit_torus_4):
         # n = (1,1,0), V = (1,1,0,7): velocity parallel to ncheck
-        f = single_mode_field(unit_torus_4, (1, 1, 0), [1, 1, 0, 7], hermitian=False)
+        f = single_mode_field(unit_torus_4, (1, 1, 0), [1, 1, 0, 7])
         out = leray_project(f)
-        got = out.coeffs[5, 5, 4]
+        got = out.coeffs[stored(unit_torus_4, (1, 1, 0))]
         assert np.allclose(got, [0, 0, 0, 7], atol=1e-14)
 
     def test_idempotent_and_fourth_untouched(self, unit_torus_4):
@@ -91,7 +91,7 @@ class TestLeray:
         twice = leray_project(once)
         assert np.max(np.abs(once.coeffs - twice.coeffs)) < 1e-14
         inner = f.coeffs[..., 3].copy()
-        inner[unit_torus_4.mask_zero] = 0.0
+        inner[stored(unit_torus_4, (0, 0, 0))] = 0.0
         assert np.max(np.abs(once.coeffs[..., 3] - inner)) < 1e-15
 
     def test_self_adjoint_per_mode(self, unit_torus_4):
@@ -103,7 +103,7 @@ class TestLeray:
 
     def test_rejects_nonzero_mean(self, unit_torus_4):
         f = zero_field(unit_torus_4)
-        f.coeffs[4, 4, 4, 0] = 1.0
+        f.coeffs[stored(unit_torus_4, (0, 0, 0)) + (0,)] = 1.0
         with pytest.raises(ValueError):
             leray_project(f)
 
@@ -129,7 +129,7 @@ class TestTransforms:
         phys = to_physical(f)
         M = phys.grid_points
         phys_energy = np.sum(phys.values**2) * (g.volume / M**3)
-        spec_energy = np.sum(np.abs(f.coeffs) ** 2) * g.volume
+        spec_energy = l2_norm(f) ** 2 * g.volume
         assert abs(phys_energy - spec_energy) < 1e-12 * spec_energy
 
     def test_grid_too_small_rejected(self, unit_torus_4):
@@ -153,17 +153,17 @@ class TestConvolution:
         b_vec = np.array([1, 0, 0, 2])
         A = single_mode_field(g, k, a_vec)
         B = single_mode_field(g, m, b_vec)
-        out = convolve_quadratic(A, B)
+        out = full_lattice(convolve_quadratic(A, B))
         mc = m / g.a
         for sk, sm in itertools.product((1, -1), (1, -1)):
             a = a_vec if sk == 1 else np.conj(a_vec)
             b = b_vec if sm == 1 else np.conj(b_vec)
             expect = 1j * sm * (a[:3] @ mc) * b
             mode = tuple(sk * k + sm * m + g.N)
-            assert np.max(np.abs(out.coeffs[mode] - expect)) < 1e-13
-            out.coeffs[mode] = 0.0
+            assert np.max(np.abs(out[mode] - expect)) < 1e-13
+            out[mode] = 0.0
         # nothing anywhere else
-        assert l2_norm(out) < 1e-13
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_skew_cancellation(self, unit_torus_4):
         A = random_field(unit_torus_4, seed=6)  # divergence-free
@@ -183,36 +183,6 @@ class TestConvolution:
         out = convolve_quadratic(A, B)
         assert l2_norm(out) < 1e-14
 
-    @pytest.mark.parametrize("n", [(1, 2, 0), (1, 2, 3)], ids=["n3=0", "n3>0"])
-    @pytest.mark.parametrize(
-        "kernel",
-        [to_physical, lambda f: convolve_quadratic(f, f), lambda f: transport(f, f)],
-        ids=["to_physical", "convolve_quadratic", "transport"],
-    )
-    def test_non_hermitian_input_raises(self, unit_torus_4, n, kernel):
-        # the transforms read only n3 >= 0 (the real part on n3 = 0), so a
-        # field that is not real would silently become another one
-        f = single_mode_field(unit_torus_4, n, [1, 0, 0, 0], hermitian=False)
-        with pytest.raises(ValueError, match="not a real field"):
-            kernel(f)
-        with pytest.raises(ValueError, match="not a real field"):
-            kernel(1e-10 * f)
-        kernel(1e-13 * f)  # below the floor: the size of a rounding residue
-
-    @pytest.mark.parametrize(
-        "kernel",
-        [to_physical, lambda f: convolve_quadratic(f, f), lambda f: transport(f, f), cfl_bound],
-        ids=["to_physical", "convolve_quadratic", "transport", "cfl_bound"],
-    )
-    def test_nan_in_the_unread_half_raises(self, unit_torus_4, kernel):
-        # the transforms never read n3 < 0, so a NaN there would give a
-        # finite answer (cfl_bound returned 1.26e-3 here); the Hermitian defect
-        # is NaN, which the check must not pass
-        f = random_field(unit_torus_4, seed=17)
-        f.coeffs[1, 2, 3, 0] = np.nan
-        with pytest.raises(ValueError, match="not a real field"):
-            kernel(f)
-
 
 def _advective_oracle(A, B, stencil="full"):
     """The advective kernel a . grad B with numpy complex transforms, kept as
@@ -229,17 +199,16 @@ def _advective_oracle(A, B, stencil="full"):
         return out
 
     k1, k2, k3 = g.check_grid
-    v = B.coeffs
+    v = full_lattice(B)
     grad = np.empty(v.shape + (3,), dtype=np.complex128)
     grad[..., 0] = 1j * k1[..., None] * v
     grad[..., 1] = 1j * k2[..., None] * v
     grad[..., 2] = 0.0 if stencil == "horizontal" else 1j * k3[..., None] * v
-    big_a = np.fft.ifftn(embed(A.coeffs[..., :3]), axes=(0, 1, 2)) * (M**3)
+    big_a = np.fft.ifftn(embed(full_lattice(A)[..., :3]), axes=(0, 1, 2)) * (M**3)
     big_g = np.fft.ifftn(embed(grad.reshape(L, L, L, 12)), axes=(0, 1, 2)) * (M**3)
     prod = np.einsum("xyzj,xyzcj->xyzc", big_a, big_g.reshape(M, M, M, 4, 3))
     hat = np.fft.fftn(prod, axes=(0, 1, 2)) / (M**3)
-    out = SpectralField4(g, hat[np.ix_(idx, idx, idx)])
-    return out.pin_zero_mode()
+    return from_lattice(g, hat[np.ix_(idx, idx, idx)]).pin_zero_mode()
 
 
 class TestDivergenceFormKernel:
@@ -281,10 +250,10 @@ class TestDivergenceFormKernel:
         M = fields._pad_size(geometry.N)
 
         def samples(F):
-            return fields._to_grid(geometry, fields._half(geometry, F.coeffs), M)
+            return fields._to_grid(geometry, np.moveaxis(F.coeffs, -1, 0), M)
 
         def divergence(prod):
-            return fields._lattice(geometry, fields._divergence(geometry, prod, twelve))
+            return SpectralField4(geometry, np.moveaxis(fields._divergence(geometry, prod, twelve), 0, -1))
 
         a = samples(A)
         prod = (a[:3, None] * a[None]).reshape((12,) + a.shape[1:])
@@ -299,7 +268,7 @@ def _dense_kernel(A, B, J, symmetrize=False):
     """The product kernel as it was before it derived its products: every
     component of both operands transformed, all 4 J products a_j B_c (plus
     b_j A_c if `symmetrize`) formed and transformed, then
-    i sum_j ncheck_j P_hat_jc; the full lattice of that, mirrored."""
+    i sum_j ncheck_j P_hat_jc."""
     from scipy.fft import irfftn, rfftn
 
     g = A.geometry
@@ -309,7 +278,7 @@ def _dense_kernel(A, B, J, symmetrize=False):
 
     def samples(F):
         pad = np.zeros((4, M, M, M // 2 + 1), dtype=np.complex128)
-        pad[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(F.coeffs[:, :, N:], -1, 0)
+        pad[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(F.coeffs, -1, 0)
         return irfftn(pad, s=(M, M, M), axes=(1, 2, 3), norm="forward")
 
     a, b = samples(A), samples(B)
@@ -321,11 +290,7 @@ def _dense_kernel(A, B, J, symmetrize=False):
     ks = (k1, k2, k3[..., N:])
     half = 1j * sum(ks[j] * hat[4 * j : 4 * j + 4] for j in range(J))
     half[:, N, N, 0] = 0.0
-    h = np.moveaxis(half, 0, -1)
-    out = np.empty((L, L, L, 4), dtype=np.complex128)
-    out[:, :, N:] = h
-    out[:, :, :N] = np.conj(h[::-1, ::-1, N:0:-1])
-    return out
+    return np.moveaxis(half, 0, -1)
 
 
 class TestLiveComponents:
@@ -368,16 +333,17 @@ class TestLiveComponents:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_is_not_skipped(self, unit_torus_4, monkeypatch, bad):
-        # components 3 and 4 of a bar field are zero; a non-finite value
-        # there is still seen: the check rejects it, and the row counts as live
+        # components 3 and 4 of a bar field are zero; a non-finite value in
+        # component 4 makes its row live: it is transformed and reaches the
+        # output
         F = bar_part(random_field(unit_torus_4, seed=63))
-        F.coeffs[1, 2, 5, 3] = F.coeffs[7, 6, 3, 3] = bad
+        F.coeffs[1, 2, 1, 3] = F.coeffs[7, 6, 3, 3] = bad
+        rows = []
+        irfftn = fields.irfftn
+        monkeypatch.setattr(fields, "irfftn", lambda x, *a, **k: rows.append(len(x)) or irfftn(x, *a, **k))
         with np.errstate(invalid="ignore"):
-            for call in (convolve_quadratic, lambda A, B: convolve_quadratic(A, B, "horizontal"), transport):
-                with pytest.raises(ValueError, match="not a real field"):
-                    call(F, F)
-        monkeypatch.setattr(fields, "_half", lambda g, coeffs: np.moveaxis(coeffs[:, :, g.N :], -1, 0))
-        assert fields._operands(F, F, 3)[2] == (True, True, False, True)
+            out = convolve_quadratic(F, F)
+        assert rows == [3] and not np.all(np.isfinite(out.coeffs))
 
 
 class TestTransformCount:
@@ -431,19 +397,39 @@ class TestTransformCount:
 
 
 class TestFieldStructure:
-    def test_hermitian_enforcement(self, unit_torus_4):
-        f = random_field(unit_torus_4, seed=8, divergence_free=False)
-        assert f.hermitian_defect() < 1e-14
+    def test_samples_are_the_real_field_of_the_full_lattice(self, unit_torus_4):
+        # the stored modes n3 >= 0 determine the real field: its samples are
+        # the complex transform of the mirrored full lattice
+        g = unit_torus_4
+        f = random_field(g, seed=8, divergence_free=False)
         phys = to_physical(f)
+        M = phys.grid_points
+        idx = (np.arange(g.L) - g.N) % M
+        big = np.zeros((M, M, M, 4), dtype=np.complex128)
+        big[np.ix_(idx, idx, idx)] = full_lattice(f)
+        want = np.fft.ifftn(big, axes=(0, 1, 2)) * M**3
         assert np.isrealobj(phys.values)
+        assert np.max(np.abs(want.imag)) < 1e-13
+        assert np.max(np.abs(phys.values - want.real)) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(9, 9, 9, 4), (9, 9, 4, 4), (9, 9, 6, 4), (9, 9, 5, 3)])
+    def test_only_the_stored_half_is_a_field(self, unit_torus_4, shape):
+        # L = 9, N = 4: the stored modes are an (L, L, N + 1, 4) array
+        assert zero_field(unit_torus_4).coeffs.shape == (9, 9, 5, 4)
+        with pytest.raises(ValueError, match=r"must have shape \(9, 9, 5, 4\)"):
+            SpectralField4(unit_torus_4, np.zeros(shape, dtype=np.complex128))
 
     def test_zero_mode_pinned(self, unit_torus_4):
         f = random_field(unit_torus_4, seed=9)
         assert f.zero_mean()
 
     def test_sobolev_norm_single_mode(self, unit_torus_4):
-        f = single_mode_field(unit_torus_4, (1, 0, 0), [0, 0, 0, 1], hermitian=False)
-        assert abs(sobolev_norm(1.0, f) - np.sqrt(2.0)) < 1e-14
+        # a real single-mode field has two modes, n and -n; on n3 = 0 both
+        # are stored, on n3 > 0 only n is
+        f = single_mode_field(unit_torus_4, (1, 0, 0), [0, 0, 0, 1])
+        assert abs(sobolev_norm(1.0, f) - 2.0) < 1e-14
+        f = single_mode_field(unit_torus_4, (1, 0, 1), [0, 0, 0, 1])
+        assert abs(sobolev_norm(1.0, f) - np.sqrt(6.0)) < 1e-14
 
     def test_sobolev_zero_is_l2(self, unit_torus_4):
         f = random_field(unit_torus_4, seed=10)
@@ -459,8 +445,8 @@ class TestFieldStructure:
 )
 def test_leray_projects_onto_divergence_free(n, vec):
     g = TorusGeometry((1, 1, 1), 4)
-    f = single_mode_field(g, n, vec, hermitian=False)
-    out = leray_project(f)
-    kc = np.asarray(n, dtype=float) / g.a
-    div = kc @ out.coeffs[tuple(np.add(n, g.N))][:3]
-    assert abs(div) < 1e-12
+    f = single_mode_field(g, n, vec)
+    out = full_lattice(leray_project(f))
+    for m in (np.array(n), -np.array(n)):
+        kc = m / g.a
+        assert abs(kc @ out[tuple(m + g.N)][:3]) < 1e-12

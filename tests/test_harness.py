@@ -10,7 +10,7 @@ import pytest
 import frspec.cli as cli_module
 import frspec.harness as harness
 from frspec.cli import main as cli_main
-from frspec.fields import divergence_max, l2_norm
+from frspec.fields import SpectralField4, divergence_max, l2_norm
 from frspec.forms import FormEngine
 from frspec.harness import (
     ConfigError,
@@ -102,7 +102,8 @@ class TestInitialData:
         f, report = random_initial_data(cfg)
         assert f.zero_mean()
         assert divergence_max(f) < 1e-12
-        assert f.hermitian_defect() < 1e-12
+        plane = f.coeffs[:, :, 0]  # holds n and -n: Hermitian for a real field
+        assert np.max(np.abs(plane - np.conj(plane[::-1, ::-1]))) < 1e-12
         total_sq = (
             report["norm_underline"] ** 2
             + report["norm_bar"] ** 2
@@ -116,9 +117,12 @@ class TestInitialData:
         f1, _ = random_initial_data(shallow)
         f2, _ = random_initial_data(steep)
         g = shallow.geometry()
-        hi = np.abs(g.check_sq) > 20
-        hi_frac1 = np.sum(np.abs(f1.coeffs[hi]) ** 2) / l2_norm(f1) ** 2
-        hi_frac2 = np.sum(np.abs(f2.coeffs[hi]) ** 2) / l2_norm(f2) ** 2
+        hi = (np.abs(g.check_sq) > 20)[..., g.N :, None]
+
+        def hi_frac(f):
+            return l2_norm(SpectralField4(g, np.where(hi, f.coeffs, 0.0))) ** 2 / l2_norm(f) ** 2
+
+        hi_frac1, hi_frac2 = hi_frac(f1), hi_frac(f2)
         assert hi_frac2 < 0.1 * hi_frac1
 
 
@@ -223,6 +227,31 @@ class TestSweep:
         rep = run_sweep(cfg)
         assert all(math.isinf(r[0]) for r in rep.rows)
         assert "inf" in rep.summary["errors"]
+
+
+    def test_limit_snapshots_assembled_once(self, monkeypatch):
+        # the eps = inf rows difference each interior snapshot against its
+        # neighbours; a window of three assembles every snapshot once, and
+        # the rows keep the bytes of assembling them per residual
+        from frspec.solvers import LimitTrajectory
+
+        over = dict(SMALL, T=0.1, eps_list=(math.inf,))
+        cfg = replace(SimConfig(), **over).validate()
+        total, seen, trajs = LimitTrajectory.total, [], []
+
+        def spy(traj, i):
+            seen.append(i)
+            trajs.append(traj)
+            return total(traj, i)
+
+        monkeypatch.setattr(LimitTrajectory, "total", spy)
+        rep = run_sweep(cfg)
+        assert sorted(seen) == list(range(5)) and len(rep.rows) == 3
+        traj, eng = trajs[0], FormEngine(cfg.geometry(), cfg.nu)
+        for i, row in enumerate(rep.rows, 1):
+            dU = (1.0 / (traj.times[i + 1] - traj.times[i - 1])) * (total(traj, i + 1) - total(traj, i - 1))
+            U = total(traj, i)
+            assert row[1:3] == (traj.times[i], l2_norm(dU + (eng.q_limit(U) - eng.a2_limit(U))))
 
 
 class TestAudit:

@@ -64,3 +64,19 @@ def test_every_imported_name_is_used(name):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+def test_no_module_imports_a_private_name_of_fields():
+    # the fields kernels have one public entry per job (convolve_quadratic,
+    # transport, leray_project, ...); a private name of fields used
+    # elsewhere is a second path around them
+    for path in sorted(Path(frspec.__file__).parent.glob("*.py")):
+        if path.stem == "fields":
+            continue
+        private = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("fields", 1), ("frspec.fields", 0)):
+                private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "fields":
+                private += [node.attr] if node.attr.startswith("_") else []
+        assert private == [], (path.name, private)

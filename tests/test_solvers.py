@@ -49,7 +49,7 @@ from frspec.waves import (
     field_from_coefficients,
 )
 
-from conftest import random_field
+from conftest import from_lattice, full_lattice, random_field, stored
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,11 @@ def _osc(g, C):
     return field_from_coefficients(g, {1: C[1], -1: C[-1]})
 
 
+def _energy(g, coeffs):
+    """1/2 the squared l2 norm of the field with stored coefficients `coeffs`."""
+    return 0.5 * l2_norm(SpectralField4(g, coeffs)) ** 2
+
+
 class TestFilteredStepper:
     def test_pure_vertical_heat_is_exact(self, engine4, unit_torus_4):
         # underline data produces no transport, so the exact linear
@@ -76,7 +81,7 @@ class TestFilteredStepper:
         st = FilteredStepper(engine4, eps=1e-2, dt=0.1)
         state = SimState(0.0, V0.copy(), 1.0, 1e-2)
         state = st.step(state, enforce_cfl=False)  # no advection in this data
-        got = state.V.coeffs[g.N, g.N, g.N + 1]
+        got = state.V.coeffs[stored(g, (0, 0, 1))]
         fac = math.exp(-1.0 * 0.1)
         want = np.array([fac, 0.5 * fac, 0, 0.25])
         assert np.max(np.abs(got - want)) < 1e-13
@@ -177,7 +182,7 @@ class TestFilteredStepper:
 
     def test_nan_raises(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=64)
-        V0.coeffs[4, 4, 5, 0] = np.nan
+        V0.coeffs[4, 4, 1, 0] = np.nan
         st = FilteredStepper(engine4, eps=0.1, dt=1e-3)
         with pytest.raises(NumericalError):
             st.step(SimState(0.0, V0, 1.0, 0.1))
@@ -211,9 +216,11 @@ class TestFilteredStepper:
     @pytest.mark.parametrize("eps", [0.1, 1e-3])
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_half_spectrum_step_has_the_bytes_of_the_full_lattice_step(self, a_sq, N, eps):
-        # the step integrates h = V[:, :, N:]; the full-lattice step it
-        # replaces (public convolve, leray_project, per-mode matmul over
-        # all L^3 modes) gives the same V and dissipation, byte for byte
+        # the step integrates the stored modes n3 >= 0; a step over all L^3
+        # modes of the full lattice (per-mode matmul and Leray formula, the
+        # public convolve on the stored modes mirrored back) gives the same
+        # V, byte for byte, and the same dissipation from the norms of its
+        # stored modes
         from scipy.linalg import expm
 
         g = TorusGeometry(a_sq, N)
@@ -224,31 +231,42 @@ class TestFilteredStepper:
             mats[:, j, j] += eng.a2_diag.reshape(-1)
         Eh, Ef = expm(0.5 * dt * mats), expm(dt * mats)
         Einv = np.linalg.inv(Ef)
+        k1, k2, k3 = g.check_grid
+        ksq = np.where(g.mask_zero, 1.0, g.check_sq)
 
         def apply(E, W):
-            out = np.matmul(E, W.coeffs.reshape(g.nmodes, 4)[..., None])
-            return SpectralField4(g, out.reshape(W.coeffs.shape))
+            return np.matmul(E, W.reshape(g.nmodes, 4)[..., None]).reshape(W.shape)
+
+        def leray(v):
+            kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
+            out = v.copy()
+            for j, k in enumerate((k1, k2, k3)):
+                out[..., j] -= k * kdotv / ksq
+            out[N, N, N] = 0.0
+            return out
 
         def nonlinear(W, tau):
-            out = -1.0 * leray_project(convolve_quadratic(W, W), check_mean=False)
-            return out.pin_zero_mode()
+            return -1.0 * leray(full_lattice(convolve_quadratic(*[from_lattice(g, W)] * 2)))
+
+        def energy(W):
+            return 0.5 * l2_norm(from_lattice(g, W)) ** 2
 
         def full_step(V, ledger):
             V_new, EfV = lawson_rk4(V, nonlinear, lambda W: apply(Eh, W), lambda W: apply(Ef, W), dt)
-            V_new = leray_project(V_new, check_mean=False).pin_zero_mode()
-            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
-            d1 = 0.5 * l2_norm(apply(Einv, V_new)) ** 2 - 0.5 * l2_norm(V_new) ** 2
+            V_new = leray(V_new)
+            d0 = energy(V) - energy(EfV)
+            d1 = energy(apply(Einv, V_new)) - energy(V_new)
             ledger.dissipated += 0.5 * (d0 + d1)
             return V_new
 
         V0 = random_field(g, seed=66, amplitude=1.0, spectrum_r=3.0)
         st = FilteredStepper(eng, eps=eps, dt=dt)
         state, ledger = SimState(0.0, V0, 1.0, eps), EnergyLedger(0.5 * l2_norm(V0) ** 2)
-        V, ref = V0, EnergyLedger(ledger.e0)
+        V, ref = full_lattice(V0), EnergyLedger(ledger.e0)
         for _ in range(20):
             state = st.step(state, ledger, enforce_cfl=False)
             V = full_step(V, ref)
-        assert state.V.coeffs.tobytes() == V.coeffs.tobytes()
+        assert state.V.coeffs.tobytes() == V[:, :, N:].tobytes()
         assert ledger.dissipated == ref.dissipated
 
     def test_divergence_free_preserved(self, engine4, unit_torus_4):
@@ -267,7 +285,7 @@ class TestUnderline:
     def test_heat_factor_example(self, unit_torus_4):
         f = single_mode_field(unit_torus_4, (0, 0, 1), [1, 0, 0, 0])
         out = solve_underline(f, nu=1.0, t=1.0)
-        got = out.coeffs[4, 4, 5, 0]
+        got = out.coeffs[4, 4, 1, 0]
         assert abs(got - math.exp(-1.0)) < 1e-12
         assert abs(got - 0.3678794412) < 1e-9
 
@@ -276,25 +294,20 @@ class TestUnderline:
         out0 = solve_underline(f, nu=1.0, t=0.0)
         assert np.max(np.abs(out0.coeffs - f.coeffs)) < 1e-15
         out = solve_underline(f, nu=1.0, t=3.0)
-        assert out.coeffs[4, 4, 6, 3] == f.coeffs[4, 4, 6, 3]
+        assert out.coeffs[4, 4, 2, 3] == f.coeffs[4, 4, 2, 3]
 
     def test_vertical_energy_balance(self, unit_torus_4):
         # |u(t)|_{Hs}^2 + 2 nu int_0^t |d3 u|_{Hs}^2 = |u(0)|_{Hs}^2
         g = unit_torus_4
         rng = np.random.default_rng(66)
         f = zero_field(g)
-        for n3 in range(-g.N, g.N + 1):
-            if n3 == 0:
-                continue
-            f.coeffs[g.N, g.N, n3 + g.N, 0] = rng.standard_normal()
-            f.coeffs[g.N, g.N, n3 + g.N, 1] = rng.standard_normal()
-        f.make_hermitian()
+        f.coeffs[g.N, g.N, 1:, :2] = rng.standard_normal((g.N, 2))
         nu, t, s = 0.7, 0.9, 2.0
         k3 = g.n_axis.astype(float) / g.a[2]
         w = (1.0 + k3**2) ** s
 
         def hs_sq(field):
-            line = field.coeffs[g.N, g.N, :, :2]
+            line = full_lattice(field)[g.N, g.N, :, :2]
             return float(np.sum(w[:, None] * np.abs(line) ** 2))
 
         out = solve_underline(f, nu, t)
@@ -306,7 +319,7 @@ class TestUnderline:
         vals = []
         for tau in taus:
             ut = solve_underline(f, nu, tau)
-            line = ut.coeffs[g.N, g.N, :, :2]
+            line = full_lattice(ut)[g.N, g.N, :, :2]
             vals.append(float(np.sum(w[:, None] * (k3**2)[:, None] * np.abs(line) ** 2)))
         integral = float(simpson(vals, x=taus))
         lhs = hs_sq(out) + 2 * nu * integral
@@ -319,7 +332,7 @@ class TestUnderline:
         g = TorusGeometry(a_sq, 4)
         f = decompose(random_field(g, seed=67, amplitude=1.0, spectrum_r=3.0)).underline
         out = solve_underline(f, nu, t)
-        factor = np.exp(t * FormEngine(g, nu).a2_diag[g.N, g.N, :])
+        factor = np.exp(t * FormEngine(g, nu).a2_diag[g.N, g.N, g.N :])
         line = f.coeffs[g.N, g.N]
         assert np.max(np.abs(line[:, :2])) > 0
         for c in (0, 1):
@@ -389,14 +402,15 @@ class TestLimitSteppers:
                     continue
                 t = eigenbasis(g, (n1, n2, 0))
                 amp = rng.standard_normal() * (1.0 + n1 * n1 + n2 * n2) ** -1.5
-                f.coeffs[n1 + g.N, n2 + g.N, g.N] += amp * t.e0
-        f.make_hermitian()
+                f.coeffs[n1 + g.N, n2 + g.N, 0] += amp * t.e0
+        plane = f.coeffs[:, :, 0]
+        plane[:] = 0.5 * (plane + np.conj(plane[::-1, ::-1]))  # the real field
         bar0 = bar_part(f)
         dt = 2e-3
         st = LimitStepper(eng, dt, zero_field(g))
         s = LimitState(0.0, coefficients(bar0))
         diss = 0.0
-        ksq = g.check_sq
+        ksq = g.check_sq[..., g.N :]
         H = np.exp(-1.0 * ksq * dt)[..., None]
         Hinv = np.exp(1.0 * ksq * dt)[..., None]
         for _ in range(50):
@@ -405,15 +419,15 @@ class TestLimitSteppers:
             # exact linear dissipation by polarization, averaged over the two
             # endpoint placements of the nonlinear displacement
             z = Hinv * _bar(g, s.C).coeffs - before
-            d0 = 0.5 * np.sum(np.abs(before) ** 2) - 0.5 * np.sum(np.abs(H * before) ** 2)
+            d0 = _energy(g, before) - _energy(g, H * before)
             bz = before + z
-            d1 = 0.5 * np.sum(np.abs(bz) ** 2) - 0.5 * np.sum(np.abs(H * bz) ** 2)
+            d1 = _energy(g, bz) - _energy(g, H * bz)
             diss += 0.5 * (d0 + d1)
         drift = abs(0.5 * l2_norm(_bar(g, s.C)) ** 2 + diss - 0.5 * l2_norm(bar0) ** 2)
         assert drift < 1e-6 * 0.5 * l2_norm(bar0) ** 2
         # the flow stays x3-independent
         off = _bar(g, s.C).coeffs
-        off[:, :, g.N, :] = 0.0
+        off[:, :, 0, :] = 0.0
         assert np.max(np.abs(off)) < 1e-13
 
     def test_underline_shear_is_energy_neutral(self, engine4, unit_torus_4):
@@ -455,7 +469,7 @@ class TestLimitSteppers:
         vshare = np.einsum(
             "xyzj,xyzj->xyz", basis_e.ep[..., :3], np.conj(basis_e.ep[..., :3])
         ).real
-        lam = g.check_sq * vshare
+        lam = (g.check_sq * vshare)[..., g.N :]
         H = np.exp(-1.0 * lam * dt)[..., None]
         Hinv = np.exp(1.0 * lam * dt)[..., None]
         diss = 0.0
@@ -463,9 +477,9 @@ class TestLimitSteppers:
             before = _osc(g, s.C).coeffs
             s = st.step(s)
             z = Hinv * _osc(g, s.C).coeffs - before
-            d0 = 0.5 * np.sum(np.abs(before) ** 2) - 0.5 * np.sum(np.abs(H * before) ** 2)
+            d0 = _energy(g, before) - _energy(g, H * before)
             bz = before + z
-            d1 = 0.5 * np.sum(np.abs(bz) ** 2) - 0.5 * np.sum(np.abs(H * bz) ** 2)
+            d1 = _energy(g, bz) - _energy(g, H * bz)
             diss += 0.5 * (d0 + d1)
         drift = abs(0.5 * l2_norm(_osc(g, s.C)) ** 2 + diss - 0.5 * l2_norm(osc0) ** 2)
         assert drift < 1e-8 * 0.5 * l2_norm(osc0) ** 2
@@ -630,24 +644,21 @@ class TestStepWork:
         state = st.step(SimState(0.3, V0, 1.0, 1e-2), EnergyLedger(0.5 * l2_norm(V0) ** 2))
         assert calls == [] and state.t == 0.3 + 1e-3
 
-    @pytest.mark.parametrize(
-        "enforce_cfl, inverse, checks", [(False, [4] * 4, 1), (True, [3] + [4] * 4, 2)], ids=["no-cfl", "cfl"]
-    )
-    def test_filtered_step_work(self, engine4, unit_torus_4, monkeypatch, enforce_cfl, inverse, checks):
-        # one public convolve (stage 1, on V) makes the step's one Hermitian
-        # check; the other stages run the half-lattice kernel, unchecked;
-        # one inverse transform of the 4 components and one forward of the
-        # 9 distinct products per stage (the CFL bound samples the 3
-        # velocity components of V once more and checks V)
+    @pytest.mark.parametrize("enforce_cfl, inverse", [(False, [4] * 4), (True, [3] + [4] * 4)], ids=["no-cfl", "cfl"])
+    def test_filtered_step_work(self, engine4, unit_torus_4, monkeypatch, enforce_cfl, inverse):
+        # every stage is one public convolve and one Leray projection, and
+        # V_new is projected once more; one inverse transform of the 4
+        # components and one forward of the 9 distinct products per stage
+        # (the CFL bound samples the 3 velocity components of V once more)
         V0 = random_field(unit_torus_4, seed=87, amplitude=1.0, spectrum_r=3.0)
         st = FilteredStepper(engine4, eps=1e-2, dt=1e-3)
         convolves = self._count(monkeypatch, "convolve_quadratic")
+        projections = self._count(monkeypatch, "leray_project")
         filters = self._count(monkeypatch, "apply_filter")
-        hermitian = self._count(monkeypatch, "_half", fields)
         inv = self._components(monkeypatch, "irfftn")
         fwd = self._components(monkeypatch, "rfftn")
         st.step(SimState(0.0, V0, 1.0, 1e-2), EnergyLedger(1.0), enforce_cfl=enforce_cfl)
-        assert (len(convolves), len(filters), len(hermitian)) == (1, 0, checks)
+        assert (len(convolves), len(projections), len(filters)) == (4, 5, 0)
         assert (inv, fwd) == (inverse, [9] * 4)
 
     def test_limit_step_reads_the_underline_line(self, monkeypatch):
@@ -783,8 +794,13 @@ class TestCheckpoints:
         assert back.geometry == unit_torus_4
         raw = p.read_bytes()
         assert raw[:8] == b"FRSP" + struct.pack("<I", 3)
-        assert len(raw) == 112 + unit_torus_4.L**3 * 4 * 16
-        assert raw[112:] == V.coeffs.astype("<c16").tobytes()
+        L, N = unit_torus_4.L, unit_torus_4.N
+        assert len(raw) == 112 + L**3 * 4 * 16
+        # the payload is the full lattice: the stored modes, bit for bit, and
+        # their mirrors
+        payload = np.frombuffer(raw[112:], dtype="<c16").reshape(L, L, L, 4)
+        assert payload[:, :, N:].tobytes() == V.coeffs.tobytes()
+        assert np.array_equal(payload, full_lattice(V))
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.frsp"
@@ -843,7 +859,7 @@ class TestCheckpoints:
     def _v1_file(path, g, U, eps=0.1):
         header = b"FRSP" + struct.pack("<I", 1)
         header += struct.pack("<7d", float(g.N), *g.a, 0.7, eps, 0.25)
-        path.write_bytes(header + U.coeffs.astype("<c16").tobytes())
+        path.write_bytes(header + full_lattice(U).astype("<c16").tobytes())
 
     @staticmethod
     def _v2_file(path, g, U, eps=0.1):
@@ -852,7 +868,7 @@ class TestCheckpoints:
         header += struct.pack("<7d", float(g.N), *g.a, 0.7, eps, 0.25)
         header += struct.pack("<6Q", *(x for r in g.a_sq for x in (r.numerator, r.denominator)))
         assert len(header) == 112
-        path.write_bytes(header + U.coeffs.astype("<c16").tobytes())
+        path.write_bytes(header + full_lattice(U).astype("<c16").tobytes())
 
     def test_v2_payload_reads_as_V(self, tmp_path):
         # v1 and v2 files store the filtered unknown U; they read as
@@ -884,6 +900,44 @@ class TestCheckpoints:
         raw[8:16] = struct.pack("<d", N)
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="not an integer >= 1") as err:
+            read_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [(40, -1.0, "nu = -1.0 is not"), (40, math.nan, "nu = nan is not"), (40, math.inf, "nu = inf is not"),
+         (56, math.nan, "t = nan is not"), (56, math.inf, "t = inf is not")],
+        ids=["nu-negative", "nu-nan", "nu-inf", "t-nan", "t-inf"],
+    )
+    def test_header_nu_and_t_are_checked(self, tmp_path, unit_torus_4, offset, value, message):
+        # nu (bytes 40-47) must lie in [0, inf) and t (bytes 56-63) be
+        # finite, as the configuration requires of its own values
+        p = tmp_path / "head.frsp"
+        write_checkpoint(p, SimState(0.0, random_field(unit_torus_4, seed=85), nu=1.0, eps=0.1))
+        raw = bytearray(p.read_bytes())
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=message) as err:
+            read_checkpoint(p)
+        assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "mode, value",
+        [((1, 2, 1), 0.5), ((1, 2, 1), np.nan), ((1, 2, 6), np.nan), ((4, 4, 4), np.inf)],
+        ids=["n3<0-perturbed", "n3<0-nan", "n3>0-nan", "zero-mode-inf"],
+    )
+    def test_payload_must_be_a_real_field(self, tmp_path, unit_torus_4, mode, value):
+        # the reader keeps the modes n3 >= 0 only, so a payload whose n3 < 0
+        # half is not their mirror, or that holds a NaN or inf, is refused
+        # (full-lattice indices n + N)
+        p = tmp_path / "payload.frsp"
+        write_checkpoint(p, SimState(0.0, random_field(unit_torus_4, seed=86), nu=1.0, eps=0.1))
+        L = unit_torus_4.L
+        raw = bytearray(p.read_bytes())
+        payload = np.frombuffer(raw, dtype="<c16", offset=112).reshape(L, L, L, 4).copy()
+        payload[mode + (0,)] += value
+        p.write_bytes(bytes(raw[:112]) + payload.tobytes())
+        with pytest.raises(ValueError, match="payload is not a real field") as err:
             read_checkpoint(p)
         assert str(p) in str(err.value)
 

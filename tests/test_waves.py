@@ -17,7 +17,7 @@ from frspec.waves import (
     pa_symbol,
 )
 
-from conftest import random_field
+from conftest import full_lattice, random_field, stored
 
 
 class TestSymbol:
@@ -62,7 +62,8 @@ class TestSymbol:
             assert np.max(np.abs(got - want)) <= 1e-15, n
         assert np.all(pa[N, N, N] == 0.0)
         f = random_field(g, seed=20)
-        assert np.array_equal(apply_pa(f).coeffs, np.einsum("xyzij,xyzj->xyzi", pa, f.coeffs))
+        want = np.einsum("xyzij,xyzj->xyzi", pa[:, :, N:], f.coeffs)
+        assert np.array_equal(apply_pa(f).coeffs, want)
 
     def test_mode_outside_the_truncation_rejected(self, unit_torus_4):
         with pytest.raises(ValueError, match="outside the truncation"):
@@ -153,9 +154,34 @@ class TestSignIndexedLayout:
             V = random_field(geometry, seed=seed, spectrum_r=1.0)
             c = coefficients(V)
             assert c.shape == (3,) + (geometry.L,) * 3
+            N = geometry.N
             for a in (0, 1, -1):
-                want = np.einsum("xyzc,xyzc->xyz", V.coeffs, np.conj(b.evec[a]))
-                assert c[a].tobytes() == want.tobytes(), a
+                want = np.einsum("xyzc,xyzc->xyz", full_lattice(V), np.conj(b.evec[a]))
+                assert c[a][..., N:].tobytes() == want[..., N:].tobytes(), a
+                assert np.array_equal(c[a], want), a
+
+
+class TestStackMirror:
+    """`coefficients` evaluates the stored modes n3 >= 0 and fills n3 < 0 by
+    c_0(-n) = -conj c_0(n) and c_pm(-n) = conj c_mp(n); the oracle is the
+    per-mode einsum over the mirrored full lattice, equal under ==."""
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 2, 3), 8), ((1, 4, 1), 6)])
+    @pytest.mark.parametrize("steps", [0, 3], ids=["random", "stepped"])
+    def test_coefficients_equal_the_full_lattice_einsum(self, a_sq, N, steps):
+        from frspec.forms import FormEngine
+        from frspec.solvers import FilteredStepper, SimState
+
+        g = TorusGeometry(a_sq, N)
+        evec_conj = EigenBasis.of(g).evec_conj
+        for seed in (23, 24):
+            V = random_field(g, seed=seed, amplitude=1.0, spectrum_r=3.0)
+            state = SimState(0.0, V, 1.0, 0.01)
+            stepper = FilteredStepper(FormEngine(g, 1.0), eps=0.01, dt=1e-3) if steps else None
+            for _ in range(steps):
+                state = stepper.step(state, enforce_cfl=False)
+            want = np.einsum("xyzc,sxyzc->sxyz", full_lattice(state.V), evec_conj)
+            assert np.array_equal(coefficients(state.V), want)
 
 
 class TestLerayKeepsTheKernelRow:
@@ -217,7 +243,7 @@ class TestDecomposition:
         # a NaN divergence is not within the bound (the check reads
         # "not div <= bound", since "div > bound" is False for NaN)
         f = random_field(unit_torus_4, seed=13)
-        f.coeffs[1, 2, 3, 0] = np.nan  # a mode in the n3 < 0 half
+        f.coeffs[1, 2, 3, 0] = np.nan
         with pytest.raises(ValueError, match="divergence-free"):
             decompose(f)
 
@@ -234,7 +260,7 @@ class TestFilter:
         f = single_mode_field(unit_torus_4, (1, 0, 0), t.ep + t.em + t.e0)
         out = apply_filter(np.pi, f)
         want = -t.ep - t.em + t.e0
-        got = out.coeffs[5, 4, 4]
+        got = out.coeffs[stored(unit_torus_4, (1, 0, 0))]
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_isometry_all_sobolev(self, unit_torus_4):
@@ -271,4 +297,6 @@ class TestFilter:
     def test_preserves_reality(self, unit_torus_4):
         f = random_field(unit_torus_4, seed=19)
         out = apply_filter(0.61, f)
-        assert out.hermitian_defect() < 1e-13
+        # the n3 = 0 plane, which holds n and -n, stays Hermitian
+        plane = out.coeffs[:, :, 0]
+        assert np.max(np.abs(plane - np.conj(plane[::-1, ::-1]))) < 1e-13
