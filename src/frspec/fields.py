@@ -28,13 +28,22 @@ P_jc = a_j B_c it forms.  The kernel derives that product set
 (`_products`) from J (3, or 2 for div_h), whether the operands are
 symmetric (A is B, or the symmetrized `transport`: then P_jc = P_cj and
 only j <= c is formed) and which operand components are identically zero
-(one `any` per component; a NaN or inf is live).  A zero component is
+(one `any` pass over the float64 view of the coefficients; a NaN or
+inf is live, -0.0 is zero).  A zero component is
 not transformed and no product with a zero factor is formed; leaving out
 such a term changes no output byte.  With every component live: 3 + 4
 inverse and 12 forward components (2 + 4 and 8 horizontal), 4 and 9 when
 A is B (full stencil), 4 + 4 and 9 for `transport`.  The limit system's
 bar field has components 1 and 2 only, so its self-advection makes 2
 inverse and 3 forward (a_1 a_1, a_1 a_2, a_2 a_2), against 4 and 8.
+
+`convolve_plane` is the same dealiased divergence-form product for one
+scalar advected by a horizontal velocity on the plane n3 = 0, on
+coefficient planes (L, L) over the whole plane rather than on fields, on
+an M x M grid with M = `_pad_size(N)`.  Its transforms are products with
+the (M, L) matrix of the M-point DFT on the modes -N..N (`_plane_dft`):
+at these sizes four small matrix products cost less than the call
+overhead of two FFTs, and need no padded copy.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ __all__ = [
     "leray_project",
     "convolve_quadratic",
     "transport",
+    "convolve_plane",
     "divergence_max",
     "l2_norm",
     "sobolev_norm",
@@ -312,11 +322,14 @@ def _convolve(
         raise ValueError("fields live on different geometries")
     g = A.geometry
     if A is B:
-        stack, split = np.moveaxis(B.coeffs, -1, 0), 0
+        coeffs, split = np.ascontiguousarray(B.coeffs), 0
     else:
-        stack = np.moveaxis(np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1), -1, 0)
-        split = ncomp
-    live = tuple(np.any(stack != 0, axis=(1, 2, 3)).tolist())
+        coeffs, split = np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1), ncomp
+    stack = np.moveaxis(coeffs, -1, 0)
+    # a row is live where a real or imaginary part is nonzero: one pass over
+    # the float64 view, whose inner axis holds (n3, row, re/im)
+    parts = coeffs.view(np.float64).reshape(g.L * g.L, -1).any(axis=0)
+    live = tuple(parts.reshape(-1, coeffs.shape[-1], 2).any(axis=(0, 2)).tolist())
     (x, y), (i2, x2, y2), slots = _products(J, split, symmetrize, live)
     if not len(x):  # every product is identically zero
         return zero_field(g)
@@ -328,6 +341,36 @@ def _convolve(
     elif len(i2):
         prod[i2] += samples[x2] * samples[y2]
     return SpectralField4(g, np.moveaxis(_divergence(g, prod, slots), 0, -1))
+
+
+def convolve_plane(geometry: TorusGeometry, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Dealiased coefficients (L, L) of div_h(u phi) on the plane n3 = 0:
+    i ncheck_h(n) . sum_{k + m = n} u(k) phi(m) over k, m in the box.
+
+    u is a (2, L, L) stack of horizontal velocity planes and phi an (L, L)
+    plane, indexed (n1 + N, n2 + N) over the whole plane; neither needs to
+    be the plane of a real field.  This is the advection u . grad_h phi
+    when div_h u = 0.  The mean, at ncheck_h = 0, is zero."""
+    E, F = _plane_dft(geometry.N)
+    samples = E @ np.concatenate([u, phi[None]]) @ E.T
+    hat = F @ (samples[:2] * samples[2]) @ F.T
+    k1, k2, _ = geometry.check_grid
+    return 1j * (k1[..., 0] * hat[0] + k2[..., 0] * hat[1])
+
+
+@lru_cache(maxsize=None)
+def _plane_dft(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """E (M, L), the samples on M = `_pad_size(N)` points of the modes
+    -N..N along one axis, E[x, n] = exp(2 pi i x n / M), and F = conj(E).T
+    / M (L, M), which takes samples back to those modes.  The phase x n is
+    reduced mod M first, so each entry is accurate to rounding.  Every
+    call with one N shares these read-only arrays."""
+    M = _pad_size(N)
+    E = np.exp((2j * np.pi / M) * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M))
+    F = np.conj(E.T) / M
+    for a in (E, F):
+        a.setflags(write=False)
+    return E, F
 
 
 def convolve_quadratic(

@@ -58,6 +58,18 @@ G = -X (|kc_h|^2 mc_3^2 - |mc_h|^2 kc_3^2) / (2 |kc_h| |kc| |mc_h| |mc| |nc_h|),
 whose bracket vanishes exactly when omega(k) = omega(m) (derived in
 tests/test_forms.py, TestWaveWaveKernelForcing).
 
+Two more kinds of rows are not summed row by row.  On the plane n3 = 0
+every wave has omega = 1 exactly (an integer test: ncheck = ncheck_h), so
+every pair of modes there is resonant in the classes (0, b, b) and
+(a, 0, a), and e_pm = (0, 0, +-i, 1) / sqrt2 for every n_h.  Those rows,
+k3 = m3 = n3 = 0, sum to one 2-D advection, the bar velocity on that plane
+advecting the plane of C_+ (`fields.convolve_plane`): at (1,2,3)/N8 they
+are 92,448 of the 149,856 rows left after the mirror pairs (Embid &
+Majda 1998 describe this vertically uniform part of the stratified
+limit).  And the output is that of a real field, c_pm(-n) = conj c_mp(n),
+so only the rows with output n3 >= 0 are summed and n3 < 0 is filled.
+The radical rows with output on n3 = 0 stay in the sum.
+
 Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
 e_+, e_-, indexed by the sign a), so a flat index into a raveled (3, L^3)
 stack is (a mod 3) L^3 + mode.  The eigenvectors vanish on the vertical
@@ -73,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SpectralField4, convolve_quadratic, transport, zero_field
+from .fields import SpectralField4, convolve_plane, convolve_quadratic, transport, zero_field
 from .geometry import TorusGeometry
 from .resonance import (
     _box_axes,
@@ -117,6 +129,13 @@ def _flat(signs: np.ndarray, modes: np.ndarray, nmodes: int) -> np.ndarray:
     return (signs.astype(np.int64) % 3) * nmodes + modes
 
 
+def _flat_stored(signs: np.ndarray, modes: np.ndarray, N: int) -> np.ndarray:
+    """Flat index of (sign, mode), a flat mode with n3 >= 0, in a raveled
+    (3, L, L, N + 1) stack of the stored modes, rows c_0, c_+, c_-."""
+    L = 2 * N + 1
+    return ((signs.astype(np.int64) % 3) * L * L + modes // L) * (N + 1) + modes % L - N
+
+
 def project_tilde(V: SpectralField4) -> SpectralField4:
     """Zero out the n_h = 0 modes."""
     g = V.geometry
@@ -134,7 +153,11 @@ class TriadTable:
     no row is its own mirror.  The apply plan ka, mb, nc, W keeps one row
     per mirror pair, the one with (a, k) < (b, m) (signs compared first,
     then flat modes), in table order, with weight W = 2 G, and leaves out
-    the (a, -a, 0) rows, whose G is identically zero."""
+    three kinds of rows: the (a, -a, 0) rows, whose G is identically zero;
+    the rows with k3 = m3 = n3 = 0, the plane block that `q_tilde1` takes
+    from one 2-D advection; and the rows with output n3 < 0, the mirror
+    images c_pm(-n) = conj c_mp(n) of the rows with output n3 > 0.  The
+    radical rows with output on n3 = 0 stay."""
 
     kf: np.ndarray  # flat mode index of k
     mf: np.ndarray
@@ -142,9 +165,9 @@ class TriadTable:
     ia: np.ndarray  # signs in {-1, 0, 1}
     ib: np.ndarray
     ic: np.ndarray
-    ka: np.ndarray  # plan rows: flat (ia, kf), (ib, mf), (ic, nf), see _flat
+    ka: np.ndarray  # plan rows: flat (ia, kf), (ib, mf), see _flat
     mb: np.ndarray
-    nc: np.ndarray
+    nc: np.ndarray  # plan rows: flat (ic, nf) of the stored modes, see _flat_stored
     W: np.ndarray  # plan rows: complex weight 2 G
     counts: np.ndarray  # rows per sign class, in the order of _CLASSES
 
@@ -227,7 +250,8 @@ class FormEngine:
 
     def _build_triad_table(self, x: np.ndarray, y: np.ndarray) -> TriadTable:
         """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
-        is the rows with (a, k) < (b, m) and c != 0, in that order.
+        is the rows with (a, k) < (b, m), c != 0 and output n3 >= 0, less
+        the rows with k3 = m3 = n3 = 0, in that order.
 
         (x, y) are the ordered pairs of modes with equal omega.  They are
         the zero-sign classes: (0, b, b) with (m, n) = (x, y) and (a, 0, a)
@@ -282,7 +306,11 @@ class FormEngine:
         del key
         mf = nf - kf + centre
         ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls].T)
-        plan = np.nonzero(((ia < ib) | ((ia == ib) & (kf < mf))) & (ic != 0))[0]
+        n3, k3 = nf % g.L - g.N, kf % g.L - g.N  # m3 = n3 - k3
+        plan = np.nonzero(
+            ((ia < ib) | ((ia == ib) & (kf < mf))) & (ic != 0) & (n3 >= 0) & ((n3 > 0) | (k3 != 0))
+        )[0]
+        del n3, k3
         W = np.empty(len(plan), dtype=np.complex128)
         for lo in range(0, len(plan), _G_CHUNK):
             r = plan[lo : lo + _G_CHUNK]
@@ -291,7 +319,7 @@ class FormEngine:
         return TriadTable(
             kf, mf, nf, ia, ib, ic,
             ka=_flat(ia[plan], kf[plan], size), mb=_flat(ib[plan], mf[plan], size),
-            nc=_flat(ic[plan], nf[plan], size), W=W, counts=counts,
+            nc=_flat_stored(ic[plan], nf[plan], g.N), W=W, counts=counts,
         )
 
     def _build_under_table(self, x: np.ndarray, y: np.ndarray) -> UnderTable:
@@ -372,24 +400,36 @@ class FormEngine:
         return p
 
     def q_tilde1(self, C: np.ndarray) -> np.ndarray:
-        """Resonance-restricted symmetrized transport on the tilde
-        coefficient stack C; returns the (3, L, L, L) output stack.  Row 0,
-        the (0,0,0) class, is the 2.5D advection of the e_0 part by itself
-        (the horizontal kernel on one operand; no Leray projection, since
-        <P v, e_0> = <v, e_0>); rows +-1 are the sparse exact-resonant
-        classes, summed once per mirror pair (no plan row outputs on e_0)."""
+        """Resonance-restricted symmetrized transport on the coefficient
+        stack C of a real tilde field; returns the (3, L, L, L) output stack,
+        that of a real field.  Row 0, the (0,0,0) class, is the 2.5D
+        advection of the e_0 part by itself (the horizontal kernel on one
+        operand; no Leray projection, since <P v, e_0> = <v, e_0>).  Rows
+        +-1 are the sparse exact-resonant classes, computed on n3 >= 0 and
+        filled on n3 < 0 by c_pm(-n) = conj c_mp(n):
+        - on n3 = 0 every wave has omega = 1 and e_pm = (0, 0, +-i, 1) / sqrt2,
+          so the rows with k3 = m3 = n3 = 0 sum to the advection of C_+ by
+          the bar velocity u = C_0 e_0^vel on that plane,
+          c_+(n) = i sum_{k+m=n} ncheck_h(n) . u(k) C_+(m), one 2-D kernel,
+          and c_-(n) = conj c_+(-n);
+        - the other rows are the apply plan, summed once per mirror pair
+          (no plan row outputs on e_0)."""
         g = self.geometry
+        N = g.N
         tab, _ = self.tables
-        out = np.zeros(3 * g.nmodes, dtype=np.complex128)
-        if tab.rows:
+        out = np.zeros((3, g.L, g.L, N + 1), dtype=np.complex128)
+        if len(tab.W):
             p = self._row_products(C, tab)
             p *= tab.W
-            np.add.at(out, tab.nc, p)
-        out = out.reshape(C.shape)
+            np.add.at(out.reshape(-1), tab.nc, p)
+        u = C[0, :, :, N] * np.moveaxis(self.basis.e0[:, :, N, :2], -1, 0)
+        plane = convolve_plane(g, u, C[1, :, :, N])
+        out[1, :, :, 0] += plane
+        out[2, :, :, 0] += np.conj(plane[::-1, ::-1])
         bar = field_from_coefficients(g, {0: C[0]})
         conv = convolve_quadratic(bar, bar, "horizontal")
-        out[0] = _full_rows(_coefficients(conv, slice(0, 1)))[0]
-        return out
+        out[0] = _coefficients(conv, slice(0, 1))[0]
+        return _full_rows(out)
 
     def b_form(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
         """Limit coupling of the horizontal average into the wave part: the

@@ -328,10 +328,13 @@ class LimitStepper:
 
     def step(self, s: LimitState) -> LimitState:
         dt = self.dt
-        _require_cfl(dt, solve_underline(self.und0, self.nu, s.t) + _field(self.geometry, s.C))
+        # the underline state at the three distinct stage offsets, each
+        # evaluated once; offset 0 also serves the CFL check
+        und = {tau: solve_underline(self.und0, self.nu, s.t + tau) for tau in (0.0, 0.5 * dt, dt)}
+        _require_cfl(dt, und[0.0] + _field(self.geometry, s.C))
 
         def rhs(C: np.ndarray, tau: float) -> np.ndarray:
-            return self._rhs(C, solve_underline(self.und0, self.nu, s.t + tau))
+            return self._rhs(C, und[tau])
 
         C, _ = lawson_rk4(
             s.C,

@@ -14,6 +14,7 @@ from frspec.fields import (
     inner_l2,
     l2_norm,
     leray_project,
+    convolve_plane,
     single_mode_field,
     sobolev_norm,
     to_physical,
@@ -344,6 +345,52 @@ class TestLiveComponents:
         with np.errstate(invalid="ignore"):
             out = convolve_quadratic(F, F)
         assert rows == [3] and not np.all(np.isfinite(out.coeffs))
+
+    def test_signed_zero_is_zero_and_an_imaginary_part_is_live(self, unit_torus_4, monkeypatch):
+        # the live test reads both parts of every coefficient: a row of -0.0
+        # (component 3) is not transformed, a row whose one nonzero is an
+        # imaginary part (component 4) is
+        F = bar_part(random_field(unit_torus_4, seed=64))
+        F.coeffs[..., 2] = complex(-0.0, -0.0)
+        F.coeffs[3, 5, 2, 3] = 0.25j
+        rows = []
+        irfftn = fields.irfftn
+        monkeypatch.setattr(fields, "irfftn", lambda x, *a, **k: rows.append(len(x)) or irfftn(x, *a, **k))
+        G = F.copy()
+        for X, Y in ((F, F), (F, G)):
+            got = convolve_quadratic(X, Y).coeffs
+            assert got.tobytes() == _dense_kernel(X, Y, 3).tobytes()
+        assert rows == [3, 5]
+
+
+class TestConvolvePlane:
+    """The 2-D advection kernel on coefficient planes (L, L) of n3 = 0."""
+
+    def test_two_mode_hand_product(self):
+        # u at k = (1, -2) and phi at m = (2, 1) meet at n = (3, -1) only:
+        # i ncheck_h(n) . u(k) phi(m), with ncheck_h(n) = (3, -1 / sqrt2)
+        g = TorusGeometry((1, 2, 3), 3)
+        N, L = g.N, g.L
+        u = np.zeros((2, L, L), dtype=np.complex128)
+        phi = np.zeros((L, L), dtype=np.complex128)
+        u[:, 1 + N, -2 + N] = (0.3 - 0.1j, 0.7j)
+        phi[2 + N, 1 + N] = 1.5 + 0.5j
+        want = np.zeros((L, L), dtype=np.complex128)
+        want[3 + N, -1 + N] = 1j * (3.0 * u[0, 1 + N, -2 + N] - u[1, 1 + N, -2 + N] / np.sqrt(2.0)) * phi[2 + N, 1 + N]
+        assert np.max(np.abs(convolve_plane(g, u, phi) - want)) < 1e-15
+
+    def test_sums_outside_the_box_do_not_alias(self):
+        # k + m outside [-N, N]^2 leaves the output: (3, 0) + (1, 0) would
+        # alias to (-3, 0) on a grid of 2N + 1 points, and (3, 3) + (3, 3)
+        # to (-1, -1)
+        g = TorusGeometry((1, 1, 1), 3)
+        N, L = g.N, g.L
+        for k, m in (((3, 0), (1, 0)), ((3, 3), (3, 3))):
+            u = np.zeros((2, L, L), dtype=np.complex128)
+            phi = np.zeros((L, L), dtype=np.complex128)
+            u[:, k[0] + N, k[1] + N] = (1.0, -1.0)
+            phi[m[0] + N, m[1] + N] = 1.0
+            assert np.max(np.abs(convolve_plane(g, u, phi))) < 1e-15
 
 
 class TestTransformCount:

@@ -662,16 +662,26 @@ class TestStepWork:
         assert (inv, fwd) == (inverse, [9] * 4)
 
     def test_limit_step_reads_the_underline_line(self, monkeypatch):
-        # per step: the exact underline state at the CFL check and at the
-        # four stage times; the forms read its vertical line directly
+        # per step: the exact underline state once at each of the three
+        # distinct stage times t, t + dt/2 and t + dt (the one at t also
+        # serves the CFL check); the forms read its vertical line directly
         g = TorusGeometry((1, 2, 3), 8)
         eng = FormEngine(g, nu=1.0)
         V = random_field(g, seed=88, amplitude=1.0, spectrum_r=3.0)
         stepper = LimitStepper(eng, 5e-3, decompose(V).underline)
         calls = self._count(monkeypatch, "underline_part")
         calls_forms = self._count(monkeypatch, "underline_part", forms)
-        stepper.step(LimitState(0.0, coefficients(V)))
-        assert (len(calls), len(calls_forms)) == (5, 0)
+        times = []
+        solve = solvers.solve_underline
+
+        def spy(U0, nu, t):
+            times.append(t)
+            return solve(U0, nu, t)
+
+        monkeypatch.setattr(solvers, "solve_underline", spy)
+        stepper.step(LimitState(0.25, coefficients(V)))
+        assert (len(calls), len(calls_forms)) == (3, 0)
+        assert times == [0.25, 0.25 + 2.5e-3, 0.25 + 5e-3]
 
     def test_limit_step_assembles_one_field_for_its_cfl_check(self, monkeypatch):
         # the right-hand side is the limit forms' own: the stepper assembles
