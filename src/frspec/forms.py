@@ -22,8 +22,8 @@ The e_0 parts have no vertical velocity, so that class runs on the 2.5D
 kernel `convolve_quadratic(bar, bar, "horizontal")`; their advection by
 the underline part, which depends on x3 alone, is a sum along n3.
 
-The class forms take (3, L, L, L) eigen-coefficient stacks; the sum of
-`q_tilde1(C)` and `q_tilde2(und, C)` (stacks too) is the limit stepper's
+The class forms take (3, L, L, N + 1) eigen-coefficient stacks (n3 >= 0)
+and return stacks; `q_tilde1(C) + q_tilde2(und, C)` is the limit stepper's
 right-hand side, so the limit nonlinearity has one definition.  The whole
 forms `q_limit` and `a2_limit` take fields, like the filtered forms.
 
@@ -38,8 +38,8 @@ read by `class_rows`), so no count re-reads the table.
 
 `b_form` couples the underline part into the waves through two factors
 per sign b that depend on the basis alone, ncheck(n) . e_b and
-<e_b, e_b(n)> with e_b taken at (n_h, -n3); they are built on its first
-call and kept on the engine.
+<e_b, e_b(n)> with e_b taken at (n_h, -n3), on the outputs n3 >= 0; they
+are built on its first call and kept on the engine.
 
 Per-row coupling weight: restricting the two inputs of T to eigen
 components (a at k) and (b at m) and projecting the output on e_c(n),
@@ -67,14 +67,16 @@ advecting the plane of C_+ (`fields.convolve_plane`): at (1,2,3)/N8 they
 are 92,448 of the 149,856 rows left after the mirror pairs (Embid &
 Majda 1998 describe this vertically uniform part of the stratified
 limit).  And the output is that of a real field, c_pm(-n) = conj c_mp(n),
-so only the rows with output n3 >= 0 are summed and n3 < 0 is filled.
-The radical rows with output on n3 = 0 stay in the sum.
+so only the rows with output n3 >= 0, the stored modes, are summed.  The
+radical rows with output on n3 = 0 stay in the sum.
 
 Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
-e_+, e_-, indexed by the sign a), so a flat index into a raveled (3, L^3)
-stack is (a mod 3) L^3 + mode.  The eigenvectors vanish on the vertical
-line n_h = 0, so the coefficients and the bar part of a field are those of
-its tilde part, and no form projects its input first.
+e_+, e_-, indexed by the sign a).  A table row reads any mode, so a sum
+gathers from `_full_rows(C)`, built once per call, at the flat index
+(a mod 3) L^3 + mode of the raveled (3, L^3) stack.  The eigenvectors
+vanish on the vertical line n_h = 0, so the coefficients and the bar part
+of a field are those of its tilde part, and no form projects its input
+first.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ from .resonance import (
 )
 from .waves import (
     EigenBasis,
-    _assemble,
     _coefficients,
     _full_rows,
     _underline_line,
@@ -210,23 +211,17 @@ class FormEngine:
         self._modes = np.stack(
             np.meshgrid(g.n_axis, g.n_axis, g.n_axis, indexing="ij"), axis=-1
         ).reshape(-1, 3)
-        k1, k2, k3 = g.check_grid
-        self._ncheck_flat = np.stack(
-            [
-                np.broadcast_to(k1, (L, L, L)).reshape(-1),
-                np.broadcast_to(k2, (L, L, L)).reshape(-1),
-                np.broadcast_to(k3, (L, L, L)).reshape(-1),
-            ],
-            axis=-1,
-        )
+        grids = [np.broadcast_to(k, (L, L, L)).reshape(-1) for k in g.check_grid]
+        self._ncheck_flat = np.stack(grids, axis=-1)
         # eigenvectors and their conjugates over flat modes, rows e_0, e_+, e_-
         self._evec = self.basis.evec.reshape(3, -1, 4)
         self._evec_conj = self.basis.evec_conj.reshape(3, -1, 4)
-        # the one A2 symbol: -nu |ncheck|^2 on each velocity component
-        self.a2_diag = lam = -self.nu * g.check_sq
+        # the one A2 symbol: -nu |ncheck|^2 on each velocity component (n3 >= 0)
+        self.a2_diag = lam = -self.nu * g.check_sq[..., g.N :]
         # phase-free dissipation symbol per coefficient row: all of A2 on
         # e_0, and on e_pm only the velocity share of the wave is diffused
-        self.limit_symbol = np.stack([lam, lam * self.basis.vshare, lam * self.basis.vshare])
+        vshare = self.basis.vshare[..., g.N :]
+        self.limit_symbol = np.stack([lam, lam * vshare, lam * vshare])
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
         self._kstar_pairs: tuple[np.ndarray, np.ndarray] | None = None
@@ -377,7 +372,7 @@ class FormEngine:
     def a2_symbol(self, W: SpectralField4) -> SpectralField4:
         """Plain dissipation symbol diag(-nu |ncheck|^2 x3, 0)."""
         out = W.coeffs * 1.0
-        out[..., :3] *= self.a2_diag[..., self.geometry.N :, None]
+        out[..., :3] *= self.a2_diag[..., None]
         out[..., 3] = 0.0
         return SpectralField4(self.geometry, out)
 
@@ -391,9 +386,9 @@ class FormEngine:
     # -- limit forms ---------------------------------------------------------------
 
     def _row_products(self, C: np.ndarray, tab: TriadTable | UnderTable) -> np.ndarray:
-        """(i/2) c_a(k) c_b(m) on each table row, from the (3, L, L, L)
-        coefficient stack C in the layout of `coefficients`."""
-        C = C.reshape(-1)
+        """(i/2) c_a(k) c_b(m) on each table row, from the coefficient
+        stack C of `coefficients`, gathered from its full-lattice rows."""
+        C = _full_rows(C).reshape(-1)
         p = np.take(C, tab.ka)
         p *= np.take(C, tab.mb)
         np.multiply(0.5j, p, out=p)
@@ -401,12 +396,12 @@ class FormEngine:
 
     def q_tilde1(self, C: np.ndarray) -> np.ndarray:
         """Resonance-restricted symmetrized transport on the coefficient
-        stack C of a real tilde field; returns the (3, L, L, L) output stack,
-        that of a real field.  Row 0, the (0,0,0) class, is the 2.5D
-        advection of the e_0 part by itself (the horizontal kernel on one
-        operand; no Leray projection, since <P v, e_0> = <v, e_0>).  Rows
-        +-1 are the sparse exact-resonant classes, computed on n3 >= 0 and
-        filled on n3 < 0 by c_pm(-n) = conj c_mp(n):
+        stack C of a real tilde field; returns the output stack, that of a
+        real field, on the stored modes like C.  Row 0, the (0,0,0) class,
+        is the 2.5D advection of the e_0 part by itself (the horizontal
+        kernel on one operand; no Leray projection, since
+        <P v, e_0> = <v, e_0>).  Rows +-1 are the sparse exact-resonant
+        classes:
         - on n3 = 0 every wave has omega = 1 and e_pm = (0, 0, +-i, 1) / sqrt2,
           so the rows with k3 = m3 = n3 = 0 sum to the advection of C_+ by
           the bar velocity u = C_0 e_0^vel on that plane,
@@ -422,76 +417,69 @@ class FormEngine:
             p = self._row_products(C, tab)
             p *= tab.W
             np.add.at(out.reshape(-1), tab.nc, p)
-        u = C[0, :, :, N] * np.moveaxis(self.basis.e0[:, :, N, :2], -1, 0)
-        plane = convolve_plane(g, u, C[1, :, :, N])
+        u = C[0, :, :, 0] * np.moveaxis(self.basis.e0[:, :, N, :2], -1, 0)
+        plane = convolve_plane(g, u, C[1, :, :, 0])
         out[1, :, :, 0] += plane
         out[2, :, :, 0] += np.conj(plane[::-1, ::-1])
         bar = field_from_coefficients(g, {0: C[0]})
         conv = convolve_quadratic(bar, bar, "horizontal")
         out[0] = _coefficients(conv, slice(0, 1))[0]
-        return _full_rows(out)
+        return out
 
     def b_form(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
         """Limit coupling of the horizontal average into the wave part: the
         (b, c) = (+-, +-) sector of the underline x tilde form.  Output n
         couples the underline part of Vund at (0, 0, 2 n3) with the wave
-        rows of the tilde coefficient stack C at (n_h, -n3).  Returns a
-        (3, L, L, L) stack with a zero row 0.  Carries the bare symmetrized
-        kernel (no 1/2): this is the coupling exactly as it enters the wave
-        limit equation."""
+        rows of the tilde coefficient stack C at (n_h, -n3),
+        c_b(n_h, -n3) = conj c_-b(-n_h, n3).  Returns a stack with a zero
+        row 0.  Carries the bare symmetrized kernel (no 1/2): this is the
+        coupling exactly as it enters the wave limit equation."""
         g = self.geometry
-        L, N = g.L, g.N
-        basis = self.basis
-        und = _underline_line(Vund)  # (L, 4) along the vertical line
-
-        out = np.zeros((3, L, L, L), dtype=np.complex128)
-        n3 = g.n_axis
-        valid3 = np.abs(2 * n3) <= N  # underline partner inside the lattice
-        i_k3 = np.where(valid3, 2 * n3 + N, 0)
-        u_at = np.where(valid3[:, None], und[i_k3, :], 0.0)  # (L, 4) for each n3
+        N = g.N
+        u_at = np.zeros((N + 1, 4), dtype=np.complex128)  # und at (0, 0, 2 n3), zero past N
+        u_at[: N // 2 + 1] = _underline_line(Vund)[N::2]
+        out = np.zeros((3, g.L, g.L, N + 1), dtype=np.complex128)
         k1, k2, _ = g.check_grid
-        osc = basis.mask_osc
-
-        # m = (n1, n2, -n3): flip the vertical index
         ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
-        for b, (ndot_eb, pair_bc) in self._b_factors.items():
-            cb = C[b][:, :, ::-1]
-            ec_conj = basis.evec_conj[b]  # resonance forces c = b
-            pair_uc = np.einsum("zj,xyzj->xyz", u_at, ec_conj)
+        for b, (ndot_eb, pair_bc) in self._b_factors.items():  # resonance forces c = b
+            cb = np.conj(C[-b][::-1, ::-1])  # c_b at m = (n1, n2, -n3)
+            pair_uc = np.einsum("zj,xyzj->xyz", u_at, self.basis.evec_conj[b][:, :, N:])
             contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
-            out[b] = np.where(osc, contrib, 0.0)
+            out[b] = np.where(self.basis.mask_osc[..., N:], contrib, 0.0)
         return out
 
     @cached_property
     def _b_factors(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """The geometry factors of `b_form` for b in (+1, -1): ncheck(n) .
         e_b and <e_b, e_b(n)>, with e_b taken at (n_h, -n3).  They depend
-        on the basis alone; built on first use, since only the limit
-        system's wave coupling reads them."""
+        on the basis alone, and are kept on the outputs n3 >= 0; built on
+        first use, since only the limit system's wave coupling reads them."""
+        N = self.geometry.N
         k1, k2, k3 = self.geometry.check_grid
         factors = {}
         for b in (1, -1):
-            eb = self.basis.evec[b][:, :, ::-1, :]
-            ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
-            factors[b] = ndot_eb, np.einsum("xyzj,xyzj->xyz", eb, self.basis.evec_conj[b])
+            eb = self.basis.evec[b][:, :, N::-1, :]  # n3 = 0, -1, .., -N
+            ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3[..., N:] * eb[..., 2]
+            factors[b] = ndot_eb, np.einsum("xyzj,xyzj->xyz", eb, self.basis.evec_conj[b][:, :, N:])
         return factors
 
     def q_tilde2(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
         """Limit underline x tilde transport on the underline part of Vund
-        and the tilde coefficient stack C; returns a (3, L, L, L) stack.
-        Rows +-1 are `b_form`.  Row 0 is the e_0 part of und_h . grad_h bar
-        (bar . grad und is zero: bar has no vertical velocity, und no
-        horizontal dependence).  e_0 depends on n_h alone, so it is the sum
-        i sum_k3 ncheck_h(n) . und_h(k3) c_0(n_h, n3 - k3) over
-        |k3|, |n3 - k3| <= N, the dealiased kernel's truncation: two (L, L)
-        Toeplitz products on row 0 of C."""
+        and the tilde coefficient stack C; returns a stack on the stored
+        modes, like C.  Rows +-1 are `b_form`.  Row 0 is the e_0 part of
+        und_h . grad_h bar (bar . grad und is zero: bar has no vertical
+        velocity, und no horizontal dependence).  e_0 depends on n_h alone,
+        so it is the sum i sum_k3 ncheck_h(n) . und_h(k3) c_0(n_h, n3 - k3)
+        over |k3|, |n3 - k3| <= N, the dealiased kernel's truncation: two
+        Toeplitz products on the full-lattice line of c_0, rows n3 >= 0."""
         g = self.geometry
         out = self.b_form(Vund, C)
         line = _underline_line(Vund)[:, :2]  # und_h(k3)
-        k3 = g.n_axis[:, None] - g.n_axis[None, :]  # n3 - m3 for row n3, column m3
+        k3 = np.arange(g.N + 1)[:, None] - g.n_axis[None, :]  # n3 - m3 for row n3, column m3
         toeplitz = np.where((np.abs(k3) <= g.N)[..., None], line[np.clip(k3 + g.N, 0, g.L - 1)], 0.0)
         k1, k2, _ = g.check_grid
-        out[0] = 1j * (k1 * (C[0] @ toeplitz[..., 0].T) + k2 * (C[0] @ toeplitz[..., 1].T))
+        c0 = _full_rows(C[:1])[0]
+        out[0] = 1j * (k1 * (c0 @ toeplitz[..., 0].T) + k2 * (c0 @ toeplitz[..., 1].T))
         return out
 
     def q_underline(self, C: np.ndarray) -> SpectralField4:
@@ -529,8 +517,8 @@ class FormEngine:
         diagonals are the rows of `limit_symbol`, whose exponentials are
         the limit stepper's heat factors.
         """
-        c = self.limit_symbol[..., self.geometry.N :] * _coefficients(W, slice(None))
-        out = _assemble(self.geometry, {a: c[a] for a in (0, 1, -1)})
+        c = self.limit_symbol * coefficients(W)
+        out = field_from_coefficients(self.geometry, {a: c[a] for a in (0, 1, -1)})
         return (out + self.a2_symbol(underline_part(W))).pin_zero_mode()
 
     # -- resonant trilinear pairing -------------------------------------------------

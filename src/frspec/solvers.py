@@ -25,11 +25,11 @@ heat factors: the horizontal average is a closed-form vertical heat flow,
 the geostrophic-like part a 2.5D Navier-Stokes system, the wave part has
 its phase-free dissipation (half Laplacian) and the resonance-restricted
 transport.  The limit stepper keeps the eigen-coefficient stack C of
-`waves.coefficients` (rows e_0, e_+, e_-), on which the heat factors act
-row by row; the e_0 row of the transport needs no Leray projection, since
-<P v, e_0> = <v, e_0> (P is self-adjoint per mode and P e_0 = e_0).  Its
-nonlinearity is minus the tilde-output limit forms of `forms`,
-q_tilde1(C) + q_tilde2(und, C), on the stack itself: the stepper
+`waves.coefficients` (rows e_0, e_+, e_-, modes n3 >= 0), on which the
+heat factors act row by row; the e_0 row of the transport needs no Leray
+projection, since <P v, e_0> = <v, e_0> (P is self-adjoint per mode and
+P e_0 = e_0).  Its nonlinearity is minus the tilde-output limit forms of
+`forms`, q_tilde1(C) + q_tilde2(und, C), on the stack itself: the stepper
 assembles no field in it and calls no `fields` kernel.
 
 A checkpoint stores V on the full lattice: `write_checkpoint` mirrors the
@@ -168,6 +168,17 @@ def lawson_rk4(x, rhs, half, full, dt: float):
     return x_new, full_x
 
 
+def _require_geometry(g: TorusGeometry, field: SpectralField4, name: str) -> None:
+    if field.geometry is not g and field.geometry != g:
+        raise ValueError(f"{name} lives on another geometry than the engine")
+
+
+def _is_multiple(x: float, unit: float) -> bool:
+    """x / unit lies within 1e-9 of an integer >= 1 (at least one step)."""
+    ratio = x / unit
+    return math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9
+
+
 def _step_size(dt: float) -> float:
     dt = float(dt)
     if not 0.0 < dt < math.inf:
@@ -200,7 +211,7 @@ class FilteredStepper:
         N = self.geometry.N
         mats = self.engine.basis.pa[:, :, N:].reshape(-1, 4, 4) * (-1.0 / self.eps)
         for j in range(3):
-            mats[:, j, j] += self.engine.a2_diag[:, :, N:].reshape(-1)
+            mats[:, j, j] += self.engine.a2_diag.reshape(-1)
         return mats
 
     def _apply(self, E: np.ndarray, W: SpectralField4) -> SpectralField4:
@@ -220,6 +231,7 @@ class FilteredStepper:
     ) -> SimState:
         if state.nu != self.nu or state.eps != self.eps:
             raise ValueError("state parameters do not match this stepper")
+        _require_geometry(self.geometry, state.V, "the state")
         dt = self.dt
         V = state.V
         self._check(V.coeffs)
@@ -278,7 +290,7 @@ def _field(g: TorusGeometry, C: np.ndarray) -> SpectralField4:
 @dataclass
 class LimitState:
     t: float
-    C: np.ndarray  # (3, L, L, L) eigen-coefficient stack, rows e_0, e_+, e_-
+    C: np.ndarray  # (3, L, L, N + 1) eigen-coefficient stack (n3 >= 0), rows e_0, e_+, e_-
 
 
 @dataclass
@@ -287,7 +299,7 @@ class LimitTrajectory:
     nu: float
     times: list[float]
     underline0: SpectralField4
-    C: list[np.ndarray]  # the stack of each snapshot: row 0 bar, rows +-1 waves
+    C: list[np.ndarray]  # the stack of each snapshot on n3 >= 0: row 0 bar, rows +-1 waves
 
     def underline(self, t: float) -> SpectralField4:
         return solve_underline(self.underline0, self.nu, t)
@@ -312,6 +324,7 @@ class LimitStepper:
         self.geometry = engine.geometry
         self.nu = engine.nu
         self.dt = _step_size(dt)
+        _require_geometry(self.geometry, und0, "the underline data")
         self.und0 = underline_part(und0)
         lam = engine.limit_symbol
         self._heat_half = np.exp((0.5 * self.dt) * lam)
@@ -357,13 +370,18 @@ def solve_limit(
 ) -> LimitTrajectory:
     """Advance the decomposed limit system from V0 to time T, keeping every
     `snapshot_every`-th step and the last.  ValueError on a T that is not
-    positive and finite, or a `snapshot_every` that is not an integer >= 1."""
+    positive, finite and a whole number of steps (`_is_multiple`), a
+    `snapshot_every` that is not an integer >= 1, or a V0 on another
+    geometry than the engine's."""
     if not 0.0 < T < math.inf:  # NaN included
         raise ValueError(f"T must be positive and finite, got {T}")
     if not isinstance(snapshot_every, numbers.Integral) or snapshot_every < 1:
         raise ValueError(f"snapshot_every must be an integer >= 1, got {snapshot_every!r}")
+    _require_geometry(engine.geometry, V0, "the initial data")
     dec = decompose(V0)  # also rejects data that is not divergence-free
     stepper = LimitStepper(engine, dt, dec.underline)  # rejects an invalid dt
+    if not _is_multiple(T, stepper.dt):
+        raise ValueError(f"T must be a whole number of steps dt = {stepper.dt}, got {T}")
     nsteps = int(round(T / stepper.dt))
     s = LimitState(0.0, coefficients(V0))
     times = [0.0]

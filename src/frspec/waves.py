@@ -24,20 +24,19 @@ component there, and L(tau) is the identity.
 Every layer shares one layout of this data: `EigenBasis.evec` is a single
 (3, L, L, L, 4) stack with rows e_0, e_+, e_-, so that Python's negative
 index makes evec[a] the vector e_a for a in (0, 1, -1), and
-`coefficients` returns the (3, L, L, L) stack c_0, c_+, c_- indexed the
-same way.  The symbol of P A itself is written once, as the
-(L, L, L, 4, 4) stack `EigenBasis.pa`: `pa_symbol`, `apply_pa` and the
-filtered stepper's generator all read it.
+`coefficients` returns the stack c_0, c_+, c_- indexed the same way.  The
+symbol of P A itself is written once, as the (L, L, L, 4, 4) stack
+`EigenBasis.pa`: `pa_symbol`, `apply_pa` and the filtered stepper's
+generator all read it.
 
-The basis stacks and the coefficient stacks cover the full lattice,
-since the resonance tables gather coefficients at any mode; fields store
-only the modes n3 >= 0 (see `fields`).  The per-mode operators (the
-projections, `apply_filter`, `apply_pa`) act on the stored modes alone,
-and this module owns the one conversion of coefficients between the
-layouts: `coefficients` evaluates n3 >= 0 and fills n3 < 0 by the symmetry of a
+The coefficient stacks, like the fields (see `fields`), hold only the
+modes n3 >= 0, (3, L, L, N + 1), and the per-mode operators (the
+projections, `apply_filter`, `apply_pa`) act on those alone.  The basis
+stacks cover the full lattice, which the table build and the single-mode
+queries read.  The resonance sums gather coefficients at any mode through
+`_full_rows`, the one conversion to the full lattice, by the symmetry of a
 real field, c_0(-n) = -conj c_0(n) and c_pm(-n) = conj c_mp(n) (since
-e_0(-n) = -e_0(n) and e_pm(-n) = e_pm(n) = conj e_mp(n), entry for
-entry), and `field_from_coefficients` reads the n3 >= 0 modes of a stack.
+e_0(-n) = -e_0(n) and e_pm(-n) = e_pm(n) = conj e_mp(n), entry for entry).
 """
 
 from __future__ import annotations
@@ -197,10 +196,11 @@ def apply_pa(field: SpectralField4) -> SpectralField4:
 def coefficients(field: SpectralField4) -> np.ndarray:
     """Eigen coefficients c_a(n) = <V_hat(n), e_a(n)> on n_h != 0 modes.
 
-    One (3, L, L, L) array over the full lattice (zero where n_h = 0), rows
-    c_0, c_+, c_- like `EigenBasis.evec`: c[a] is c_a for a in (0, 1, -1).
+    One (3, L, L, N + 1) array over the stored modes n3 >= 0 (zero where
+    n_h = 0), rows c_0, c_+, c_- like `EigenBasis.evec`: c[a] is c_a for a
+    in (0, 1, -1).
     """
-    return _full_rows(_coefficients(field, slice(None)))
+    return _coefficients(field, slice(None))
 
 
 def _full_rows(stored: np.ndarray) -> np.ndarray:
@@ -219,8 +219,8 @@ def _full_rows(stored: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(field: SpectralField4, rows: slice) -> np.ndarray:
-    """The rows `rows` of the `coefficients` stack on the stored modes,
-    (R, L, L, N + 1), and only those."""
+    """The rows `rows` of the `coefficients` stack, (R, L, L, N + 1), and
+    only those."""
     g = field.geometry
     evec_conj = EigenBasis.of(g).evec_conj[rows, :, :, g.N :]
     return np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec_conj)
@@ -229,14 +229,9 @@ def _coefficients(field: SpectralField4, rows: slice) -> np.ndarray:
 def field_from_coefficients(
     geometry: TorusGeometry, coeffs: dict[int, np.ndarray]
 ) -> SpectralField4:
-    """Assemble sum_a c_a e_a into a spectral field from the n3 >= 0 modes
-    of the full-lattice rows c_a, adding the terms in the order of
+    """Assemble sum_a c_a e_a into a spectral field from the rows c_a
+    (L, L, N + 1) on the stored modes, adding the terms in the order of
     `coeffs`, a map from the sign a in (0, 1, -1) to c_a."""
-    return _assemble(geometry, {a: c[..., geometry.N :] for a, c in coeffs.items()})
-
-
-def _assemble(geometry: TorusGeometry, coeffs: dict[int, np.ndarray]) -> SpectralField4:
-    """`field_from_coefficients` on rows (L, L, N + 1) of the stored modes."""
     evec = EigenBasis.of(geometry).evec[:, :, :, geometry.N :]
     out = zero_field(geometry)
     for a, c in coeffs.items():
@@ -279,13 +274,13 @@ def underline_part(field: SpectralField4) -> SpectralField4:
 def bar_part(field: SpectralField4) -> SpectralField4:
     """Kernel part on n_h != 0 modes: the e_0 component."""
     (c0,) = _coefficients(field, slice(0, 1))
-    return _assemble(field.geometry, {0: c0})
+    return field_from_coefficients(field.geometry, {0: c0})
 
 
 def osc_part(field: SpectralField4) -> SpectralField4:
     """Wave part: the e_+ and e_- components."""
     cp, cm = _coefficients(field, slice(1, 3))
-    return _assemble(field.geometry, {1: cp, -1: cm})
+    return field_from_coefficients(field.geometry, {1: cp, -1: cm})
 
 
 def decompose(field: SpectralField4, div_tol: float = 1e-8) -> KernelDecomposition:

@@ -37,6 +37,15 @@ def full_lattice(field):
     return out
 
 
+def full_stack(C):
+    """The full-lattice rows (R, L, L, L) of coefficient rows (R, L, L, N + 1)
+    on the stored modes n3 >= 0 of a real field, for the oracles that read
+    every mode: n3 < 0 holds c_0(-n) = -conj c_0(n), c_pm(-n) = conj c_mp(n)."""
+    from frspec.waves import _full_rows
+
+    return _full_rows(C)
+
+
 def from_lattice(geometry, coeffs):
     """The field whose full-lattice coefficients (L, L, L, 4) are `coeffs`
     (of a real field): its modes n3 >= 0."""

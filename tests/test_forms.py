@@ -34,7 +34,7 @@ from frspec.waves import (
     underline_part,
 )
 
-from conftest import float_omega, full_lattice, pair_stream, random_field, stored
+from conftest import float_omega, full_lattice, full_stack, pair_stream, random_field, stored
 
 
 @pytest.fixture(scope="module")
@@ -329,9 +329,9 @@ def _plan_rows(tab, N):
 
 
 def _row_products_2d(C1, C2, tab, rows=slice(None)):
-    """The row product of two coefficient stacks with 2-D (sign row, mode)
-    gathers."""
-    C1, C2 = (C.reshape(3, -1) for C in (C1, C2))
+    """The row product of two coefficient stacks on the stored modes with
+    2-D (sign row, mode) gathers from their full-lattice rows."""
+    C1, C2 = (full_stack(C).reshape(3, -1) for C in (C1, C2))
     ia, kf, ib, mf = sign_row(tab.ia[rows]), tab.kf[rows], sign_row(tab.ib[rows]), tab.mf[rows]
     x1 = C1[ia, kf]
     y2 = C2[ib, mf]
@@ -343,8 +343,9 @@ def _row_products_2d(C1, C2, tab, rows=slice(None)):
 def q_resonant_2d(eng, C1, C2, rows=slice(None)):
     """The resonant sum of two coefficient stacks with 2-D gathers and
     scatters over the table rows `rows` (every row by default), each with
-    weight G, on every output mode; returns the (3, L, L, L) output stack.
-    This full-table sum is the oracle of rows +-1 of q_tilde1."""
+    weight G, on every output mode; returns the (3, L, L, L) output stack
+    over the full lattice.  This full-table sum is the oracle of rows +-1
+    of q_tilde1, compared through `full_stack`."""
     g = eng.geometry
     tab, _ = eng.tables
     w = eng._G_rows(tab.kf[rows], tab.ia[rows], tab.mf[rows], tab.ib[rows], tab.nf[rows], tab.ic[rows])
@@ -388,7 +389,8 @@ def q_underline_2d(eng, V1, V2):
 
 # The general two-slot forms, written out from the kernels: each form of
 # FormEngine is the diagonal of one of these symmetric bilinear forms.  The
-# tilde-output forms return coefficient stacks, as the engine's do.
+# tilde-output forms return coefficient stacks on the stored modes, as the
+# engine's do.
 
 
 def horizontal_advection_2(A, B):
@@ -398,7 +400,7 @@ def horizontal_advection_2(A, B):
 
 def q_tilde1_2(eng, C1, C2):
     g = eng.geometry
-    out = q_resonant_2d(eng, C1, C2)
+    out = q_resonant_2d(eng, C1, C2)[..., g.N :].copy()
     bar1, bar2 = (field_from_coefficients(g, {0: C[0]}) for C in (C1, C2))
     out[0] = coefficients(horizontal_advection_2(bar1, bar2))[0]
     return out
@@ -450,10 +452,10 @@ class TestFlatIndexApply:
         C = coefficients(V)
         # the resonant sum, rows +-1 of q_tilde1, against the full-table
         # sum: weight 2 G on one row of a pair, the plane block and the
-        # n3 < 0 fill reorder its additions
-        got = eng.q_tilde1(C)[1:]
-        assert got.shape == C[1:].shape
-        assert close_to(got, q_resonant_2d(eng, C, C)[1:])
+        # mirror image of n3 > 0 on n3 < 0 reorder its additions
+        got = eng.q_tilde1(C)
+        assert got.shape == C.shape
+        assert close_to(full_stack(got)[1:], q_resonant_2d(eng, C, C)[1:])
         got = eng.q_underline(C)
         assert np.max(np.abs(got.coeffs)) > 0
         # the oracle also sums the FFT (0, 0) class, which is exactly zero
@@ -602,10 +604,10 @@ class TestPlaneBlock:
         assert np.all((tab.ia[rows] == 0) | (tab.ib[rows] == 0))
         C = coefficients(random_field(g, seed=71, amplitude=1.0, spectrum_r=1.0))
         want = q_resonant_2d(eng, C, C, rows)[..., N]
-        u = np.moveaxis(C[0, :, :, N, None] * EigenBasis.of(g).e0[:, :, N, :2], -1, 0)
-        plus = convolve_plane(g, u, C[1, :, :, N])
+        u = np.moveaxis(C[0, :, :, 0, None] * EigenBasis.of(g).e0[:, :, N, :2], -1, 0)
+        plus = convolve_plane(g, u, C[1, :, :, 0])
         assert close_to(plus, want[1])
-        assert close_to(convolve_plane(g, u, C[-1, :, :, N]), want[-1])
+        assert close_to(convolve_plane(g, u, C[-1, :, :, 0]), want[-1])
         # on a real field, c_-(n) = conj c_+(-n)
         assert close_to(np.conj(plus[::-1, ::-1]), want[-1])
 
@@ -613,9 +615,9 @@ class TestPlaneBlock:
         eng, _ = plane_engine
         g = eng.geometry
         C = coefficients(random_field(g, seed=72, amplitude=1.0, spectrum_r=1.0))
-        got, want = eng.q_tilde1(C)[1:], q_resonant_2d(eng, C, C)[1:]
+        got, want = full_stack(eng.q_tilde1(C))[1:], q_resonant_2d(eng, C, C)[1:]
         assert close_to(got, want)
-        # every plane n3 <= 0 on its own scale: the fill below the plane,
+        # every plane n3 <= 0 on its own scale: the mirror below the plane,
         # and the plane, where the plane block meets the radical rows (their
         # weights are at rounding level in these geometries, so the plan
         # test above is what pins those rows)
@@ -709,6 +711,24 @@ class TestWaveWaveKernelForcing:
         # no plan row outputs on e_0, row 0 of the stored output stack
         assert len(tab.W) == len(_plan_rows(tab, eng.geometry.N))
         assert np.all(tab.nc >= eng.geometry.L ** 2 * (eng.geometry.N + 1))
+
+
+class TestRadicalRowWeights:
+    """Every radical row (a, b, c all nonzero) of the triad table carries a
+    weight G at rounding level: max |G| is 1.1e-16, 1.1e-16 and 4.4e-16 at
+    (1,2,3)/N3, (1,1,3)/N4 and (1,2,3)/N6, against max |W| of 6.0, 9.9 and
+    12.0.  The rows stay in the apply plan; this pins the measurement, the
+    oracle a proof that G vanishes on them (like TestWaveWaveKernelForcing's)
+    would answer to."""
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 2, 3), 3), ((1, 1, 3), 4), ((1, 2, 3), 6)])
+    def test_radical_weights_are_at_rounding_level(self, a_sq, N):
+        eng = FormEngine(TorusGeometry(a_sq, N), nu=1.0)
+        tab, _ = eng.tables
+        r = np.nonzero((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0))[0]
+        assert len(r) > 0
+        G = eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
+        assert np.max(np.abs(G)) <= 1e-15 * np.max(np.abs(tab.W))
 
 
 class TestQeps:
@@ -833,13 +853,13 @@ class TestQtilde1:
     def test_fft_class_plus_resonant_classes(self, engine4, unit_torus_4):
         # row 0: the e_0 row of the horizontal kernel on the bar field, one
         # operand object in both slots; rows +-1: the resonant sum, to
-        # rounding (the plane block and the n3 < 0 fill reorder it)
+        # rounding (the plane block and the mirror image on n3 < 0 reorder it)
         V = random_field(unit_torus_4, seed=41)
         C = coefficients(V)
         bar = field_from_coefficients(unit_torus_4, {0: C[0]})
         got = engine4.q_tilde1(C)
         assert np.array_equal(got[0], coefficients(convolve_quadratic(bar, bar, "horizontal"))[0])
-        assert close_to(got[1:], q_resonant_2d(engine4, C, C)[1:])
+        assert close_to(full_stack(got)[1:], q_resonant_2d(engine4, C, C)[1:])
 
     @pytest.mark.parametrize(
         "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0)]
@@ -886,9 +906,10 @@ class TestQtilde1:
 
     def test_output_is_real_field(self, engine4, unit_torus_4):
         # the output stack is that of a real field: c_0(-n) = -conj c_0(n)
-        # and c_pm(-n) = conj c_mp(n)
+        # and c_pm(-n) = conj c_mp(n), which the stored plane n3 = 0 holds
+        # for both n and -n
         V = random_field(unit_torus_4, seed=44)
-        q = engine4.q_tilde1(coefficients(V))
+        q = full_stack(engine4.q_tilde1(coefficients(V)))
         mirror = np.conj(q[[0, 2, 1], ::-1, ::-1, ::-1])
         mirror[0] *= -1.0
         assert np.max(np.abs(q)) > 0 and np.max(np.abs(q - mirror)) < 1e-12
@@ -908,6 +929,7 @@ class TestQtilde2AndB:
         for seed in (46, 47):
             V = random_field(g, seed=seed, amplitude=1.0, spectrum_r=3.0)
             und, C = underline_part(V), coefficients(V)
+            Cf = full_stack(C)
             line = full_lattice(und)[g.N, g.N].copy()
             line[:, 2] = 0.0
             line[g.N] = 0.0
@@ -915,14 +937,14 @@ class TestQtilde2AndB:
             u = np.where(valid[:, None], line[np.where(valid, 2 * g.n_axis + g.N, 0)], 0.0)
             want = np.zeros((3,) + (g.L,) * 3, dtype=np.complex128)
             for b in (1, -1):
-                cb, eb = C[b][:, :, ::-1], basis.evec[b][:, :, ::-1, :]
+                cb, eb = Cf[b][:, :, ::-1], basis.evec[b][:, :, ::-1, :]
                 ndot_u = k1 * u[None, None, :, 0] + k2 * u[None, None, :, 1]
                 ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3 * eb[..., 2]
                 pair_bc = np.einsum("xyzj,xyzj->xyz", eb, basis.evec_conj[b])
                 pair_uc = np.einsum("zj,xyzj->xyz", u, basis.evec_conj[b])
                 contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
                 want[b] = np.where(basis.mask_osc, contrib, 0.0)
-            assert eng.b_form(und, C).tobytes() == want.tobytes()
+            assert eng.b_form(und, C).tobytes() == want[..., g.N :].tobytes()
             if seed == 46:
                 factors = eng._b_factors
         assert eng._b_factors is factors
@@ -931,7 +953,8 @@ class TestQtilde2AndB:
         V = random_field(unit_torus_4, seed=45)
         osc = decompose(V).osc
         out = engine4.b_form(zero_field(unit_torus_4), coefficients(osc))
-        assert out.shape == (3,) + (unit_torus_4.L,) * 3
+        L, N = unit_torus_4.L, unit_torus_4.N
+        assert out.shape == (3, L, L, N + 1)
         assert np.all(out == 0.0)
 
     def test_single_mode_bookkeeping(self, unit_torus_4):
@@ -1050,7 +1073,7 @@ class TestQunderline:
         V = random_field(g, seed=49)
         til = project_tilde(V)
         c = coefficients(til)
-        cof = {a: c[a].reshape(-1) for a in (0, 1, -1)}
+        cof = {a: full_stack(c)[a].reshape(-1) for a in (0, 1, -1)}
         ev = {0: basis.e0.reshape(-1, 4), 1: basis.ep.reshape(-1, 4), -1: basis.em.reshape(-1, 4)}
         N, L = g.N, g.L
         want_line = np.zeros((L, 4), dtype=np.complex128)
@@ -1243,8 +1266,8 @@ class TestFilterGroupCommutation:
 class TestEvaluate:
     """One evaluation of each limit form hands the table of its classes to
     the row product once, counted by its rows: q_tilde1 sums that table's
-    apply plan, and its plane block and n3 < 0 fill stand for the other
-    rows."""
+    apply plan, and its plane block and its output on n3 >= 0 alone stand
+    for the other rows."""
 
     @pytest.mark.parametrize("form", ["q_tilde1", "q_tilde2", "q_underline", "q_limit"])
     def test_interactions_are_the_rows_summed(self, engine3, unit_torus_3, form, monkeypatch):
@@ -1307,7 +1330,7 @@ class TestSelfInteractions:
     agrees to rounding: the e_0 row of q_tilde2, a sum along n3 that the
     two-slot form takes from the FFT kernel, and rows +-1 of q_tilde1, which
     the two-slot form takes from the full-table sum (weight G on every row)
-    and q_tilde1 from its plan, plane block and n3 < 0 fill."""
+    and q_tilde1 from its plan, plane block and stored output n3 >= 0."""
 
     FORMS = {"q_tilde1": lambda eng, A, B: q_tilde1_2(eng, coefficients(A), coefficients(B)),
              "q_tilde2": q_tilde2_2, "q_underline": q_underline_2d, "q_limit": q_limit_2}
@@ -1319,7 +1342,7 @@ class TestSelfInteractions:
     def test_q_resonant_matches_the_general_path(self, self_engine):
         # the resonant sum, rows +-1 of q_tilde1
         C = coefficients(self._data(self_engine.geometry))
-        got = self_engine.q_tilde1(C)[1:]
+        got = full_stack(self_engine.q_tilde1(C))[1:]
         assert close_to(got, q_resonant_2d(self_engine, C, C.copy())[1:])
 
     def test_q_resonant_matches_the_bar_osc_forcing(self, self_engine):
@@ -1331,7 +1354,7 @@ class TestSelfInteractions:
         bar[0] = C[0]
         osc = C - bar
         want = q_resonant_2d(self_engine, osc, osc + 2.0 * bar)
-        assert close_to(self_engine.q_tilde1(C)[1:], want[1:])
+        assert close_to(full_stack(self_engine.q_tilde1(C))[1:], want[1:])
 
     @pytest.mark.parametrize("form", FORMS)
     def test_forms_match_the_general_path(self, self_engine, form, monkeypatch):

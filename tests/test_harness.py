@@ -273,6 +273,21 @@ class TestAudit:
         with pytest.raises(ValueError):
             bc_sums(zero_field(unit_torus_4), 3)
 
+    def test_stack_residuals_take_the_full_lattice_norm(self):
+        # the audit's stack residuals read rows on the stored modes n3 >= 0
+        # at the l2 norm of their full-lattice rows, not at the plain norm
+        # of the stored half (about 1/sqrt2 of it)
+        from frspec.geometry import TorusGeometry
+        from frspec.waves import coefficients
+
+        from conftest import full_stack, random_field
+
+        C = coefficients(random_field(TorusGeometry((1, 2, 3), 4), seed=5, spectrum_r=1.0))
+        F = full_stack(C)
+        for rows, full in ((C, F), (C[0], F[0]), (C[1:], F[1:])):
+            want = np.linalg.norm(full)
+            assert abs(harness._lattice_norm(rows) - want) <= 1e-14 * want
+
 
 class TestCli:
     def _cfg_file(self, tmp_path, **over):

@@ -92,6 +92,14 @@ class TestFilteredStepper:
         with pytest.raises(ValueError):
             st.step(SimState(0.0, V0, 1.0, 0.2))
 
+    def test_state_on_another_geometry_rejected(self, engine4):
+        # a state of the (1, 2, 3) torus with the unit torus's N: the
+        # stepper once advanced it with the unit torus's symbols
+        V0 = random_field(TorusGeometry((1, 2, 3), 4), seed=60, amplitude=0.5)
+        st = FilteredStepper(engine4, eps=0.1, dt=1e-3)
+        with pytest.raises(ValueError, match="another geometry"):
+            st.step(SimState(0.0, V0, 1.0, 0.1))
+
     def test_energy_identity_per_step(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=61, amplitude=1.0, spectrum_r=3.0)
         st = FilteredStepper(engine4, eps=1e-2, dt=1e-3)
@@ -148,30 +156,31 @@ class TestFilteredStepper:
         # diag(A2) - (1/eps) PA from the one A2 symbol and the one PA stack,
         # the stack that pa_symbol reads at every mode
         g = unit_torus_4
-        pa = EigenBasis.of(g).pa
+        pa = EigenBasis.of(g).pa[:, :, g.N :]
         diag = np.zeros(pa.shape)
         for j in range(3):
             diag[..., j, j] = engine4.a2_diag
-        want = (diag - pa / eps)[:, :, g.N :].reshape(-1, 4, 4)
+        want = (diag - pa / eps).reshape(-1, 4, 4)
         got = FilteredStepper(engine4, eps=eps, dt=1e-3)._generator()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         assert np.all(got[(g.N * g.L + g.N) * (g.N + 1)] == 0.0)  # n = 0
-        assert np.array_equal(engine4.a2_diag, -engine4.nu * g.check_sq)
+        assert np.array_equal(engine4.a2_diag, -engine4.nu * g.check_sq[..., g.N :])
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_generator_at_minus_n_is_the_one_at_n(self, a_sq, N, eps):
         # the half stack serves n3 < 0 because the generator, built from
         # the shared symbols over the full lattice as the stepper builds
-        # its half, is even in n bit for bit, and so are its exponentials
-        # (array_equal: an exact zero may carry either sign)
+        # its half (the A2 symbol -nu |ncheck|^2 of the whole lattice, whose
+        # stored half is a2_diag), is even in n bit for bit, and so are its
+        # exponentials (array_equal: an exact zero may carry either sign)
         from scipy.linalg import expm
 
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=0.7)
         mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
         for j in range(3):
-            mats[:, j, j] += eng.a2_diag.reshape(-1)
+            mats[:, j, j] += (-eng.nu * g.check_sq).reshape(-1)
         full = mats.reshape(g.L, g.L, g.L, 4, 4)
         assert np.array_equal(full, full[::-1, ::-1, ::-1])
         E = expm(1e-3 * full)
@@ -228,7 +237,7 @@ class TestFilteredStepper:
         dt = 1e-3
         mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
         for j in range(3):
-            mats[:, j, j] += eng.a2_diag.reshape(-1)
+            mats[:, j, j] += (-eng.nu * g.check_sq).reshape(-1)
         Eh, Ef = expm(0.5 * dt * mats), expm(dt * mats)
         Einv = np.linalg.inv(Ef)
         k1, k2, k3 = g.check_grid
@@ -332,7 +341,7 @@ class TestUnderline:
         g = TorusGeometry(a_sq, 4)
         f = decompose(random_field(g, seed=67, amplitude=1.0, spectrum_r=3.0)).underline
         out = solve_underline(f, nu, t)
-        factor = np.exp(t * FormEngine(g, nu).a2_diag[g.N, g.N, g.N :])
+        factor = np.exp(t * FormEngine(g, nu).a2_diag[g.N, g.N])
         line = f.coeffs[g.N, g.N]
         assert np.max(np.abs(line[:, :2])) > 0
         for c in (0, 1):
@@ -350,7 +359,8 @@ class TestLimitSteppers:
         st = LimitStepper(engine4, 1e-2, zero_field(unit_torus_4))
         s = LimitState(0.0, coefficients(zero_field(unit_torus_4)))
         s = st.step(s)
-        assert s.C.shape == (3,) + (unit_torus_4.L,) * 3 and not np.any(s.C)
+        L, N = unit_torus_4.L, unit_torus_4.N
+        assert s.C.shape == (3, L, L, N + 1) and not np.any(s.C)
 
     @pytest.mark.parametrize("dt", [0.0, -5e-3, math.nan, math.inf])
     def test_invalid_step_size_rejected(self, engine4, unit_torus_4, dt):
@@ -369,14 +379,23 @@ class TestLimitSteppers:
             (dict(T=0.01, snapshot_every=0), "^snapshot_every must be an integer >= 1"),
             (dict(T=0.01, snapshot_every=-2), "^snapshot_every must be an integer >= 1"),
             (dict(T=0.01, snapshot_every=1.5), "^snapshot_every must be an integer >= 1"),
+            (dict(T=0.012), "^T must be a whole number of steps"),
+            (dict(T=0.001), "^T must be a whole number of steps"),
         ],
-        ids=["T-negative", "T-zero", "T-nan", "T-inf", "every-0", "every-negative", "every-float"],
+        ids=["T-negative", "T-zero", "T-nan", "T-inf", "every-0", "every-negative", "every-float",
+             "T-between-steps", "T-below-one-step"],
     )
     def test_invalid_horizon_or_snapshot_stride_rejected(self, engine4, unit_torus_4, kwargs, message):
-        # these once returned a one-snapshot trajectory (T = -1) or raised
-        # from int(round(T / dt)) or from the stride's modulo
+        # these once returned a one-snapshot trajectory (T = -1), raised
+        # from int(round(T / dt)) or from the stride's modulo, stopped at
+        # t = 0.01 short of T = 0.012, or returned no step at all (T = 0.001)
         with pytest.raises(ValueError, match=message):
             solve_limit(engine4, zero_field(unit_torus_4), dt=5e-3, **kwargs)
+
+    def test_underline_on_another_geometry_rejected(self, engine4):
+        und = single_mode_field(TorusGeometry((1, 2, 3), 4), (0, 0, 1), [1.0, 0, 0, 0])
+        with pytest.raises(ValueError, match="another geometry"):
+            LimitStepper(engine4, 1e-2, und)
 
     def test_cfl_violation_raises(self, engine4, unit_torus_4):
         # the guard bounds the total limit velocity, underline included
@@ -494,6 +513,13 @@ class TestLimitSteppers:
 
 
 class TestSolveLimit:
+    def test_initial_data_on_another_geometry_rejected(self):
+        # the (1, 2, 3) engine once ran on unit-torus data of the same N
+        eng = FormEngine(TorusGeometry((1, 2, 3), 4), nu=1.0)
+        V0 = random_field(TorusGeometry((1, 1, 1), 4), seed=70, amplitude=1.0, spectrum_r=3.0)
+        with pytest.raises(ValueError, match="another geometry"):
+            solve_limit(eng, V0, T=0.01, dt=5e-3)
+
     def test_wave_free_data_is_heat_flow(self, engine4, unit_torus_4):
         g = unit_torus_4
         f = single_mode_field(g, (0, 0, 2), [0.5, -0.25, 0, 1.0])
@@ -581,7 +607,8 @@ class TestSolveLimit:
         row_products = FormEngine._row_products
 
         def spy(self, C, tab):
-            seen.append(C.shape == (3,) + (self.geometry.L,) * 3 and tab is self.tables[0])
+            g = self.geometry
+            seen.append(C.shape == (3, g.L, g.L, g.N + 1) and tab is self.tables[0])
             return row_products(self, C, tab)
 
         g = TorusGeometry((1, 2, 3), 3)
@@ -727,8 +754,8 @@ class TestStepWork:
         traj = solve_limit(engine4, V0, T=0.05, dt=1e-2, snapshot_every=2)
         assert traj.times == pytest.approx([0.0, 0.02, 0.04, 0.05])
         assert [k for k, v in vars(traj).items() if isinstance(v, list)] == ["times", "C"]
-        L = unit_torus_4.L
-        assert all(type(C) is np.ndarray and C.shape == (3, L, L, L) for C in traj.C)
+        L, N = unit_torus_4.L, unit_torus_4.N
+        assert all(type(C) is np.ndarray and C.shape == (3, L, L, N + 1) for C in traj.C)
         assert len(traj.C) == len(traj.times)
 
 

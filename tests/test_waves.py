@@ -17,7 +17,7 @@ from frspec.waves import (
     pa_symbol,
 )
 
-from conftest import full_lattice, random_field, stored
+from conftest import full_lattice, full_stack, random_field, stored
 
 
 class TestSymbol:
@@ -153,18 +153,19 @@ class TestSignIndexedLayout:
         for seed in (21, 22):
             V = random_field(geometry, seed=seed, spectrum_r=1.0)
             c = coefficients(V)
-            assert c.shape == (3,) + (geometry.L,) * 3
             N = geometry.N
+            assert c.shape == (3, geometry.L, geometry.L, N + 1)
             for a in (0, 1, -1):
                 want = np.einsum("xyzc,xyzc->xyz", full_lattice(V), np.conj(b.evec[a]))
-                assert c[a][..., N:].tobytes() == want[..., N:].tobytes(), a
-                assert np.array_equal(c[a], want), a
+                assert c[a].tobytes() == want[..., N:].tobytes(), a
+                assert np.array_equal(full_stack(c)[a], want), a
 
 
 class TestStackMirror:
-    """`coefficients` evaluates the stored modes n3 >= 0 and fills n3 < 0 by
-    c_0(-n) = -conj c_0(n) and c_pm(-n) = conj c_mp(n); the oracle is the
-    per-mode einsum over the mirrored full lattice, equal under ==."""
+    """`coefficients` evaluates the stored modes n3 >= 0, and the full
+    lattice fills n3 < 0 by c_0(-n) = -conj c_0(n) and c_pm(-n) = conj c_mp(n);
+    the oracle is the per-mode einsum over the mirrored full lattice, equal
+    under ==."""
 
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5), ((1, 2, 3), 8), ((1, 4, 1), 6)])
     @pytest.mark.parametrize("steps", [0, 3], ids=["random", "stepped"])
@@ -181,7 +182,7 @@ class TestStackMirror:
             for _ in range(steps):
                 state = stepper.step(state, enforce_cfl=False)
             want = np.einsum("xyzc,sxyzc->sxyz", full_lattice(state.V), evec_conj)
-            assert np.array_equal(coefficients(state.V), want)
+            assert np.array_equal(full_stack(coefficients(state.V)), want)
 
 
 class TestLerayKeepsTheKernelRow:
