@@ -16,26 +16,33 @@ Quadratic products are evaluated pseudo-spectrally on a padded collocation
 grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
 modes of a product of two fields are alias-free.
 
-All transforms are scipy.fft real transforms (irfftn / rfftn) of the
-stored coefficients, component axis first, one batched call for all
-components.  Transport is computed in divergence form, a . grad B =
-div(a (x) B), with div_h for the horizontal stencil; this holds when the
-velocity a is divergence-free (a_h horizontally divergence-free), which
-every caller guarantees: Leray-projected fields, the limit system's bar
-and underline parts.  One evaluation makes one inverse transform of the
-live components of a and B and one forward transform of the products
-P_jc = a_j B_c it forms.  The kernel derives that product set
-(`_products`) from J (3, or 2 for div_h), whether the operands are
-symmetric (A is B, or the symmetrized `transport`: then P_jc = P_cj and
-only j <= c is formed) and which operand components are identically zero
-(one `any` pass over the float64 view of the coefficients; a NaN or
-inf is live, -0.0 is zero).  A zero component is
+All transforms are scipy.fft real transforms (irfftn / rfftn), one batched
+call on the rows `coeffs.reshape(-1, C).T` (a view), which one flat index
+plan per (geometry, M) scatters into the padded grid and gathers back.
+Per-mode operators are real (modes, 4, 4) stacks applied by one real
+batched matmul on the float64 view of the coefficients (`apply_per_mode`):
+the Leray projector (I - nhat nhat^T on the velocity, nhat = ncheck /
+|ncheck|, 1 on the buoyancy, 0 at n = 0) and the stepper's propagators.
+The plan, the flat check frequencies and the projector are built once and
+kept in the geometry's cache.  Transport is computed in divergence form,
+a . grad B = div(a (x) B), with div_h for the horizontal stencil; this
+holds when the velocity a is divergence-free (a_h horizontally
+divergence-free), which every caller guarantees: Leray-projected fields,
+the limit system's bar and underline parts.  One evaluation makes one
+inverse transform of the live components of a and B and one forward
+transform of the products P_jc = a_j B_c it forms.  The kernel derives
+that product set (`_products`) from J (3, or 2 for div_h), whether the
+operands are symmetric (A is B, or the symmetrized `transport`: then
+P_jc = P_cj and only j <= c is formed) and which operand components are
+identically zero (one `any` pass over the float64 view of the
+coefficients; a NaN or inf is live, -0.0 is zero).  A zero component is
 not transformed and no product with a zero factor is formed; leaving out
 such a term changes no output byte.  With every component live: 3 + 4
 inverse and 12 forward components (2 + 4 and 8 horizontal), 4 and 9 when
-A is B (full stencil), 4 + 4 and 9 for `transport`.  The limit system's
-bar field has components 1 and 2 only, so its self-advection makes 2
-inverse and 3 forward (a_1 a_1, a_1 a_2, a_2 a_2), against 4 and 8.
+A is B (full stencil and `transport`), 4 + 4 and 9 for `transport` of
+two fields.  The limit system's bar field has components 1 and 2 only, so
+its self-advection makes 2 inverse and 3 forward (a_1 a_1, a_1 a_2,
+a_2 a_2), against 4 and 8.
 
 `convolve_plane` is the same dealiased divergence-form product for one
 scalar advected by a horizontal velocity on the plane n3 = 0, on
@@ -64,6 +71,7 @@ __all__ = [
     "to_physical",
     "to_spectral",
     "leray_project",
+    "apply_per_mode",
     "convolve_quadratic",
     "transport",
     "convolve_plane",
@@ -153,26 +161,31 @@ def _pad_size(N: int) -> int:
     return next_fast_len(3 * N + 1)
 
 
-def _wrap(geometry: TorusGeometry, M: int) -> np.ndarray:
-    """Grid index of each mode -N..N along one axis (wrap-around order)."""
-    return (np.arange(geometry.L) - geometry.N) % M
+def _plan(geometry: TorusGeometry, M: int) -> np.ndarray:
+    """Flat index of each stored mode in the padded (M, M, M // 2 + 1)
+    grid (n1, n2 wrapped around); built once per (geometry, M), read-only."""
+
+    def build():
+        w = (np.arange(geometry.L) - geometry.N) % M
+        flat = ((w[:, None] * M + w)[..., None] * (M // 2 + 1) + np.arange(geometry.N + 1)).ravel()
+        flat.setflags(write=False)
+        return flat
+
+    return geometry._cached(("fields.plan", M), build)
 
 
-def _to_grid(geometry: TorusGeometry, stack: np.ndarray, M: int) -> np.ndarray:
+def _to_grid(geometry: TorusGeometry, rows: np.ndarray, M: int) -> np.ndarray:
     """Samples (C, M, M, M) of the real fields whose stored coefficients
-    are the rows of `stack` (C, L, L, N + 1)."""
-    N = geometry.N
-    idx = _wrap(geometry, M)
-    pad = np.zeros((stack.shape[0], M, M, M // 2 + 1), dtype=np.complex128)
-    pad[:, idx[:, None], idx[None, :], : N + 1] = stack
-    return irfftn(pad, s=(M, M, M), axes=_AXES, norm="forward")
+    are the rows of `rows` (C, L L (N + 1))."""
+    pad = np.zeros((len(rows), M * M * (M // 2 + 1)), dtype=np.complex128)
+    pad[:, _plan(geometry, M)] = rows
+    return irfftn(pad.reshape(-1, M, M, M // 2 + 1), s=(M, M, M), axes=_AXES, norm="forward")
 
 
 def _from_grid(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
-    """Retained coefficients (C, L, L, N + 1) of samples (C, M, M, M)."""
-    idx = _wrap(geometry, values.shape[1])
+    """Retained coefficients (C, L L (N + 1)) of samples (C, M, M, M)."""
     hat = rfftn(values, axes=_AXES, norm="forward")
-    return hat[:, idx[:, None], idx[None, :], : geometry.N + 1]
+    return hat.reshape(len(hat), -1)[:, _plan(geometry, values.shape[1])]
 
 
 def to_physical(
@@ -185,29 +198,48 @@ def to_physical(
     M = grid_points or _pad_size(g.N)
     if M < 2 * g.N + 1:
         raise ValueError(f"grid of {M} points cannot hold modes up to N={g.N}")
-    vals = _to_grid(g, np.moveaxis(field.coeffs[..., :ncomp], -1, 0), M)
-    return PhysicalField4(g, np.moveaxis(vals, 0, -1), M)
+    vals = _to_grid(g, field.coeffs[..., :ncomp].reshape(-1, ncomp).T, M)
+    return PhysicalField4(g, vals.transpose(1, 2, 3, 0), M)
 
 
 def to_spectral(phys: PhysicalField4) -> SpectralField4:
     """Inverse of to_physical on the retained modes."""
     g = phys.geometry
-    return SpectralField4(g, np.moveaxis(_from_grid(g, np.moveaxis(phys.values, -1, 0)), 0, -1))
+    hat = _from_grid(g, phys.values.transpose(3, 0, 1, 2))
+    return SpectralField4(g, hat.T.reshape(g.L, g.L, g.N + 1, -1))
 
 
 # -- differential / projection operators --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _frequencies(geometry: TorusGeometry) -> tuple[np.ndarray, ...]:
-    """The check frequencies (k1, k2, k3) broadcastable over the stored
-    modes, and |ncheck|^2 there with 1 at n = 0 (a safe divisor); every
-    call on one geometry shares these arrays, read-only."""
-    k1, k2, k3 = geometry.check_grid
-    ksq = geometry.check_sq[..., geometry.N :].copy()
-    ksq[geometry.N, geometry.N, 0] = 1.0
-    ksq.setflags(write=False)
-    return k1, k2, k3[..., geometry.N :], ksq
+def _mode_arrays(geometry: TorusGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The check frequencies (3, L L (N + 1)) and the Leray projector stack
+    (L L (N + 1), 4, 4) of the stored modes; built once per geometry,
+    read-only."""
+
+    def build():
+        k1, k2, k3 = geometry.check_grid
+        ks = np.stack(np.broadcast_arrays(k1, k2, k3[..., geometry.N :])).reshape(3, -1)
+        ksq = np.where(geometry.mask_zero, 1.0, geometry.check_sq)[..., geometry.N :]
+        khat = ks.T / np.sqrt(ksq).reshape(-1, 1)  # 0 at n = 0
+        P = np.zeros((ks.shape[1], 4, 4))
+        P[:, :3, :3] = np.eye(3) - khat[:, :, None] * khat[:, None, :]
+        P[:, 3, 3] = 1.0
+        P[(geometry.N * geometry.L + geometry.N) * (geometry.N + 1)] = 0.0  # n = 0
+        for a in (ks, P):
+            a.setflags(write=False)
+        return ks, P
+
+    return geometry._cached("fields.mode_arrays", build)
+
+
+def apply_per_mode(E: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """E(n) V_hat(n) for a real stack E (modes, 4, 4) and coefficients
+    (..., 4) on those modes: E @ (modes, 4, 2), the (re, im) float64 view,
+    so conjugate coefficients give conjugate results bit for bit."""
+    c = np.ascontiguousarray(coeffs)
+    out = np.matmul(E, c.view(np.float64).reshape(-1, 4, 2))
+    return out.view(np.complex128).reshape(c.shape)
 
 
 def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralField4:
@@ -218,21 +250,14 @@ def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralFie
     g = field.geometry
     if check_mean and not field.zero_mean(tol=1e-12):
         raise ValueError("leray_project requires a zero-mean field")
-    k1, k2, k3, ksq = _frequencies(g)
-    v = field.coeffs
-    kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
-    out = v.copy()
-    out[..., 0] -= k1 * kdotv / ksq
-    out[..., 1] -= k2 * kdotv / ksq
-    out[..., 2] -= k3 * kdotv / ksq
-    return SpectralField4(g, out).pin_zero_mode()
+    return SpectralField4(g, apply_per_mode(_mode_arrays(g)[1], field.coeffs)).pin_zero_mode()
 
 
 def divergence_max(field: SpectralField4) -> float:
     """max_n |sum_i ncheck_i v_hat^i(n)|."""
-    k1, k2, k3, _ = _frequencies(field.geometry)
-    v = field.coeffs
-    div = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
+    k1, k2, k3 = _mode_arrays(field.geometry)[0]
+    v = field.coeffs.reshape(-1, 4)
+    div = k1 * v[:, 0] + k2 * v[:, 1] + k3 * v[:, 2]
     return float(np.max(np.abs(div)))
 
 
@@ -278,7 +303,7 @@ def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
 
 
 def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Dealiased coefficients (4, L, L, N + 1) of sum_j d_j P_jc
+    """Dealiased coefficients (L, L, N + 1, 4) of sum_j d_j P_jc
     from the samples prod (P, M, M, M) of the products, P_jc =
     prod[slots[j, c]] for j < J = len(slots), or identically zero where
     slots[j, c] = -1.
@@ -292,7 +317,7 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
     """
     g = geometry
     hat = _from_grid(g, prod)
-    ks = _frequencies(g)
+    ks = _mode_arrays(g)[0]
     out = np.zeros((4,) + hat.shape[1:], dtype=np.complex128)
     for j, row in enumerate(slots.tolist()):
         cols = [c for c, p in enumerate(row) if p >= 0]
@@ -300,9 +325,9 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
             out += ks[j] * hat[slots[j]]
         elif cols:
             out[cols] += ks[j] * hat[[row[c] for c in cols]]
-    out *= 1j
-    out[:, g.N, g.N, 0] = 0.0
-    return out
+    out = np.multiply(out.T, 1j, order="C")
+    out[(g.N * g.L + g.N) * (g.N + 1)] = 0.0
+    return out.reshape(g.L, g.L, g.N + 1, 4)
 
 
 def _convolve(
@@ -325,7 +350,7 @@ def _convolve(
         coeffs, split = np.ascontiguousarray(B.coeffs), 0
     else:
         coeffs, split = np.concatenate([A.coeffs[..., :ncomp], B.coeffs], axis=-1), ncomp
-    stack = np.moveaxis(coeffs, -1, 0)
+    rows = coeffs.reshape(-1, coeffs.shape[-1]).T
     # a row is live where a real or imaginary part is nonzero: one pass over
     # the float64 view, whose inner axis holds (n3, row, re/im)
     parts = coeffs.view(np.float64).reshape(g.L * g.L, -1).any(axis=0)
@@ -333,14 +358,14 @@ def _convolve(
     (x, y), (i2, x2, y2), slots = _products(J, split, symmetrize, live)
     if not len(x):  # every product is identically zero
         return zero_field(g)
-    samples = _to_grid(g, stack if all(live) else stack[np.array(live)], _pad_size(g.N))
+    samples = _to_grid(g, rows if all(live) else rows[np.array(live)], _pad_size(g.N))
     prod = samples[x]
     np.multiply(prod, samples[y], out=prod)
     if len(i2) == len(prod):
         prod += samples[x2] * samples[y2]
     elif len(i2):
         prod[i2] += samples[x2] * samples[y2]
-    return SpectralField4(g, np.moveaxis(_divergence(g, prod, slots), 0, -1))
+    return SpectralField4(g, _divergence(g, prod, slots))
 
 
 def convolve_plane(geometry: TorusGeometry, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -396,6 +421,8 @@ def transport(A: SpectralField4, B: SpectralField4) -> SpectralField4:
     One symmetric product 1/2 P div(a (x) B + b (x) A) for divergence-free
     velocities; bitwise symmetric in (A, B).
     """
+    if A is B:  # each product formed once, not doubled and halved (exact)
+        return leray_project(_convolve(A, A, 3, 3), check_mean=False)
     return leray_project(0.5 * _convolve(A, B, 3, 4, symmetrize=True), check_mean=False)
 
 

@@ -109,6 +109,88 @@ class TestLeray:
             leray_project(f)
 
 
+class TestPerModeOperators:
+    """The Leray projector and the propagators act per mode through one
+    real batched matmul on the float64 view of the coefficients."""
+
+    @pytest.fixture(scope="class", params=[((1, 1, 1), 4), ((1, 2, 3), 5)], ids=["unit-4", "a123-5"])
+    def geometry(self, request):
+        return TorusGeometry(*request.param)
+
+    def test_leray_matches_the_projection_formula(self, geometry):
+        # v - ncheck (ncheck . v) / |ncheck|^2 on the velocity, the
+        # buoyancy kept, n = 0 pinned
+        g = geometry
+        for seed in (21, 22):
+            f = random_field(g, seed=seed, divergence_free=False)
+            v = f.coeffs
+            k1, k2, k3 = g.check_grid
+            k3 = k3[..., g.N :]
+            ksq = np.where(g.check_sq[..., g.N :] == 0.0, 1.0, g.check_sq[..., g.N :])
+            kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
+            want = v.copy()
+            for j, k in enumerate((k1, k2, k3)):
+                want[..., j] -= k * kdotv / ksq
+            want[g.N, g.N, 0] = 0.0
+            got = leray_project(f).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_leray_is_idempotent_kills_gradients_and_the_mean(self, geometry):
+        g = geometry
+        f = random_field(g, seed=23, divergence_free=False)
+        once = leray_project(f)
+        twice = leray_project(once)
+        assert np.max(np.abs(twice.coeffs - once.coeffs)) <= 1e-15 * np.max(np.abs(once.coeffs))
+        # a gradient field ncheck phi (buoyancy zero) projects to zero
+        phi = f.coeffs[..., 3]
+        grad = zero_field(g)
+        k1, k2, k3 = g.check_grid
+        for j, k in enumerate((k1, k2, k3[..., g.N :])):
+            grad.coeffs[..., j] = k * phi
+        out = leray_project(grad).coeffs
+        assert np.max(np.abs(out)) <= 1e-15 * np.max(np.abs(grad.coeffs))
+        # the mean: rejected unless check_mean is off, and then zeroed
+        f.coeffs[g.N, g.N, 0] = (1.0, -2.0, 0.5, 3.0)
+        with pytest.raises(ValueError, match="zero-mean"):
+            leray_project(f)
+        assert np.all(leray_project(f, check_mean=False).coeffs[g.N, g.N, 0] == 0.0)
+
+    def test_apply_per_mode_is_the_complex_matmul(self, geometry):
+        g = geometry
+        rng = np.random.default_rng(24)
+        nm = g.L * g.L * (g.N + 1)
+        E = rng.standard_normal((nm, 4, 4))
+        c = random_field(g, seed=25, divergence_free=False).coeffs
+        want = np.matmul(E.astype(np.complex128), c.reshape(nm, 4, 1)).reshape(c.shape)
+        got = fields.apply_per_mode(E, c)
+        assert got.shape == c.shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the operand may be a strided view, as to_spectral returns
+        assert np.array_equal(fields.apply_per_mode(E, np.asfortranarray(c)), got)
+
+    def test_kernel_arrays_are_built_once_per_geometry_and_read_only(self, geometry):
+        g = geometry
+        M = fields._pad_size(g.N)
+        arrays = [*fields._mode_arrays(g), fields._plan(g, M)]
+        again = [*fields._mode_arrays(g), fields._plan(g, M)]
+        assert all(a is b for a, b in zip(arrays, again))
+        assert not any(a.flags.writeable for a in arrays)
+        # each geometry object keeps its own; none outlives its geometry
+        import gc
+        import weakref
+
+        other = TorusGeometry(g.a_sq, g.N)
+        assert fields._mode_arrays(other)[1] is not fields._mode_arrays(g)[1]
+        assert np.array_equal(fields._mode_arrays(other)[1], fields._mode_arrays(g)[1])
+        f = random_field(other, seed=26)
+        transport(leray_project(f), f)
+        to_spectral(to_physical(f))
+        ref = weakref.ref(other)
+        del other, f
+        gc.collect()
+        assert ref() is None
+
+
 class TestTransforms:
     def test_zero_round_trip(self, unit_torus_4):
         z = zero_field(unit_torus_4)
@@ -242,6 +324,14 @@ class TestDivergenceFormKernel:
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
         assert np.array_equal(got, transport(B, A).coeffs)
 
+    def test_self_transport_is_the_projected_self_advection(self, geometry):
+        # transport(A, A) forms each product once: the symmetrized sum
+        # would double it and halve the result, both exact
+        for seed in (17, 18):
+            A = self._inputs(geometry, "full", seed)
+            want = leray_project(convolve_quadratic(A, A), check_mean=False)
+            assert transport(A, A).coeffs.tobytes() == want.coeffs.tobytes()
+
     def test_distinct_products_match_all_twelve(self, geometry):
         """The symmetric full stencil transforms 9 distinct products; the
         result has the bytes of transforming all 12 products a_j B_c."""
@@ -251,10 +341,10 @@ class TestDivergenceFormKernel:
         M = fields._pad_size(geometry.N)
 
         def samples(F):
-            return fields._to_grid(geometry, np.moveaxis(F.coeffs, -1, 0), M)
+            return fields._to_grid(geometry, F.coeffs.reshape(-1, 4).T, M)
 
         def divergence(prod):
-            return SpectralField4(geometry, np.moveaxis(fields._divergence(geometry, prod, twelve), 0, -1))
+            return SpectralField4(geometry, fields._divergence(geometry, prod, twelve))
 
         a = samples(A)
         prod = (a[:3, None] * a[None]).reshape((12,) + a.shape[1:])

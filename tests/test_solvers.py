@@ -136,8 +136,9 @@ class TestFilteredStepper:
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
     def test_stacked_propagators_match_per_mode_loop(self, engine4, eps):
-        # one stacked expm / inv call over the n3 >= 0 half gives the
-        # per-mode results bit for bit
+        # one stacked expm / matmul / inv call over the n3 >= 0 half gives
+        # the per-mode results bit for bit; the full-step propagator is the
+        # square of the half-step one
         from scipy.linalg import expm
 
         dt = 1e-3
@@ -146,10 +147,19 @@ class TestFilteredStepper:
         mats = st._generator()
         assert mats.shape == (g.L * g.L * (g.N + 1), 4, 4)
         E_half = np.array([expm(0.5 * dt * m) for m in mats])
-        E_full = np.array([expm(dt * m) for m in mats])
+        E_full = np.array([h @ h for h in E_half])
         assert np.array_equal(st._E_half, E_half)
         assert np.array_equal(st._E_full, E_full)
         assert np.array_equal(st._E_full_inv, np.array([np.linalg.inv(m) for m in E_full]))
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3])
+    def test_squared_half_step_is_the_full_step_exponential(self, engine4, eps):
+        # E_full = E_half @ E_half stands for expm(dt M) to rounding
+        from scipy.linalg import expm
+
+        st = FilteredStepper(engine4, eps=eps, dt=1e-3)
+        want = expm(st.dt * st._generator())
+        assert np.max(np.abs(st._E_full - want)) <= 1e-15
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
     def test_generator_is_built_from_the_shared_symbols(self, engine4, unit_torus_4, eps):
@@ -173,7 +183,8 @@ class TestFilteredStepper:
         # the shared symbols over the full lattice as the stepper builds
         # its half (the A2 symbol -nu |ncheck|^2 of the whole lattice, whose
         # stored half is a2_diag), is even in n bit for bit, and so are its
-        # exponentials (array_equal: an exact zero may carry either sign)
+        # propagators, the half-step exponential and its square (array_equal:
+        # an exact zero may carry either sign)
         from scipy.linalg import expm
 
         g = TorusGeometry(a_sq, N)
@@ -183,7 +194,8 @@ class TestFilteredStepper:
             mats[:, j, j] += (-eng.nu * g.check_sq).reshape(-1)
         full = mats.reshape(g.L, g.L, g.L, 4, 4)
         assert np.array_equal(full, full[::-1, ::-1, ::-1])
-        E = expm(1e-3 * full)
+        E = expm(0.5e-3 * full)
+        E = E @ E
         assert np.array_equal(E, E[::-1, ::-1, ::-1])
         st = FilteredStepper(eng, eps=eps, dt=1e-3)
         assert st._generator().tobytes() == full[:, :, N:].copy().tobytes()
@@ -226,11 +238,14 @@ class TestFilteredStepper:
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_half_spectrum_step_has_the_bytes_of_the_full_lattice_step(self, a_sq, N, eps):
         # the step integrates the stored modes n3 >= 0; a step over all L^3
-        # modes of the full lattice (per-mode matmul and Leray formula, the
-        # public convolve on the stored modes mirrored back) gives the same
-        # V, byte for byte, and the same dissipation from the norms of its
-        # stored modes
+        # modes of the full lattice (the real per-mode matmul with the
+        # propagators and a Leray projector I - nhat nhat^T built over the
+        # whole lattice, the public convolve on the stored modes mirrored
+        # back) gives the same V, byte for byte, and the same dissipation
+        # from the norms of its stored modes
         from scipy.linalg import expm
+
+        from frspec.fields import apply_per_mode
 
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
@@ -238,19 +253,19 @@ class TestFilteredStepper:
         mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
         for j in range(3):
             mats[:, j, j] += (-eng.nu * g.check_sq).reshape(-1)
-        Eh, Ef = expm(0.5 * dt * mats), expm(dt * mats)
+        Eh = expm(0.5 * dt * mats)
+        Ef = Eh @ Eh
         Einv = np.linalg.inv(Ef)
-        k1, k2, k3 = g.check_grid
-        ksq = np.where(g.mask_zero, 1.0, g.check_sq)
+        k = np.stack([np.broadcast_to(x, g.check_sq.shape).ravel() for x in g.check_grid], axis=-1)
+        khat = k / np.sqrt(np.where(g.mask_zero, 1.0, g.check_sq)).reshape(-1, 1)
+        P = np.zeros((g.nmodes, 4, 4))
+        P[:, :3, :3] = np.eye(3) - khat[:, :, None] * khat[:, None, :]
+        P[:, 3, 3] = 1.0
 
-        def apply(E, W):
-            return np.matmul(E, W.reshape(g.nmodes, 4)[..., None]).reshape(W.shape)
+        apply = apply_per_mode
 
         def leray(v):
-            kdotv = k1 * v[..., 0] + k2 * v[..., 1] + k3 * v[..., 2]
-            out = v.copy()
-            for j, k in enumerate((k1, k2, k3)):
-                out[..., j] -= k * kdotv / ksq
+            out = apply(P, v)
             out[N, N, N] = 0.0
             return out
 
