@@ -3,9 +3,9 @@
 The fields of this package are real, V_hat(-n) = conj(V_hat(n)), so the
 modes with n3 >= 0 determine them.  A SpectralField4 stores exactly those:
 the Fourier coefficients V_hat(n) in C^4 in an (L, L, N + 1, 4) array
-with L = 2N + 1 and axis indices (n1 + N, n2 + N, n3), the layout of the
-real transforms (rfftn).  The first three components are a velocity, the
-fourth is the buoyancy/density perturbation.  All fields have zero global
+with L = 2N + 1 and axis indices (n1 + N, n2 + N, n3).  The first three
+components are a velocity, the fourth is the buoyancy/density
+perturbation.  All fields have zero global
 average (the n = 0 coefficient, at (N, N, 0), is pinned to zero).  The
 n3 = 0 plane holds both n and -n; the transforms read its Hermitian part.
 The norms and the inner product are sums over the whole lattice: the
@@ -16,41 +16,42 @@ Quadratic products are evaluated pseudo-spectrally on a padded collocation
 grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
 modes of a product of two fields are alias-free.
 
-All transforms are scipy.fft real transforms (irfftn / rfftn), one batched
-call on the rows `coeffs.reshape(-1, C).T` (a view), which one flat index
-plan per (geometry, M) scatters into the padded grid and gathers back.
-Per-mode operators are real (modes, 4, 4) stacks applied by one real
-batched matmul on the float64 view of the coefficients (`apply_per_mode`):
-the Leray projector (I - nhat nhat^T on the velocity, nhat = ncheck /
-|ncheck|, 1 on the buoyancy, 0 at n = 0) and the stepper's propagators.
-The plan, the flat check frequencies and the projector are built once and
-kept in the geometry's cache.  Transport is computed in divergence form,
-a . grad B = div(a (x) B), with div_h for the horizontal stencil; this
-holds when the velocity a is divergence-free (a_h horizontally
-divergence-free), which every caller guarantees: Leray-projected fields,
-the limit system's bar and underline parts.  One evaluation makes one
-inverse transform of the live components of a and B and one forward
-transform of the products P_jc = a_j B_c it forms.  The kernel derives
-that product set (`_products`) from J (3, or 2 for div_h), whether the
-operands are symmetric (A is B, or the symmetrized `transport`: then
-P_jc = P_cj and only j <= c is formed) and which operand components are
-identically zero (one `any` pass over the float64 view of the
-coefficients; a NaN or inf is live, -0.0 is zero).  A zero component is
-not transformed and no product with a zero factor is formed; leaving out
-such a term changes no output byte.  With every component live: 3 + 4
-inverse and 12 forward components (2 + 4 and 8 horizontal), 4 and 9 when
-A is B (full stencil and `transport`), 4 + 4 and 9 for `transport` of
-two fields.  The limit system's bar field has components 1 and 2 only, so
-its self-advection makes 2 inverse and 3 forward (a_1 a_1, a_1 a_2,
-a_2 a_2), against 4 and 8.
+All transforms are pruned, separable DFT-matrix products that touch the
+retained modes only (`_dft`; no zero-padded spectrum): the inverse takes
+the rows `coeffs.reshape(-1, C).T` by two complex products with E (M, L)
+along n1 and n2 and one real product on the float64 view along n3
+(Hermitian weights 1 on n3 = 0, 2 on n3 > 0); the forward is the real
+product, then the two complex products with F = conj(E).T / M.  At these
+sizes small matrix products cost less than the call overhead of FFTs.
+Per-mode operators are real (modes, 4, 4) stacks applied by one
+real batched matmul on the float64 view of the coefficients
+(`apply_per_mode`): the Leray projector (I - nhat nhat^T on the velocity,
+nhat = ncheck / |ncheck|, 1 on the buoyancy, 0 at n = 0) and the stepper's
+propagators.  The DFT matrices (per grid size M), the flat check
+frequencies and the projector are built once and kept in the geometry's
+cache.  Transport is computed in divergence form, a . grad B =
+div(a (x) B), with div_h for the horizontal stencil; this holds when the
+velocity a is divergence-free (a_h horizontally divergence-free), which
+every caller guarantees: Leray-projected fields, the limit system's bar
+and underline parts.  One evaluation makes one inverse transform of the
+live components of a and B and one forward transform of the products
+P_jc = a_j B_c it forms.  The kernel derives that product set (`_products`)
+from J (3, or 2 for div_h), whether the operands are symmetric (A is B, or
+the symmetrized `transport`: then P_jc = P_cj and only j <= c is formed)
+and which operand components are identically zero (one `any` pass over the
+float64 view of the coefficients; a NaN or inf is live, -0.0 is zero).  A
+zero component is not transformed and no product with a zero factor is
+formed; leaving out such a term changes no output byte.  With every
+component live: 3 + 4 inverse and 12 forward components (2 + 4 and 8
+horizontal), 4 and 9 when A is B (full stencil and `transport`), 4 + 4 and
+9 for `transport` of two fields.  The limit system's bar field has
+components 1 and 2 only, so its self-advection makes 2 inverse and 3
+forward (a_1 a_1, a_1 a_2, a_2 a_2), against 4 and 8.
 
 `convolve_plane` is the same dealiased divergence-form product for one
 scalar advected by a horizontal velocity on the plane n3 = 0, on
 coefficient planes (L, L) over the whole plane rather than on fields, on
-an M x M grid with M = `_pad_size(N)`.  Its transforms are products with
-the (M, L) matrix of the M-point DFT on the modes -N..N (`_plane_dft`):
-at these sizes four small matrix products cost less than the call
-overhead of two FFTs, and need no padded copy.
+an M x M grid with M = `_pad_size(N)`, by the same matrices E and F.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import next_fast_len
 
 from .geometry import TorusGeometry
 
@@ -154,38 +155,69 @@ def single_mode_field(geometry: TorusGeometry, n, vec) -> SpectralField4:
 
 # -- transforms ---------------------------------------------------------------
 
-_AXES = (1, 2, 3)
-
 
 def _pad_size(N: int) -> int:
     return next_fast_len(3 * N + 1)
 
 
-def _plan(geometry: TorusGeometry, M: int) -> np.ndarray:
-    """Flat index of each stored mode in the padded (M, M, M // 2 + 1)
-    grid (n1, n2 wrapped around); built once per (geometry, M), read-only."""
+def _dft(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, ...]:
+    """The DFT matrices of M points on the retained modes; built once per
+    (geometry, M), read-only.
+
+    E (M, L) samples the modes -N..N along one axis, E[x, n] =
+    exp(2 pi i x n / M), and F = conj(E).T / M (L, M) takes samples back to
+    those modes; each phase x n is reduced mod M first, so each entry is
+    accurate to rounding.  Along n3 the real fields need the modes 0..N
+    only: R (2 (N + 1), M) maps the (re, im) float64 view of those
+    coefficients to real samples with the Hermitian weights w (1 at n3 = 0,
+    2 at n3 > 0; n3 < M / 2 always), sum_n3 w Re(c E[x, n3]), and Rf
+    (M, 2 (N + 1)) is the float64 view of F[n3 >= 0].T, which maps real
+    samples to that view.
+    """
 
     def build():
-        w = (np.arange(geometry.L) - geometry.N) % M
-        flat = ((w[:, None] * M + w)[..., None] * (M // 2 + 1) + np.arange(geometry.N + 1)).ravel()
-        flat.setflags(write=False)
-        return flat
+        N = geometry.N
+        E = np.exp((2j * np.pi / M) * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M))
+        F = np.conj(E.T) / M
+        w = np.where(np.arange(N + 1) == 0, 1.0, 2.0)
+        R = np.ascontiguousarray(np.conj(E[:, N:] * w).view(np.float64).T)
+        Rf = np.ascontiguousarray(F[N:].T).view(np.float64)
+        for a in (E, F, R, Rf):
+            a.setflags(write=False)
+        return E, F, R, Rf
 
-    return geometry._cached(("fields.plan", M), build)
+    return geometry._cached(("fields.dft", M), build)
 
 
 def _to_grid(geometry: TorusGeometry, rows: np.ndarray, M: int) -> np.ndarray:
     """Samples (C, M, M, M) of the real fields whose stored coefficients
-    are the rows of `rows` (C, L L (N + 1))."""
-    pad = np.zeros((len(rows), M * M * (M // 2 + 1)), dtype=np.complex128)
-    pad[:, _plan(geometry, M)] = rows
-    return irfftn(pad.reshape(-1, M, M, M // 2 + 1), s=(M, M, M), axes=_AXES, norm="forward")
+    are the rows of `rows` (C, L L (N + 1)).
+
+    Two complex products with E along n1 and n2, then one real product
+    with R along n3 on the float64 view.  Every product is a matmul over a
+    contiguous stack with one matrix per row (not one flat product over
+    all rows, and not numpy's loop for strided operands), so a row's
+    samples have the same bytes whatever other rows share the batch: the
+    kernel's skip of the zero rows relies on that."""
+    L, N = geometry.L, geometry.N
+    E, _, R, _ = _dft(geometry, M)
+    half = E @ np.ascontiguousarray(rows).reshape(-1, L, L * (N + 1))  # (C, M, L (N + 1))
+    half = E @ half.reshape(-1, M, L, N + 1)  # (C, M, M, N + 1)
+    vals = half.view(np.float64).reshape(-1, M * M, 2 * (N + 1)) @ R
+    return vals.reshape(-1, M, M, M)
 
 
 def _from_grid(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
-    """Retained coefficients (C, L L (N + 1)) of samples (C, M, M, M)."""
-    hat = rfftn(values, axes=_AXES, norm="forward")
-    return hat.reshape(len(hat), -1)[:, _plan(geometry, values.shape[1])]
+    """Retained coefficients (C, L L (N + 1)) of samples (C, M, M, M): the
+    real product with Rf along x3, then the complex products with F along
+    x1 and x2, each batched per row as in `_to_grid`."""
+    L, N = geometry.L, geometry.N
+    M = values.shape[1]
+    _, F, _, Rf = _dft(geometry, M)
+    half = np.ascontiguousarray(values).reshape(-1, M * M, M) @ Rf  # (C, M M, 2 (N + 1))
+    half = F @ half.view(np.complex128).reshape(-1, M, M * (N + 1))  # (C, L, M (N + 1))
+    hat = F @ half.reshape(-1, L, M, N + 1)  # (C, L, L, N + 1)
+    return hat.reshape(len(hat), -1)
 
 
 def to_physical(
@@ -376,26 +408,11 @@ def convolve_plane(geometry: TorusGeometry, u: np.ndarray, phi: np.ndarray) -> n
     plane, indexed (n1 + N, n2 + N) over the whole plane; neither needs to
     be the plane of a real field.  This is the advection u . grad_h phi
     when div_h u = 0.  The mean, at ncheck_h = 0, is zero."""
-    E, F = _plane_dft(geometry.N)
+    E, F = _dft(geometry, _pad_size(geometry.N))[:2]
     samples = E @ np.concatenate([u, phi[None]]) @ E.T
     hat = F @ (samples[:2] * samples[2]) @ F.T
     k1, k2, _ = geometry.check_grid
     return 1j * (k1[..., 0] * hat[0] + k2[..., 0] * hat[1])
-
-
-@lru_cache(maxsize=None)
-def _plane_dft(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """E (M, L), the samples on M = `_pad_size(N)` points of the modes
-    -N..N along one axis, E[x, n] = exp(2 pi i x n / M), and F = conj(E).T
-    / M (L, M), which takes samples back to those modes.  The phase x n is
-    reduced mod M first, so each entry is accurate to rounding.  Every
-    call with one N shares these read-only arrays."""
-    M = _pad_size(N)
-    E = np.exp((2j * np.pi / M) * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M))
-    F = np.conj(E.T) / M
-    for a in (E, F):
-        a.setflags(write=False)
-    return E, F
 
 
 def convolve_quadratic(

@@ -170,9 +170,8 @@ class TestPerModeOperators:
 
     def test_kernel_arrays_are_built_once_per_geometry_and_read_only(self, geometry):
         g = geometry
-        M = fields._pad_size(g.N)
-        arrays = [*fields._mode_arrays(g), fields._plan(g, M)]
-        again = [*fields._mode_arrays(g), fields._plan(g, M)]
+        arrays = fields._mode_arrays(g)
+        again = fields._mode_arrays(g)
         assert all(a is b for a, b in zip(arrays, again))
         assert not any(a.flags.writeable for a in arrays)
         # each geometry object keeps its own; none outlives its geometry
@@ -355,28 +354,46 @@ class TestDivergenceFormKernel:
         assert transport(A, B).coeffs.tobytes() == want.coeffs.tobytes()
 
 
+def _padded_to_grid(g, rows, M):
+    """The oracle of `fields._to_grid`: the rows (C, L L (N + 1)) scattered
+    into a padded (M, M, M // 2 + 1) grid, then scipy's irfftn."""
+    from scipy.fft import irfftn
+
+    L, N = g.L, g.N
+    idx = (np.arange(L) - N) % M
+    pad = np.zeros((len(rows), M, M, M // 2 + 1), dtype=np.complex128)
+    pad[:, idx[:, None], idx[None, :], : N + 1] = rows.reshape(-1, L, L, N + 1)
+    return irfftn(pad, s=(M, M, M), axes=(1, 2, 3), norm="forward")
+
+
+def _padded_from_grid(g, values):
+    """The oracle of `fields._from_grid`: scipy's rfftn of the samples
+    (C, M, M, M), gathered at the retained modes."""
+    from scipy.fft import rfftn
+
+    L, N, M = g.L, g.N, values.shape[1]
+    idx = (np.arange(L) - N) % M
+    hat = rfftn(values, axes=(1, 2, 3), norm="forward")[:, idx[:, None], idx[None, :], : N + 1]
+    return hat.reshape(len(values), -1)
+
+
 def _dense_kernel(A, B, J, symmetrize=False):
     """The product kernel as it was before it derived its products: every
     component of both operands transformed, all 4 J products a_j B_c (plus
     b_j A_c if `symmetrize`) formed and transformed, then
     i sum_j ncheck_j P_hat_jc."""
-    from scipy.fft import irfftn, rfftn
-
     g = A.geometry
     L, N = g.L, g.N
     M = fields._pad_size(N)
-    idx = (np.arange(L) - N) % M
 
     def samples(F):
-        pad = np.zeros((4, M, M, M // 2 + 1), dtype=np.complex128)
-        pad[:, idx[:, None], idx[None, :], : N + 1] = np.moveaxis(F.coeffs, -1, 0)
-        return irfftn(pad, s=(M, M, M), axes=(1, 2, 3), norm="forward")
+        return fields._to_grid(g, F.coeffs.reshape(-1, 4).T, M)
 
     a, b = samples(A), samples(B)
     prod = (a[:J, None] * b[None]).reshape((4 * J,) + a.shape[1:])
     if symmetrize:
         prod += (b[:J, None] * a[None]).reshape((4 * J,) + a.shape[1:])
-    hat = rfftn(prod, axes=(1, 2, 3), norm="forward")[:, idx[:, None], idx[None, :], : N + 1]
+    hat = fields._from_grid(g, prod).reshape(-1, L, L, N + 1)
     k1, k2, k3 = g.check_grid
     ks = (k1, k2, k3[..., N:])
     half = 1j * sum(ks[j] * hat[4 * j : 4 * j + 4] for j in range(J))
@@ -416,10 +433,10 @@ class TestLiveComponents:
                 assert transport(X, Y).coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_zero_operand_makes_no_transform(self, unit_torus_4, monkeypatch):
-        for name in ("irfftn", "rfftn"):
-            monkeypatch.setattr(fields, name, lambda *a, **k: pytest.fail("transformed a zero field"))
         Z = zero_field(unit_torus_4)
         want = _dense_kernel(Z, Z, 3)
+        for name in ("_to_grid", "_from_grid"):
+            monkeypatch.setattr(fields, name, lambda *a, **k: pytest.fail("transformed a zero field"))
         assert convolve_quadratic(Z, Z).coeffs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -430,8 +447,8 @@ class TestLiveComponents:
         F = bar_part(random_field(unit_torus_4, seed=63))
         F.coeffs[1, 2, 1, 3] = F.coeffs[7, 6, 3, 3] = bad
         rows = []
-        irfftn = fields.irfftn
-        monkeypatch.setattr(fields, "irfftn", lambda x, *a, **k: rows.append(len(x)) or irfftn(x, *a, **k))
+        to_grid = fields._to_grid
+        monkeypatch.setattr(fields, "_to_grid", lambda g, x, M: rows.append(len(x)) or to_grid(g, x, M))
         with np.errstate(invalid="ignore"):
             out = convolve_quadratic(F, F)
         assert rows == [3] and not np.all(np.isfinite(out.coeffs))
@@ -443,13 +460,13 @@ class TestLiveComponents:
         F = bar_part(random_field(unit_torus_4, seed=64))
         F.coeffs[..., 2] = complex(-0.0, -0.0)
         F.coeffs[3, 5, 2, 3] = 0.25j
-        rows = []
-        irfftn = fields.irfftn
-        monkeypatch.setattr(fields, "irfftn", lambda x, *a, **k: rows.append(len(x)) or irfftn(x, *a, **k))
         G = F.copy()
-        for X, Y in ((F, F), (F, G)):
-            got = convolve_quadratic(X, Y).coeffs
-            assert got.tobytes() == _dense_kernel(X, Y, 3).tobytes()
+        want = [_dense_kernel(X, Y, 3) for X, Y in ((F, F), (F, G))]
+        rows = []
+        to_grid = fields._to_grid
+        monkeypatch.setattr(fields, "_to_grid", lambda g, x, M: rows.append(len(x)) or to_grid(g, x, M))
+        for (X, Y), w in zip(((F, F), (F, G)), want):
+            assert convolve_quadratic(X, Y).coeffs.tobytes() == w.tobytes()
         assert rows == [3, 5]
 
 
@@ -484,24 +501,24 @@ class TestConvolvePlane:
 
 
 class TestTransformCount:
-    """One batched inverse and one batched forward real transform per call."""
+    """One batched inverse and one batched forward transform per call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         log = []
 
         def counting(name, fn):
-            def wrapper(x, *args, **kwargs):
+            def wrapper(g, x, *args):
                 log.append((name, np.shape(x)[0]))
-                return fn(x, *args, **kwargs)
+                return fn(g, x, *args)
 
             return wrapper
 
         def forbidden(*args, **kwargs):
             raise AssertionError("fields called numpy.fft")
 
-        monkeypatch.setattr(fields, "irfftn", counting("inverse", fields.irfftn))
-        monkeypatch.setattr(fields, "rfftn", counting("forward", fields.rfftn))
+        monkeypatch.setattr(fields, "_to_grid", counting("inverse", fields._to_grid))
+        monkeypatch.setattr(fields, "_from_grid", counting("forward", fields._from_grid))
         for name in np.fft.__all__:
             if callable(getattr(np.fft, name)) and "freq" not in name and "shift" not in name:
                 monkeypatch.setattr(np.fft, name, forbidden)
@@ -531,6 +548,86 @@ class TestTransformCount:
         B = random_field(unit_torus_4, seed=16)
         call(A, B)
         assert calls == batches
+
+
+class TestDftTransforms:
+    """`_to_grid` and `_from_grid` are pruned DFT-matrix products on the
+    retained modes: the padded real FFTs they replace, to rounding."""
+
+    GEOMETRIES = [((1, 1, 1), 1), ((1, 1, 1), 2), ((1, 1, 1), 4), ((1, 2, 3), 8)]
+
+    @pytest.mark.parametrize("a_sq, N", GEOMETRIES, ids=["unit-1", "unit-2", "unit-4", "a123-8"])
+    @pytest.mark.parametrize("grid", ["pad", "2N+1", "2N+2"])
+    def test_match_the_padded_scipy_transforms(self, a_sq, N, grid):
+        # the pad size is 14 (even) at N = 4 and 25 (odd) at N = 8; a
+        # to_physical override may go down to 2N + 1 points
+        g = TorusGeometry(a_sq, N)
+        M = {"pad": fields._pad_size(N), "2N+1": 2 * N + 1, "2N+2": 2 * N + 2}[grid]
+        rng = np.random.default_rng(70 + N)
+        shape = (9, g.L * g.L * (N + 1))
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = _padded_to_grid(g, rows, M)
+        got = fields._to_grid(g, rows, M)
+        assert got.shape == (9, M, M, M) and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        values = rng.standard_normal((9, M, M, M))
+        want = _padded_from_grid(g, values)
+        got = fields._from_grid(g, values)
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        f = random_field(g, seed=71, divergence_free=False)
+        want = _padded_to_grid(g, f.coeffs.reshape(-1, 4).T, M)
+        got = to_physical(f, grid_points=M).values.transpose(3, 0, 1, 2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a_sq, N", GEOMETRIES, ids=["unit-1", "unit-2", "unit-4", "a123-8"])
+    def test_round_trip(self, a_sq, N):
+        g = TorusGeometry(a_sq, N)
+        f = random_field(g, seed=72, divergence_free=False, amplitude=1.0)
+        for M in (None, 2 * N + 1):
+            back = to_spectral(to_physical(f, grid_points=M)).coeffs
+            assert np.max(np.abs(back - f.coeffs)) <= 1e-15 * np.max(np.abs(f.coeffs))
+
+    def test_a_subset_of_rows_has_the_bytes_of_the_full_batch(self):
+        # the kernel transforms only its live rows; its bytes must not
+        # depend on which other rows share the batch
+        g = TorusGeometry((1, 2, 3), 8)
+        M = fields._pad_size(g.N)
+        rng = np.random.default_rng(73)
+        shape = (9, g.L * g.L * (g.N + 1))
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values = rng.standard_normal((9, M, M, M))
+        samples, hat = fields._to_grid(g, rows, M), fields._from_grid(g, values)
+        for sub in ([0], [2, 5], [1, 4, 7, 8], list(range(8))):
+            assert fields._to_grid(g, rows[sub], M).tobytes() == samples[sub].tobytes()
+            assert fields._from_grid(g, values[sub]).tobytes() == hat[sub].tobytes()
+
+    def test_matrices_are_built_once_per_geometry_and_grid(self, monkeypatch):
+        import gc
+        import weakref
+
+        g = TorusGeometry((1, 2, 3), 4)
+        M = fields._pad_size(g.N)
+        mats = fields._dft(g, M)
+        assert all(a is b for a, b in zip(mats, fields._dft(g, M)))
+        assert not any(a.flags.writeable for a in mats)
+        assert fields._dft(g, 2 * g.N + 1)[0].shape == (2 * g.N + 1, g.L)
+        # the plane kernel reads the same matrices
+        seen = []
+        dft = fields._dft
+        monkeypatch.setattr(fields, "_dft", lambda geo, m: seen.append(m) or dft(geo, m))
+        convolve_plane(g, np.ones((2, g.L, g.L)), np.ones((g.L, g.L)))
+        assert seen == [M]
+        monkeypatch.undo()
+        # each geometry object keeps its own; none outlives its geometry
+        other = TorusGeometry(g.a_sq, g.N)
+        E = fields._dft(other, M)[0]
+        assert E is not mats[0] and np.array_equal(E, mats[0])
+        to_spectral(to_physical(random_field(other, seed=74)))
+        refs = weakref.ref(other), weakref.ref(E)
+        del other, E
+        gc.collect()
+        assert all(r() is None for r in refs)
 
 
 class TestFieldStructure:

@@ -672,9 +672,9 @@ class TestStepWork:
         seen = []
         fn = getattr(fields, name)
 
-        def counting(x, *args, **kwargs):
+        def counting(g, x, *args):
             seen.append(len(x))
-            return fn(x, *args, **kwargs)
+            return fn(g, x, *args)
 
         monkeypatch.setattr(fields, name, counting)
         return seen
@@ -697,8 +697,8 @@ class TestStepWork:
         convolves = self._count(monkeypatch, "convolve_quadratic")
         projections = self._count(monkeypatch, "leray_project")
         filters = self._count(monkeypatch, "apply_filter")
-        inv = self._components(monkeypatch, "irfftn")
-        fwd = self._components(monkeypatch, "rfftn")
+        inv = self._components(monkeypatch, "_to_grid")
+        fwd = self._components(monkeypatch, "_from_grid")
         st.step(SimState(0.0, V0, 1.0, 1e-2), EnergyLedger(1.0), enforce_cfl=enforce_cfl)
         assert (len(convolves), len(projections), len(filters)) == (4, 5, 0)
         assert (inv, fwd) == (inverse, [9] * 4)
