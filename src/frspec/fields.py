@@ -17,19 +17,33 @@ grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
 modes of a product of two fields are alias-free.
 
 All transforms are pruned, separable DFT-matrix products that touch the
-retained modes only (`_dft`; no zero-padded spectrum): the inverse takes
-the rows `coeffs.reshape(-1, C).T` by two complex products with E (M, L)
-along n1 and n2 and one real product on the float64 view along n3
-(Hermitian weights 1 on n3 = 0, 2 on n3 > 0); the forward is the real
-product, then the two complex products with F = conj(E).T / M.  At these
-sizes small matrix products cost less than the call overhead of FFTs.
+retained modes only (`_dft`; no zero-padded spectrum).  At these sizes
+small matrix products cost less than the call overhead of FFTs.  Each leg
+is one matrix product per row (per transformed component): a contracted
+axis must be the first or the last of the row, so the legs rotate the
+axes instead of batching small products along a middle axis.  The
+inverse copies the rows `coeffs.reshape(-1, C).T` once as [n1, n3, n2],
+contracts n1 by a left product with E (M, L), then n2 by a right product
+with E.T, copies [x1, n3, x2] to [x1, x2, n3] and ends with one real
+product on the float64 view along n3 (Hermitian weights 1 on n3 = 0, 2
+on n3 > 0).  The forward starts with the real product along x3, contracts
+x1 by a product of the transposed view [x2, n3, x1] with F.T (F =
+conj(E).T / M; BLAS reads the view in place) and x2 by a left product
+with F, and returns the kernel's native layout [n2, n3, n1]; `_divergence`
+reads that layout and writes the `SpectralField4` layout, and
+`to_spectral` transposes it.  Since every leg is a stack with one matrix
+per row, a row's bytes do not depend on the other rows of the batch, so
+skipping the zero rows (below) keeps every output byte.
+
 Per-mode operators are real (modes, 4, 4) stacks applied by one
 real batched matmul on the float64 view of the coefficients
 (`apply_per_mode`): the Leray projector (I - nhat nhat^T on the velocity,
 nhat = ncheck / |ncheck|, 1 on the buoyancy, 0 at n = 0) and the stepper's
-propagators.  The DFT matrices (per grid size M), the flat check
-frequencies and the projector are built once and kept in the geometry's
-cache.  Transport is computed in divergence form, a . grad B =
+propagators.  The DFT matrices (per grid size M), the check frequencies
+(flat, and in the native layout) and the projector are built once and
+kept in the geometry's cache.
+
+Transport is computed in divergence form, a . grad B =
 div(a (x) B), with div_h for the horizontal stencil; this holds when the
 velocity a is divergence-free (a_h horizontally divergence-free), which
 every caller guarantees: Leray-projected fields, the limit system's bar
@@ -191,33 +205,42 @@ def _dft(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, ...]:
 
 def _to_grid(geometry: TorusGeometry, rows: np.ndarray, M: int) -> np.ndarray:
     """Samples (C, M, M, M) of the real fields whose stored coefficients
-    are the rows of `rows` (C, L L (N + 1)).
+    are the rows of `rows` (C, L L (N + 1)), in the layout [n1, n2, n3].
 
-    Two complex products with E along n1 and n2, then one real product
-    with R along n3 on the float64 view.  Every product is a matmul over a
-    contiguous stack with one matrix per row (not one flat product over
-    all rows, and not numpy's loop for strided operands), so a row's
-    samples have the same bytes whatever other rows share the batch: the
-    kernel's skip of the zero rows relies on that."""
-    L, N = geometry.L, geometry.N
+    The rows are copied once, as [n1, n3, n2]; a left product with E along
+    n1 gives [x1, n3, n2] and a right product with E.T along n2 gives
+    [x1, n3, x2], which one transposing copy turns into [x1, x2, n3] for
+    the real product with R along n3 on the float64 view.  Each product is
+    one matmul per row over a contiguous stack (never one flat product over
+    all rows, nor a stack of small products per row), so a row's samples
+    have the same bytes whatever other rows share the batch: the kernel's
+    skip of the zero rows relies on that."""
+    L, K = geometry.L, geometry.N + 1
     E, _, R, _ = _dft(geometry, M)
-    half = E @ np.ascontiguousarray(rows).reshape(-1, L, L * (N + 1))  # (C, M, L (N + 1))
-    half = E @ half.reshape(-1, M, L, N + 1)  # (C, M, M, N + 1)
-    vals = half.view(np.float64).reshape(-1, M * M, 2 * (N + 1)) @ R
+    half = np.ascontiguousarray(rows.reshape(-1, L, L, K).transpose(0, 1, 3, 2))
+    half = E @ half.reshape(-1, L, K * L)  # (C, M, K L): [x1, n3, n2]
+    half = half.reshape(-1, M * K, L) @ E.T  # (C, M K, M): [x1, n3, x2]
+    half = np.ascontiguousarray(half.reshape(-1, M, K, M).transpose(0, 1, 3, 2))
+    vals = half.view(np.float64).reshape(-1, M * M, 2 * K) @ R
     return vals.reshape(-1, M, M, M)
 
 
 def _from_grid(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
-    """Retained coefficients (C, L L (N + 1)) of samples (C, M, M, M): the
-    real product with Rf along x3, then the complex products with F along
-    x1 and x2, each batched per row as in `_to_grid`."""
-    L, N = geometry.L, geometry.N
+    """Retained coefficients (C, L, N + 1, L) of samples (C, M, M, M), in
+    the kernel's native layout [n2, n3, n1].
+
+    The real product with Rf along x3 gives [x1, x2, n3]; the product of
+    the transposed view [x2, n3, x1] with F.T (read in place by BLAS)
+    contracts x1 into [x2, n3, n1], and a left product with F contracts x2
+    into [n2, n3, n1].  No leg copies, and each is one matmul per row, as
+    in `_to_grid`."""
+    L, K = geometry.L, geometry.N + 1
     M = values.shape[1]
     _, F, _, Rf = _dft(geometry, M)
-    half = np.ascontiguousarray(values).reshape(-1, M * M, M) @ Rf  # (C, M M, 2 (N + 1))
-    half = F @ half.view(np.complex128).reshape(-1, M, M * (N + 1))  # (C, L, M (N + 1))
-    hat = F @ half.reshape(-1, L, M, N + 1)  # (C, L, L, N + 1)
-    return hat.reshape(len(hat), -1)
+    half = np.ascontiguousarray(values).reshape(-1, M * M, M) @ Rf  # (C, M M, 2 K)
+    half = half.view(np.complex128).reshape(-1, M, M * K).transpose(0, 2, 1) @ F.T  # [x2, n3, n1]
+    hat = F @ half.reshape(-1, M, K * L)  # (C, L, K L): [n2, n3, n1]
+    return hat.reshape(-1, L, K, L)
 
 
 def to_physical(
@@ -238,29 +261,32 @@ def to_spectral(phys: PhysicalField4) -> SpectralField4:
     """Inverse of to_physical on the retained modes."""
     g = phys.geometry
     hat = _from_grid(g, phys.values.transpose(3, 0, 1, 2))
-    return SpectralField4(g, hat.T.reshape(g.L, g.L, g.N + 1, -1))
+    return SpectralField4(g, hat.transpose(3, 1, 2, 0))
 
 
 # -- differential / projection operators --------------------------------------
 
 
-def _mode_arrays(geometry: TorusGeometry) -> tuple[np.ndarray, np.ndarray]:
+def _mode_arrays(geometry: TorusGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The check frequencies (3, L L (N + 1)) and the Leray projector stack
-    (L L (N + 1), 4, 4) of the stored modes; built once per geometry,
+    (L L (N + 1), 4, 4) of the stored modes, and the check frequencies in
+    the kernel's native layout [n2, n3, n1]; built once per geometry,
     read-only."""
 
     def build():
+        L, N = geometry.L, geometry.N
         k1, k2, k3 = geometry.check_grid
-        ks = np.stack(np.broadcast_arrays(k1, k2, k3[..., geometry.N :])).reshape(3, -1)
-        ksq = np.where(geometry.mask_zero, 1.0, geometry.check_sq)[..., geometry.N :]
+        ks = np.stack(np.broadcast_arrays(k1, k2, k3[..., N:])).reshape(3, -1)
+        ksq = np.where(geometry.mask_zero, 1.0, geometry.check_sq)[..., N:]
         khat = ks.T / np.sqrt(ksq).reshape(-1, 1)  # 0 at n = 0
         P = np.zeros((ks.shape[1], 4, 4))
         P[:, :3, :3] = np.eye(3) - khat[:, :, None] * khat[:, None, :]
         P[:, 3, 3] = 1.0
-        P[(geometry.N * geometry.L + geometry.N) * (geometry.N + 1)] = 0.0  # n = 0
-        for a in (ks, P):
+        P[(N * L + N) * (N + 1)] = 0.0  # n = 0
+        native = ks.reshape(3, L, L, N + 1).transpose(0, 2, 3, 1).reshape(3, -1)
+        for a in (ks, P, native):
             a.setflags(write=False)
-        return ks, P
+        return ks, P, native
 
     return geometry._cached("fields.mode_arrays", build)
 
@@ -293,6 +319,20 @@ def divergence_max(field: SpectralField4) -> float:
     return float(np.max(np.abs(div)))
 
 
+def _runs(terms: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int, int], ...]:
+    """The terms (i, x, y) of products i, grouped into runs (i, n, x, y):
+    the n consecutive products i, i + 1, ... whose factors are sample row
+    x and the consecutive rows y, y + 1, ..."""
+    runs: list[list[int]] = []
+    for i, x, y in terms:
+        r = runs[-1] if runs else None
+        if r and r[2] == x and r[0] + r[1] == i and r[3] + r[1] == y:
+            r[1] += 1
+        else:
+            runs.append([i, 1, x, y])
+    return tuple(tuple(r) for r in runs)
+
+
 @lru_cache(maxsize=None)
 def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
     """The products the kernel forms, derived from the live operand rows.
@@ -306,11 +346,12 @@ def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
     B, or `symmetrize`) only the one with j <= c is formed: for J = 3 and
     every row live, the 9 distinct products.
 
-    Returns the sample rows (x, y) of the factors of each product's first
-    term, the products (i2) with a second term and its factors (x2, y2),
-    and slots (J, 4), the product of P_jc or -1 where P_jc is identically
-    zero; every call with the same arguments shares these read-only
-    arrays.
+    Returns the sample row x of each product's first factor, the `_runs`
+    of the first terms and of the second terms of the products that have
+    one (factors as sample rows), and slots (J, 4), the product of P_jc or
+    -1 where P_jc is identically zero; every call with the same arguments
+    shares these read-only values.  For J = 3 and every row live the first
+    terms are three runs, a_0 (a_0..a_3), a_1 (a_1..a_3) and a_2 (a_2, a_3).
     """
     at = np.cumsum(live) - 1  # the sample row of each live operand row
     sym = split == 0 or symmetrize
@@ -322,16 +363,16 @@ def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
                 slots[j, c] = slots[c, j]
                 continue
             terms = [(j, split + c)] + ([(split + j, c)] if symmetrize else [])
-            terms = [(at[x], at[y]) for x, y in terms if live[x] and live[y]]
+            terms = [(int(at[x]), int(at[y])) for x, y in terms if live[x] and live[y]]
             if terms:
                 slots[j, c] = len(first)
                 if len(terms) == 2:
                     second.append((len(first), *terms[1]))
-                first.append(terms[0])
-    out = np.array(first).reshape(-1, 2).T, np.array(second).reshape(-1, 3).T, slots
-    for a in out:
+                first.append((len(first), *terms[0]))
+    x = np.array([t[1] for t in first], dtype=np.intp)
+    for a in (x, slots):
         a.setflags(write=False)
-    return out
+    return x, _runs(first), _runs(second), slots
 
 
 def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -342,24 +383,27 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
 
     One batched forward transform of the P products, then i ncheck_j P_hat_jc
     summed over j = 1..J (J = 2 is the horizontal div_h), skipping the zero
-    products; the mean (zero, a divergence has none) is pinned.  Skipping
-    keeps every byte: the transform of a zero product is a signed zero, and
-    a sum that starts at +0 is never -0, so adding a zero changes nothing
-    (a column with no product is +0, as i (+0) is).
+    products, in the transform's native layout [n2, n3, n1] with the check
+    frequencies of that layout; the multiply by i writes the
+    `SpectralField4` layout [n1, n2, n3, c].  The mean (zero, a divergence
+    has none) is pinned.  Skipping keeps every byte: the transform of a
+    zero product is a signed zero, and a sum that starts at +0 is never -0,
+    so adding a zero changes nothing (a column with no product is +0, as
+    i (+0) is).
     """
-    g = geometry
-    hat = _from_grid(g, prod)
-    ks = _mode_arrays(g)[0]
-    out = np.zeros((4,) + hat.shape[1:], dtype=np.complex128)
+    L, N = geometry.L, geometry.N
+    hat = _from_grid(geometry, prod).reshape(len(prod), -1)
+    ks = _mode_arrays(geometry)[2]
+    out = np.zeros((4, hat.shape[1]), dtype=np.complex128)
     for j, row in enumerate(slots.tolist()):
         cols = [c for c, p in enumerate(row) if p >= 0]
         if len(cols) == 4:
             out += ks[j] * hat[slots[j]]
         elif cols:
             out[cols] += ks[j] * hat[[row[c] for c in cols]]
-    out = np.multiply(out.T, 1j, order="C")
-    out[(g.N * g.L + g.N) * (g.N + 1)] = 0.0
-    return out.reshape(g.L, g.L, g.N + 1, 4)
+    out = np.multiply(out.reshape(4, L, N + 1, L).transpose(3, 1, 2, 0), 1j, order="C")
+    out[N, N, 0] = 0.0
+    return out
 
 
 def _convolve(
@@ -372,8 +416,10 @@ def _convolve(
     copy and B starts at row 0); the velocity a is the first rows, and
     P_jc = a_j b_c, or a_j b_c + b_j a_c if `symmetrize`.  Only the rows
     that are not identically zero are transformed (a NaN or inf counts as
-    live); the products of `_products` are written by one in-place
-    multiply into the gathered samples, then one batched forward transform.
+    live).  The products are formed in one array: one gather of their first
+    factors, then one in-place multiply per run of `_products` by a slice
+    of the samples (no gathered temporary), then one batched forward
+    transform.
     """
     if A.geometry is not B.geometry and A.geometry != B.geometry:
         raise ValueError("fields live on different geometries")
@@ -387,16 +433,15 @@ def _convolve(
     # the float64 view, whose inner axis holds (n3, row, re/im)
     parts = coeffs.view(np.float64).reshape(g.L * g.L, -1).any(axis=0)
     live = tuple(parts.reshape(-1, coeffs.shape[-1], 2).any(axis=(0, 2)).tolist())
-    (x, y), (i2, x2, y2), slots = _products(J, split, symmetrize, live)
+    x, first, second, slots = _products(J, split, symmetrize, live)
     if not len(x):  # every product is identically zero
         return zero_field(g)
     samples = _to_grid(g, rows if all(live) else rows[np.array(live)], _pad_size(g.N))
-    prod = samples[x]
-    np.multiply(prod, samples[y], out=prod)
-    if len(i2) == len(prod):
-        prod += samples[x2] * samples[y2]
-    elif len(i2):
-        prod[i2] += samples[x2] * samples[y2]
+    prod = samples[x]  # the first factors, gathered once into the output
+    for i, n, _, y in first:
+        prod[i : i + n] *= samples[y : y + n]
+    for i, n, x2, y in second:
+        prod[i : i + n] += samples[x2] * samples[y : y + n]
     return SpectralField4(g, _divergence(g, prod, slots))
 
 

@@ -217,9 +217,6 @@ class FilteredStepper:
             mats[:, j, j] += self.engine.a2_diag.reshape(-1)
         return mats
 
-    def _apply(self, E: np.ndarray, W: SpectralField4) -> SpectralField4:
-        return SpectralField4(self.geometry, apply_per_mode(E, W.coeffs))
-
     @staticmethod
     def _check(coeffs: np.ndarray):
         if not np.all(np.isfinite(coeffs)):
@@ -240,22 +237,27 @@ class FilteredStepper:
         if enforce_cfl:
             _require_cfl(dt, V)
 
-        def rhs(W, tau):  # autonomous: no stage times
-            return -leray_project(convolve_quadratic(W, W))
+        g = self.geometry
 
+        def rhs(w, tau):  # autonomous: no stage times
+            W = SpectralField4(g, w)
+            return -leray_project(convolve_quadratic(W, W)).coeffs
+
+        # the coefficient arrays are the state: the scheme only adds them
+        # and scales them, and the propagators act on them directly
         Eh, Ef = self._E_half, self._E_full
-        V_new, EfV = lawson_rk4(
-            V, rhs, lambda W: self._apply(Eh, W), lambda W: self._apply(Ef, W), dt
+        v_new, Efv = lawson_rk4(
+            V.coeffs, rhs, lambda w: apply_per_mode(Eh, w), lambda w: apply_per_mode(Ef, w), dt
         )
-        V_new = leray_project(V_new, check_mean=False)
+        V_new = leray_project(SpectralField4(g, v_new), check_mean=False)
         self._check(V_new.coeffs)
 
         if ledger is not None:
             # exact linear dissipation by polarization, averaged over the
             # two endpoint placements of the nonlinear displacement: from V
             # to exp(dt L) V, and from exp(-dt L) V_new to V_new
-            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(EfV) ** 2
-            back = self._apply(self._E_full_inv, V_new)
+            d0 = 0.5 * l2_norm(V) ** 2 - 0.5 * l2_norm(SpectralField4(g, Efv)) ** 2
+            back = SpectralField4(g, apply_per_mode(self._E_full_inv, V_new.coeffs))
             d1 = 0.5 * l2_norm(back) ** 2 - 0.5 * l2_norm(V_new) ** 2
             ledger.dissipated += 0.5 * (d0 + d1)
 

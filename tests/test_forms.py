@@ -889,7 +889,10 @@ class TestQtilde1:
         def counting(name, fn):
             def wrapper(g, x, *args):
                 calls.append((name, len(x)))
-                return fn(g, x, *args)
+                out = fn(g, x, *args)
+                if name == "_from_grid":  # the native layout [n2, n3, n1]
+                    assert out.shape == (len(x), g.L, g.N + 1, g.L)
+                return out
 
             return wrapper
 

@@ -368,13 +368,14 @@ def _padded_to_grid(g, rows, M):
 
 def _padded_from_grid(g, values):
     """The oracle of `fields._from_grid`: scipy's rfftn of the samples
-    (C, M, M, M), gathered at the retained modes."""
+    (C, M, M, M), gathered at the retained modes, in the kernel's native
+    layout [n2, n3, n1]."""
     from scipy.fft import rfftn
 
     L, N, M = g.L, g.N, values.shape[1]
     idx = (np.arange(L) - N) % M
     hat = rfftn(values, axes=(1, 2, 3), norm="forward")[:, idx[:, None], idx[None, :], : N + 1]
-    return hat.reshape(len(values), -1)
+    return hat.transpose(0, 2, 3, 1)
 
 
 def _dense_kernel(A, B, J, symmetrize=False):
@@ -383,7 +384,7 @@ def _dense_kernel(A, B, J, symmetrize=False):
     b_j A_c if `symmetrize`) formed and transformed, then
     i sum_j ncheck_j P_hat_jc."""
     g = A.geometry
-    L, N = g.L, g.N
+    N = g.N
     M = fields._pad_size(N)
 
     def samples(F):
@@ -393,7 +394,7 @@ def _dense_kernel(A, B, J, symmetrize=False):
     prod = (a[:J, None] * b[None]).reshape((4 * J,) + a.shape[1:])
     if symmetrize:
         prod += (b[:J, None] * a[None]).reshape((4 * J,) + a.shape[1:])
-    hat = fields._from_grid(g, prod).reshape(-1, L, L, N + 1)
+    hat = fields._from_grid(g, prod).transpose(0, 3, 1, 2)  # [n2, n3, n1] -> [n1, n2, n3]
     k1, k2, k3 = g.check_grid
     ks = (k1, k2, k3[..., N:])
     half = 1j * sum(ks[j] * hat[4 * j : 4 * j + 4] for j in range(J))
@@ -510,7 +511,10 @@ class TestTransformCount:
         def counting(name, fn):
             def wrapper(g, x, *args):
                 log.append((name, np.shape(x)[0]))
-                return fn(g, x, *args)
+                out = fn(g, x, *args)
+                if name == "forward":  # the native layout [n2, n3, n1]
+                    assert out.shape == (len(x), g.L, g.N + 1, g.L)
+                return out
 
             return wrapper
 
@@ -573,7 +577,7 @@ class TestDftTransforms:
         values = rng.standard_normal((9, M, M, M))
         want = _padded_from_grid(g, values)
         got = fields._from_grid(g, values)
-        assert got.shape == shape
+        assert got.shape == (9, g.L, N + 1, g.L)  # native layout [n2, n3, n1]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         f = random_field(g, seed=71, divergence_free=False)
         want = _padded_to_grid(g, f.coeffs.reshape(-1, 4).T, M)
@@ -590,17 +594,19 @@ class TestDftTransforms:
 
     def test_a_subset_of_rows_has_the_bytes_of_the_full_batch(self):
         # the kernel transforms only its live rows; its bytes must not
-        # depend on which other rows share the batch
-        g = TorusGeometry((1, 2, 3), 8)
-        M = fields._pad_size(g.N)
+        # depend on which other rows share the batch.  The pad sizes are
+        # 14 (even), 20 and 25; 2N + 1 is the smallest to_physical grid
         rng = np.random.default_rng(73)
-        shape = (9, g.L * g.L * (g.N + 1))
-        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        values = rng.standard_normal((9, M, M, M))
-        samples, hat = fields._to_grid(g, rows, M), fields._from_grid(g, values)
-        for sub in ([0], [2, 5], [1, 4, 7, 8], list(range(8))):
-            assert fields._to_grid(g, rows[sub], M).tobytes() == samples[sub].tobytes()
-            assert fields._from_grid(g, values[sub]).tobytes() == hat[sub].tobytes()
+        for a_sq, N in (((1, 1, 1), 4), ((1, 2, 3), 6), ((1, 2, 3), 8)):
+            g = TorusGeometry(a_sq, N)
+            for M in (fields._pad_size(N), 2 * N + 1):
+                shape = (9, g.L * g.L * (N + 1))
+                rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                values = rng.standard_normal((9, M, M, M))
+                samples, hat = fields._to_grid(g, rows, M), fields._from_grid(g, values)
+                for sub in ([0], [2, 5], [1, 4, 7, 8], list(range(8))):
+                    assert fields._to_grid(g, rows[sub], M).tobytes() == samples[sub].tobytes()
+                    assert fields._from_grid(g, values[sub]).tobytes() == hat[sub].tobytes()
 
     def test_matrices_are_built_once_per_geometry_and_grid(self, monkeypatch):
         import gc
@@ -628,6 +634,57 @@ class TestDftTransforms:
         del other, E
         gc.collect()
         assert all(r() is None for r in refs)
+
+
+class _RecordingMatrix(np.ndarray):
+    """A DFT matrix that logs the operand shapes of every matmul it enters
+    (as `@` or as a transposed view) and computes it on plain arrays."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append([np.shape(x) for x in inputs])
+        plain = [x.view(np.ndarray) if isinstance(x, _RecordingMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestLegStructure:
+    """Every leg of `_to_grid` and `_from_grid` is one matmul per row: a
+    stack of C matrices for C rows, never a stack of C M or C L small
+    products (numpy's batching of a product along a middle axis)."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        log = []
+        dft = fields._dft
+
+        def recording(geo, M):
+            mats = tuple(a.view(_RecordingMatrix) for a in dft(geo, M))
+            for a in mats:
+                a.log = log
+            return mats
+
+        monkeypatch.setattr(fields, "_dft", recording)
+        return log
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 6), ((1, 2, 3), 8)],
+                             ids=["unit-4", "a123-6", "a123-8"])
+    def test_three_legs_of_one_matmul_per_row(self, a_sq, N, log):
+        g = TorusGeometry(a_sq, N)
+        M = fields._pad_size(N)
+        rng = np.random.default_rng(75)
+        for C in (1, 4, 9):
+            rows = rng.standard_normal((C, g.L * g.L * (N + 1))) + 0j
+            values = rng.standard_normal((C, M, M, M))
+            for name, call in (("inverse", lambda: fields._to_grid(g, rows, M)),
+                               ("forward", lambda: fields._from_grid(g, values))):
+                log.clear()
+                assert type(call()) is np.ndarray
+                assert len(log) == 3, name
+                for shapes in log:  # the stack of each leg: one matrix per row
+                    assert np.broadcast_shapes(*(sh[:-2] for sh in shapes)) == (C,), (name, shapes)
 
 
 class TestFieldStructure:

@@ -674,7 +674,10 @@ class TestStepWork:
 
         def counting(g, x, *args):
             seen.append(len(x))
-            return fn(g, x, *args)
+            out = fn(g, x, *args)
+            if name == "_from_grid":  # the native layout [n2, n3, n1]
+                assert out.shape == (len(x), g.L, g.N + 1, g.L)
+            return out
 
         monkeypatch.setattr(fields, name, counting)
         return seen
