@@ -13,8 +13,10 @@ n3 = 0 plane counts once and every plane n3 > 0 twice, for itself and for
 its mirror.
 
 Quadratic products are evaluated pseudo-spectrally on a padded collocation
-grid (2/3-rule: at least 3N + 1 points per axis) so that the retained
-modes of a product of two fields are alias-free.
+grid of exactly M = 3N + 1 points per axis (`_pad_size`), the smallest on
+which the retained modes of a product of two fields are alias-free: the
+product holds modes up to 2N, and 2N + N < M.  No transform is an FFT,
+so M need not be an FFT-friendly size.
 
 All transforms are pruned, separable DFT-matrix products that touch the
 retained modes only (`_dft`; no zero-padded spectrum).  At these sizes
@@ -37,9 +39,10 @@ skipping the zero rows (below) keeps every output byte.
 
 Per-mode operators are real (modes, 4, 4) stacks applied by one
 real batched matmul on the float64 view of the coefficients
-(`apply_per_mode`): the Leray projector (I - nhat nhat^T on the velocity,
-nhat = ncheck / |ncheck|, 1 on the buoyancy, 0 at n = 0) and the stepper's
-propagators.  The DFT matrices (per grid size M), the check frequencies
+(`apply_per_mode`, also to several coefficient arrays stacked along a
+leading axis): the Leray projector (`leray_symbol`: I - nhat nhat^T on the
+velocity, nhat = ncheck / |ncheck|, 1 on the buoyancy, 0 at n = 0) and the
+stepper's propagators.  The DFT matrices (per grid size M), the check frequencies
 (flat, and in the native layout) and the projector are built once and
 kept in the geometry's cache.
 
@@ -74,7 +77,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .geometry import TorusGeometry
 
@@ -86,6 +88,7 @@ __all__ = [
     "to_physical",
     "to_spectral",
     "leray_project",
+    "leray_symbol",
     "apply_per_mode",
     "convolve_quadratic",
     "transport",
@@ -171,7 +174,8 @@ def single_mode_field(geometry: TorusGeometry, n, vec) -> SpectralField4:
 
 
 def _pad_size(N: int) -> int:
-    return next_fast_len(3 * N + 1)
+    """3N + 1, the smallest alias-free grid for a product of two fields."""
+    return 3 * N + 1
 
 
 def _dft(geometry: TorusGeometry, M: int) -> tuple[np.ndarray, ...]:
@@ -293,11 +297,20 @@ def _mode_arrays(geometry: TorusGeometry) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def apply_per_mode(E: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """E(n) V_hat(n) for a real stack E (modes, 4, 4) and coefficients
-    (..., 4) on those modes: E @ (modes, 4, 2), the (re, im) float64 view,
-    so conjugate coefficients give conjugate results bit for bit."""
+    (..., 4) on those modes, or a stack of such arrays along leading axes:
+    E @ (..., modes, 4, 2), the (re, im) float64 view, so conjugate
+    coefficients give conjugate results bit for bit, and each array of a
+    stack the bytes it has alone."""
     c = np.ascontiguousarray(coeffs)
-    out = np.matmul(E, c.view(np.float64).reshape(-1, 4, 2))
+    out = np.matmul(E, c.view(np.float64).reshape(-1, len(E), 4, 2))
     return out.view(np.complex128).reshape(c.shape)
+
+
+def leray_symbol(geometry: TorusGeometry) -> np.ndarray:
+    """The Leray projector of the stored modes as a real stack
+    (L L (N + 1), 4, 4) for `apply_per_mode`; built once per geometry,
+    read-only."""
+    return _mode_arrays(geometry)[1]
 
 
 def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralField4:
@@ -308,7 +321,7 @@ def leray_project(field: SpectralField4, check_mean: bool = True) -> SpectralFie
     g = field.geometry
     if check_mean and not field.zero_mean(tol=1e-12):
         raise ValueError("leray_project requires a zero-mean field")
-    return SpectralField4(g, apply_per_mode(_mode_arrays(g)[1], field.coeffs)).pin_zero_mode()
+    return SpectralField4(g, apply_per_mode(leray_symbol(g), field.coeffs)).pin_zero_mode()
 
 
 def divergence_max(field: SpectralField4) -> float:
@@ -382,25 +395,25 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
     slots[j, c] = -1.
 
     One batched forward transform of the P products, then i ncheck_j P_hat_jc
-    summed over j = 1..J (J = 2 is the horizontal div_h), skipping the zero
-    products, in the transform's native layout [n2, n3, n1] with the check
-    frequencies of that layout; the multiply by i writes the
-    `SpectralField4` layout [n1, n2, n3, c].  The mean (zero, a divergence
-    has none) is pinned.  Skipping keeps every byte: the transform of a
-    zero product is a signed zero, and a sum that starts at +0 is never -0,
-    so adding a zero changes nothing (a column with no product is +0, as
-    i (+0) is).
+    summed over j = 1..J (J = 2 is the horizontal div_h) in the transform's
+    native layout [n2, n3, n1] with the check frequencies of that layout,
+    by one path for every slot pattern: one gather of the terms (J, 4, ...)
+    from the transforms, +0 where a slot is -1, one in-place multiply by
+    ncheck_j and in-place adds into the j = 0 terms.  The multiply by i
+    writes the `SpectralField4` layout [n1, n2, n3, c].  The mean (zero, a
+    divergence has none) is pinned.  The sum starts at +0 (the j = 0 terms
+    plus +0), so it is never -0: a zero term changes no byte, and a column
+    with no product is +0, as i (+0) is.
     """
     L, N = geometry.L, geometry.N
     hat = _from_grid(geometry, prod).reshape(len(prod), -1)
-    ks = _mode_arrays(geometry)[2]
-    out = np.zeros((4, hat.shape[1]), dtype=np.complex128)
-    for j, row in enumerate(slots.tolist()):
-        cols = [c for c, p in enumerate(row) if p >= 0]
-        if len(cols) == 4:
-            out += ks[j] * hat[slots[j]]
-        elif cols:
-            out[cols] += ks[j] * hat[[row[c] for c in cols]]
+    terms = hat[slots]  # (J, 4, K); a slot -1 reads the last product
+    terms[slots < 0] = 0.0
+    terms *= _mode_arrays(geometry)[2][: len(slots), None]
+    out = terms[0]
+    out += 0.0  # -0 + (+0) = +0
+    for term in terms[1:]:
+        out += term
     out = np.multiply(out.reshape(4, L, N + 1, L).transpose(3, 1, 2, 0), 1j, order="C")
     out[N, N, 0] = 0.0
     return out
@@ -497,16 +510,24 @@ def _mode_sum(x: np.ndarray):
     return np.sum(x[:, :, 0]) + 2.0 * np.sum(x[:, :, 1:])
 
 
+def _squares(field: SpectralField4) -> np.ndarray:
+    """The squares (L, L, N + 1, 8) of the (re, im) float64 view of the
+    coefficients, whose sum per mode is |V_hat(n)|^2 with no square root
+    taken and undone."""
+    v = np.ascontiguousarray(field.coeffs).view(np.float64)
+    return v * v
+
+
 def l2_norm(field: SpectralField4) -> float:
     """Coefficient l2 norm (sum_n |V_hat(n)|^2)^(1/2)."""
-    return float(np.sqrt(_mode_sum(np.abs(field.coeffs) ** 2)))
+    return float(np.sqrt(_mode_sum(_squares(field))))
 
 
 def sobolev_norm(s: float, field: SpectralField4) -> float:
     """Non-homogeneous Sobolev norm (sum_n (1+|ncheck|^2)^s |V_hat(n)|^2)^(1/2)."""
     g = field.geometry
     w = (1.0 + g.check_sq[..., g.N :]) ** s
-    return float(np.sqrt(_mode_sum(w[..., None] * np.abs(field.coeffs) ** 2)))
+    return float(np.sqrt(_mode_sum(w[..., None] * _squares(field))))
 
 
 def inner_l2(A: SpectralField4, B: SpectralField4) -> complex:

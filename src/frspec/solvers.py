@@ -6,9 +6,12 @@ physical frame V (`SimState.V`), where the complete linear part
 A2 - (1/eps) P A is a constant 4x4 matrix per mode (read from the one A2
 symbol of `forms` and the one P A stack of `waves`) whose exponential is
 computed once per step size (one stacked expm for the half step, whose
-square is the full step) and applied as a real stack by
-`fields.apply_per_mode`; the nonlinearity is advanced by a Lawson
-(exponential) RK4 scheme.  This removes the 1/eps stiffness
+square is the full step); the nonlinearity is advanced by a Lawson
+(exponential) RK4 scheme.  The linear flow keeps the divergence-free
+fields, exp(s dt L) P = P exp(s dt L) P with P the Leray projector
+(`fields.leray_symbol`), so the stepper builds the real stacks P,
+exp(dt L / 2) P and exp(dt L) P once and applies them by
+`fields.apply_per_mode`.  This removes the 1/eps stiffness
 entirely and keeps the discrete energy law accurate uniformly in eps:
 over one step the homogeneous part satisfies
 
@@ -19,8 +22,9 @@ the linear part by this polarization identity and only the O(dt)
 nonlinear displacement is charged by quadrature.  Every operator of a
 step acts per mode and keeps a field real, so the propagators hold the
 L L (N + 1) stored modes n3 >= 0 of a field (the generator at -n is the
-one at n), and every stage is the public `convolve_quadratic` followed by
-`leray_project`.
+one at n).  Every stage is the public `convolve_quadratic`, unprojected:
+`lawson_rk4` projects what reaches a stage input or the new state, and a
+step makes 6 per-mode passes (7 with the energy ledger).
 
 The limit system is advanced with the same Lawson scheme but diagonal
 heat factors: the horizontal average is a closed-form vertical heat flow,
@@ -56,7 +60,7 @@ from .fields import (
     apply_per_mode,
     convolve_quadratic,
     l2_norm,
-    leray_project,
+    leray_symbol,
     sobolev_norm,
     to_physical,
 )
@@ -153,21 +157,29 @@ def _require_cfl(dt: float, V: SpectralField4) -> None:
         raise CFLViolation(f"dt={dt} exceeds the advective bound {bound:.3e}")
 
 
-def lawson_rk4(x, rhs, half, full, dt: float):
-    """One Lawson (exponential) RK4 step of x' = L x + rhs(x).
+def lawson_rk4(x, rhs, prop, dt: float):
+    """One Lawson (exponential) RK4 step of x' = L x + Pi rhs(x), where Pi
+    projects onto a space that the linear flow keeps, exp(s dt L) Pi =
+    Pi exp(s dt L) Pi.
 
-    `half` and `full` apply exp(dt L / 2) and exp(dt L); `rhs(y, tau)` is
-    the nonlinearity at the stage time offset tau in (0, dt/2, dt/2, dt).
-    The state only needs `+` and scalar `*`; the first stage calls rhs on
-    x itself.  Returns the new state and full(x), which the energy ledger
-    reuses.
+    `prop(s, w)` applies exp(s dt L) Pi for s in (0, 1/2, 1), so
+    `prop(0, .)` is Pi itself, to an array w or to a stack of arrays along a
+    new leading axis.  `rhs(y, tau)` is the nonlinearity at the stage time
+    offset tau in (0, dt/2, dt/2, dt); it need not lie in the space.  Every
+    increment that a propagator carries is projected by it, so the scheme
+    projects only ka, the one increment that reaches an rhs input without a
+    propagator, and the new state; x itself must lie in the space.  The
+    pairs (x, k1) at s = 1 and (x + dt/2 k1, x) at s = 1/2 each go through
+    one stacked call.  Returns the new state and prop(1, x), which the
+    energy ledger reuses.
     """
     k1 = rhs(x, 0.0)
-    full_x = full(x)
-    ka = rhs(half(x + (0.5 * dt) * k1), 0.5 * dt)
-    kb = rhs(half(x) + (0.5 * dt) * ka, 0.5 * dt)
-    kc = rhs(full_x + dt * half(kb), dt)
-    x_new = full_x + (dt / 6.0) * (full(k1) + 2.0 * half(ka + kb) + kc)
+    full_x, full_k1 = prop(1.0, np.stack((x, k1)))
+    half_y, half_x = prop(0.5, np.stack((x + (0.5 * dt) * k1, x)))
+    ka = rhs(half_y, 0.5 * dt)
+    kb = rhs(half_x + (0.5 * dt) * prop(0.0, ka), 0.5 * dt)
+    kc = rhs(full_x + dt * prop(0.5, kb), dt)
+    x_new = prop(0.0, full_x + (dt / 6.0) * (full_k1 + 2.0 * prop(0.5, ka + kb) + kc))
     return x_new, full_x
 
 
@@ -206,6 +218,9 @@ class FilteredStepper:
         self._E_half = expm(0.5 * self.dt * mats)
         self._E_full = self._E_half @ self._E_half
         self._E_full_inv = np.linalg.inv(self._E_full)
+        P = leray_symbol(self.geometry)
+        # the propagators of `lawson_rk4`, keyed by the step fraction s
+        self._prop = {0.0: P, 0.5: self._E_half @ P, 1.0: self._E_full @ P}
 
     def _generator(self) -> np.ndarray:
         """(L L (N + 1), 4, 4) linear part per stored mode, diag(A2) -
@@ -239,18 +254,16 @@ class FilteredStepper:
 
         g = self.geometry
 
-        def rhs(w, tau):  # autonomous: no stage times
+        def rhs(w, tau):  # autonomous: no stage times; projected by the scheme
             W = SpectralField4(g, w)
-            return -leray_project(convolve_quadratic(W, W)).coeffs
+            return -convolve_quadratic(W, W).coeffs
 
-        # the coefficient arrays are the state: the scheme only adds them
-        # and scales them, and the propagators act on them directly
-        Eh, Ef = self._E_half, self._E_full
-        v_new, Efv = lawson_rk4(
-            V.coeffs, rhs, lambda w: apply_per_mode(Eh, w), lambda w: apply_per_mode(Ef, w), dt
-        )
-        V_new = leray_project(SpectralField4(g, v_new), check_mean=False)
-        self._check(V_new.coeffs)
+        # the coefficient arrays are the state, and the projecting
+        # propagators act on them (and on stacks of them) directly
+        prop = self._prop
+        v_new, Efv = lawson_rk4(V.coeffs, rhs, lambda s, w: apply_per_mode(prop[s], w), dt)
+        self._check(v_new)
+        V_new = SpectralField4(g, v_new)
 
         if ledger is not None:
             # exact linear dissipation by polarization, averaged over the
@@ -331,8 +344,9 @@ class LimitStepper:
         _require_geometry(self.geometry, und0, "the underline data")
         self.und0 = underline_part(und0)
         lam = engine.limit_symbol
-        self._heat_half = np.exp((0.5 * self.dt) * lam)
-        self._heat_full = np.exp(self.dt * lam)
+        # the heat factors of `lawson_rk4`, keyed by the step fraction s;
+        # every stack stays in its span, so s = 0 is the identity
+        self._heat = {0.5: np.exp((0.5 * self.dt) * lam), 1.0: np.exp(self.dt * lam)}
 
     def _rhs(self, C: np.ndarray, und: SpectralField4) -> np.ndarray:
         """The limit nonlinearity on the coefficient stack C: minus the
@@ -353,13 +367,8 @@ class LimitStepper:
         def rhs(C: np.ndarray, tau: float) -> np.ndarray:
             return self._rhs(C, und[tau])
 
-        C, _ = lawson_rk4(
-            s.C,
-            rhs,
-            lambda C: self._heat_half * C,
-            lambda C: self._heat_full * C,
-            dt,
-        )
+        heat = self._heat
+        C, _ = lawson_rk4(s.C, rhs, lambda frac, C: heat[frac] * C if frac else C, dt)
         if not np.all(np.isfinite(C)):
             raise NumericalError("non-finite coefficients in limit step")
         return LimitState(s.t + dt, C)

@@ -462,7 +462,7 @@ class TestFlatIndexApply:
         assert np.array_equal(got.coeffs, q_underline_2d(eng, V, V).coeffs)
 
 
-@pytest.fixture(scope="module", params=[((1, 2, 3), 3), ((1, 1, 1), 4), ((1, 4, 1), 5)],
+@pytest.fixture(scope="module", params=[((1, 2, 3), 3), ((1, 1, 1), 4), ((1, 4, 1), 5), ((2, 3, 5), 6)],
                 ids=lambda p: "-".join(map(str, p[0])) + f"-N{p[1]}")
 def mirror_engine(request):
     return FormEngine(TorusGeometry(*request.param), nu=1.0)
@@ -546,10 +546,12 @@ class TestMirrorPlan:
         assert np.max(np.abs(osc_part(field).coeffs - field.coeffs)) <= 1e-15 * scale
 
 
-@pytest.fixture(scope="module", params=[((1, 2, 3), 3, 4), ((1, 1, 3), 4, 24), ((1, 4, 1), 5, 0)],
+@pytest.fixture(scope="module",
+                params=[((1, 2, 3), 3, 4), ((1, 1, 3), 4, 24), ((1, 4, 1), 5, 0), ((2, 3, 5), 6, 0)],
                 ids=lambda p: "-".join(map(str, p[0])) + f"-N{p[1]}")
 def plane_engine(request):
-    """An engine and the number of its plan rows with output on n3 = 0."""
+    """An engine and the number of its plan rows with output on n3 = 0.
+    On (2,3,5)/N6 the radical rows carry weight (TestRadicalRowWeights)."""
     a_sq, N, plane_plan_rows = request.param
     return FormEngine(TorusGeometry(a_sq, N), nu=1.0), plane_plan_rows
 
@@ -619,8 +621,9 @@ class TestPlaneBlock:
         assert close_to(got, want)
         # every plane n3 <= 0 on its own scale: the mirror below the plane,
         # and the plane, where the plane block meets the radical rows (their
-        # weights are at rounding level in these geometries, so the plan
-        # test above is what pins those rows)
+        # weights are at rounding level on (1,2,3) and (1,1,3), so the plan
+        # test above is what pins those rows there; on (2,3,5)/N6 they
+        # carry weight, but none outputs on n3 = 0)
         for i3 in range(g.N + 1):
             assert close_to(got[..., i3], want[..., i3]), i3 - g.N
 
@@ -714,21 +717,59 @@ class TestWaveWaveKernelForcing:
 
 
 class TestRadicalRowWeights:
-    """Every radical row (a, b, c all nonzero) of the triad table carries a
-    weight G at rounding level: max |G| is 1.1e-16, 1.1e-16 and 4.4e-16 at
-    (1,2,3)/N3, (1,1,3)/N4 and (1,2,3)/N6, against max |W| of 6.0, 9.9 and
-    12.0.  The rows stay in the apply plan; this pins the measurement, the
-    oracle a proof that G vanishes on them (like TestWaveWaveKernelForcing's)
-    would answer to."""
+    """The radical rows (a, b, c all nonzero) of the triad table carry a
+    weight G at rounding level on some tori and not on others.  max |G| is
+    1.1e-16, 1.1e-16 and 4.4e-16 at (1,2,3)/N3, (1,1,3)/N4 and (1,2,3)/N6,
+    against max |W| of 6.0, 9.9 and 12.0; it is 1.12 over the 48 radical
+    rows at (2,3,5)/N6 and 6.62 over the 144 at (1,4,1)/N8.  So the rows
+    stay in the apply plan, and the forms are checked where they weigh."""
+
+    @staticmethod
+    def _radical(eng):
+        tab, _ = eng.tables
+        r = np.nonzero((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0))[0]
+        assert len(r) > 0
+        return r, eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
 
     @pytest.mark.parametrize("a_sq,N", [((1, 2, 3), 3), ((1, 1, 3), 4), ((1, 2, 3), 6)])
     def test_radical_weights_are_at_rounding_level(self, a_sq, N):
         eng = FormEngine(TorusGeometry(a_sq, N), nu=1.0)
+        _, G = self._radical(eng)
+        assert np.max(np.abs(G)) <= 1e-15 * np.max(np.abs(eng.tables[0].W))
+
+    @pytest.mark.parametrize("a_sq,N", [((2, 3, 5), 6), ((1, 4, 1), 8)])
+    def test_each_weighted_radical_row_is_the_single_mode_transport(self, a_sq, N):
+        # per row (k, a, m, b, c): transport of the single-mode fields of
+        # e_a(k) and e_b(m), projected on e_c(n) at n = k + m, is (i/2) G,
+        # since its coefficient at n is 1/2 P i [(ncheck . e_a) e_b +
+        # (ncheck . e_b) e_a] and P e_c = e_c
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
         tab, _ = eng.tables
-        r = np.nonzero((tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0))[0]
-        assert len(r) > 0
-        G = eng._G_rows(tab.kf[r], tab.ia[r], tab.mf[r], tab.ib[r], tab.nf[r], tab.ic[r])
-        assert np.max(np.abs(G)) <= 1e-15 * np.max(np.abs(tab.W))
+        r, G = self._radical(eng)
+        assert np.max(np.abs(G)) >= 1.0
+        evec = EigenBasis.of(g).evec
+        modes = np.stack(np.unravel_index(np.arange(g.nmodes), (g.L,) * 3), axis=-1)
+        for row, weight in zip(r, G):
+            k, m, n = (tuple(modes[f]) for f in (tab.kf[row], tab.mf[row], tab.nf[row]))
+            a, b, c = (int(s[row]) for s in (tab.ia, tab.ib, tab.ic))
+            A = single_mode_field(g, np.array(k) - N, evec[a][k])
+            B = single_mode_field(g, np.array(m) - N, evec[b][m])
+            got = full_stack(coefficients(transport(A, B)))[c][n]
+            assert abs(got - 0.5j * weight) <= 1e-15 * np.max(np.abs(G)), (k, m, a, b, c)
+
+    def test_weighted_radical_rows_move_q_tilde1(self):
+        # on (2,3,5)/N6 the radical rows supply a nonzero share of the wave
+        # output of q_tilde1 (1.4% of its largest coefficient on this
+        # input), so the oracles on this torus check their weights
+        g = TorusGeometry((2, 3, 5), 6)
+        eng = FormEngine(g, nu=1.0)
+        r, _ = self._radical(eng)
+        C = coefficients(random_field(g, seed=72, amplitude=1.0, spectrum_r=1.0))
+        whole = full_stack(eng.q_tilde1(C))[1:]
+        radical = q_resonant_2d(eng, C, C, r)[1:]
+        assert np.max(np.abs(radical)) >= 1e-2 * np.max(np.abs(whole))
+        assert close_to(whole, q_resonant_2d(eng, C, C)[1:])
 
 
 class TestQeps:
@@ -862,7 +903,7 @@ class TestQtilde1:
         assert close_to(full_stack(got)[1:], q_resonant_2d(engine4, C, C)[1:])
 
     @pytest.mark.parametrize(
-        "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0)]
+        "a_sq, N, radical_rows", [((1, 2, 3), 3, 24), ((1, 1, 1), 4, 0), ((2, 3, 5), 6, 48)]
     )
     def test_one_resonant_sum_drives_the_waves(self, a_sq, N, radical_rows):
         # the wave forcing of the limit stepper, osc_part(q(o, o) + 2 q(b, o))

@@ -265,6 +265,15 @@ class TestConvolution:
         out = convolve_quadratic(A, B)
         assert l2_norm(out) < 1e-14
 
+    @pytest.mark.parametrize("N", [4, 6, 8])
+    def test_product_grid_is_the_smallest_alias_free_one(self, N):
+        # M = 3N + 1 points per axis: the corner product 2N wraps to
+        # 2N - M = -N - 1, just outside the box (test_corner_mode_alias_free),
+        # where M = 3N would wrap it onto -N; no FFT size is needed
+        g = TorusGeometry((1, 2, 3), N)
+        assert fields._pad_size(N) == 3 * N + 1
+        assert to_physical(random_field(g, seed=8)).grid_points == 3 * N + 1
+
 
 def _advective_oracle(A, B, stencil="full"):
     """The advective kernel a . grad B with numpy complex transforms, kept as

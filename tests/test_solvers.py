@@ -238,11 +238,11 @@ class TestFilteredStepper:
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_half_spectrum_step_has_the_bytes_of_the_full_lattice_step(self, a_sq, N, eps):
         # the step integrates the stored modes n3 >= 0; a step over all L^3
-        # modes of the full lattice (the real per-mode matmul with the
-        # propagators and a Leray projector I - nhat nhat^T built over the
-        # whole lattice, the public convolve on the stored modes mirrored
-        # back) gives the same V, byte for byte, and the same dissipation
-        # from the norms of its stored modes
+        # modes of the full lattice (the real per-mode matmul with P,
+        # E_half P and E_full P for a Leray projector P = I - nhat nhat^T
+        # built over the whole lattice, the public convolve on the stored
+        # modes mirrored back, unprojected) gives the same V, byte for
+        # byte, and the same dissipation from the norms of its stored modes
         from scipy.linalg import expm
 
         from frspec.fields import apply_per_mode
@@ -261,23 +261,19 @@ class TestFilteredStepper:
         P = np.zeros((g.nmodes, 4, 4))
         P[:, :3, :3] = np.eye(3) - khat[:, :, None] * khat[:, None, :]
         P[:, 3, 3] = 1.0
+        P[(N * g.L + N) * g.L + N] = 0.0  # n = 0
+        stacks = {0.0: P, 0.5: Eh @ P, 1.0: Ef @ P}
 
         apply = apply_per_mode
 
-        def leray(v):
-            out = apply(P, v)
-            out[N, N, N] = 0.0
-            return out
-
         def nonlinear(W, tau):
-            return -1.0 * leray(full_lattice(convolve_quadratic(*[from_lattice(g, W)] * 2)))
+            return -full_lattice(convolve_quadratic(*[from_lattice(g, W)] * 2))
 
         def energy(W):
             return 0.5 * l2_norm(from_lattice(g, W)) ** 2
 
         def full_step(V, ledger):
-            V_new, EfV = lawson_rk4(V, nonlinear, lambda W: apply(Eh, W), lambda W: apply(Ef, W), dt)
-            V_new = leray(V_new)
+            V_new, EfV = lawson_rk4(V, nonlinear, lambda s, W: apply(stacks[s], W), dt)
             d0 = energy(V) - energy(EfV)
             d1 = energy(apply(Einv, V_new)) - energy(V_new)
             ledger.dissipated += 0.5 * (d0 + d1)
@@ -518,6 +514,38 @@ class TestLimitSteppers:
         drift = abs(0.5 * l2_norm(_osc(g, s.C)) ** 2 + diss - 0.5 * l2_norm(osc0) ** 2)
         assert drift < 1e-8 * 0.5 * l2_norm(osc0) ** 2
 
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_heat_factor_step_has_the_bytes_of_the_two_propagator_formula(self, a_sq, N):
+        # lawson_rk4 with the heat factors and prop(0) the identity, called
+        # directly and through LimitStepper.step, makes the arithmetic of
+        # the scheme written with separate half and full propagators
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=71, amplitude=1.0, spectrum_r=3.0)
+        dt = 5e-3
+        st = LimitStepper(eng, dt, decompose(V).underline)
+        half, full = np.exp((0.5 * dt) * eng.limit_symbol), np.exp(dt * eng.limit_symbol)
+        heat = {0.5: half, 1.0: full}
+        s = LimitState(0.0, coefficients(V))
+        x = s.C
+        for _ in range(3):
+            t = s.t
+
+            def rhs(C, tau):
+                und = solve_underline(st.und0, eng.nu, t + tau)
+                return -(eng.q_tilde1(C) + eng.q_tilde2(und, C))
+
+            k1 = rhs(x, 0.0)
+            ka = rhs(half * (x + (0.5 * dt) * k1), 0.5 * dt)
+            kb = rhs(half * x + (0.5 * dt) * ka, 0.5 * dt)
+            kc = rhs(full * x + dt * (half * kb), dt)
+            want = full * x + (dt / 6.0) * (full * k1 + 2.0 * (half * (ka + kb)) + kc)
+            got, full_x = lawson_rk4(x, rhs, lambda frac, C: heat[frac] * C if frac else C, dt)
+            s = st.step(s)
+            assert got.tobytes() == want.tobytes() and full_x.tobytes() == (full * x).tobytes()
+            assert s.C.tobytes() == want.tobytes()
+            x = want
+
     def test_single_wave_mode_feels_no_nonlinearity(self):
         g = TorusGeometry((1, 1, 1), 2)
         eng = FormEngine(g, nu=1.0)
@@ -691,19 +719,25 @@ class TestStepWork:
 
     @pytest.mark.parametrize("enforce_cfl, inverse", [(False, [4] * 4), (True, [3] + [4] * 4)], ids=["no-cfl", "cfl"])
     def test_filtered_step_work(self, engine4, unit_torus_4, monkeypatch, enforce_cfl, inverse):
-        # every stage is one public convolve and one Leray projection, and
-        # V_new is projected once more; one inverse transform of the 4
-        # components and one forward of the 9 distinct products per stage
-        # (the CFL bound samples the 3 velocity components of V once more)
+        # every stage is one public convolve with no projection; the step
+        # makes 7 per-mode passes: (x, k1) at s = 1 and (x + dt/2 k1, x) at
+        # s = 1/2 stacked, P ka, E_half P kb, E_half P (ka + kb), P on the
+        # new state and the ledger's exp(-dt L) V_new, and no zero-mean
+        # check; one inverse transform of the 4 components and one forward
+        # of the 9 distinct products per stage (the CFL bound samples the 3
+        # velocity components of V once more)
         V0 = random_field(unit_torus_4, seed=87, amplitude=1.0, spectrum_r=3.0)
         st = FilteredStepper(engine4, eps=1e-2, dt=1e-3)
         convolves = self._count(monkeypatch, "convolve_quadratic")
-        projections = self._count(monkeypatch, "leray_project")
+        passes = self._count(monkeypatch, "apply_per_mode")
+        projections = self._count(monkeypatch, "leray_project", fields)
+        means = self._count(monkeypatch, "zero_mean", SpectralField4)
         filters = self._count(monkeypatch, "apply_filter")
         inv = self._components(monkeypatch, "_to_grid")
         fwd = self._components(monkeypatch, "_from_grid")
         st.step(SimState(0.0, V0, 1.0, 1e-2), EnergyLedger(1.0), enforce_cfl=enforce_cfl)
-        assert (len(convolves), len(projections), len(filters)) == (4, 5, 0)
+        assert (len(convolves), len(passes), len(filters)) == (4, 7, 0)
+        assert (len(projections), len(means)) == (0, 0)
         assert (inv, fwd) == (inverse, [9] * 4)
 
     def test_limit_step_reads_the_underline_line(self, monkeypatch):
