@@ -361,8 +361,11 @@ def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
 
     Returns the sample row x of each product's first factor, the `_runs`
     of the first terms and of the second terms of the products that have
-    one (factors as sample rows), and slots (J, 4), the product of P_jc or
-    -1 where P_jc is identically zero; every call with the same arguments
+    one (factors as sample rows), and slots (J', 4), the product of P_jc or
+    -1 where P_jc is identically zero, for the rows j < J' up to the last
+    one that has a product: a later row would add only zeros to the
+    divergence (`transport` of two bar parts, whose third velocity rows are
+    zero, sums J' = 2 rows of J = 3).  Every call with the same arguments
     shares these read-only values.  For J = 3 and every row live the first
     terms are three runs, a_0 (a_0..a_3), a_1 (a_1..a_3) and a_2 (a_2, a_3).
     """
@@ -383,6 +386,8 @@ def _products(J: int, split: int, symmetrize: bool, live: tuple[bool, ...]):
                     second.append((len(first), *terms[1]))
                 first.append((len(first), *terms[0]))
     x = np.array([t[1] for t in first], dtype=np.intp)
+    rows = np.flatnonzero(slots.max(axis=1) >= 0)
+    slots = slots[: rows[-1] + 1 if len(rows) else 0]
     for a in (x, slots):
         a.setflags(write=False)
     return x, _runs(first), _runs(second), slots

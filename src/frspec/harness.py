@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .fields import SpectralField4, l2_norm, leray_project, sobolev_norm, transport
 from .forms import FormEngine, project_tilde
@@ -195,7 +196,7 @@ def random_initial_data(config: SimConfig):
     configured spectral slope; returns (field, part-norm report)."""
     g = config.geometry()
     L, N = g.L, g.N
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     raw = rng.standard_normal((L, L, L, 4)) + 1j * rng.standard_normal((L, L, L, 4))
     raw *= ((1.0 + g.check_sq) ** (-config.spectrum_r / 2.0))[..., None]
     # the real part of the draw: (V_hat(n) + conj V_hat(-n)) / 2 on n3 >= 0

@@ -26,8 +26,19 @@ Every layer shares one layout of this data: `EigenBasis.evec` is a single
 index makes evec[a] the vector e_a for a in (0, 1, -1), and
 `coefficients` returns the stack c_0, c_+, c_- indexed the same way.  The
 symbol of P A itself is written once, as the (L, L, L, 4, 4) stack
-`EigenBasis.pa`: `pa_symbol`, `apply_pa` and the filtered stepper's
-generator all read it.
+`EigenBasis.pa`, which `pa_symbol` and `apply_pa` read and the tests
+take as the oracle of the frame.
+
+`EigenBasis.frame` is the same eigen data as one real orthonormal frame
+(L, L, L, 3, 4) of the divergence-free subspace of each mode (the
+Craya-Herring frame), so that frame^T frame is the Leray projector.  Where
+n_h != 0 its rows are e_0, t = -sqrt2 Im e_+ =
+(nc_1 nc_3, nc_2 nc_3, -|nc_h|^2, 0) / (|nc_h| |nc|) and the buoyancy
+direction f_4 = sqrt2 Re e_+ = (0, 0, 0, 1) (f_3 above); there
+P A t = omega f_4 and P A f_4 = -omega t, so e_pm = (f_4 -+ i t)/sqrt2
+rotate in the plane (t, f_4).  On the vertical line the rows are f_1,
+f_2, f_3, and at n = 0 they are zero.  The filtered stepper builds its
+propagators from this frame in closed form.
 
 The coefficient stacks, like the fields (see `fields`), hold only the
 modes n3 >= 0, (3, L, L, N + 1), and the per-mode operators (the
@@ -129,13 +140,20 @@ class EigenBasis:
         ep[..., 3] = np.where(osc, inv_sqrt2, 0.0)
         np.conj(ep, out=em)
         self.evec_conj = np.conj(self.evec)
+        # the real frame of the module docstring, from the same entries
+        self.frame = np.zeros((L, L, L, 3, 4))
+        self.frame[..., 0, :2] = e0[..., :2].real
+        self.frame[..., 1, :3] = np.stack((a1, a2, -b), axis=-1)
+        self.frame[..., 2, 3] = np.where(osc, 1.0, 0.0)
+        self.frame[g.mask_h_zero & ~g.mask_zero] = F_BASIS
         # |e_pm^vel|^2, the same for both signs since e_- = conj(e_+)
         self.vshare = np.einsum("xyzj,xyzj->xyz", ep[..., :3], self.evec_conj[1, ..., :3]).real
 
     @cached_property
     def pa(self) -> np.ndarray:
-        """(L, L, L, 4, 4) symbol of P A per mode, zero at n = 0; built on
-        first use, since only the filtered system needs it."""
+        """(L, L, L, 4, 4) symbol of P A per mode, zero at n = 0, which
+        `pa_symbol` and `apply_pa` read; built on first use (the filtered
+        stepper reads `frame` and `omega`)."""
         g = self.geometry
         k1, k2, k3 = g.check_grid
         ksq = np.where(g.mask_zero, 1.0, g.check_sq)

@@ -479,6 +479,19 @@ class TestLiveComponents:
             assert convolve_quadratic(X, Y).coeffs.tobytes() == w.tobytes()
         assert rows == [3, 5]
 
+    def test_rows_after_the_last_product_are_not_summed(self, unit_torus_4, monkeypatch):
+        # a bar field has no third velocity row, so the divergence of
+        # transport(bar, bar) sums the rows j = 0, 1 only (its bytes are the
+        # dense kernel's, above); a full field sums all three
+        bar = bar_part(random_field(unit_torus_4, seed=65))
+        V = random_field(unit_torus_4, seed=66)
+        rows = []
+        divergence = fields._divergence
+        monkeypatch.setattr(fields, "_divergence", lambda g, p, s: rows.append(len(s)) or divergence(g, p, s))
+        transport(bar, bar)
+        transport(V, V)
+        assert rows == [2, 3]
+
 
 class TestConvolvePlane:
     """The 2-D advection kernel on coefficient planes (L, L) of n3 = 0."""

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,25 @@ def test_no_module_imports_a_private_name_of_fields():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "fields":
                 private += [node.attr] if node.attr.startswith("_") else []
         assert private == [], (path.name, private)
+
+
+def test_the_package_runs_without_scipy():
+    # scipy is a test oracle only: a fresh interpreter that imports every
+    # frspec module and takes one filtered step has loaded no scipy module
+    src = Path(frspec.__file__).parent.parent
+    script = f"""
+import importlib, sys
+sys.path.insert(0, {str(src)!r})
+for name in {MODULES!r}:
+    importlib.import_module("frspec." + name)
+from frspec.forms import FormEngine
+from frspec.geometry import TorusGeometry
+from frspec.harness import SimConfig, random_initial_data
+from frspec.solvers import EnergyLedger, FilteredStepper, SimState
+V, _ = random_initial_data(SimConfig(N=2))
+stepper = FilteredStepper(FormEngine(V.geometry, nu=1.0), eps=0.1, dt=1e-3)
+stepper.step(SimState(0.0, V, 1.0, 0.1), EnergyLedger(1.0))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -72,6 +72,24 @@ def _energy(g, coeffs):
     return 0.5 * l2_norm(SpectralField4(g, coeffs)) ** 2
 
 
+def _generator(eng, eps):
+    """The test-side generator diag(A2) - (1/eps) PA (L L (N + 1), 4, 4)
+    of the filtered system on the stored modes, from the shared symbols
+    `EigenBasis.pa` and `FormEngine.a2_diag`."""
+    g = eng.geometry
+    mats = eng.basis.pa[:, :, g.N :].reshape(-1, 4, 4) * (-1.0 / eps)
+    for j in range(3):
+        mats[:, j, j] += eng.a2_diag.reshape(-1)
+    return mats
+
+
+def _full_propagator(eng, eps, h):
+    """The closed-form exp(h L) P (L, L, L, 4, 4) over the full lattice,
+    from the full frame and the A2 symbol of the whole lattice."""
+    basis, g = eng.basis, eng.geometry
+    return solvers._propagator(basis.frame, basis.omega, -eng.nu * g.check_sq, eps, h)
+
+
 class TestFilteredStepper:
     def test_pure_vertical_heat_is_exact(self, engine4, unit_torus_4):
         # underline data produces no transport, so the exact linear
@@ -134,59 +152,71 @@ class TestFilteredStepper:
         with pytest.raises(CFLViolation):
             st.step(SimState(0.0, V0, 1.0, 0.1))
 
-    @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
-    def test_stacked_propagators_match_per_mode_loop(self, engine4, eps):
-        # one stacked expm / matmul / inv call over the n3 >= 0 half gives
-        # the per-mode results bit for bit; the full-step propagator is the
-        # square of the half-step one
+    @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3, math.inf])
+    def test_stacked_propagators_match_per_mode_loop(self, eps):
+        # the closed-form stacks exp(s dt L) P, s in (1/2, 1, -1), against
+        # expm of the generator diag(A2) - (1/eps) PA built mode by mode
+        # from the shared symbols; s = 0 is the Leray projector itself
         from scipy.linalg import expm
 
+        from frspec.fields import leray_symbol
+
         dt = 1e-3
-        g = engine4.geometry
-        st = FilteredStepper(engine4, eps=eps, dt=dt)
-        mats = st._generator()
-        assert mats.shape == (g.L * g.L * (g.N + 1), 4, 4)
-        E_half = np.array([expm(0.5 * dt * m) for m in mats])
-        E_full = np.array([h @ h for h in E_half])
-        assert np.array_equal(st._E_half, E_half)
-        assert np.array_equal(st._E_full, E_full)
-        assert np.array_equal(st._E_full_inv, np.array([np.linalg.inv(m) for m in E_full]))
+        for a_sq, N in [((1, 1, 1), 4), ((1, 2, 3), 5)]:
+            eng = FormEngine(TorusGeometry(a_sq, N), nu=1.0)
+            st = FilteredStepper(eng, eps=eps, dt=dt)
+            P = leray_symbol(eng.geometry)
+            assert st._prop[0.0] is P
+            mats = _generator(eng, eps)
+            for s in (0.5, 1.0, -1.0):
+                want = np.array([expm(s * dt * m) @ p for m, p in zip(mats, P)])
+                assert st._prop[s].shape == want.shape
+                assert np.max(np.abs(st._prop[s] - want)) <= 1e-15
 
     @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3])
     def test_squared_half_step_is_the_full_step_exponential(self, engine4, eps):
-        # E_full = E_half @ E_half stands for expm(dt M) to rounding
+        # the half-step propagator squared stands for expm(dt M) P to
+        # rounding, as the closed form at s = 1 does
         from scipy.linalg import expm
 
         st = FilteredStepper(engine4, eps=eps, dt=1e-3)
-        want = expm(st.dt * st._generator())
-        assert np.max(np.abs(st._E_full - want)) <= 1e-15
+        want = expm(st.dt * _generator(engine4, eps)) @ st._prop[0.0]
+        assert np.max(np.abs(st._prop[0.5] @ st._prop[0.5] - want)) <= 1e-15
+        assert np.max(np.abs(st._prop[1.0] - want)) <= 1e-15
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
     def test_generator_is_built_from_the_shared_symbols(self, engine4, unit_torus_4, eps):
-        # diag(A2) - (1/eps) PA from the one A2 symbol and the one PA stack,
-        # the stack that pa_symbol reads at every mode
+        # the real frame holds the generator diag(A2) - (1/eps) PA, built
+        # from the one A2 symbol and the one PA stack, in the closed form's
+        # blocks: F M F^T = [[-a, 0, 0], [0, -a, w], [0, -w, 0]] with
+        # a = nu |ncheck|^2 and w = omega / eps, and F^T F is the Leray
+        # projector
+        from frspec.fields import leray_symbol
+
         g = unit_torus_4
-        pa = EigenBasis.of(g).pa[:, :, g.N :]
-        diag = np.zeros(pa.shape)
-        for j in range(3):
-            diag[..., j, j] = engine4.a2_diag
-        want = (diag - pa / eps).reshape(-1, 4, 4)
-        got = FilteredStepper(engine4, eps=eps, dt=1e-3)._generator()
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        assert np.all(got[(g.N * g.L + g.N) * (g.N + 1)] == 0.0)  # n = 0
+        basis = EigenBasis.of(g)
+        F = basis.frame[:, :, g.N :].reshape(-1, 3, 4)
+        a = -engine4.a2_diag.reshape(-1)
+        w = basis.omega[:, :, g.N :].reshape(-1) / eps
+        want = np.zeros((len(a), 3, 3))
+        want[:, 0, 0] = want[:, 1, 1] = -a
+        want[:, 1, 2], want[:, 2, 1] = w, -w
+        got = F @ _generator(engine4, eps) @ np.swapaxes(F, 1, 2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(np.swapaxes(F, 1, 2) @ F - leray_symbol(g))) <= 1e-15
+        assert np.all(F[(g.N * g.L + g.N) * (g.N + 1)] == 0.0)  # n = 0
         assert np.array_equal(engine4.a2_diag, -engine4.nu * g.check_sq[..., g.N :])
 
     @pytest.mark.parametrize("eps", [0.1, 1e-3, math.inf])
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_generator_at_minus_n_is_the_one_at_n(self, a_sq, N, eps):
         # the half stack serves n3 < 0 because the generator, built from
-        # the shared symbols over the full lattice as the stepper builds
-        # its half (the A2 symbol -nu |ncheck|^2 of the whole lattice, whose
-        # stored half is a2_diag), is even in n bit for bit, and so are its
-        # propagators, the half-step exponential and its square (array_equal:
-        # an exact zero may carry either sign)
-        from scipy.linalg import expm
-
+        # the shared symbols over the full lattice (the A2 symbol
+        # -nu |ncheck|^2 of the whole lattice, whose stored half is
+        # a2_diag), is even in n bit for bit, and so are the closed-form
+        # propagators over the full frame (array_equal: an exact zero may
+        # carry either sign), whose stored half the stepper holds byte for
+        # byte
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=0.7)
         mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
@@ -194,12 +224,55 @@ class TestFilteredStepper:
             mats[:, j, j] += (-eng.nu * g.check_sq).reshape(-1)
         full = mats.reshape(g.L, g.L, g.L, 4, 4)
         assert np.array_equal(full, full[::-1, ::-1, ::-1])
-        E = expm(0.5e-3 * full)
-        E = E @ E
-        assert np.array_equal(E, E[::-1, ::-1, ::-1])
         st = FilteredStepper(eng, eps=eps, dt=1e-3)
-        assert st._generator().tobytes() == full[:, :, N:].copy().tobytes()
-        assert st._E_full.tobytes() == E[:, :, N:].reshape(-1, 4, 4).tobytes()
+        for s in (0.5, 1.0, -1.0):
+            E = _full_propagator(eng, eps, s * 1e-3)
+            assert np.array_equal(E, E[::-1, ::-1, ::-1])
+            assert st._prop[s].tobytes() == E[:, :, N:].reshape(-1, 4, 4).tobytes()
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 8)])
+    def test_inviscid_propagators_are_exactly_unitary(self, a_sq, N):
+        # at nu = 0 the flow is a rotation of each wave pair by omega dt /
+        # eps (up to 10 radians at eps = 1e-4): exp(dt L) P is orthogonal
+        # on the divergence-free modes and exp(-dt L) P inverts it there,
+        # to rounding
+        eng = FormEngine(TorusGeometry(a_sq, N), nu=0.0)
+        st = FilteredStepper(eng, eps=1e-4, dt=1e-3)
+        E, back, P = st._prop[1.0], st._prop[-1.0], st._prop[0.0]
+        assert np.max(np.abs(np.swapaxes(E, 1, 2) @ E - P)) <= 2e-15
+        assert np.max(np.abs(back @ E - P)) <= 2e-15
+
+    def test_critically_damped_mode(self, unit_torus_4):
+        # at n = (1, 0, 0), nu = 2 and eps = 1: a = 2 and w = 1, so
+        # mu^2 = a^2/4 - w^2 = 0 and the wave block is
+        # exp(h G) = e^{-h} [[1 - h, h], [-h, 1 + h]]
+        from scipy.linalg import expm
+
+        g = unit_torus_4
+        eng = FormEngine(g, nu=2.0)
+        st = FilteredStepper(eng, eps=1.0, dt=1e-3)
+        i = np.ravel_multi_index(stored(g, (1, 0, 0)), (g.L, g.L, g.N + 1))
+        F = EigenBasis.of(g).frame[g.mode_index((1, 0, 0))]
+        M = _generator(eng, 1.0)[i]
+        for s in (0.5, 1.0, -1.0):
+            h = s * st.dt
+            B = np.zeros((3, 3))
+            B[0, 0] = math.exp(-2.0 * h)
+            B[1:, 1:] = math.exp(-h) * np.array([[1.0 - h, h], [-h, 1.0 + h]])
+            assert np.max(np.abs(st._prop[s][i] - F.T @ B @ F)) <= 1e-15
+            assert np.max(np.abs(st._prop[s][i] - expm(h * M) @ st._prop[0.0][i])) <= 1e-15
+
+    def test_no_penalization_is_the_heat_flow(self, engine4, unit_torus_4):
+        # at eps = inf (w = 0) the wave block is diag(e^{-a h}, 1): the
+        # velocity decays at a = nu |ncheck|^2 and the density is kept
+        g = unit_torus_4
+        F = EigenBasis.of(g).frame[:, :, g.N :].reshape(-1, 3, 4)
+        a = -engine4.a2_diag.reshape(-1)
+        st = FilteredStepper(engine4, eps=math.inf, dt=1e-3)
+        for s in (0.5, 1.0, -1.0):
+            decay = np.exp(-a * s * st.dt)
+            want = np.swapaxes(F, 1, 2) @ (np.stack([decay, decay, np.ones_like(a)], -1)[..., None] * F)
+            assert np.max(np.abs(st._prop[s] - want)) <= 1e-15
 
     def test_nan_raises(self, engine4, unit_torus_4):
         V0 = random_field(unit_torus_4, seed=64)
@@ -238,31 +311,26 @@ class TestFilteredStepper:
     @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_half_spectrum_step_has_the_bytes_of_the_full_lattice_step(self, a_sq, N, eps):
         # the step integrates the stored modes n3 >= 0; a step over all L^3
-        # modes of the full lattice (the real per-mode matmul with P,
-        # E_half P and E_full P for a Leray projector P = I - nhat nhat^T
-        # built over the whole lattice, the public convolve on the stored
-        # modes mirrored back, unprojected) gives the same V, byte for
-        # byte, and the same dissipation from the norms of its stored modes
-        from scipy.linalg import expm
-
+        # modes of the full lattice (the real per-mode matmul with P and
+        # the closed-form exp(s dt L) P from the full frame, for a Leray
+        # projector P = I - nhat nhat^T built over the whole lattice, the
+        # public convolve on the stored modes mirrored back, unprojected)
+        # gives the same V, byte for byte, and the same dissipation from
+        # the norms of its stored modes
         from frspec.fields import apply_per_mode
 
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
         dt = 1e-3
-        mats = eng.basis.pa.reshape(g.nmodes, 4, 4) * (-1.0 / eps)
-        for j in range(3):
-            mats[:, j, j] += (-eng.nu * g.check_sq).reshape(-1)
-        Eh = expm(0.5 * dt * mats)
-        Ef = Eh @ Eh
-        Einv = np.linalg.inv(Ef)
         k = np.stack([np.broadcast_to(x, g.check_sq.shape).ravel() for x in g.check_grid], axis=-1)
         khat = k / np.sqrt(np.where(g.mask_zero, 1.0, g.check_sq)).reshape(-1, 1)
         P = np.zeros((g.nmodes, 4, 4))
         P[:, :3, :3] = np.eye(3) - khat[:, :, None] * khat[:, None, :]
         P[:, 3, 3] = 1.0
         P[(N * g.L + N) * g.L + N] = 0.0  # n = 0
-        stacks = {0.0: P, 0.5: Eh @ P, 1.0: Ef @ P}
+        stacks = {0.0: P}
+        for s in (0.5, 1.0, -1.0):
+            stacks[s] = _full_propagator(eng, eps, s * dt).reshape(-1, 4, 4)
 
         apply = apply_per_mode
 
@@ -275,7 +343,7 @@ class TestFilteredStepper:
         def full_step(V, ledger):
             V_new, EfV = lawson_rk4(V, nonlinear, lambda s, W: apply(stacks[s], W), dt)
             d0 = energy(V) - energy(EfV)
-            d1 = energy(apply(Einv, V_new)) - energy(V_new)
+            d1 = energy(apply(stacks[-1.0], V_new)) - energy(V_new)
             ledger.dissipated += 0.5 * (d0 + d1)
             return V_new
 

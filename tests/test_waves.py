@@ -8,6 +8,7 @@ import pytest
 from frspec.fields import l2_norm, leray_project, single_mode_field, sobolev_norm
 from frspec.geometry import TorusGeometry
 from frspec.waves import (
+    F_BASIS,
     EigenBasis,
     apply_filter,
     apply_pa,
@@ -130,6 +131,31 @@ class TestEigenbasis:
             )
         assert worst_orth < 1e-14
         assert worst_eig < 1e-14
+
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_real_frame_of_the_eigenbasis(self, a_sq, N):
+        # the frame rows are e_0, t = -sqrt2 Im e_+ and f_4 = sqrt2 Re e_+
+        # where n_h != 0, F_BASIS on the vertical line and zero at n = 0;
+        # it is orthonormal, and P A rotates (t, f_4): P A t = omega f_4,
+        # P A f_4 = -omega t, P A e_0 = 0
+        g = TorusGeometry(a_sq, N)
+        b = EigenBasis.of(g)
+        F, osc = b.frame, b.mask_osc
+        assert F.shape == (g.L,) * 3 + (3, 4) and F.dtype == np.float64
+        assert np.array_equal(F[osc][:, 0], b.e0[osc].real)
+        assert np.max(np.abs(F[osc][:, 1] + np.sqrt(2.0) * b.ep[osc].imag)) <= 1e-15
+        assert np.max(np.abs(F[osc][:, 2] - np.sqrt(2.0) * b.ep[osc].real)) <= 1e-15
+        vertical = g.mask_h_zero & ~g.mask_zero
+        assert np.array_equal(F[vertical], np.broadcast_to(F_BASIS, (2 * N, 3, 4)))
+        assert np.all(F[N, N, N] == 0.0)
+        gram = F @ np.swapaxes(F, -1, -2)
+        assert np.max(np.abs(gram[~g.mask_zero] - np.eye(3))) <= 1e-15
+        PF = F @ np.swapaxes(b.pa, -1, -2)  # rows (P A f)^T
+        w = b.omega[..., None]
+        assert np.max(np.abs(PF[..., 0, :])) <= 1e-15
+        assert np.max(np.abs(PF[..., 1, :] - w * F[..., 2, :])) <= 1e-15
+        assert np.max(np.abs(PF[..., 2, :] + w * F[..., 1, :])) <= 1e-15
 
 
 class TestSignIndexedLayout:
