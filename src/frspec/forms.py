@@ -37,9 +37,16 @@ records the rows of each sign class as it pushes them (`TriadTable.counts`,
 read by `class_rows`), so no count re-reads the table.
 
 `b_form` couples the underline part into the waves through two factors
-per sign b that depend on the basis alone, ncheck(n) . e_b and
-<e_b, e_b(n)> with e_b taken at (n_h, -n3), on the outputs n3 >= 0; they
-are built on its first call and kept on the engine.
+per sign b that depend on the basis alone, with e_b taken at (n_h, -n3):
+both have a closed form in omega(n),
+
+    ncheck(n) . e_b^vel(n_h, -n3) = i b sqrt2 ncheck_3(n) omega(n),
+    <e_b(n_h, -n3), e_b(n)> = omega(n)^2,
+
+since flipping n3 flips the horizontal entries of t = -sqrt2 Im e_+ (see
+`waves`): |t_h|^2 = 1 - omega^2 and t_3 = -omega, so the pairing is
+(1 - |t_h|^2 + t_3^2)/2 = omega^2, and ncheck(n) . t(n_h, -n3) =
+-2 ncheck_3(n) omega(n).
 
 Per-row coupling weight: restricting the two inputs of T to eigen
 components (a at k) and (b at m) and projecting the output on e_c(n),
@@ -71,7 +78,8 @@ so only the rows with output n3 >= 0, the stored modes, are summed.  The
 radical rows with output on n3 = 0 stay in the sum.
 
 Eigenvectors and coefficients come in the one layout of `waves` (rows e_0,
-e_+, e_-, indexed by the sign a).  A table row reads any mode, so a sum
+e_+, e_-, indexed by the sign a); a projection on e_c reads the row -c,
+since conj(e_c) = e_-c.  A table row reads any mode, so a sum
 gathers from `_full_rows(C)`, built once per call, at the flat index
 (a mod 3) L^3 + mode of the raveled (3, L^3) stack.  The eigenvectors
 vanish on the vertical line n_h = 0, so the coefficients and the bar part
@@ -83,7 +91,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -213,15 +220,15 @@ class FormEngine:
         ).reshape(-1, 3)
         grids = [np.broadcast_to(k, (L, L, L)).reshape(-1) for k in g.check_grid]
         self._ncheck_flat = np.stack(grids, axis=-1)
-        # eigenvectors and their conjugates over flat modes, rows e_0, e_+, e_-
+        # eigenvectors over flat modes, rows e_0, e_+, e_-; conj(e_a) = e_-a
         self._evec = self.basis.evec.reshape(3, -1, 4)
-        self._evec_conj = self.basis.evec_conj.reshape(3, -1, 4)
         # the one A2 symbol: -nu |ncheck|^2 on each velocity component (n3 >= 0)
         self.a2_diag = lam = -self.nu * g.check_sq[..., g.N :]
         # phase-free dissipation symbol per coefficient row: all of A2 on
-        # e_0, and on e_pm only the velocity share of the wave is diffused
-        vshare = self.basis.vshare[..., g.N :]
-        self.limit_symbol = np.stack([lam, lam * vshare, lam * vshare])
+        # e_0, and on e_pm only the velocity share |e_pm^vel|^2 = 1/2 of the
+        # wave is diffused (no wave lives on the vertical line)
+        wave = np.where(self.basis.mask_osc[..., g.N :], 0.5 * lam, 0.0)
+        self.limit_symbol = np.stack([lam, wave, wave])
         self._tab_t1: TriadTable | None = None
         self._tab_qu: UnderTable | None = None
         self._kstar_pairs: tuple[np.ndarray, np.ndarray] | None = None
@@ -232,7 +239,7 @@ class FormEngine:
         nck = self._ncheck_flat[nf]
         ea_k = self._evec[ia, kf]
         eb_m = self._evec[ib, mf]
-        ec_n = self._evec_conj[ic, nf]
+        ec_n = self._evec[-ic, nf]  # conj(e_c)
         ndot_a = np.einsum("rj,rj->r", nck, ea_k[:, :3])
         ndot_b = np.einsum("rj,rj->r", nck, eb_m[:, :3])
         pair_bc = np.einsum("rj,rj->r", eb_m, ec_n)
@@ -436,32 +443,24 @@ class FormEngine:
         coupling exactly as it enters the wave limit equation."""
         g = self.geometry
         N = g.N
-        u_at = np.zeros((N + 1, 4), dtype=np.complex128)  # und at (0, 0, 2 n3), zero past N
-        u_at[: N // 2 + 1] = _underline_line(Vund)[N::2]
+        # und at (0, 0, 2 n3) vanishes unless 1 <= n3 <= N / 2 (its mean is
+        # zero and 2 n3 <= N), so the output lives on those planes alone: z
+        # of the stored stacks, zf of the full-lattice basis
+        z, zf = slice(1, N // 2 + 1), slice(N + 1, N + N // 2 + 1)
+        u_at = _underline_line(Vund)[N + 2 :: 2]  # und at (0, 0, 2 n3), n3 in z
         out = np.zeros((3, g.L, g.L, N + 1), dtype=np.complex128)
-        k1, k2, _ = g.check_grid
-        ndot_u = k1 * u_at[None, None, :, 0] + k2 * u_at[None, None, :, 1]
-        for b, (ndot_eb, pair_bc) in self._b_factors.items():  # resonance forces c = b
-            cb = np.conj(C[-b][::-1, ::-1])  # c_b at m = (n1, n2, -n3)
-            pair_uc = np.einsum("zj,xyzj->xyz", u_at, self.basis.evec_conj[b][:, :, N:])
-            contrib = 1j * (ndot_u * cb * pair_bc + ndot_eb * cb * pair_uc)
-            out[b] = np.where(self.basis.mask_osc[..., N:], contrib, 0.0)
+        k1, k2, k3 = g.check_grid
+        omega = self.basis.omega[..., zf]  # zero on the vertical line, and so is the output
+        # i ncheck(n) . und times <e_b(n_h, -n3), e_b(n)> = omega^2, for both b
+        iu = 1j * u_at
+        und_bc = (omega * omega) * (k1 * iu[:, 0] + k2 * iu[:, 1])
+        r = math.sqrt(2.0) * k3[..., zf] * omega  # ncheck(n) . e_b^vel(n_h, -n3) = i b r
+        for b in (1, -1):  # resonance forces c = b
+            cb = np.conj(C[-b][::-1, ::-1, z])  # c_b at m = (n1, n2, -n3)
+            # <und, e_b(n)>, reading conj e_b = e_-b
+            pair_uc = np.einsum("zj,xyzj->xyz", u_at, self.basis.evec[-b][..., zf, :])
+            out[b][..., z] = cb * (und_bc - (b * r) * pair_uc)
         return out
-
-    @cached_property
-    def _b_factors(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """The geometry factors of `b_form` for b in (+1, -1): ncheck(n) .
-        e_b and <e_b, e_b(n)>, with e_b taken at (n_h, -n3).  They depend
-        on the basis alone, and are kept on the outputs n3 >= 0; built on
-        first use, since only the limit system's wave coupling reads them."""
-        N = self.geometry.N
-        k1, k2, k3 = self.geometry.check_grid
-        factors = {}
-        for b in (1, -1):
-            eb = self.basis.evec[b][:, :, N::-1, :]  # n3 = 0, -1, .., -N
-            ndot_eb = k1 * eb[..., 0] + k2 * eb[..., 1] + k3[..., N:] * eb[..., 2]
-            factors[b] = ndot_eb, np.einsum("xyzj,xyzj->xyz", eb, self.basis.evec_conj[b][:, :, N:])
-        return factors
 
     def q_tilde2(self, Vund: SpectralField4, C: np.ndarray) -> np.ndarray:
         """Limit underline x tilde transport on the underline part of Vund
@@ -511,11 +510,11 @@ class FormEngine:
 
         Underline: A2 itself, heat in x3 on the horizontal components and
         none on the fourth.  Bar: full Laplacian.  Oscillating: the diagonal
-        <A2 e_pm, e_pm> = -nu |ncheck|^2 * |velocity share of e_pm|^2,
-        i.e. half the Laplacian, since the wave vectors carry half their
-        energy in the non-diffused fourth component.  The bar and wave
-        diagonals are the rows of `limit_symbol`, whose exponentials are
-        the limit stepper's heat factors.
+        <A2 e_pm, e_pm> = -nu |ncheck|^2 |e_pm^vel|^2, exactly half the
+        Laplacian, since |e_pm^vel|^2 = 1/2: the wave vectors carry half
+        their energy in the non-diffused fourth component.  The bar and
+        wave diagonals are the rows of `limit_symbol`, whose exponentials
+        are the limit stepper's heat factors.
         """
         c = self.limit_symbol * coefficients(W)
         out = field_from_coefficients(self.geometry, {a: c[a] for a in (0, 1, -1)})

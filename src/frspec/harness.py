@@ -241,9 +241,10 @@ def _limit_self_residuals(
 def run_sweep(config: SimConfig, progress=None) -> RunReport:
     """Solve the limit system once, then the filtered system per epsilon.
 
-    Emits one row per (epsilon, snapshot time) with the max-norm error
-    against the reconstructed limit, the energy-law drift so far, and the
-    magnitude of the oscillating remainder.
+    Emits one row per (epsilon, snapshot time) with the error against the
+    reconstructed limit in the H^{s-2} Sobolev norm (the `err_Hs2`
+    column), the energy-law drift so far, and the magnitude of the
+    oscillating remainder.
 
     A `NumericalError` is recorded, never raised: ``summary["errors"]``
     holds inf and ``summary["failures"]`` the message under the epsilon's
@@ -445,7 +446,10 @@ def audit_cancellations(config: SimConfig, n_seeds: int = 10) -> RunReport:
     osc = field_from_coefficients(g, {1: co[1], -1: co[-1]})
     a2o = engine.a2_limit(osc)
     ksq = g.check_sq[..., g.N :]
-    lam = -config.nu * ksq * EigenBasis.of(g).vshare[..., g.N :]
+    # |e_pm^vel|^2 summed from the eigenvectors themselves, not the exact
+    # 1/2 that limit_symbol reads, so the check stays independent
+    ep_vel = EigenBasis.of(g).ep[..., g.N :, :3]
+    lam = -config.nu * ksq * np.sum(np.abs(ep_vel) ** 2, axis=-1)
     want = field_from_coefficients(g, {1: lam * co[1], -1: lam * co[-1]})
     res = l2_norm(a2o - want) / max(l2_norm(want), 1e-300)
     results.append(AuditResult("a2_limit_osc_phase_free_diagonal", res, 1e-12))

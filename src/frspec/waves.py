@@ -21,24 +21,28 @@ On modes with n_h = 0 the kernel is spanned by f_1 = (1,0,0,0),
 f_2 = (0,1,0,0), f_3 = (0,0,0,1); a divergence-free field has no third
 component there, and L(tau) is the identity.
 
-Every layer shares one layout of this data: `EigenBasis.evec` is a single
-(3, L, L, L, 4) stack with rows e_0, e_+, e_-, so that Python's negative
-index makes evec[a] the vector e_a for a in (0, 1, -1), and
-`coefficients` returns the stack c_0, c_+, c_- indexed the same way.  The
-symbol of P A itself is written once, as the (L, L, L, 4, 4) stack
-`EigenBasis.pa`, which `pa_symbol` and `apply_pa` read and the tests
-take as the oracle of the frame.
-
-`EigenBasis.frame` is the same eigen data as one real orthonormal frame
-(L, L, L, 3, 4) of the divergence-free subspace of each mode (the
+`EigenBasis.frame` is the one source of this data: a real orthonormal
+frame (L, L, L, 3, 4) of the divergence-free subspace of each mode (the
 Craya-Herring frame), so that frame^T frame is the Leray projector.  Where
-n_h != 0 its rows are e_0, t = -sqrt2 Im e_+ =
-(nc_1 nc_3, nc_2 nc_3, -|nc_h|^2, 0) / (|nc_h| |nc|) and the buoyancy
-direction f_4 = sqrt2 Re e_+ = (0, 0, 0, 1) (f_3 above); there
-P A t = omega f_4 and P A f_4 = -omega t, so e_pm = (f_4 -+ i t)/sqrt2
-rotate in the plane (t, f_4).  On the vertical line the rows are f_1,
-f_2, f_3, and at n = 0 they are zero.  The filtered stepper builds its
-propagators from this frame in closed form.
+n_h != 0 its rows are e_0, t = (nc_1 nc_3, nc_2 nc_3, -|nc_h|^2, 0) /
+(|nc_h| |nc|) and the buoyancy direction f_4 = (0, 0, 0, 1) (f_3 above);
+there P A t = omega f_4 and P A f_4 = -omega t, and the wave pair is read
+off the frame, e_pm = (f_4 -+ i t)/sqrt2, rotating in the plane (t, f_4).
+On the vertical line the rows are f_1, f_2, f_3, and at n = 0 they are
+zero.  The filtered stepper builds its propagators from this frame in
+closed form.
+
+Every layer shares one layout of the complex basis: `EigenBasis.evec` is
+a single (3, L, L, L, 4) stack with rows e_0, e_+, e_-, so that Python's
+negative index makes evec[a] the vector e_a for a in (0, 1, -1), and
+`coefficients` returns the stack c_0, c_+, c_- indexed the same way.  Two
+exact identities replace stored data.  conj(e_a) = e_-a (e_0 is real and
+e_- is stored as conj(e_+)), so no conjugate stack is kept: a projection
+on e_a reads the row -a.  And |e_pm^vel|^2 = |t|^2 / 2 = 1/2, so the
+waves carry exactly half their energy in the velocity, the share that the
+limit dissipation diffuses.  The symbol of P A itself is written once, as
+the (L, L, L, 4, 4) stack `EigenBasis.pa`, which `pa_symbol` and
+`apply_pa` read and the tests take as the oracle of the frame.
 
 The coefficient stacks, like the fields (see `fields`), hold only the
 modes n3 >= 0, (3, L, L, N + 1), and the per-mode operators (the
@@ -107,47 +111,31 @@ class EigenBasis:
         g = geometry
         k1, k2, k3 = g.check_grid
         L = g.L
-        kh2 = np.broadcast_to(g.check_h_sq, (L, L, L)).copy()
-        ksq = g.check_sq.copy()
         osc = ~g.mask_h_zero  # modes with n_h != 0
         self.mask_osc = osc
 
-        kh = np.sqrt(kh2)
-        kn = np.sqrt(ksq)
+        kh = np.sqrt(g.check_h_sq)
         safe_kh = np.where(osc, kh, 1.0)
-        safe_kn = np.where(ksq > 0, kn, 1.0)
+        safe_kn = np.where(g.check_sq > 0, np.sqrt(g.check_sq), 1.0)
+        self.omega = omega = np.where(osc, kh / safe_kn, 0.0)
 
-        omega = np.where(osc, kh / safe_kn, 0.0)
-        self.omega = omega
-
-        k1b = np.broadcast_to(k1, (L, L, L))
-        k2b = np.broadcast_to(k2, (L, L, L))
-        k3b = np.broadcast_to(k3, (L, L, L))
-
-        # rows e_0, e_+, e_-: evec[a] is e_a for a in (0, 1, -1)
+        # the real frame of the module docstring: e_0, t and f_4 on the wave
+        # modes, zero elsewhere until the vertical line is filled below
+        self.frame = frame = np.zeros((L, L, L, 3, 4))
+        frame[..., 0, 0] = np.where(osc, -k2 / safe_kh, 0.0)
+        frame[..., 0, 1] = np.where(osc, k1 / safe_kh, 0.0)
+        frame[..., 1, 0] = np.where(osc, k1 * k3 / (safe_kh * safe_kn), 0.0)
+        frame[..., 1, 1] = np.where(osc, k2 * k3 / (safe_kh * safe_kn), 0.0)
+        frame[..., 1, 2] = -omega
+        frame[..., 2, 3] = np.where(osc, 1.0, 0.0)
+        # rows e_0, e_+, e_-, taken from the frame before the vertical line
+        # is filled: evec[a] is e_a for a in (0, 1, -1), and conj(e_a) = e_-a
         self.evec = np.zeros((3, L, L, L, 4), dtype=np.complex128)
         e0, ep, em = self.e0, self.ep, self.em = self.evec
-        e0[..., 0] = np.where(osc, -k2b / safe_kh, 0.0)
-        e0[..., 1] = np.where(osc, k1b / safe_kh, 0.0)
-
-        a1 = np.where(osc, k1b * k3b / (safe_kh * safe_kn), 0.0)
-        a2 = np.where(osc, k2b * k3b / (safe_kh * safe_kn), 0.0)
-        b = np.where(osc, kh / safe_kn, 0.0)
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        ep[..., 0] = -1j * a1 * inv_sqrt2
-        ep[..., 1] = -1j * a2 * inv_sqrt2
-        ep[..., 2] = 1j * b * inv_sqrt2
-        ep[..., 3] = np.where(osc, inv_sqrt2, 0.0)
+        e0[:] = frame[..., 0, :]
+        ep[:] = (frame[..., 2, :] - 1j * frame[..., 1, :]) * (1.0 / np.sqrt(2.0))
         np.conj(ep, out=em)
-        self.evec_conj = np.conj(self.evec)
-        # the real frame of the module docstring, from the same entries
-        self.frame = np.zeros((L, L, L, 3, 4))
-        self.frame[..., 0, :2] = e0[..., :2].real
-        self.frame[..., 1, :3] = np.stack((a1, a2, -b), axis=-1)
-        self.frame[..., 2, 3] = np.where(osc, 1.0, 0.0)
-        self.frame[g.mask_h_zero & ~g.mask_zero] = F_BASIS
-        # |e_pm^vel|^2, the same for both signs since e_- = conj(e_+)
-        self.vshare = np.einsum("xyzj,xyzj->xyz", ep[..., :3], self.evec_conj[1, ..., :3]).real
+        frame[g.mask_h_zero & ~g.mask_zero] = F_BASIS
 
     @cached_property
     def pa(self) -> np.ndarray:
@@ -238,10 +226,18 @@ def _full_rows(stored: np.ndarray) -> np.ndarray:
 
 def _coefficients(field: SpectralField4, rows: slice) -> np.ndarray:
     """The rows `rows` of the `coefficients` stack, (R, L, L, N + 1), and
-    only those."""
+    only those: `rows` is slice(None), slice(0, 1) or slice(1, 3).  Since
+    conj(e_a) = e_-a, c_a = sum_j V_j (e_-a)_j: row c_0 reads e_0 and the
+    rows (c_+, c_-) read evec[2:0:-1] = (e_-, e_+), views of the basis."""
     g = field.geometry
-    evec_conj = EigenBasis.of(g).evec_conj[rows, :, :, g.N :]
-    return np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec_conj)
+    evec = EigenBasis.of(g).evec[:, :, :, g.N :]
+    out = np.empty((3, g.L, g.L, g.N + 1), dtype=np.complex128)
+    lo, hi, _ = rows.indices(3)
+    if lo == 0:
+        np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec[:1], out=out[:1])
+    if hi > 1:
+        np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec[2:0:-1], out=out[1:])
+    return out[rows]
 
 
 def field_from_coefficients(

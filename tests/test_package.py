@@ -52,6 +52,21 @@ def test_every_private_function_has_a_caller():
     assert sorted(defined - named) == []
 
 
+def test_every_public_name_has_a_caller():
+    # the public twin of the check above: a name in a module's __all__ that
+    # no code in src, tests or perfbench reads is API without a user (an
+    # import alone does not count)
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    nodes = [node for p in paths for node in ast.walk(ast.parse(p.read_text()))]
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    exported = {
+        (name, n) for name in MODULES for n in getattr(importlib.import_module(f"frspec.{name}"), "__all__", ())
+    }
+    assert sorted((m, n) for m, n in exported if n not in named) == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_imported_name_is_used(name):
     # a module that imports a name it never reads keeps a leftover of code

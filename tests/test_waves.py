@@ -161,18 +161,43 @@ class TestEigenbasis:
 class TestSignIndexedLayout:
     """One stack of eigenvectors, rows (e_0, e_+, e_-), indexed by sign."""
 
-    @pytest.fixture(scope="class", params=[((1, 1, 1), 4), ((1, 2, 3), 8)], ids=["unit-4", "a123-8"])
+    @pytest.fixture(
+        scope="class",
+        params=[((1, 1, 1), 4), ((1, 2, 3), 8), ((2, 3, 5), 6)],
+        ids=["unit-4", "a123-8", "a235-6"],
+    )
     def geometry(self, request):
         return TorusGeometry(*request.param)
 
     def test_rows_are_e0_ep_em(self, geometry):
+        # conj(e_a) = e_-a: e_0 is real and e_- is stored as conj(e_+), so a
+        # projection on e_a reads the row -a and no conjugate is stored
         b = EigenBasis.of(geometry)
         L = geometry.L
         assert b.evec.shape == (3, L, L, L, 4) and b.evec.dtype == np.complex128
         for a, e in ((0, b.e0), (1, b.ep), (-1, b.em)):
             assert np.shares_memory(b.evec[a], e) and np.array_equal(b.evec[a], e)
         assert b.evec[-1].tobytes() == np.conj(b.evec[1]).tobytes()
-        assert b.evec_conj.tobytes() == np.conj(b.evec).tobytes()
+        for a in (0, 1, -1):
+            assert np.array_equal(np.conj(b.evec[a]), b.evec[-a]), a
+
+    def test_wave_velocity_share_is_one_half(self, geometry):
+        # |e_pm^vel|^2 = |t|^2 / 2 = 1/2 on every wave mode, and the limit
+        # dissipation symbol reads that exact half (zero on the vertical line)
+        from frspec.forms import FormEngine
+
+        b = EigenBasis.of(geometry)
+        share = np.sum(np.abs(b.evec[1:, ..., :3]) ** 2, axis=-1)
+        assert np.max(np.abs(share[:, b.mask_osc] - 0.5)) <= 4.4e-16
+        assert np.all(share[:, ~b.mask_osc] == 0.0)
+        eng = FormEngine(geometry, nu=0.7)
+        N = geometry.N
+        lam = eng.limit_symbol
+        assert np.array_equal(lam[0], eng.a2_diag)
+        for a in (1, -1):
+            want = eng.a2_diag * share[a, ..., N:]
+            assert np.max(np.abs(lam[a] - want)) <= 1e-15 * np.max(np.abs(want)), a
+            assert np.all(lam[a][~b.mask_osc[..., N:]] == 0.0)
 
     def test_coefficients_are_the_projections_on_each_row(self, geometry):
         b = EigenBasis.of(geometry)
@@ -200,7 +225,7 @@ class TestStackMirror:
         from frspec.solvers import FilteredStepper, SimState
 
         g = TorusGeometry(a_sq, N)
-        evec_conj = EigenBasis.of(g).evec_conj
+        evec_conj = np.conj(EigenBasis.of(g).evec)
         for seed in (23, 24):
             V = random_field(g, seed=seed, amplitude=1.0, spectrum_r=3.0)
             state = SimState(0.0, V, 1.0, 0.01)
@@ -320,6 +345,26 @@ class TestFilter:
             res.append(l2_norm(d))
         assert res[0] / res[1] == pytest.approx(10.0, rel=0.05)
         assert res[1] / res[2] == pytest.approx(10.0, rel=0.05)
+
+    @pytest.mark.parametrize("a_sq, N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
+    def test_large_phases_match_expm(self, a_sq, N):
+        # |tau| = 1e3 is the sweep's largest t/eps (eps = 1e-3, T = 1).  The
+        # bound is the oracle's: scaling and squaring at |tau PA| ~ 1e3 costs
+        # expm about 1e-11, while the phases exp(i tau omega) are good to
+        # |tau| ulp(omega) ~ 1e-13; L(-tau) undoes L(tau) to rounding
+        from scipy.linalg import expm
+
+        g = TorusGeometry(a_sq, N)
+        V = random_field(g, seed=20)
+        pa = EigenBasis.of(g).pa[:, :, N:]
+        norm = np.linalg.norm(V.coeffs, axis=-1)
+        for tau in (1e3, -1e3):
+            got = apply_filter(tau, V)
+            want = np.einsum("xyzij,xyzj->xyzi", expm(-tau * pa), V.coeffs)
+            err = np.linalg.norm(got.coeffs - want, axis=-1)
+            assert np.all(err <= 5e-11 * norm), tau
+            back = apply_filter(-tau, got)
+            assert np.max(np.abs(back.coeffs - V.coeffs)) <= 1e-13 * np.max(np.abs(V.coeffs)), tau
 
     def test_preserves_reality(self, unit_torus_4):
         f = random_field(unit_torus_4, seed=19)
