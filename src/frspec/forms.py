@@ -37,16 +37,10 @@ records the rows of each sign class as it pushes them (`TriadTable.counts`,
 read by `class_rows`), so no count re-reads the table.
 
 `b_form` couples the underline part into the waves through two factors
-per sign b that depend on the basis alone, with e_b taken at (n_h, -n3):
-both have a closed form in omega(n),
-
-    ncheck(n) . e_b^vel(n_h, -n3) = i b sqrt2 ncheck_3(n) omega(n),
-    <e_b(n_h, -n3), e_b(n)> = omega(n)^2,
-
-since flipping n3 flips the horizontal entries of t = -sqrt2 Im e_+ (see
-`waves`): |t_h|^2 = 1 - omega^2 and t_3 = -omega, so the pairing is
-(1 - |t_h|^2 + t_3^2)/2 = omega^2, and ncheck(n) . t(n_h, -n3) =
--2 ncheck_3(n) omega(n).
+per sign b, with e_b taken at (n_h, -n3), both closed forms in omega(n),
+since flipping n3 flips the horizontal entries of t (see `waves`):
+ncheck(n) . e_b^vel = i b sqrt2 ncheck_3(n) omega(n) and
+<e_b, e_b(n)> = omega(n)^2.
 
 Per-row coupling weight: restricting the two inputs of T to eigen
 components (a at k) and (b at m) and projecting the output on e_c(n),

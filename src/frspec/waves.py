@@ -226,18 +226,11 @@ def _full_rows(stored: np.ndarray) -> np.ndarray:
 
 def _coefficients(field: SpectralField4, rows: slice) -> np.ndarray:
     """The rows `rows` of the `coefficients` stack, (R, L, L, N + 1), and
-    only those: `rows` is slice(None), slice(0, 1) or slice(1, 3).  Since
-    conj(e_a) = e_-a, c_a = sum_j V_j (e_-a)_j: row c_0 reads e_0 and the
-    rows (c_+, c_-) read evec[2:0:-1] = (e_-, e_+), views of the basis."""
+    only those.  Since conj(e_a) = e_-a, c_a = sum_j V_j (e_-a)_j reads
+    the row -a of the basis itself."""
     g = field.geometry
     evec = EigenBasis.of(g).evec[:, :, :, g.N :]
-    out = np.empty((3, g.L, g.L, g.N + 1), dtype=np.complex128)
-    lo, hi, _ = rows.indices(3)
-    if lo == 0:
-        np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec[:1], out=out[:1])
-    if hi > 1:
-        np.einsum("xyzc,sxyzc->sxyz", field.coeffs, evec[2:0:-1], out=out[1:])
-    return out[rows]
+    return np.stack([np.einsum("xyzc,xyzc->xyz", field.coeffs, evec[-a]) for a in (0, 1, -1)[rows]])
 
 
 def field_from_coefficients(
