@@ -32,9 +32,18 @@ The tables are built by joins inside exact frequency classes (see
 classes by an integer identity in int64, proven exact while
 3 s_max^3 < 2^63 for the reduced denominators s of omega^2 (N <= 363 on
 a^2 = (1, 2, 3)), in Python integers past that; no float screen takes
-part.  Every radical row is also confirmed over Fractions.  The build
-records the rows of each sign class as it pushes them (`TriadTable.counts`,
-read by `class_rows`), so no count re-reads the table.
+part.  Every radical row is also confirmed over Fractions.  Each pair of
+modes finds its third mode by one lookup in the (4N + 1)^3-byte code table
+of `resonance._pair_codes` (36 KB at N = 8): one lookup per sign on the
+equal-omega pairs, whose sums also give the underline table, and one in
+`_radical_rows`.  The build pushes the rows one sign class and its mirror
+at a time and chooses the apply plan per push, before the sort: in a push
+the signs are fixed, so only 0pp and m0m of the zero-sign classes can hold
+plan rows, and only the few hundred radical rows take a per-row test.  The plan is
+sorted apart from the table, so no pass over the whole table serves the
+plan alone.  The build records the rows of each sign class as it pushes
+them (`TriadTable.counts`, read by `class_rows`), so no count re-reads the
+table.
 
 `b_form` couples the underline part into the waves through two factors
 per sign b, with e_b taken at (n_h, -n3), both closed forms in omega(n),
@@ -91,11 +100,12 @@ import numpy as np
 from .fields import SpectralField4, convolve_plane, convolve_quadratic, transport, zero_field
 from .geometry import TorusGeometry
 from .resonance import (
-    _box_axes,
+    VERTICAL,
+    WAVE,
     _class_pairs,
     _freq_classes,
+    _pair_codes,
     _radical_rows,
-    _third_mode,
     exact_sqrt_sum_is_zero,
 )
 from .waves import (
@@ -136,6 +146,18 @@ def _flat_stored(signs: np.ndarray, modes: np.ndarray, N: int) -> np.ndarray:
     (3, L, L, N + 1) stack of the stored modes, rows c_0, c_+, c_-."""
     L = 2 * N + 1
     return ((signs.astype(np.int64) % 3) * L * L + modes // L) * (N + 1) + modes % L - N
+
+
+def _decode(key: np.ndarray, B: int):
+    """Sort the row keys, bit fields (nf, class, kf) with kf in the low B
+    bits and the class in the 4 above, in place, and return kf, nf and the
+    class signs a, b, c (int8) of the sorted rows."""
+    key.sort()
+    kf = key & ((1 << B) - 1)
+    key >>= B
+    cls = key & 15
+    key >>= 4
+    return (kf, key, *(col.take(cls) for col in _CLASS_SIGNS.T))
 
 
 def project_tilde(V: SpectralField4) -> SpectralField4:
@@ -244,45 +266,66 @@ class FormEngine:
         rk, rm, rn = (self.geometry._omega_sq(tuple(self._modes[f].tolist())) for f in (kf, mf, nf))
         return exact_sqrt_sum_is_zero([(a, rk), (b, rm), (-c, rn)])
 
-    def _build_triad_table(self, x: np.ndarray, y: np.ndarray) -> TriadTable:
+    def _build_triad_table(self, xd, yd, xs, ys) -> TriadTable:
         """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
         is the rows with (a, k) < (b, m), c != 0 and output n3 >= 0, less
         the rows with k3 = m3 = n3 = 0, in that order.
 
-        (x, y) are the ordered pairs of modes with equal omega.  They are
-        the zero-sign classes: (0, b, b) with (m, n) = (x, y) and (a, 0, a)
-        with (k, n) = (x, y), both with the third mode y - x, and (a, -a, 0)
-        with (k, m) = (x, y).  The radical classes are the rows of
+        (xd, yd) and (xs, ys) are the ordered pairs of modes with equal
+        omega whose difference y - x, and sum x + y, is a mode off the
+        vertical line (`_pair_codes`).  The differences give the classes
+        (0, b, b) with (m, n) = (x, y) and (a, 0, a) with (k, n) = (x, y),
+        both with the third mode y - x; the sums give (a, -a, 0) with
+        (k, m) = (x, y).  The radical classes are the rows of
         `_radical_rows` and their mirrors (-a, -b, -c), each also confirmed
-        by exact_sqrt_sum_is_zero; a disagreement raises.  Each row is one
-        unique int64 key (nf * 14 + class) * L^3 + kf, so one sort orders
-        the table and the rows decode from their keys."""
+        by exact_sqrt_sum_is_zero; a disagreement raises.
+
+        The rows are pushed one sign class and its mirror at a time, and
+        each push picks its plan rows before any sort: of the zero-sign classes only 0pp and
+        m0m have a < b and c != 0, and their push arrays hold the output
+        and plane conditions; only the radical rows take the per-row test
+        (a, k) < (b, m).  Each row is one unique int64 key, the bit fields
+        (nf, class, kf) with kf in the low B bits, B = bit_length(L^3 - 1),
+        and the class in the 4 above them; the table keys and the plan keys
+        are sorted apart and decode by masks and shifts (`_decode`)."""
         g = self.geometry
-        size, centre = g.nmodes, g.nmodes // 2
-        axes = _box_axes(g.N)
-        keys = []
+        N, L, size, centre = g.N, g.L, g.nmodes, g.nmodes // 2
+        B = (size - 1).bit_length()
+        keys, plan_keys = [], []
         counts = np.zeros(len(_CLASSES), dtype=np.int64)
 
-        def push(kf, nf, cls, mirror_cls):
-            key = (nf * 14 + cls) * size + kf
-            keys.extend((key, key + (mirror_cls - cls) * size))
+        def push(kf, nf, cls, mirror, plan=None, mirror_plan=None):
+            """Rows (kf, nf) of class `cls` and their mirrors, the same modes
+            in class `mirror` (one class or one per row); the rows of the
+            masks `plan` and `mirror_plan` join the apply plan."""
+            key = (((nf << 4) | cls) << B) | kf
+            mirrored = key + ((mirror - cls) << B)
+            keys.extend((key, mirrored))
+            for k, p in ((key, plan), (mirrored, mirror_plan)):
+                if p is not None:
+                    plan_keys.append(k[p])
             if np.ndim(cls):  # the radical rows: a few hundred
-                for c in (cls, mirror_cls):
+                for c in (cls, mirror):
                     counts[:] += np.bincount(c, minlength=len(_CLASSES))
             else:
-                counts[[cls, mirror_cls]] += kf.size
+                counts[[cls, mirror]] += kf.size
 
-        in_box, h_zero = _third_mode(axes, x, y, g.N, -1)
-        xd, yd = (v[in_box & ~h_zero].astype(np.int64) for v in (x, y))
-        push(yd - xd + centre, yd, 0, 1)
-        push(xd, yd, 2, 3)
-        del xd, yd
-        in_box, h_zero = _third_mode(axes, x, y, g.N, 1)
-        xs, ys = (v[in_box & ~h_zero].astype(np.int64) for v in (x, y))
+        def off_plane(kf, nf):
+            """Output n3 >= 0 and not k3 = n3 = 0 (so not m3 = 0 either)."""
+            n3 = nf % L - N
+            return (n3 > 0) | ((n3 == 0) & (kf % L != N))
+
+        # k3 = y3 - x3 in 0pp and x3 in m0m: with n3 = y3 = 0 both vanish
+        # exactly when x3 = 0, so one mask serves both; 0mm and p0p have
+        # a > b, pm0 and mp0 have c = 0
+        plan = off_plane(xd, yd)
+        push(yd - xd + centre, yd, 0, 1, plan=plan)
+        push(xd, yd, 2, 3, mirror_plan=plan)
+        del xd, yd, plan
         push(xs, xs + ys - centre, 4, 5)
-        del xs, ys, in_box, h_zero
+        del xs, ys
 
-        kf, mf, nf, b, c = _radical_rows(g, g.N)
+        kf, mf, nf, b, c = _radical_rows(g, N)
         cls = 6 + (1 - b.astype(np.int64)) + (1 - c.astype(np.int64)) // 2
         for row in zip(kf.tolist(), mf.tolist(), nf.tolist(), cls.tolist()):
             for cl in (row[3], 19 - row[3]):
@@ -291,42 +334,33 @@ class FormEngine:
                         f"integer and radical resonance decisions disagree at "
                         f"flat modes {row[:3]}, class {_CLASSES[cl]}"
                     )
-        push(kf, nf, cls, 19 - cls)
+        # (a, k) < (b, m) per row: a row (+1, b) has it when b = +1 and
+        # k < m, its mirror (-1, -b) when b = +1 and k < m, or b = -1
+        plan, below = off_plane(kf, nf), kf < mf
+        push(kf, nf, cls, 19 - cls, plan & below & (b == 1), plan & (below | (b == -1)))
 
-        key = np.concatenate(keys)
+        kf, nf, ia, ib, ic = _decode(np.concatenate(keys), B)
         del keys
-        key.sort()
-        kf = key % size
-        key //= size
-        cls, nf = key % 14, key // 14
-        del key
-        mf = nf - kf + centre
-        ia, ib, ic = (np.ascontiguousarray(col) for col in _CLASS_SIGNS[cls].T)
-        n3, k3 = nf % g.L - g.N, kf % g.L - g.N  # m3 = n3 - k3
-        plan = np.nonzero(
-            ((ia < ib) | ((ia == ib) & (kf < mf))) & (ic != 0) & (n3 >= 0) & ((n3 > 0) | (k3 != 0))
-        )[0]
-        del n3, k3
-        W = np.empty(len(plan), dtype=np.complex128)
-        for lo in range(0, len(plan), _G_CHUNK):
-            r = plan[lo : lo + _G_CHUNK]
-            W[lo : lo + _G_CHUNK] = self._G_rows(kf[r], ia[r], mf[r], ib[r], nf[r], ic[r])
+        pk, pn, pa, pb, pc = _decode(np.concatenate(plan_keys), B)
+        pm = pn - pk + centre
+        W = np.empty(len(pk), dtype=np.complex128)
+        for lo in range(0, len(pk), _G_CHUNK):
+            r = slice(lo, lo + _G_CHUNK)
+            W[r] = self._G_rows(pk[r], pa[r], pm[r], pb[r], pn[r], pc[r])
         W *= 2.0
         return TriadTable(
-            kf, mf, nf, ia, ib, ic,
-            ka=_flat(ia[plan], kf[plan], size), mb=_flat(ib[plan], mf[plan], size),
-            nc=_flat_stored(ic[plan], nf[plan], g.N), W=W, counts=counts,
+            kf, nf - kf + centre, nf, ia, ib, ic,
+            ka=_flat(pa, pk, size), mb=_flat(pb, pm, size),
+            nc=_flat_stored(pc, pn, N), W=W, counts=counts,
         )
 
-    def _build_under_table(self, x: np.ndarray, y: np.ndarray) -> UnderTable:
+    def _build_under_table(self, xs: np.ndarray, ys: np.ndarray) -> UnderTable:
         """Rows (a, -a) with k + m on the vertical line and omega(k) = omega(m),
-        (k, m) one of the ordered equal-omega pairs (x, y), sorted by
-        (n3i, a = +1 before -1, kf) through the unique key
-        (2 n3i + [a = -1]) * L^3 + kf."""
+        (k, m) one of the ordered equal-omega pairs (xs, ys) whose sum is on
+        the vertical line (`_pair_codes`), sorted by (n3i, a = +1 before -1,
+        kf) through the unique key (2 n3i + [a = -1]) * L^3 + kf."""
         g = self.geometry
         size, centre = g.nmodes, g.nmodes // 2
-        in_box, h_zero = _third_mode(_box_axes(g.N), x, y, g.N, 1)
-        xs, ys = (v[in_box & h_zero].astype(np.int64) for v in (x, y))
         # (0, 0, n3) is the centre plus n3
         key = (2 * (xs + ys - centre - (centre - g.N))) * size + xs
         key = np.concatenate([key, key + size])
@@ -354,9 +388,15 @@ class FormEngine:
     @property
     def tables(self) -> tuple[TriadTable, UnderTable]:
         if self._tab_t1 is None:
-            x, y = _class_pairs(_freq_classes(self.geometry))
-            self._tab_t1 = self._build_triad_table(x, y)
-            self._tab_qu = self._build_under_table(x, y)
+            g = self.geometry
+            x, y = _class_pairs(_freq_classes(g))
+            diff, add = _pair_codes(x, y, g.N, -1), _pair_codes(x, y, g.N, 1)
+            sel = diff == WAVE, add == WAVE, add == VERTICAL
+            del diff, add
+            (xd, yd), (xs, ys), (xv, yv) = ((x[m], y[m]) for m in sel)
+            del x, y, sel
+            self._tab_t1 = self._build_triad_table(xd, yd, xs, ys)
+            self._tab_qu = self._build_under_table(xv, yv)
         return self._tab_t1, self._tab_qu
 
     # -- epsilon-dependent forms ---------------------------------------------------

@@ -21,9 +21,15 @@ screening pairs.  With omega^2 = h / s in lowest terms:
   in Python integers past that.  s <= (w1 + w2 + w3) N^2 (`int_weights`),
   so int64 holds up to N = 363 on a^2 = (1, 2, 3).
 
+A join yields pairs (x, y) of box modes; the third mode z = y +- x of a
+pair, out of the box, in it off the vertical line or on it, is one
+lookup in a code table on the padded lattice [-2N, 2N]^3 (`_pair_codes`,
+(4N + 1)^3 bytes: 36 KB at N = 8), made once per call.
+
 `radical_sign_triads` passes each radical row through
 `exact_sqrt_sum_is_zero` as well, and raises if the two exact decisions
-disagree; `forms.FormEngine` builds its triad tables from the same joins.
+disagree; `forms.FormEngine` builds its triad tables from the same joins
+and the same lookup.
 """
 
 from __future__ import annotations
@@ -191,17 +197,30 @@ def _lowest_terms(H: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _freq_classes(geometry: TorusGeometry) -> np.ndarray:
     """Equal-omega class id of every flat lattice mode with n_h != 0, -1 on
-    n_h = 0: equal ids <=> H_x S_y == H_y S_x, from H / S in lowest terms."""
+    n_h = 0: equal ids <=> H_x S_y == H_y S_x, from H / S in lowest terms.
+    The ids number the distinct (h, s) in lexicographic order, through the
+    1-D key h (s_max + 1) + s, which orders them the same way."""
     h, s = _lowest_terms(*omega_ratio_ints(geometry))
-    ids = np.unique(np.stack([h, s], axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    ids = np.unique(h * (s.max() + 1) + s, return_inverse=True)[1]
     return np.where(h > 0, ids, -1)
 
 
+def _primes_to(n: int) -> list[int]:
+    """The primes p <= n, by a sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
 def _square_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(root, core) with v = root^2 core and core square-free, for v >= 1."""
+    """(root, core) with v = root^2 core and core square-free, for v >= 1:
+    the square of each prime p <= sqrt(max v) divided out while it divides."""
     u, inv = np.unique(np.asarray(v, dtype=np.int64), return_inverse=True)
     root, core = np.ones_like(u), u.copy()
-    for p in range(2, isqrt(int(u.max(initial=1))) + 1):
+    for p in _primes_to(isqrt(int(u.max(initial=1)))):
         hit = core % (p * p) == 0
         while hit.any():
             core[hit] //= p * p
@@ -226,15 +245,9 @@ def _radical_form(geometry: TorusGeometry, N: int):
     return q, s, r
 
 
-def _box_axes(N: int) -> np.ndarray:
-    """int16 coordinates (3, L^3) of the flat box [-N, N]^3."""
-    L = 2 * N + 1
-    return np.indices((L, L, L), dtype=np.int16).reshape(3, -1) - np.int16(N)
-
-
 def _class_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (x, y), as int32 positions, with key[x] == key[y] >= 0."""
-    live = np.flatnonzero(key >= 0).astype(np.int32)
+    """Every ordered pair (x, y), as int64 positions, with key[x] == key[y] >= 0."""
+    live = np.flatnonzero(key >= 0)
     members = live[np.argsort(key[live], kind="stable")]
     _, start, size = np.unique(key[members], return_index=True, return_counts=True)
     # member i of a class of size c pairs with positions start .. start + c - 1
@@ -245,11 +258,37 @@ def _class_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, members[y]
 
 
-def _third_mode(axes: np.ndarray, x: np.ndarray, y: np.ndarray, N: int, sign: int):
-    """(in_box, h_zero) masks of z = y + sign x for box positions x, y."""
-    z = [axes[i][y] + sign * axes[i][x] for i in range(3)]
-    in_box = (np.abs(z[0]) <= N) & (np.abs(z[1]) <= N) & (np.abs(z[2]) <= N)
-    return in_box, (z[0] == 0) & (z[1] == 0)
+# codes of `_pair_codes`: z outside the box [-N, N]^3, in it off the vertical
+# line (z_h != 0), in it on the vertical line (z_h = 0)
+OUTSIDE, WAVE, VERTICAL = 0, 1, 2
+
+
+def _pair_codes(x: np.ndarray, y: np.ndarray, N: int, sign: int) -> np.ndarray:
+    """uint8 code (OUTSIDE, WAVE or VERTICAL) of z = y + sign x for flat
+    positions x, y of the box [-N, N]^3: one lookup per pair.
+
+    The codes sit on the padded lattice [-2N, 2N]^3, which holds every z,
+    in a table of P^3 = (4N + 1)^3 bytes (36 KB at N = 8).  A box mode v
+    has the linear offset pad(v) = (v1 P + v2) P + v3, so
+    pad(y) + sign pad(x) = pad(z), and pad maps the padded lattice onto
+    -(P^3 - 1) / 2 .. (P^3 - 1) / 2; the table is rolled so that this
+    offset, read as a numpy index (negative ones from the end), finds the
+    code of z."""
+    P = 4 * N + 1
+    r = np.arange(-N, N + 1)
+    dtype = np.int32 if P**3 < 2**31 else np.int64
+    pad = ((r[:, None, None] * P + r[None, :, None]) * P + r[None, None, :]).astype(dtype).reshape(-1)
+    inside = np.abs(np.arange(-2 * N, 2 * N + 1)) <= N
+    cube = np.zeros((P, P, P), dtype=np.uint8)
+    cube[np.ix_(inside, inside, inside)] = WAVE
+    cube[2 * N, 2 * N, inside] = VERTICAL
+    table = np.roll(cube.reshape(-1), -(P**3 // 2))
+    at = pad[y]
+    if sign > 0:
+        at += pad[x]
+    else:
+        at -= pad[x]
+    return table[at]
 
 
 def _identity_dtype(s_max: int):
@@ -277,10 +316,9 @@ def _radical_rows(geometry: TorusGeometry, N: int):
     solution, and a pair satisfies at most one of the other three."""
     q, s, r = _radical_form(geometry, N)
     x, y = _class_pairs(r)
-    in_box, h_zero = _third_mode(_box_axes(N), x, y, N, 1)
-    x, y = x[in_box & ~h_zero], y[in_box & ~h_zero]
-    kf, mf = x.astype(np.int64), y.astype(np.int64)
-    del x, y, in_box, h_zero
+    wave = _pair_codes(x, y, N, 1) == WAVE
+    kf, mf = x[wave], y[wave]
+    del x, y, wave
     nf = kf + mf - len(s) // 2
     same = r[nf] == r[kf]
     kf, mf, nf = kf[same], mf[same], nf[same]

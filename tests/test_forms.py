@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import frspec.forms as forms
+import frspec.resonance as resonance
 from frspec.fields import (
     SpectralField4,
     convolve_plane,
@@ -237,7 +238,11 @@ class TestTables:
             x, y = getattr(big_u, name), getattr(small_u, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
-    @pytest.mark.parametrize("a_sq,N", [((1, 2, 3), 3), ((1, 1, 1), 4), ((1, 4, 1), 5), ((1, 2, 3), 6)])
+    # radical rows of the stored table on each torus of the next test
+    RADICAL_ROWS = {((1, 2, 3), 3): 24, ((1, 1, 1), 4): 0, ((1, 4, 1), 5): 0, ((1, 2, 3), 6): 96,
+                    ((2, 3, 5), 6): 48, ((1, 4, 1), 8): 144}
+
+    @pytest.mark.parametrize("a_sq,N", list(RADICAL_ROWS))
     def test_class_join_matches_pair_stream(self, a_sq, N, monkeypatch):
         calls = Counter()
 
@@ -252,13 +257,43 @@ class TestTables:
         calls.clear()
         got_t, got_u = FormEngine(g, nu=1.0).tables
         assert calls == want_calls
-        assert bool(calls) == (a_sq == (1, 2, 3))
+        # one confirmation per radical row, so calls exactly where the torus
+        # has radical rows
+        assert sum(calls.values()) == self.RADICAL_ROWS[a_sq, N] == want_t.counts[6:].sum()
         for name in TABLE_ARRAYS:
             x, y = getattr(want_t, name), getattr(got_t, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
         for name in UNDER_ARRAYS:
             x, y = getattr(want_u, name), getattr(got_u, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    def test_build_work(self, monkeypatch):
+        # one pair lookup per sign on the equal-omega pairs and one on the
+        # radical-class pairs, one exact confirmation per radical row, and
+        # no pair or code array left on the engine; counted through the
+        # names `frspec.forms` and `frspec.resonance` bind
+        g = TorusGeometry((1, 2, 3), 6)
+        lookups, confirms = [], []
+
+        def counting_codes(x, y, N, sign, fn=resonance._pair_codes):
+            lookups.append((len(x), N, sign))
+            return fn(x, y, N, sign)
+
+        def counting_confirm(terms, fn=exact_sqrt_sum_is_zero):
+            confirms.append(terms)
+            return fn(terms)
+
+        for module in (forms, resonance):
+            monkeypatch.setattr(module, "_pair_codes", counting_codes)
+        monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", counting_confirm)
+        eng = FormEngine(g, nu=1.0)
+        before = set(vars(eng))
+        tab, _ = eng.tables
+        equal_omega = len(resonance._class_pairs(resonance._freq_classes(g))[0])
+        radical_pairs = len(resonance._class_pairs(resonance._radical_form(g, g.N)[2])[0])
+        assert lookups == [(equal_omega, 6, -1), (equal_omega, 6, 1), (radical_pairs, 6, 1)]
+        assert len(confirms) == tab.counts[6:].sum() == 96
+        assert set(vars(eng)) == before
 
     def test_disagreeing_exact_checks_raise(self, monkeypatch):
         monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", lambda terms: False)

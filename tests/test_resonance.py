@@ -392,6 +392,15 @@ class TestIntegerIdentity:
             out *= p ** (e % 2)
         return out
 
+    def test_square_split_against_largest_square_divisor(self):
+        # the root is the largest q with q^2 | v, found by trying every q
+        v = np.arange(1, 10**4 + 1)
+        want = np.ones_like(v)
+        for q in range(2, 101):
+            want[v % (q * q) == 0] = q
+        root, core = resonance._square_split(v)
+        assert np.array_equal(root, want) and np.array_equal(core, v // (want * want))
+
     def test_square_split_against_factorint(self):
         sympy = pytest.importorskip("sympy")
         v = np.arange(1, 4000)
@@ -444,3 +453,51 @@ class TestIntegerIdentity:
         )
         assert [t.tolist() for t in terms] == [list(w) for w in want]
         assert max(max(w) for w in want) > 2**63  # int64 would have wrapped
+
+
+class TestPairCodes:
+    """The pair lookup of the table builds against the coordinate-wise
+    definition of the third mode z = y + sign x."""
+
+    @staticmethod
+    def _coordinate_wise(x, y, N, sign):
+        L = 2 * N + 1
+        axes = np.indices((L, L, L)).reshape(3, -1) - N
+        z = axes[:, y] + sign * axes[:, x]
+        inside = np.all(np.abs(z) <= N, axis=0)
+        line = (z[0] == 0) & (z[1] == 0)
+        want = np.where(inside, np.where(line, resonance.VERTICAL, resonance.WAVE), resonance.OUTSIDE)
+        return want, z
+
+    def _check(self, x, y, N, sign):
+        got = resonance._pair_codes(x, y, N, sign)
+        want, z = self._coordinate_wise(x, y, N, sign)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        # the pairs reach the box edge, one step past it, and the vertical line
+        for edge in (N, -N, N + 1, -(N + 1)):
+            assert np.any(z == edge), edge
+        assert np.any(want == resonance.VERTICAL) and np.any(want == resonance.WAVE)
+        assert np.any(want == resonance.OUTSIDE)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_every_box_pair(self, N, sign):
+        size = (2 * N + 1) ** 3
+        x, y = np.divmod(np.arange(size * size), size)
+        self._check(x, y, N, sign)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_random_pairs_n8(self, sign):
+        x, y = np.random.default_rng(29).integers(0, 17**3, (2, 200_000))
+        self._check(x, y, 8, sign)
+
+
+@pytest.mark.parametrize("a_sq", [(1, 1, 1), (1, 2, 3), (2, 3, 5), (1, 4, 1)])
+def test_freq_classes_are_the_ids_of_the_distinct_h_s(a_sq):
+    g = TorusGeometry(a_sq, 6)
+    H, S = omega_ratio_ints(g)
+    d = np.gcd(H, S)
+    d[d == 0] = 1
+    h, s = H // d, S // d
+    want = np.unique(np.stack([h, s], 1), axis=0, return_inverse=True)[1].reshape(-1)
+    assert np.array_equal(resonance._freq_classes(g), np.where(h > 0, want, -1))
