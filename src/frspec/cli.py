@@ -33,6 +33,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_AUDIT = 4
 
+COMMANDS = ("simulate", "limit", "sweep", "resonances", "audit", "norms")
+
 
 def _load_config(args) -> SimConfig:
     cfg = SimConfig.from_file(args.config) if args.config else SimConfig().validate()
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
         help="Froude number (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "limit", "sweep", "resonances", "audit", "norms"):
+    for name in COMMANDS:
         sub.add_parser(name)
     args = parser.parse_args(argv)
 

@@ -14,7 +14,10 @@ T by the filtering group: for the filtered unknown U = L(-t/eps) V of
 and the limit forms keep exactly those interactions whose phase is
 identically zero.  The oscillating (Schochet) remainder is therefore the
 filtered right-hand side minus the limit one, F_eps(t; U) - F_0(U), with
-F = Q - A2.  In the eigen decomposition the interactions split into
+F = Q - A2.  The limit forms commute with the filtering group, so with
+V = L(t/eps) U the remainder is the filter image of the phase-0 remainder
+on V, L(-t/eps) (F_eps(0; V) - F_0(V)): `remainders` takes V and rotates
+once.  In the eigen decomposition the interactions split into
 sign classes: the (0,0,0) class is an unrestricted convolution of the
 e_0 parts, while every class with a nonzero sign is supported on an
 exactly enumerated resonant set (evaluated by sparse triad summation).
@@ -580,11 +583,14 @@ class FormEngine:
 
     # -- Schochet remainder ------------------------------------------------------------
 
-    def remainders(self, t: float, eps: float, U: SpectralField4) -> SpectralField4:
-        """The oscillating remainder F_eps(t; U) - F_0(U), F = Q - A2.
+    def remainders(self, t: float, eps: float, V: SpectralField4) -> SpectralField4:
+        """The oscillating remainder F_eps(t; U) - F_0(U), F = Q - A2, of
+        U = L(-t/eps) V, from the filtered stepper's variable V.
 
         The limit forms keep exactly the phase-free interactions of the
         filtered ones, so the difference holds every interaction with a
-        nonzero phase, at its explicit phase t/eps."""
-        filtered = self.q_eps(t, eps, U) - self.a2_eps(t, eps, U)
-        return filtered - (self.q_limit(U) - self.a2_limit(U))
+        nonzero phase, at its explicit phase t/eps.  They also commute with
+        the filtering group, so the remainder is the filter image of the
+        phase-0 remainder on V: one rotation per call."""
+        at_zero = self.q_eps(0.0, eps, V) - self.a2_eps(0.0, eps, V)
+        return apply_filter(-t / eps, at_zero - (self.q_limit(V) - self.a2_limit(V)))

@@ -9,6 +9,7 @@ them as exact fractions alongside the float values used by the kernels.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,10 +50,14 @@ class TorusGeometry:
         a_sq = tuple(_as_fraction(x) for x in a_sq)
         if len(a_sq) != 3 or any(x <= 0 for x in a_sq):
             raise ValueError("need three positive rational squared periods")
+        try:
+            N = operator.index(N)  # Python and numpy integers; 4.5 is not truncated
+        except TypeError:
+            raise ValueError(f"truncation N must be an integer, not {N!r}") from None
         if N < 1:
             raise ValueError("truncation N must be >= 1")
         object.__setattr__(self, "a_sq", a_sq)
-        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "_cache", {})
 
     # -- basic descriptors -------------------------------------------------

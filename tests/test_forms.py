@@ -1244,40 +1244,57 @@ class TestTrilinear:
 
 
 class TestRemainders:
+    """`remainders(t, eps, V)` takes the filtered stepper's variable V and
+    returns the remainder F_eps(t; U) - F_0(U), F = Q - A2, of the filtered
+    unknown U = L(-t/eps) V, as the filter image of the phase-0 remainder
+    on V: the limit forms commute with the filtering group."""
+
     def test_identity_per_call(self, engine4, unit_torus_4):
-        U = random_field(unit_torus_4, seed=54)
+        # the remainder at t is the phase-0 remainder rotated by L(-t/eps)
+        V = random_field(unit_torus_4, seed=54)
         t, eps = 0.37, 0.03
-        lhs = engine4.remainders(t, eps, U)
-        rhs = (
-            engine4.q_eps(t, eps, U)
-            - engine4.q_limit(U)
-            - (engine4.a2_eps(t, eps, U) - engine4.a2_limit(U))
-        )
-        assert l2_norm(lhs - rhs) < 1e-13 * max(l2_norm(rhs), 1e-300)
+        got = engine4.remainders(t, eps, V)
+        want = apply_filter(-t / eps, engine4.remainders(0.0, eps, V))
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 6), ((2, 3, 5), 6)])
+    def test_matches_the_remainder_of_the_filtered_unknown(self, a_sq, N):
+        # F_eps(t; U) - F_0(U) evaluated on U itself, with its four filters,
+        # on tori where the radical rows carry weight and where they do not
+        g = TorusGeometry(a_sq, N)
+        eng = FormEngine(g, nu=1.0)
+        V = random_field(g, seed=91, amplitude=1.0, spectrum_r=1.0)
+        for t, eps in ((0.3, 0.01), (1.0, 1e-3), (0.05, 0.1), (0.77, 0.013)):
+            U = apply_filter(-t / eps, V)
+            want = (eng.q_eps(t, eps, U) - eng.a2_eps(t, eps, U)) - (eng.q_limit(U) - eng.a2_limit(U))
+            got = eng.remainders(t, eps, V)
+            assert l2_norm(got - want) <= 1e-14 * l2_norm(want), (t, eps)
 
     def test_t0_phases_are_one(self, engine4, unit_torus_4):
-        # at t = 0 every phase is one: the filtered forms are T and A2
-        U = random_field(unit_torus_4, seed=55)
-        got = engine4.remainders(0.0, 0.5, U)
-        want = (transport(U, U).pin_zero_mode() - engine4.a2_symbol(U)) - (
-            engine4.q_limit(U) - engine4.a2_limit(U)
+        # at t = 0 every phase is one and U = V: the filtered forms are T
+        # and A2
+        V = random_field(unit_torus_4, seed=55)
+        got = engine4.remainders(0.0, 0.5, V)
+        want = (transport(V, V).pin_zero_mode() - engine4.a2_symbol(V)) - (
+            engine4.q_limit(V) - engine4.a2_limit(V)
         )
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("a_sq,N", [((1, 1, 1), 4), ((1, 2, 3), 5)])
     def test_norm_is_filter_free(self, a_sq, N):
-        # the limit forms commute with the filtering group and L is
-        # unitary, so on U = L(-t/eps) V the remainder's norm is that of
+        # L is unitary, so the remainder's norm is that of
         # T(V, V) - A2 V - q_limit(V) + a2_limit(V), whatever t/eps is
         g = TorusGeometry(a_sq, N)
         eng = FormEngine(g, nu=1.0)
         V = random_field(g, seed=57, amplitude=1.0, spectrum_r=3.0)
         want = l2_norm(transport(V, V).pin_zero_mode() - eng.a2_symbol(V) - eng.q_limit(V) + eng.a2_limit(V))
         for t, eps in ((0.3, 0.01), (1.0, 1e-3), (0.05, 0.1)):
-            got = l2_norm(eng.remainders(t, eps, apply_filter(-t / eps, V)))
+            got = l2_norm(eng.remainders(t, eps, V))
             assert abs(got - want) <= 1e-13 * want
 
     def test_time_average_decays(self, engine3, unit_torus_3):
+        # averaged over t at a fixed filtered unknown U, fed to the
+        # remainder as V = L(t) U (eps = 1)
         U = random_field(unit_torus_3, seed=56)
         scale = l2_norm(engine3.remainders(0.0, 1.0, U))
 
@@ -1287,7 +1304,7 @@ class TestRemainders:
             w = w / np.sum(w)
             acc = zero_field(unit_torus_3)
             for t_, w_ in zip(th, w):
-                acc.coeffs += w_ * engine3.remainders(t_, 1.0, U).coeffs
+                acc.coeffs += w_ * engine3.remainders(t_, 1.0, apply_filter(t_, U)).coeffs
             return l2_norm(acc)
 
         short = averaged(50.0)
@@ -1298,26 +1315,34 @@ class TestRemainders:
     def test_interaction_free_synthetic_input(self):
         # all coefficients on a corner mode: no quadratic interactions fit
         # in the box, so the transport terms vanish structurally and the
-        # remainder is the dissipation's alone
+        # remainder is the rotated phase-0 dissipation difference alone
         g = TorusGeometry((1, 1, 1), 2)
         eng = FormEngine(g, nu=1.0)
         t = eigenbasis(g, (2, 2, 2))
-        U = single_mode_field(g, (2, 2, 2), t.ep)
-        assert l2_norm(eng.q_eps(0.9, 0.1, U)) < 1e-14
-        assert l2_norm(eng.q_limit(U)) < 1e-14
-        want = eng.a2_limit(U) - eng.a2_eps(0.9, 0.1, U)
-        assert l2_norm(eng.remainders(0.9, 0.1, U) - want) < 1e-14
+        V = single_mode_field(g, (2, 2, 2), t.ep)
+        assert l2_norm(eng.q_eps(0.0, 0.1, V)) < 1e-14
+        assert l2_norm(eng.q_limit(V)) < 1e-14
+        want = apply_filter(-0.9 / 0.1, eng.a2_limit(V) - eng.a2_symbol(V))
+        assert l2_norm(want) > 0
+        assert l2_norm(eng.remainders(0.9, 0.1, V) - want) < 1e-14
 
     def test_work_count(self, engine4, unit_torus_4, monkeypatch):
-        # one filtered evaluation (1 transport, 4 filters) and one limit
-        # advection (bar x bar) on the horizontal stencil; the underline x
-        # bar advection is a sum along n3
+        # one filtered evaluation at phase 0 (1 transport), one limit
+        # advection (bar x bar) on the horizontal stencil, and one rotation
+        # (a filter with tau != 0); the underline x bar advection is a sum
+        # along n3
         calls = Counter()
         for name in ("transport", "apply_filter", "convolve_quadratic"):
             fn = getattr(forms, name)
-            monkeypatch.setattr(forms, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+
+            def spy(*a, fn=fn, name=name):
+                calls.update(["rotation" if name == "apply_filter" and a[0] != 0 else name])
+                return fn(*a)
+
+            monkeypatch.setattr(forms, name, spy)
         engine4.remainders(0.3, 0.01, random_field(unit_torus_4, seed=59))
-        assert calls == {"transport": 1, "apply_filter": 4, "convolve_quadratic": 1}
+        del calls["apply_filter"]  # phase 0: L(0) is the identity
+        assert calls == {"transport": 1, "rotation": 1, "convolve_quadratic": 1}
 
 
 class TestFilterGroupCommutation:
@@ -1464,13 +1489,14 @@ class TestSelfInteractions:
         assert np.array_equal(got, q_eps_2(0.3, 0.01, V, V.copy()).coeffs)
 
     def test_remainders_match_a_copy_fed_evaluation(self, self_engine):
-        # to rounding: the limit part carries the e_0 row of q_tilde2
+        # to rounding: the limit part carries the e_0 row of q_tilde2; the
+        # phase-0 difference on V, rotated by L(-t/eps)
         eng = self_engine
-        U = self._data(eng.geometry)
-        got = eng.remainders(0.3, 0.01, U)
-        want = (q_eps_2(0.3, 0.01, U, U.copy()) - eng.a2_eps(0.3, 0.01, U)) - (
-            q_limit_2(eng, U, U.copy()) - eng.a2_limit(U)
-        )
+        V = self._data(eng.geometry)
+        got = eng.remainders(0.3, 0.01, V)
+        want = apply_filter(-0.3 / 0.01, (q_eps_2(0.0, 0.01, V, V.copy()) - eng.a2_eps(0.0, 0.01, V)) - (
+            q_limit_2(eng, V, V.copy()) - eng.a2_limit(V)
+        ))
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
 
     def test_q_limit_makes_no_transport(self, engine4, unit_torus_4, monkeypatch):

@@ -70,6 +70,17 @@ class TestCheckFrequency:
         with pytest.raises(ValueError):
             TorusGeometry((1, 1, 1), 0)
 
+    @pytest.mark.parametrize("N", [4.5, 4.0, "4", None])
+    def test_non_integral_truncation_rejected(self, N):
+        # 4.5 was once truncated to N = 4 without a word
+        with pytest.raises(ValueError, match="truncation N must be an integer"):
+            TorusGeometry((1, 1, 1), N)
+
+    def test_numpy_integer_truncation_accepted(self):
+        g = TorusGeometry((1, 1, 1), np.int64(4))
+        assert g.N == 4 and type(g.N) is int
+        assert g == TorusGeometry((1, 1, 1), 4)
+
 
 class TestLeray:
     def test_parallel_mode_killed(self, unit_torus_4):

@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             replace(SimConfig(), eps_list=(0.0,)).validate()
 
+    @pytest.mark.parametrize("N", [4.5, 4.0])
+    def test_non_integral_truncation_rejected(self, N):
+        # the geometry takes no float N; validate says so before any run
+        with pytest.raises(ConfigError, match="N must be an integer"):
+            replace(SimConfig(), N=N).validate()
+
     def test_snapshot_dt_equal_to_horizon_is_valid(self):
         replace(SimConfig(), T=0.05, snapshot_dt=0.05).validate()
 
@@ -110,6 +116,16 @@ class TestInitialData:
             + report["norm_osc"] ** 2
         )
         assert abs(total_sq - report["norm_total"] ** 2) < 1e-12
+
+    @pytest.mark.parametrize(
+        "over, named",
+        [(dict(spectrum_r=5000.0), "spectrum_r = 5000"), (dict(amplitude=1e-170), "amplitude = 1e-170")],
+        ids=["slope-underflows-the-draw", "amplitude-underflows-the-energy"],
+    )
+    def test_zero_energy_rejected(self, over, named):
+        # once kept a zero field, and the sweep divided by its energy
+        with pytest.raises(ConfigError, match=f"zero energy.*{named}"):
+            random_initial_data(replace(SimConfig(), N=3, **over).validate())
 
     def test_spectrum_slope_applied(self):
         shallow = replace(SimConfig(), spectrum_r=0.0).validate()
@@ -184,18 +200,19 @@ class TestSweep:
         assert rep.rows == []
 
     def test_snapshot_filter_count(self, monkeypatch):
-        # per snapshot: the limit state into the physical frame, V into the
-        # filtered frame, and the remainder's four filters
+        # per snapshot, two rotations (filters with tau != 0): the limit
+        # state into the physical frame, and the remainder's phase-0
+        # difference on V back to the filtered frame
         import frspec.forms as forms
         import frspec.solvers as solvers
 
         calls = []
         for mod in (harness, forms, solvers):
             fn = mod.apply_filter
-            monkeypatch.setattr(mod, "apply_filter", lambda *a, fn=fn: calls.append(1) or fn(*a))
+            monkeypatch.setattr(mod, "apply_filter", lambda *a, fn=fn: calls.append(a[0] != 0) or fn(*a))
         rep = run_sweep(replace(SimConfig(), **SMALL).validate())
         assert len(rep.rows) == 2
-        assert len(calls) == 6 * len(rep.rows)
+        assert sum(calls) == 2 * len(rep.rows)
 
     def test_resonance_counts_reported(self):
         cfg = replace(SimConfig(), **SMALL).validate()
@@ -260,6 +277,24 @@ class TestAudit:
         rep = audit_cancellations(cfg, n_seeds=2)
         assert rep.summary["passed"]
         assert abs(rep.summary["info"]["a2_osc_vs_full_laplacian_ratio"] - 0.5) < 1e-12
+
+    def test_ratio_defined_at_zero_viscosity(self):
+        # the ratio is read at unit viscosity: at nu = 0 both of its norms
+        # at nu were 0 (ZeroDivisionError)
+        rep = audit_cancellations(replace(SimConfig(), N=3, nu=0.0).validate(), n_seeds=2)
+        assert rep.summary["passed"]
+        assert abs(rep.summary["info"]["a2_osc_vs_full_laplacian_ratio"] - 0.5) < 1e-12
+
+    def test_wave_free_data(self):
+        # a steep slope on a tall torus leaves only the underline modes
+        # (0, 0, +-1): no tilde part to divide by, and no wave to take the
+        # ratio of
+        cfg = replace(SimConfig(), a_sq=(1, 1, 100), N=3, spectrum_r=5000.0).validate()
+        V, report = random_initial_data(cfg)
+        assert report["norm_underline"] == report["norm_total"] > 0
+        rep = audit_cancellations(cfg, n_seeds=2)
+        assert rep.summary["passed"]
+        assert math.isnan(rep.summary["info"]["a2_osc_vs_full_laplacian_ratio"])
 
     def test_zero_field_vacuous(self, unit_torus_4):
         from frspec.fields import zero_field
@@ -475,6 +510,29 @@ class TestCli:
         assert cli_main(["--config", self._cfg_file(tmp_path), "--out", str(out), command]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"configuration error: output directory {out}: {blocker} is not a directory"]
+
+    EDGE_EXIT = {
+        "nu=0": dict.fromkeys(cli_module.COMMANDS, 0),
+        "spectrum_r=5000": {**dict.fromkeys(cli_module.COMMANDS, 2), "resonances": 0},
+        "N=1": dict.fromkeys(cli_module.COMMANDS, 0),
+    }
+
+    @pytest.mark.parametrize("command", cli_module.COMMANDS)
+    @pytest.mark.parametrize("edge", EDGE_EXIT)
+    def test_edge_configs_end_with_an_exit_code(self, tmp_path, capsys, edge, command):
+        # once: audit at nu = 0 divided 0 by 0, and zero-energy data
+        # (the slope underflows the draw) crashed sweep, simulate and audit
+        key, value = edge.split("=")
+        rc = cli_main(["--config", self._cfg_file(tmp_path, **{key: value}), command])
+        assert rc in (0, 2, 3, 4)
+        assert rc == self.EDGE_EXIT[edge][command]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc == 2:
+            assert err.splitlines() == [
+                "configuration error: initial data have zero energy in floating point "
+                "(spectrum_r = 5000, amplitude = 1)"
+            ]
 
     def test_epsilon_flag_overrides(self, tmp_path):
         cfgf = self._cfg_file(tmp_path)
