@@ -167,6 +167,8 @@ def dyadic_coefficients(s: float, field: SpectralField4) -> tuple[float, np.ndar
     """Regularity coefficients c_q with ||Delta_q f||_L2 = C c_q 2^{-qs} ||f||_Hs.
 
     Returns (C, c_q array over q = -1 .. Q_max) with sum c_q^2 = 1.
+    Raises ValueError on a field whose H^s norm or block sum is zero: no
+    c_q are defined there.
     """
     g = field.geometry
     Q = q_max(g)
@@ -177,5 +179,9 @@ def dyadic_coefficients(s: float, field: SpectralField4) -> tuple[float, np.ndar
             for q in range(-1, Q + 1)
         ]
     )
-    C = float(np.sqrt(np.sum(d**2)) / hs)
-    return C, d / np.sqrt(np.sum(d**2))
+    total = np.sqrt(np.sum(d**2))
+    if not (hs > 0.0 and total > 0.0):
+        raise ValueError(
+            f"dyadic coefficients need a nonzero field: H^{s:g} norm {hs!r}, block sum {float(total)!r}"
+        )
+    return float(total / hs), d / total

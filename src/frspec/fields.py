@@ -44,7 +44,8 @@ leading axis): the Leray projector (`leray_symbol`: I - nhat nhat^T on the
 velocity, nhat = ncheck / |ncheck|, 1 on the buoyancy, 0 at n = 0) and the
 stepper's propagators.  The DFT matrices (per grid size M), the check frequencies
 (flat, and in the native layout) and the projector are built once and
-kept in the geometry's cache.
+kept in the geometry's cache, and so is the buffer of the kernel's
+product samples, its largest transient array (per grid size M).
 
 Transport is computed in divergence form, a . grad B =
 div(a (x) B), with div_h for the horizontal stencil; this holds when the
@@ -424,6 +425,15 @@ def _divergence(geometry: TorusGeometry, prod: np.ndarray, slots: np.ndarray) ->
     return out
 
 
+def _product_buffer(geometry: TorusGeometry, M: int) -> np.ndarray:
+    """The kernel's product samples (12, M, M, M), room for the most
+    products a call forms (J = 3 rows of 4), kept in the geometry's cache
+    per grid size: a call writes its products there and leaves with new
+    coefficients only, so no caller holds a view of it, and no call takes
+    fresh pages for its largest transient array."""
+    return geometry._cached(("fields.products", M), lambda: np.empty((12, M, M, M)))
+
+
 def _convolve(
     A: SpectralField4, B: SpectralField4, J: int, ncomp: int, symmetrize: bool = False
 ) -> SpectralField4:
@@ -434,10 +444,10 @@ def _convolve(
     copy and B starts at row 0); the velocity a is the first rows, and
     P_jc = a_j b_c, or a_j b_c + b_j a_c if `symmetrize`.  Only the rows
     that are not identically zero are transformed (a NaN or inf counts as
-    live).  The products are formed in one array: one gather of their first
-    factors, then one in-place multiply per run of `_products` by a slice
-    of the samples (no gathered temporary), then one batched forward
-    transform.
+    live).  The products are formed in the kept `_product_buffer`: one
+    gather of their first factors, then one in-place multiply per run of
+    `_products` by a slice of the samples (no gathered temporary), then one
+    batched forward transform.
     """
     if A.geometry is not B.geometry and A.geometry != B.geometry:
         raise ValueError("fields live on different geometries")
@@ -454,8 +464,11 @@ def _convolve(
     x, first, second, slots = _products(J, split, symmetrize, live)
     if not len(x):  # every product is identically zero
         return zero_field(g)
-    samples = _to_grid(g, rows if all(live) else rows[np.array(live)], _pad_size(g.N))
-    prod = samples[x]  # the first factors, gathered once into the output
+    M = _pad_size(g.N)
+    samples = _to_grid(g, rows if all(live) else rows[np.array(live)], M)
+    # the first factors, gathered once into the product buffer (mode "clip"
+    # writes into `out` directly; "raise" would stage a copy)
+    prod = np.take(samples, x, axis=0, out=_product_buffer(g, M)[: len(x)], mode="clip")
     for i, n, _, y in first:
         prod[i : i + n] *= samples[y : y + n]
     for i, n, x2, y in second:

@@ -4,10 +4,10 @@ Everything is built from one kernel, the symmetrized projected transport
 
     T(A, B) = 1/2 P [ a . grad B + b . grad A ],
 
-computed pseudo-spectrally with 2/3-rule dealiasing.  Every form is the
-quadratic form of a symmetric bilinear one.  The filtered form conjugates
-T by the filtering group: for the filtered unknown U = L(-t/eps) V of
-`solvers`,
+computed pseudo-spectrally on the alias-free grid of 3N + 1 points per
+axis (`fields`).  Every form is the quadratic form of a symmetric
+bilinear one.  The filtered form conjugates T by the filtering group: for
+the filtered unknown U = L(-t/eps) V of `solvers`,
 
     Q_eps(t; U) = L(-t/eps) T( L(t/eps) U, L(t/eps) U ),
 
@@ -35,18 +35,16 @@ The tables are built by joins inside exact frequency classes (see
 classes by an integer identity in int64, proven exact while
 3 s_max^3 < 2^63 for the reduced denominators s of omega^2 (N <= 363 on
 a^2 = (1, 2, 3)), in Python integers past that; no float screen takes
-part.  Every radical row is also confirmed over Fractions.  Each pair of
-modes finds its third mode by one lookup in the (4N + 1)^3-byte code table
-of `resonance._pair_codes` (36 KB at N = 8): one lookup per sign on the
-equal-omega pairs, whose sums also give the underline table, and one in
-`_radical_rows`.  The build pushes the rows one sign class and its mirror
-at a time and chooses the apply plan per push, before the sort: in a push
-the signs are fixed, so only 0pp and m0m of the zero-sign classes can hold
-plan rows, and only the few hundred radical rows take a per-row test.  The plan is
-sorted apart from the table, so no pass over the whole table serves the
-plan alone.  The build records the rows of each sign class as it pushes
-them (`TriadTable.counts`, read by `class_rows`), so no count re-reads the
-table.
+part.  Every radical row is also confirmed over Fractions, once, by the
+build.  Each pair of modes finds its third mode by one lookup in the
+(4N + 1)^3-byte code table of `resonance._pair_codes` (36 KB at N = 8):
+one lookup per sign on the equal-omega pairs, whose sums also give the
+underline table, and one in `_radical_rows`.  The build keeps what the
+forms sum, the apply plan and the rows of each sign class
+(`TriadTable.counts`), from the pushes of `_triad_keys`; the whole
+resonant set (449,472 rows at (1,2,3)/N8 against 28,708 plan rows) is
+enumerated by the same pushes only when its columns are read
+(`TriadTable.columns`), from the radical rows the build confirmed.
 
 `b_form` couples the underline part into the waves through two factors
 per sign b, with e_b taken at (n_h, -n3), both closed forms in omega(n),
@@ -96,7 +94,7 @@ first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,36 +169,136 @@ def project_tilde(V: SpectralField4) -> SpectralField4:
     return out
 
 
+def _radical_class(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The index in _CLASSES of the class (+1, b, c) of each radical row;
+    its mirror (-1, -b, -c) has the index 19 minus it."""
+    return 6 + (1 - b.astype(np.int64)) + (1 - c.astype(np.int64)) // 2
+
+
+def _equal_omega_pairs(g: TorusGeometry):
+    """The ordered pairs (x, y) of modes with equal omega, split by their
+    third mode (`_pair_codes`): the difference y - x a mode off the
+    vertical line, the sum x + y one off it, the sum x + y on it."""
+    x, y = _class_pairs(_freq_classes(g))
+    diff, add = _pair_codes(x, y, g.N, -1), _pair_codes(x, y, g.N, 1)
+    return tuple((x[m], y[m]) for m in (diff == WAVE, add == WAVE, add == VERTICAL))
+
+
+def _triad_keys(g: TorusGeometry, pairs, radical, full: bool):
+    """The one enumerator of the tilde-output resonant set: the unsorted
+    row keys of the apply plan, or of every row if `full`, and the rows per
+    sign class in the order of _CLASSES.
+
+    `pairs` are the equal-omega pairs (xd, yd) and (xs, ys) of
+    `_equal_omega_pairs` whose difference y - x, and sum x + y, is a mode
+    off the vertical line.  The differences give the classes (0, b, b) with
+    (m, n) = (x, y) and (a, 0, a) with (k, n) = (x, y), both with the third
+    mode y - x; the sums give (a, -a, 0) with (k, m) = (x, y).  The radical
+    classes are the rows of `_radical_rows` in `radical` and their mirrors
+    (-a, -b, -c).
+
+    The rows are pushed one sign class and its mirror at a time, and each
+    push adds its rows to the counts and keeps the keys of its plan rows
+    only (of all its rows if `full`): of the zero-sign classes only 0pp and
+    m0m have a < b and c != 0, and their push arrays hold the output and
+    plane conditions; only the radical rows take the per-row test
+    (a, k) < (b, m).  Each row is one unique int64 key, the bit fields
+    (nf, class, kf) with kf in the low B bits, B = bit_length(L^3 - 1), and
+    the class in the 4 above them (`_decode`)."""
+    N, L, size, centre = g.N, g.L, g.nmodes, g.nmodes // 2
+    B = (size - 1).bit_length()
+    keys = []
+    counts = np.zeros(len(_CLASSES), dtype=np.int64)
+
+    def push(kf, nf, cls, mirror, plan=None, mirror_plan=None):
+        """Rows (kf, nf) of class `cls` and their mirrors, the same modes
+        in class `mirror` (one class or one per row); the rows of the
+        masks `plan` and `mirror_plan` are the apply plan's."""
+        for c, p in ((cls, plan), (mirror, mirror_plan)):
+            if np.ndim(c):  # the radical rows: a few hundred
+                counts[:] += np.bincount(c, minlength=len(_CLASSES))
+            else:
+                counts[c] += kf.size
+            if full:
+                keys.append((((nf << 4) | c) << B) | kf)
+            elif p is not None:
+                keys.append((((nf[p] << 4) | (c[p] if np.ndim(c) else c)) << B) | kf[p])
+
+    def off_plane(kf, nf):
+        """Output n3 >= 0 and not k3 = n3 = 0 (so not m3 = 0 either)."""
+        n3 = nf % L - N
+        return (n3 > 0) | ((n3 == 0) & (kf % L != N))
+
+    (xd, yd), (xs, ys) = pairs
+    # k3 = y3 - x3 in 0pp and x3 in m0m: with n3 = y3 = 0 both vanish
+    # exactly when x3 = 0, so one mask serves both; 0mm and p0p have
+    # a > b, pm0 and mp0 have c = 0
+    plan = off_plane(xd, yd)
+    push(yd - xd + centre, yd, 0, 1, plan=plan)
+    push(xd, yd, 2, 3, mirror_plan=plan)
+    push(xs, xs + ys - centre, 4, 5)
+
+    kf, mf, nf, b, c = radical
+    cls = _radical_class(b, c)
+    # (a, k) < (b, m) per row: a row (+1, b) has it when b = +1 and
+    # k < m, its mirror (-1, -b) when b = +1 and k < m, or b = -1
+    plan, below = off_plane(kf, nf), kf < mf
+    push(kf, nf, cls, 19 - cls, plan & below & (b == 1), plan & (below | (b == -1)))
+    return np.concatenate(keys), counts
+
+
+def _column(i: int) -> property:
+    return property(lambda self: self.columns()[i])
+
+
 @dataclass
 class TriadTable:
     """Sparse interaction rows for tilde-output sign classes.
 
-    kf .. ic hold the whole resonant set.  Each row (k,a,m,b,c) has its
-    mirror (m,b,k,a,c) in the set, with the same output and the same G, and
-    no row is its own mirror.  The apply plan ka, mb, nc, W keeps one row
-    per mirror pair, the one with (a, k) < (b, m) (signs compared first,
-    then flat modes), in table order, with weight W = 2 G, and leaves out
-    three kinds of rows: the (a, -a, 0) rows, whose G is identically zero;
-    the rows with k3 = m3 = n3 = 0, the plane block that `q_tilde1` takes
-    from one 2-D advection; and the rows with output n3 < 0, the mirror
-    images c_pm(-n) = conj c_mp(n) of the rows with output n3 > 0.  The
-    radical rows with output on n3 = 0 stay."""
+    The build keeps the apply plan and the rows per class; the resonant
+    set itself, kf .. ic, is derived when first read (`columns`).  Each row
+    (k,a,m,b,c) of the set has its mirror (m,b,k,a,c) in it, with the same
+    output and the same G, and no row is its own mirror.  The apply plan
+    ka, mb, nc, W keeps one row per mirror pair, the one with
+    (a, k) < (b, m) (signs compared first, then flat modes), in table
+    order, with weight W = 2 G, and leaves out three kinds of rows: the
+    (a, -a, 0) rows, whose G is identically zero; the rows with
+    k3 = m3 = n3 = 0, the plane block that `q_tilde1` takes from one 2-D
+    advection; and the rows with output n3 < 0, the mirror images
+    c_pm(-n) = conj c_mp(n) of the rows with output n3 > 0.  The radical
+    rows with output on n3 = 0 stay."""
 
-    kf: np.ndarray  # flat mode index of k
-    mf: np.ndarray
-    nf: np.ndarray
-    ia: np.ndarray  # signs in {-1, 0, 1}
-    ib: np.ndarray
-    ic: np.ndarray
     ka: np.ndarray  # plan rows: flat (ia, kf), (ib, mf), see _flat
     mb: np.ndarray
     nc: np.ndarray  # plan rows: flat (ic, nf) of the stored modes, see _flat_stored
     W: np.ndarray  # plan rows: complex weight 2 G
     counts: np.ndarray  # rows per sign class, in the order of _CLASSES
+    radical: tuple  # the confirmed rows kf, mf, nf, b, c of `_radical_rows`
+    geometry: TorusGeometry
+    _columns: tuple | None = field(default=None, init=False, repr=False)
+
+    kf = _column(0)  # flat mode index of k
+    mf = _column(1)
+    nf = _column(2)
+    ia = _column(3)  # signs in {-1, 0, 1}
+    ib = _column(4)
+    ic = _column(5)
 
     @property
     def rows(self) -> int:
-        return len(self.kf)
+        return int(self.counts.sum())
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """kf, mf, nf, ia, ib, ic of the whole resonant set, sorted by
+        (nf, class in _CLASSES order, kf), derived on first read by the
+        enumerator of the build, `_triad_keys`, on fresh equal-omega pairs
+        and the radical rows the build confirmed: no second confirmation."""
+        if self._columns is None:
+            g = self.geometry
+            key, _ = _triad_keys(g, _equal_omega_pairs(g)[:2], self.radical, full=True)
+            kf, nf, ia, ib, ic = _decode(key, (g.nmodes - 1).bit_length())
+            self._columns = kf, nf - kf + g.nmodes // 2, nf, ia, ib, ic
+        return self._columns
 
     def class_rows(self) -> dict[str, int]:
         """Rows per sign class (a, b, c), keyed like "0pp" or "pmm", in the
@@ -269,67 +367,16 @@ class FormEngine:
         rk, rm, rn = (self.geometry._omega_sq(tuple(self._modes[f].tolist())) for f in (kf, mf, nf))
         return exact_sqrt_sum_is_zero([(a, rk), (b, rm), (-c, rn)])
 
-    def _build_triad_table(self, xd, yd, xs, ys) -> TriadTable:
-        """Rows sorted by (nf, class in _CLASSES order, kf); the apply plan
-        is the rows with (a, k) < (b, m), c != 0 and output n3 >= 0, less
-        the rows with k3 = m3 = n3 = 0, in that order.
-
-        (xd, yd) and (xs, ys) are the ordered pairs of modes with equal
-        omega whose difference y - x, and sum x + y, is a mode off the
-        vertical line (`_pair_codes`).  The differences give the classes
-        (0, b, b) with (m, n) = (x, y) and (a, 0, a) with (k, n) = (x, y),
-        both with the third mode y - x; the sums give (a, -a, 0) with
-        (k, m) = (x, y).  The radical classes are the rows of
-        `_radical_rows` and their mirrors (-a, -b, -c), each also confirmed
-        by exact_sqrt_sum_is_zero; a disagreement raises.
-
-        The rows are pushed one sign class and its mirror at a time, and
-        each push picks its plan rows before any sort: of the zero-sign classes only 0pp and
-        m0m have a < b and c != 0, and their push arrays hold the output
-        and plane conditions; only the radical rows take the per-row test
-        (a, k) < (b, m).  Each row is one unique int64 key, the bit fields
-        (nf, class, kf) with kf in the low B bits, B = bit_length(L^3 - 1),
-        and the class in the 4 above them; the table keys and the plan keys
-        are sorted apart and decode by masks and shifts (`_decode`)."""
+    def _build_triad_table(self, pairs) -> TriadTable:
+        """The apply plan of `_triad_keys`, sorted in table order, and the
+        rows per class, from the equal-omega pairs (xd, yd) and (xs, ys).
+        Every row of `_radical_rows` is confirmed by exact_sqrt_sum_is_zero
+        in its class and its mirror's; a disagreement raises."""
         g = self.geometry
-        N, L, size, centre = g.N, g.L, g.nmodes, g.nmodes // 2
-        B = (size - 1).bit_length()
-        keys, plan_keys = [], []
-        counts = np.zeros(len(_CLASSES), dtype=np.int64)
-
-        def push(kf, nf, cls, mirror, plan=None, mirror_plan=None):
-            """Rows (kf, nf) of class `cls` and their mirrors, the same modes
-            in class `mirror` (one class or one per row); the rows of the
-            masks `plan` and `mirror_plan` join the apply plan."""
-            key = (((nf << 4) | cls) << B) | kf
-            mirrored = key + ((mirror - cls) << B)
-            keys.extend((key, mirrored))
-            for k, p in ((key, plan), (mirrored, mirror_plan)):
-                if p is not None:
-                    plan_keys.append(k[p])
-            if np.ndim(cls):  # the radical rows: a few hundred
-                for c in (cls, mirror):
-                    counts[:] += np.bincount(c, minlength=len(_CLASSES))
-            else:
-                counts[[cls, mirror]] += kf.size
-
-        def off_plane(kf, nf):
-            """Output n3 >= 0 and not k3 = n3 = 0 (so not m3 = 0 either)."""
-            n3 = nf % L - N
-            return (n3 > 0) | ((n3 == 0) & (kf % L != N))
-
-        # k3 = y3 - x3 in 0pp and x3 in m0m: with n3 = y3 = 0 both vanish
-        # exactly when x3 = 0, so one mask serves both; 0mm and p0p have
-        # a > b, pm0 and mp0 have c = 0
-        plan = off_plane(xd, yd)
-        push(yd - xd + centre, yd, 0, 1, plan=plan)
-        push(xd, yd, 2, 3, mirror_plan=plan)
-        del xd, yd, plan
-        push(xs, xs + ys - centre, 4, 5)
-        del xs, ys
-
-        kf, mf, nf, b, c = _radical_rows(g, N)
-        cls = 6 + (1 - b.astype(np.int64)) + (1 - c.astype(np.int64)) // 2
+        N, size, centre = g.N, g.nmodes, g.nmodes // 2
+        radical = _radical_rows(g, N)
+        kf, mf, nf, b, c = radical
+        cls = _radical_class(b, c)
         for row in zip(kf.tolist(), mf.tolist(), nf.tolist(), cls.tolist()):
             for cl in (row[3], 19 - row[3]):
                 if not self._confirm_radical(*row[:3], *_CLASSES[cl]):
@@ -337,14 +384,8 @@ class FormEngine:
                         f"integer and radical resonance decisions disagree at "
                         f"flat modes {row[:3]}, class {_CLASSES[cl]}"
                     )
-        # (a, k) < (b, m) per row: a row (+1, b) has it when b = +1 and
-        # k < m, its mirror (-1, -b) when b = +1 and k < m, or b = -1
-        plan, below = off_plane(kf, nf), kf < mf
-        push(kf, nf, cls, 19 - cls, plan & below & (b == 1), plan & (below | (b == -1)))
-
-        kf, nf, ia, ib, ic = _decode(np.concatenate(keys), B)
-        del keys
-        pk, pn, pa, pb, pc = _decode(np.concatenate(plan_keys), B)
+        key, counts = _triad_keys(g, pairs, radical, full=False)
+        pk, pn, pa, pb, pc = _decode(key, (size - 1).bit_length())
         pm = pn - pk + centre
         W = np.empty(len(pk), dtype=np.complex128)
         for lo in range(0, len(pk), _G_CHUNK):
@@ -352,9 +393,8 @@ class FormEngine:
             W[r] = self._G_rows(pk[r], pa[r], pm[r], pb[r], pn[r], pc[r])
         W *= 2.0
         return TriadTable(
-            kf, nf - kf + centre, nf, ia, ib, ic,
-            ka=_flat(pa, pk, size), mb=_flat(pb, pm, size),
-            nc=_flat_stored(pc, pn, N), W=W, counts=counts,
+            ka=_flat(pa, pk, size), mb=_flat(pb, pm, size), nc=_flat_stored(pc, pn, N),
+            W=W, counts=counts, radical=radical, geometry=g,
         )
 
     def _build_under_table(self, xs: np.ndarray, ys: np.ndarray) -> UnderTable:
@@ -391,14 +431,9 @@ class FormEngine:
     @property
     def tables(self) -> tuple[TriadTable, UnderTable]:
         if self._tab_t1 is None:
-            g = self.geometry
-            x, y = _class_pairs(_freq_classes(g))
-            diff, add = _pair_codes(x, y, g.N, -1), _pair_codes(x, y, g.N, 1)
-            sel = diff == WAVE, add == WAVE, add == VERTICAL
-            del diff, add
-            (xd, yd), (xs, ys), (xv, yv) = ((x[m], y[m]) for m in sel)
-            del x, y, sel
-            self._tab_t1 = self._build_triad_table(xd, yd, xs, ys)
+            *pairs, (xv, yv) = _equal_omega_pairs(self.geometry)
+            self._tab_t1 = self._build_triad_table(pairs)
+            del pairs
             self._tab_qu = self._build_under_table(xv, yv)
         return self._tab_t1, self._tab_qu
 
@@ -562,10 +597,11 @@ class FormEngine:
     def kstar_pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat (k, n) index arrays of the deduplicated resonant pair set."""
         if self._kstar_pairs is None:
-            tab, _ = self.tables
-            allpm = (tab.ia != 0) & (tab.ib != 0) & (tab.ic != 0)
+            # the rows of every all-sign class are the radical rows and their
+            # mirrors, which have the same modes
+            kf, _, nf, _, _ = self.tables[0].radical
             size = self.geometry.nmodes
-            self._kstar_pairs = np.divmod(np.unique(tab.kf[allpm] * size + tab.nf[allpm]), size)
+            self._kstar_pairs = np.divmod(np.unique(kf * size + nf), size)
         return self._kstar_pairs
 
     def trilinear_resonant(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:

@@ -19,7 +19,9 @@ screening pairs.  With omega^2 = h / s in lowest terms:
   a q_k s_m s_n + b q_m s_k s_n = c q_n s_k s_m.  Its terms are at most
   s_max^3 (q <= s), so it is evaluated in int64 while 3 s_max^3 < 2^63 and
   in Python integers past that.  s <= (w1 + w2 + w3) N^2 (`int_weights`),
-  so int64 holds up to N = 363 on a^2 = (1, 2, 3).
+  so int64 holds up to N = 363 on a^2 = (1, 2, 3).  The modes are paired
+  only inside pairs of equal-omega subclasses of a class that the same
+  identity, on one mode per subclass, lets some third subclass close.
 
 A join yields pairs (x, y) of box modes; the third mode z = y +- x of a
 pair, out of the box, in it off the vertical line or on it, is one
@@ -245,17 +247,28 @@ def _radical_form(geometry: TorusGeometry, N: int):
     return q, s, r
 
 
-def _class_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (x, y), as int64 positions, with key[x] == key[y] >= 0."""
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The concatenated ranges start[t] .. start[t] + size[t] - 1 (int64)."""
+    out = np.arange(int(size.sum()), dtype=np.int64)
+    out -= np.repeat(np.cumsum(size) - size - start, size)
+    return out
+
+
+def _groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions x with key[x] >= 0, grouped by key (each group in
+    position order), and the start and size of each group, in key order."""
     live = np.flatnonzero(key >= 0)
     members = live[np.argsort(key[live], kind="stable")]
     _, start, size = np.unique(key[members], return_index=True, return_counts=True)
+    return members, start, size
+
+
+def _class_pairs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (x, y), as int64 positions, with key[x] == key[y] >= 0."""
+    members, start, size = _groups(key)
     # member i of a class of size c pairs with positions start .. start + c - 1
     reps = np.repeat(size, size)
-    x = np.repeat(members, reps)
-    y = np.arange(len(x), dtype=np.int64)
-    y -= np.repeat(np.cumsum(reps) - reps - np.repeat(start, size), reps)
-    return x, members[y]
+    return np.repeat(members, reps), members[_ranges(np.repeat(start, size), reps)]
 
 
 # codes of `_pair_codes`: z outside the box [-N, N]^3, in it off the vertical
@@ -313,16 +326,43 @@ def _radical_rows(geometry: TorusGeometry, N: int):
     makes omega(k) omega(m) and omega(k) omega(n) rational.  Inside a class
     the resonance is the integer identity
     q_k s_m s_n + b q_m s_k s_n = c q_n s_k s_m; (b, c) = (+1, -1) has no
-    solution, and a pair satisfies at most one of the other three."""
+    solution, and a pair satisfies at most one of the other three.
+
+    The modes of a radical class split into its equal-omega subclasses
+    (`_freq_classes`), and omega(n) takes the value of n's subclass l, so a
+    row needs its subclass pair (i, j) of k and m to be admissible: some
+    subclass l of the class satisfies q_i s_j s_l + b q_j s_i s_l =
+    c q_l s_i s_j for one of the three sign pairs.  That necessary
+    condition is the same integer identity on one mode per subclass, taken
+    over every ordered subclass triple (i, j, l) of a class; the mode pairs
+    are formed only inside the admissible (i, j) (8,400 of the 221,696
+    ordered pairs of the radical classes at (1, 2, 3)/N8), and the
+    per-row identity still decides each of them."""
     q, s, r = _radical_form(geometry, N)
-    x, y = _class_pairs(r)
-    wave = _pair_codes(x, y, N, 1) == WAVE
-    kf, mf = x[wave], y[wave]
-    del x, y, wave
+    dtype = _identity_dtype(s.max())
+    members, start, size = _groups(_freq_classes(geometry)[_subblock_flat(geometry, N)])
+    rep = members[start]  # one mode per subclass
+    # ordered subclass pairs (i, j) of one radical class, each with every
+    # subclass l of that class: the ranges of the classes' subclasses
+    cls = r[rep]
+    by_class, cstart, csize = _groups(cls)
+    at = np.searchsorted(cls[by_class][cstart], cls)  # class of each subclass
+    i, j = _class_pairs(cls)
+    pair = np.repeat(np.arange(len(i)), csize[at[i]])
+    l = by_class[_ranges(cstart[at[i]], csize[at[i]])]
+    t1, t2, t3 = _identity_terms(q, s, rep[i[pair]], rep[j[pair]], rep[l], dtype)
+    ok = np.zeros(len(i), dtype=bool)
+    ok[pair[(t1 + t2 == t3) | (t1 - t2 == t3) | (t1 - t2 == -t3)]] = True
+    i, j = i[ok], j[ok]
+    # every mode of subclass i with every mode of subclass j
+    kf = np.repeat(members[_ranges(start[i], size[i])], np.repeat(size[j], size[i]))
+    mf = members[_ranges(np.repeat(start[j], size[i]), np.repeat(size[j], size[i]))]
+    wave = _pair_codes(kf, mf, N, 1) == WAVE
+    kf, mf = kf[wave], mf[wave]
     nf = kf + mf - len(s) // 2
     same = r[nf] == r[kf]
     kf, mf, nf = kf[same], mf[same], nf[same]
-    t1, t2, t3 = _identity_terms(q, s, kf, mf, nf, _identity_dtype(s.max()))
+    t1, t2, t3 = _identity_terms(q, s, kf, mf, nf, dtype)
     plus, minus = t1 + t2 == t3, t1 - t2 == t3
     hit = plus | minus | (t1 - t2 == -t3)
     b = np.where(plus, 1, -1).astype(np.int8)[hit]

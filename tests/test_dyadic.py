@@ -1,5 +1,9 @@
 """Dyadic decomposition, paraproducts and Bernstein measurements."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,8 @@ from frspec.fields import SpectralField4, l2_norm, single_mode_field, sobolev_no
 from frspec.geometry import TorusGeometry
 
 from conftest import random_field
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestProfiles:
@@ -105,6 +111,27 @@ class TestRegularityAndBernstein:
         C, cq = dyadic_coefficients(2.0, f)
         assert abs(np.sum(cq**2) - 1.0) < 1e-10
         assert 0.05 < C < 20.0
+
+    def test_dyadic_coefficients_of_a_zero_field_raise(self):
+        # run under -W error: the zero field raises ValueError naming the
+        # zero norm, with no numpy warning on the way, and a nonzero field
+        # warns of nothing
+        script = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+from frspec.dyadic import dyadic_coefficients
+from frspec.fields import single_mode_field, zero_field
+from frspec.geometry import TorusGeometry
+g = TorusGeometry((1, 1, 1), 3)
+dyadic_coefficients(2.0, single_mode_field(g, (1, 0, 0), (0, 1, 0, 0)))
+try:
+    dyadic_coefficients(2.0, zero_field(g))
+except ValueError as exc:
+    print(exc)
+"""
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("dyadic coefficients need a nonzero field: H^2 norm 0.0")
 
     def test_bernstein_derivative_ratio(self):
         g = TorusGeometry((1, 1, 1), 8)

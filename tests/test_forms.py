@@ -2,6 +2,8 @@
 
 import itertools
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,7 +137,9 @@ def pair_stream_tables(eng):
     """The triad and underline tables screened from the chunked pair stream:
     zero-sign classes by exact frequency ids, radical classes by the float
     screen |a wk + b wm - c wn| < 1e-11 with every hit confirmed through
-    eng._confirm_radical, sorted by lexsort."""
+    eng._confirm_radical, sorted by lexsort.  The triad table is a record
+    of its columns, plan arrays and class counts under the names of
+    `forms.TriadTable`."""
     g = eng.geometry
     H, S = omega_ratio_ints(g)
     d = np.gcd(H, S)
@@ -170,10 +174,11 @@ def pair_stream_tables(eng):
     ia, ib, ic = (np.ascontiguousarray(col) for col in forms._CLASS_SIGNS[cls[order]].T)
     plan = plan_rows_of(ia, kf, ib, mf, ic, nf, g.N)
     W = 2.0 * eng._G_rows(kf[plan], ia[plan], mf[plan], ib[plan], nf[plan], ic[plan])
-    tab = forms.TriadTable(kf, mf, nf, ia, ib, ic, ka=flat_of(ia[plan], kf[plan], size),
-                           mb=flat_of(ib[plan], mf[plan], size),
-                           nc=stored_flat_of(ic[plan], nf[plan], g.N), W=W,
-                           counts=np.bincount(cls, minlength=len(CLASS_ORDER)))
+    tab = SimpleNamespace(kf=kf, mf=mf, nf=nf, ia=ia, ib=ib, ic=ic,
+                          ka=flat_of(ia[plan], kf[plan], size),
+                          mb=flat_of(ib[plan], mf[plan], size),
+                          nc=stored_flat_of(ic[plan], nf[plan], g.N), W=W,
+                          counts=np.bincount(cls, minlength=len(CLASS_ORDER)))
 
     parts = [(kf[sel], mf[sel], nf[sel])
              for kf, mf, nf in pair_stream(g.N, underline=True)
@@ -194,6 +199,29 @@ def pair_stream_tables(eng):
                              mb=flat_of(ib, mf, size),
                              out=(n3i[:, None] * 4 + np.arange(4)).reshape(-1))
     return tab, under
+
+
+def admissible_radical_pairs(g):
+    """The ordered mode pairs (k, m) of one radical class r whose
+    equal-omega subclasses i, j admit a subclass l of that class with
+    w_i + b w_j = c w_l for (b, c) in (+,+), (-,+), (-,-), where
+    omega = w sqrt(r) and w = q / s; decided over Fractions."""
+    q, s, r = resonance._radical_form(g, g.N)
+    ids = resonance._freq_classes(g)
+    w, size, by_class = {}, Counter(), {}
+    for f in np.flatnonzero(r >= 0).tolist():
+        i = int(ids[f])
+        size[i] += 1
+        if i not in w:
+            w[i] = Fraction(int(q[f]), int(s[f]))
+            by_class.setdefault(int(r[f]), []).append(i)
+    total = 0
+    for members in by_class.values():
+        values = {w[x] for x in members}
+        for i, j in itertools.product(members, repeat=2):
+            if {w[i] + w[j], w[i] - w[j], w[j] - w[i]} & values:
+                total += size[i] * size[j]
+    return total
 
 
 class TestTables:
@@ -290,10 +318,13 @@ class TestTables:
         before = set(vars(eng))
         tab, _ = eng.tables
         equal_omega = len(resonance._class_pairs(resonance._freq_classes(g))[0])
-        radical_pairs = len(resonance._class_pairs(resonance._radical_form(g, g.N)[2])[0])
+        radical_pairs = admissible_radical_pairs(g)
+        assert radical_pairs < len(resonance._class_pairs(resonance._radical_form(g, g.N)[2])[0]) // 10
         assert lookups == [(equal_omega, 6, -1), (equal_omega, 6, 1), (radical_pairs, 6, 1)]
         assert len(confirms) == tab.counts[6:].sum() == 96
         assert set(vars(eng)) == before
+        # the build keeps the plan: the resonant set is not derived
+        assert tab._columns is None
 
     def test_disagreeing_exact_checks_raise(self, monkeypatch):
         monkeypatch.setattr(forms, "exact_sqrt_sum_is_zero", lambda terms: False)
